@@ -1,10 +1,12 @@
 """Reference Boolean evaluation of core formulas over finite traces.
 
 This is the offline semantics used directly by ``run`` and as the oracle
-for the online monitor. Evaluation is a pure recursion over the formula
-and the trace; ``until``/``since`` are computed as their defining
-disjunction (a witness frame for the right operand, with the left operand
-required at every frame from the start up to and including the witness).
+for the online monitor. A formula is compiled once into a tree of
+closures, one per node, each holding the semantic clause of its node kind;
+``evaluate`` looks up the compiled program of the formula object and calls
+it. ``until``/``since`` are computed as their defining disjunction (a
+witness frame for the right operand, with the left operand required at
+every frame from the start up to and including the witness).
 
 Conventions for finite traces and partial data:
 
@@ -21,7 +23,7 @@ Conventions for finite traces and partial data:
   ``lat``/``lon``, ``dist``) use the captured box itself, which is what
   lets a specification compare boxes across frames.
 * Ratio atoms whose right-hand base value is zero are false and log a
-  warning.
+  warning, once per distinct message and compiled formula.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping, Sequence
+import operator
+from dataclasses import dataclass
+from typing import Callable, Iterator, Mapping, Sequence
 
 from . import spatial
 from .errors import ContractViolation
@@ -41,28 +44,25 @@ from .trace import BoundingBox, DetectedObject, Frame
 log = logging.getLogger("percemon.evaluate")
 
 
-@dataclass(frozen=True)
 class Env:
-    """Pinned timestamps, pinned frame indices, and captured objects."""
+    """Pinned timestamps, pinned frame indices, and captured objects.
 
-    time_pins: Mapping[str, float] = field(default_factory=dict)
-    frame_pins: Mapping[str, int] = field(default_factory=dict)
-    objects: Mapping[str, DetectedObject] = field(default_factory=dict)
+    No evaluation keeps an ``Env`` past the call it was passed to, so a
+    quantifier may rebind its variables in place in its own copy of
+    ``objects`` instead of copying the map once per assignment.
+    """
 
-    def with_pins(self, time_var: str | None, timestamp: float,
-                  frame_var: str | None, index: int) -> "Env":
-        time_pins = dict(self.time_pins)
-        frame_pins = dict(self.frame_pins)
-        if time_var is not None:
-            time_pins[time_var] = timestamp
-        if frame_var is not None:
-            frame_pins[frame_var] = index
-        return Env(time_pins, frame_pins, self.objects)
+    __slots__ = ("time_pins", "frame_pins", "objects")
 
-    def with_objects(self, assignment: Mapping[str, DetectedObject]) -> "Env":
-        objects = dict(self.objects)
-        objects.update(assignment)
-        return Env(self.time_pins, self.frame_pins, objects)
+    def __init__(
+        self,
+        time_pins: Mapping[str, float] | None = None,
+        frame_pins: Mapping[str, int] | None = None,
+        objects: Mapping[str, DetectedObject] | None = None,
+    ):
+        self.time_pins = {} if time_pins is None else time_pins
+        self.frame_pins = {} if frame_pins is None else frame_pins
+        self.objects = {} if objects is None else objects
 
 
 EMPTY_ENV = Env()
@@ -75,26 +75,31 @@ class EvalStats:
     assignments: int = 0
 
 
-@dataclass(frozen=True)
 class EvalContext:
     """A trace (or buffered window) and the index under evaluation."""
 
-    trace: Sequence[Frame]
-    index: int
-    stats: EvalStats | None = None
+    __slots__ = ("trace", "index", "stats")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.index < len(self.trace):
+    def __init__(self, trace: Sequence[Frame], index: int, stats: EvalStats | None = None):
+        if not 0 <= index < len(trace):
             raise ContractViolation(
-                f"evaluation index {self.index} outside trace of length {len(self.trace)}"
+                f"evaluation index {index} outside trace of length {len(trace)}"
             )
+        self.trace = trace
+        self.index = index
+        self.stats = stats
 
     @property
     def frame(self) -> Frame:
         return self.trace[self.index]
 
     def at(self, index: int) -> "EvalContext":
-        return replace(self, index=index)
+        """The same trace at another index; the caller has bound-checked it."""
+        ctx = object.__new__(EvalContext)
+        ctx.trace = self.trace
+        ctx.index = index
+        ctx.stats = self.stats
+        return ctx
 
 
 def quantifier_assignments(
@@ -134,14 +139,14 @@ def _captured(env: Env, name: str) -> DetectedObject:
     return obj
 
 
-def _pin(env: Env, pins: Mapping[str, float], name: str, kind: str):
+def _pin(pins: Mapping[str, float], name: str, kind: str):
     if name not in pins:
         raise ContractViolation(f"{kind} variable {name!r} is unbound; run check_bindings first")
     return pins[name]
 
 
 def _current(ctx: EvalContext, obj: DetectedObject) -> DetectedObject | None:
-    return ctx.frame.objects.get(obj.object_id)
+    return ctx.trace[ctx.index].objects.get(obj.object_id)
 
 
 def _offset_value(term: A.OffsetTerm, env: Env) -> float:
@@ -149,159 +154,373 @@ def _offset_value(term: A.OffsetTerm, env: Env) -> float:
     return x if term.axis is A.Axis.LAT else y
 
 
-def eval_spatial(term: A.SpatialTerm, ctx: EvalContext, env: Env) -> Region:
-    """Evaluate a core spatial term within the current frame's universe."""
-    universe = Universe(ctx.frame.width, ctx.frame.height)
-
-    def go(node: A.SpatialTerm) -> Region:
-        if isinstance(node, A.EmptySet):
-            return spatial.empty_region(universe)
-        if isinstance(node, A.UniverseSet):
-            return spatial.full_region(universe)
-        if isinstance(node, A.BBoxOf):
-            return spatial.from_box(_captured(env, node.var).bbox, universe)
-        if isinstance(node, A.Complement):
-            return spatial.complement(go(node.term))
-        if isinstance(node, A.SpatialUnion):
-            return spatial.union(go(node.lhs), go(node.rhs))
-        raise ContractViolation(f"evaluator needs a desugared spatial term, got {type(node).__name__}")
-
-    return go(term)
+def _universe(ctx: EvalContext) -> Universe:
+    frame = ctx.trace[ctx.index]
+    return Universe(frame.width, frame.height)
 
 
-_warned: set[str] = set()
+# A compiled formula node, and a compiled spatial term.
+Check = Callable[[EvalContext, Env], bool]
+Term = Callable[[Universe, Env], Region]
 
 
-def _ratio_rhs_ok(value: float, what: str) -> bool:
-    if value == 0:
-        message = f"ratio denominator ({what}) is zero; the atom is false"
-        # A degenerate box can recur on every frame of a stream; warn once
-        # per distinct message and demote repeats so stderr stays readable.
-        if message not in _warned and len(_warned) < 256:
-            _warned.add(message)
-            log.warning("%s (repeats logged at debug level)", message)
-        else:
-            log.debug("%s", message)
-        return False
-    return True
+class _Compiler:
+    """Builds the closure tree of one formula and owns its warn-once state."""
 
+    def __init__(self) -> None:
+        self.warned: set[str] = set()
 
-def _until(lhs: A.Formula, rhs: A.Formula, ctx: EvalContext, env: Env) -> bool:
-    # Disjunction over witnesses j >= i, with lhs required at every frame
-    # from i through j inclusive.
-    prefix = True
-    for j in range(ctx.index, len(ctx.trace)):
-        here = ctx.at(j)
-        lhs_here = evaluate(lhs, here, env)
-        if prefix and lhs_here and evaluate(rhs, here, env):
-            return True
-        prefix = prefix and lhs_here
-        if not prefix:
+    def formula(self, phi: A.Formula) -> Check:
+        build = _FORMULA_BUILDERS.get(type(phi))
+        if build is None:
+            raise ContractViolation(f"evaluator needs a desugared formula, got {type(phi).__name__}")
+        return build(self, phi)
+
+    def term(self, term: A.SpatialTerm) -> Term:
+        build = _TERM_BUILDERS.get(type(term))
+        if build is None:
+            raise ContractViolation(f"evaluator needs a core spatial term, got {type(term).__name__}")
+        return build(self, term)
+
+    def ratio_rhs_ok(self, value: float, what: str) -> bool:
+        if value == 0:
+            message = f"ratio denominator ({what}) is zero; the atom is false"
+            # A degenerate box can recur on every frame of a stream; warn once
+            # per distinct message and demote repeats so stderr stays readable.
+            if message not in self.warned and len(self.warned) < 256:
+                self.warned.add(message)
+                log.warning("%s (repeats logged at debug level)", message)
+            else:
+                log.debug("%s", message)
             return False
-    return False
-
-
-def _since(lhs: A.Formula, rhs: A.Formula, ctx: EvalContext, env: Env) -> bool:
-    prefix = True
-    for j in range(ctx.index, -1, -1):
-        here = ctx.at(j)
-        lhs_here = evaluate(lhs, here, env)
-        if prefix and lhs_here and evaluate(rhs, here, env):
-            return True
-        prefix = prefix and lhs_here
-        if not prefix:
-            return False
-    return False
-
-
-def evaluate(phi: A.Formula, ctx: EvalContext, env: Env = EMPTY_ENV) -> bool:
-    """Boolean quality of a desugared formula at ``ctx.index``."""
-    if isinstance(phi, A.TrueConst):
         return True
-    if isinstance(phi, A.Not):
-        return not evaluate(phi.child, ctx, env)
-    if isinstance(phi, A.Or):
-        return evaluate(phi.lhs, ctx, env) or evaluate(phi.rhs, ctx, env)
-    if isinstance(phi, A.Next):
-        if ctx.index + 1 >= len(ctx.trace):
+
+
+# --- propositional and temporal core ----------------------------------------
+
+def _true(c: _Compiler, phi: A.TrueConst) -> Check:
+    def check(ctx: EvalContext, env: Env) -> bool:
+        return True
+    return check
+
+
+def _not(c: _Compiler, phi: A.Not) -> Check:
+    child = c.formula(phi.child)
+
+    def check(ctx: EvalContext, env: Env) -> bool:
+        return not child(ctx, env)
+    return check
+
+
+def _or(c: _Compiler, phi: A.Or) -> Check:
+    lhs, rhs = c.formula(phi.lhs), c.formula(phi.rhs)
+
+    def check(ctx: EvalContext, env: Env) -> bool:
+        return lhs(ctx, env) or rhs(ctx, env)
+    return check
+
+
+def _next_prev(c: _Compiler, phi: A.Next | A.Prev) -> Check:
+    child = c.formula(phi.child)
+    step = 1 if type(phi) is A.Next else -1
+
+    def check(ctx: EvalContext, env: Env) -> bool:
+        j = ctx.index + step
+        if not 0 <= j < len(ctx.trace):
             return False
-        return evaluate(phi.child, ctx.at(ctx.index + 1), env)
-    if isinstance(phi, A.Prev):
-        if ctx.index == 0:
-            return False
-        return evaluate(phi.child, ctx.at(ctx.index - 1), env)
-    if isinstance(phi, A.Until):
-        return _until(phi.lhs, phi.rhs, ctx, env)
-    if isinstance(phi, A.Since):
-        return _since(phi.lhs, phi.rhs, ctx, env)
-    if isinstance(phi, A.Freeze):
-        extended = env.with_pins(phi.time_var, ctx.frame.timestamp, phi.frame_var, ctx.index)
-        return evaluate(phi.child, ctx, extended)
-    if isinstance(phi, A.Exists):
-        frame = ctx.frame
+        return child(ctx.at(j), env)
+    return check
+
+
+def _until_since(c: _Compiler, phi: A.Until | A.Since) -> Check:
+    lhs, rhs = c.formula(phi.lhs), c.formula(phi.rhs)
+    forward = type(phi) is A.Until
+
+    def check(ctx: EvalContext, env: Env) -> bool:
+        # Disjunction over witnesses j (j >= i for until, j <= i for since),
+        # with lhs required at every frame from i through j inclusive.
+        witnesses = range(ctx.index, len(ctx.trace)) if forward else range(ctx.index, -1, -1)
+        for j in witnesses:
+            here = ctx.at(j)
+            if not lhs(here, env):
+                return False
+            if rhs(here, env):
+                return True
+        return False
+    return check
+
+
+def _freeze(c: _Compiler, phi: A.Freeze) -> Check:
+    child = c.formula(phi.child)
+    time_var, frame_var = phi.time_var, phi.frame_var
+
+    def check(ctx: EvalContext, env: Env) -> bool:
+        # Copy only the pin maps that change; the pinned values are those of
+        # the current frame.
+        time_pins, frame_pins = env.time_pins, env.frame_pins
+        if time_var is not None:
+            time_pins = {**time_pins, time_var: ctx.trace[ctx.index].timestamp}
+        if frame_var is not None:
+            frame_pins = {**frame_pins, frame_var: ctx.index}
+        return child(ctx, Env(time_pins, frame_pins, env.objects))
+    return check
+
+
+def _exists(c: _Compiler, phi: A.Exists) -> Check:
+    child = c.formula(phi.child)
+    variables = phi.variables
+
+    def check(ctx: EvalContext, env: Env) -> bool:
+        frame = ctx.trace[ctx.index]
         if not frame.objects:
             return False
+        objects = dict(env.objects)
+        inner = Env(env.time_pins, env.frame_pins, objects)
+        stats = ctx.stats
         # Full fold over the domain, no early exit: quantifier cost scales
         # with the number of assignments, which is the behavior the bench
         # measures, and the result is independent of enumeration order.
         result = False
-        for assignment in quantifier_assignments(phi.variables, frame):
-            if ctx.stats is not None:
-                ctx.stats.assignments += 1
-            result = evaluate(phi.child, ctx, env.with_objects(assignment)) or result
+        for assignment in quantifier_assignments(variables, frame):
+            if stats is not None:
+                stats.assignments += 1
+            objects.update(assignment)
+            result = child(ctx, inner) or result
         return result
+    return check
 
-    if isinstance(phi, A.TimeConstraint):
-        pinned = _pin(env, env.time_pins, phi.var, "time")
-        return phi.cmp.apply(pinned - ctx.frame.timestamp, phi.bound)
-    if isinstance(phi, A.FrameConstraint):
-        pinned = _pin(env, env.frame_pins, phi.var, "frame")
-        return phi.cmp.apply(pinned - ctx.index, phi.bound)
-    if isinstance(phi, A.IdEq):
-        return _captured(env, phi.lhs).object_id == _captured(env, phi.rhs).object_id
-    if isinstance(phi, A.IdNeq):
-        return _captured(env, phi.lhs).object_id != _captured(env, phi.rhs).object_id
-    if isinstance(phi, A.ClassEqConst):
-        current = _current(ctx, _captured(env, phi.var))
-        return current is not None and current.class_label == phi.label
-    if isinstance(phi, A.ClassEqVar):
-        lhs = _current(ctx, _captured(env, phi.lhs))
-        rhs = _current(ctx, _captured(env, phi.rhs))
+
+# --- atoms -------------------------------------------------------------------
+
+def _time_constraint(c: _Compiler, phi: A.TimeConstraint) -> Check:
+    var, op, bound = phi.var, phi.cmp.function, phi.bound
+
+    def check(ctx: EvalContext, env: Env) -> bool:
+        return op(_pin(env.time_pins, var, "time") - ctx.trace[ctx.index].timestamp, bound)
+    return check
+
+
+def _frame_constraint(c: _Compiler, phi: A.FrameConstraint) -> Check:
+    var, op, bound = phi.var, phi.cmp.function, phi.bound
+
+    def check(ctx: EvalContext, env: Env) -> bool:
+        return op(_pin(env.frame_pins, var, "frame") - ctx.index, bound)
+    return check
+
+
+def _id_cmp(c: _Compiler, phi: A.IdEq | A.IdNeq) -> Check:
+    lhs, rhs = phi.lhs, phi.rhs
+    op = operator.eq if type(phi) is A.IdEq else operator.ne
+
+    def check(ctx: EvalContext, env: Env) -> bool:
+        return op(_captured(env, lhs).object_id, _captured(env, rhs).object_id)
+    return check
+
+
+def _class_eq_const(c: _Compiler, phi: A.ClassEqConst) -> Check:
+    var, label = phi.var, phi.label
+
+    def check(ctx: EvalContext, env: Env) -> bool:
+        current = _current(ctx, _captured(env, var))
+        return current is not None and current.class_label == label
+    return check
+
+
+def _class_eq_var(c: _Compiler, phi: A.ClassEqVar) -> Check:
+    lhs_var, rhs_var = phi.lhs, phi.rhs
+
+    def check(ctx: EvalContext, env: Env) -> bool:
+        lhs = _current(ctx, _captured(env, lhs_var))
+        rhs = _current(ctx, _captured(env, rhs_var))
         return lhs is not None and rhs is not None and lhs.class_label == rhs.class_label
-    if isinstance(phi, A.ProbCmpConst):
-        current = _current(ctx, _captured(env, phi.var))
-        return current is not None and phi.cmp.apply(current.confidence, phi.bound)
-    if isinstance(phi, A.ProbCmpRatio):
-        lhs = _current(ctx, _captured(env, phi.lhs))
-        rhs = _current(ctx, _captured(env, phi.rhs))
+    return check
+
+
+def _prob_const(c: _Compiler, phi: A.ProbCmpConst) -> Check:
+    var, op, bound = phi.var, phi.cmp.function, phi.bound
+
+    def check(ctx: EvalContext, env: Env) -> bool:
+        current = _current(ctx, _captured(env, var))
+        return current is not None and op(current.confidence, bound)
+    return check
+
+
+def _prob_ratio(c: _Compiler, phi: A.ProbCmpRatio) -> Check:
+    lhs_var, rhs_var, op, ratio = phi.lhs, phi.rhs, phi.cmp.function, phi.ratio
+    what = f"prob({rhs_var})"
+    ratio_ok = c.ratio_rhs_ok
+
+    def check(ctx: EvalContext, env: Env) -> bool:
+        lhs = _current(ctx, _captured(env, lhs_var))
+        rhs = _current(ctx, _captured(env, rhs_var))
         if lhs is None or rhs is None:
             return False
-        if not _ratio_rhs_ok(rhs.confidence, f"prob({phi.rhs})"):
+        if not ratio_ok(rhs.confidence, what):
             return False
-        return phi.cmp.apply(lhs.confidence, phi.ratio * rhs.confidence)
-    if isinstance(phi, A.SpatialExists):
-        return not spatial.is_empty(eval_spatial(phi.term, ctx, env))
-    if isinstance(phi, A.AreaCmpConst):
-        return phi.cmp.apply(spatial.area(eval_spatial(phi.term, ctx, env)), phi.bound)
-    if isinstance(phi, A.AreaCmpRatio):
-        rhs_area = spatial.area(eval_spatial(phi.rhs, ctx, env))
-        if not _ratio_rhs_ok(rhs_area, "area"):
-            return False
-        lhs_area = spatial.area(eval_spatial(phi.lhs, ctx, env))
-        return phi.cmp.apply(lhs_area, phi.ratio * rhs_area)
-    if isinstance(phi, A.EDCmp):
-        ax, ay = ref_point(_captured(env, phi.lhs).bbox, phi.lhs_ref)
-        bx, by = ref_point(_captured(env, phi.rhs).bbox, phi.rhs_ref)
-        return phi.cmp.apply(math.hypot(ax - bx, ay - by), phi.bound)
-    if isinstance(phi, A.OffsetCmpConst):
-        return phi.cmp.apply(_offset_value(phi.term, env), phi.bound)
-    if isinstance(phi, A.OffsetCmpRatio):
-        rhs_value = _offset_value(phi.rhs, env)
-        if not _ratio_rhs_ok(rhs_value, f"{phi.rhs.axis.value}({phi.rhs.var})"):
-            return False
-        return phi.cmp.apply(_offset_value(phi.lhs, env), phi.ratio * rhs_value)
+        return op(lhs.confidence, ratio * rhs.confidence)
+    return check
 
-    raise ContractViolation(f"evaluator needs a desugared formula, got {type(phi).__name__}")
+
+def _spatial_exists(c: _Compiler, phi: A.SpatialExists) -> Check:
+    term = c.term(phi.term)
+
+    def check(ctx: EvalContext, env: Env) -> bool:
+        return not spatial.is_empty(term(_universe(ctx), env))
+    return check
+
+
+def _area_const(c: _Compiler, phi: A.AreaCmpConst) -> Check:
+    term, op, bound = c.term(phi.term), phi.cmp.function, phi.bound
+
+    def check(ctx: EvalContext, env: Env) -> bool:
+        return op(spatial.area(term(_universe(ctx), env)), bound)
+    return check
+
+
+def _area_ratio(c: _Compiler, phi: A.AreaCmpRatio) -> Check:
+    lhs, rhs = c.term(phi.lhs), c.term(phi.rhs)
+    op, ratio = phi.cmp.function, phi.ratio
+    ratio_ok = c.ratio_rhs_ok
+
+    def check(ctx: EvalContext, env: Env) -> bool:
+        universe = _universe(ctx)
+        rhs_area = spatial.area(rhs(universe, env))
+        if not ratio_ok(rhs_area, "area"):
+            return False
+        return op(spatial.area(lhs(universe, env)), ratio * rhs_area)
+    return check
+
+
+def _ed(c: _Compiler, phi: A.EDCmp) -> Check:
+    lhs, lhs_ref, rhs, rhs_ref = phi.lhs, phi.lhs_ref, phi.rhs, phi.rhs_ref
+    op, bound = phi.cmp.function, phi.bound
+
+    def check(ctx: EvalContext, env: Env) -> bool:
+        ax, ay = ref_point(_captured(env, lhs).bbox, lhs_ref)
+        bx, by = ref_point(_captured(env, rhs).bbox, rhs_ref)
+        return op(math.hypot(ax - bx, ay - by), bound)
+    return check
+
+
+def _offset_const(c: _Compiler, phi: A.OffsetCmpConst) -> Check:
+    term, op, bound = phi.term, phi.cmp.function, phi.bound
+
+    def check(ctx: EvalContext, env: Env) -> bool:
+        return op(_offset_value(term, env), bound)
+    return check
+
+
+def _offset_ratio(c: _Compiler, phi: A.OffsetCmpRatio) -> Check:
+    lhs, rhs, op, ratio = phi.lhs, phi.rhs, phi.cmp.function, phi.ratio
+    what = f"{rhs.axis.value}({rhs.var})"
+    ratio_ok = c.ratio_rhs_ok
+
+    def check(ctx: EvalContext, env: Env) -> bool:
+        rhs_value = _offset_value(rhs, env)
+        if not ratio_ok(rhs_value, what):
+            return False
+        return op(_offset_value(lhs, env), ratio * rhs_value)
+    return check
+
+
+_FORMULA_BUILDERS: dict[type, Callable[[_Compiler, A.Formula], Check]] = {
+    A.TrueConst: _true,
+    A.Not: _not,
+    A.Or: _or,
+    A.Next: _next_prev,
+    A.Prev: _next_prev,
+    A.Until: _until_since,
+    A.Since: _until_since,
+    A.Freeze: _freeze,
+    A.Exists: _exists,
+    A.TimeConstraint: _time_constraint,
+    A.FrameConstraint: _frame_constraint,
+    A.IdEq: _id_cmp,
+    A.IdNeq: _id_cmp,
+    A.ClassEqConst: _class_eq_const,
+    A.ClassEqVar: _class_eq_var,
+    A.ProbCmpConst: _prob_const,
+    A.ProbCmpRatio: _prob_ratio,
+    A.SpatialExists: _spatial_exists,
+    A.AreaCmpConst: _area_const,
+    A.AreaCmpRatio: _area_ratio,
+    A.EDCmp: _ed,
+    A.OffsetCmpConst: _offset_const,
+    A.OffsetCmpRatio: _offset_ratio,
+}
+
+
+# --- spatial terms -----------------------------------------------------------
+# Region operations go through the public ``spatial`` functions, looked up at
+# call time, so that the layer can be wrapped from outside.
+
+def _constant_set(c: _Compiler, term: A.EmptySet | A.UniverseSet) -> Term:
+    name = "empty_region" if type(term) is A.EmptySet else "full_region"
+
+    def region(universe: Universe, env: Env) -> Region:
+        return getattr(spatial, name)(universe)
+    return region
+
+
+def _bbox_of(c: _Compiler, term: A.BBoxOf) -> Term:
+    var = term.var
+
+    def region(universe: Universe, env: Env) -> Region:
+        return spatial.from_box(_captured(env, var).bbox, universe)
+    return region
+
+
+def _complement(c: _Compiler, term: A.Complement) -> Term:
+    inner = c.term(term.term)
+
+    def region(universe: Universe, env: Env) -> Region:
+        return spatial.complement(inner(universe, env))
+    return region
+
+
+def _union_intersect(c: _Compiler, term: A.SpatialUnion | A.SpatialIntersect) -> Term:
+    lhs, rhs = c.term(term.lhs), c.term(term.rhs)
+    name = "union" if type(term) is A.SpatialUnion else "intersect"
+
+    def region(universe: Universe, env: Env) -> Region:
+        return getattr(spatial, name)(lhs(universe, env), rhs(universe, env))
+    return region
+
+
+_TERM_BUILDERS: dict[type, Callable[[_Compiler, A.SpatialTerm], Term]] = {
+    A.EmptySet: _constant_set,
+    A.UniverseSet: _constant_set,
+    A.BBoxOf: _bbox_of,
+    A.Complement: _complement,
+    A.SpatialUnion: _union_intersect,
+    A.SpatialIntersect: _union_intersect,
+}
+
+
+def eval_spatial(term: A.SpatialTerm, ctx: EvalContext, env: Env) -> Region:
+    """Evaluate a core spatial term within the current frame's universe."""
+    return _Compiler().term(term)(_universe(ctx), env)
+
+
+# Compiled programs by formula identity. Each entry holds its formula, so the
+# identity cannot be reused by another object while the entry exists.
+_PROGRAMS_MAX = 64
+_programs: dict[int, tuple[A.Formula, Check]] = {}
+
+
+def evaluate(phi: A.Formula, ctx: EvalContext, env: Env = EMPTY_ENV) -> bool:
+    """Boolean quality of a desugared formula at ``ctx.index``.
+
+    The formula is compiled on first use and its program kept for later
+    calls with the same formula object.
+    """
+    entry = _programs.get(id(phi))
+    if entry is None:
+        program = _Compiler().formula(phi)
+        if len(_programs) >= _PROGRAMS_MAX:
+            del _programs[next(iter(_programs))]
+        entry = _programs[id(phi)] = (phi, program)
+    return entry[1](ctx, env)
 
 
 def evaluate_trace(

@@ -53,8 +53,16 @@ class Region:
     rects: tuple[BoundingBox, ...] = ()
 
 
-def _nondegenerate(box: BoundingBox) -> bool:
-    return box.xmax > box.xmin and box.ymax > box.ymin
+def _rect(xmin: float, ymin: float, xmax: float, ymax: float) -> BoundingBox:
+    """A rectangle built without ``BoundingBox`` validation.
+
+    Sound only for coordinates that are mins and maxes of coordinates of
+    boxes already validated (finite floats), taken so that xmin <= xmax and
+    ymin <= ymax; every caller below derives its rectangles that way.
+    """
+    box = object.__new__(BoundingBox)
+    box.__dict__.update(xmin=xmin, ymin=ymin, xmax=xmax, ymax=ymax)
+    return box
 
 
 def _subtract_box(piece: BoundingBox, cutter: BoundingBox) -> list[BoundingBox]:
@@ -68,13 +76,13 @@ def _subtract_box(piece: BoundingBox, cutter: BoundingBox) -> list[BoundingBox]:
         return [piece]
     out = []
     if piece.xmin < ox1:
-        out.append(BoundingBox(piece.xmin, piece.ymin, ox1, piece.ymax))
+        out.append(_rect(piece.xmin, piece.ymin, ox1, piece.ymax))
     if ox2 < piece.xmax:
-        out.append(BoundingBox(ox2, piece.ymin, piece.xmax, piece.ymax))
+        out.append(_rect(ox2, piece.ymin, piece.xmax, piece.ymax))
     if piece.ymin < oy1:
-        out.append(BoundingBox(ox1, piece.ymin, ox2, oy1))
+        out.append(_rect(ox1, piece.ymin, ox2, oy1))
     if oy2 < piece.ymax:
-        out.append(BoundingBox(ox1, oy2, ox2, piece.ymax))
+        out.append(_rect(ox1, oy2, ox2, piece.ymax))
     return out
 
 
@@ -107,10 +115,15 @@ def from_box(box: BoundingBox, universe: Universe) -> Region:
 
     A box that is degenerate after clipping yields the empty region.
     """
-    clipped = box.clip(universe.width, universe.height)
-    if not _nondegenerate(clipped):
+    # The clip of ``BoundingBox.clip``, without re-validating its result.
+    width, height = universe.width, universe.height
+    xmin = min(max(box.xmin, 0.0), width)
+    ymin = min(max(box.ymin, 0.0), height)
+    xmax = min(max(box.xmax, 0.0), width)
+    ymax = min(max(box.ymax, 0.0), height)
+    if not (xmax > xmin and ymax > ymin):
         return empty_region(universe)
-    return Region(universe, (clipped,))
+    return Region(universe, (_rect(xmin, ymin, xmax, ymax),))
 
 
 def union(a: Region, b: Region) -> Region:
@@ -123,7 +136,11 @@ def union(a: Region, b: Region) -> Region:
 
 
 def intersect(a: Region, b: Region) -> Region:
-    """Point-set intersection (equal, by area, to the De Morgan double complement)."""
+    """Point-set intersection (equal, by area, to the De Morgan double complement).
+
+    One rectangle per overlapping pair of input rectangles; pieces of
+    disjoint inputs are themselves disjoint.
+    """
     u = _same_universe(a, b)
     rects = []
     for pa in a.rects:
@@ -133,7 +150,7 @@ def intersect(a: Region, b: Region) -> Region:
             x2 = min(pa.xmax, pb.xmax)
             y2 = min(pa.ymax, pb.ymax)
             if x1 < x2 and y1 < y2:
-                rects.append(BoundingBox(x1, y1, x2, y2))
+                rects.append(_rect(x1, y1, x2, y2))
     return Region(u, tuple(rects))
 
 

@@ -4,8 +4,9 @@ Formula trees combine a propositional and temporal core with freeze
 quantifiers over time/frame variables, existential quantifiers over the
 objects of a frame, and atoms over object attributes and box-derived
 regions. Sugar node kinds (conjunction, implication, always, eventually,
-once, holds, universal quantification, spatial intersection) parse and
-print normally but are rewritten into the core by ``desugar``.
+once, holds, universal quantification) parse and print normally but are
+rewritten into the core by ``desugar``. Spatial intersection is core: the
+evaluator computes it directly.
 
 Node equality ignores source locations, so a parsed formula compares equal
 to the same formula built programmatically.
@@ -37,8 +38,10 @@ class Cmp(Enum):
     EQ = "=="
     NE = "!="
 
-    def apply(self, lhs, rhs) -> bool:
-        return _CMP_FUNCS[self](lhs, rhs)
+    @property
+    def function(self):
+        """The two-argument operator function, e.g. ``operator.lt`` for ``<``."""
+        return _CMP_FUNCS[self]
 
     def flipped(self) -> "Cmp":
         """The comparison seen from the other side (for a - b vs b - a)."""
@@ -121,7 +124,7 @@ class SpatialUnion(SpatialTerm):
 
 
 @dataclass(frozen=True)
-class SpatialIntersect(SpatialTerm):  # sugar
+class SpatialIntersect(SpatialTerm):
     lhs: SpatialTerm
     rhs: SpatialTerm
     loc: Optional[Loc] = _loc_field()
@@ -395,16 +398,6 @@ ATOM_KINDS = (
 Node = Union[Formula, SpatialTerm, OffsetTerm]
 
 
-def _spatial_terms_of(phi: Formula):
-    if isinstance(phi, SpatialExists):
-        yield phi.term
-    elif isinstance(phi, AreaCmpConst):
-        yield phi.term
-    elif isinstance(phi, AreaCmpRatio):
-        yield phi.lhs
-        yield phi.rhs
-
-
 def subformulas(phi: Formula):
     """Yield ``phi`` and every formula node below it, pre-order."""
     yield phi
@@ -414,22 +407,6 @@ def subformulas(phi: Formula):
             yield from subformulas(sub)
 
 
-def _spatial_is_core(term: SpatialTerm) -> bool:
-    if isinstance(term, SpatialIntersect):
-        return False
-    if isinstance(term, Complement):
-        return _spatial_is_core(term.term)
-    if isinstance(term, SpatialUnion):
-        return _spatial_is_core(term.lhs) and _spatial_is_core(term.rhs)
-    return True
-
-
 def is_core(phi: Formula) -> bool:
     """True when no sugar node kind appears anywhere in the tree."""
-    for sub in subformulas(phi):
-        if isinstance(sub, SUGAR_FORMULAS):
-            return False
-        for term in _spatial_terms_of(sub):
-            if not _spatial_is_core(term):
-                return False
-    return True
+    return not any(isinstance(sub, SUGAR_FORMULAS) for sub in subformulas(phi))

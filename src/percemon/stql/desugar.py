@@ -7,31 +7,16 @@
     once p           ->  true since p
     holds p          ->  not (true since not p)
     forall {v} @ p   ->  not exists {v} @ (not p)
-    A & B (spatial)  ->  ~(~A | ~B)
 
-The rewrite is idempotent and its output contains only core node kinds.
+Spatial terms, intersection included, are already core and pass through
+unchanged. The rewrite is idempotent and its output contains only core
+node kinds.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from ..errors import ContractViolation
 from . import ast as A
-
-
-def _spatial(term: A.SpatialTerm) -> A.SpatialTerm:
-    if isinstance(term, (A.EmptySet, A.UniverseSet, A.BBoxOf)):
-        return term
-    if isinstance(term, A.Complement):
-        return A.Complement(_spatial(term.term))
-    if isinstance(term, A.SpatialUnion):
-        return A.SpatialUnion(_spatial(term.lhs), _spatial(term.rhs))
-    if isinstance(term, A.SpatialIntersect):
-        lhs = _spatial(term.lhs)
-        rhs = _spatial(term.rhs)
-        return A.Complement(A.SpatialUnion(A.Complement(lhs), A.Complement(rhs)))
-    raise ContractViolation(f"unknown spatial term {term!r}")
 
 
 def desugar(phi: A.Formula) -> A.Formula:
@@ -67,13 +52,6 @@ def desugar(phi: A.Formula) -> A.Formula:
         return A.Exists(phi.variables, desugar(phi.child), loc=phi.loc)
     if isinstance(phi, A.Freeze):
         return A.Freeze(phi.time_var, phi.frame_var, desugar(phi.child), loc=phi.loc)
-
-    if isinstance(phi, A.SpatialExists):
-        return replace(phi, term=_spatial(phi.term))
-    if isinstance(phi, A.AreaCmpConst):
-        return replace(phi, term=_spatial(phi.term))
-    if isinstance(phi, A.AreaCmpRatio):
-        return replace(phi, lhs=_spatial(phi.lhs), rhs=_spatial(phi.rhs))
 
     if isinstance(phi, A.ATOM_KINDS):
         return phi

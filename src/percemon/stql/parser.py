@@ -22,10 +22,16 @@ as division (``area(A)/area(B) >= r``) or multiplication
 frame constraints accept either operand order (``x - C_TIME`` or
 ``C_TIME - x``) and are normalized to the pinned-minus-current form.
 ``#`` starts a line comment.
+
+A specification may nest at most ``MAX_NESTING`` levels deep, counting
+operators, binders, parentheses and spatial terms. Deeper input raises a
+located ``SpecError``, before any later stage (which recurses once or a few
+times per level) can exhaust the interpreter stack.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ..errors import Diagnostic, SpecError
@@ -54,6 +60,11 @@ CMP_TOKENS = {
 }
 
 REFERENCE_POINTS = {rp.value: rp for rp in A.ReferencePoint}
+
+# Desugaring can triple a formula's depth and compiling it takes two stack
+# frames per core node, so 100 levels stay well inside Python's default
+# recursion limit of 1000.
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -169,10 +180,15 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+def _too_deep(line: int | None, column: int | None) -> SpecError:
+    return _err("syntax", f"specification nests deeper than {MAX_NESTING} levels", line, column)
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # open nesting levels on the parse stack
 
     # -- token plumbing --
 
@@ -205,12 +221,24 @@ class _Parser:
     def loc(tok: Token) -> A.Loc:
         return A.Loc(tok.line, tok.column)
 
+    @contextmanager
+    def nested(self, tok: Token):
+        """One more nesting level, opened at ``tok``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise _too_deep(tok.line, tok.column)
+        yield
+        self.depth -= 1
+
     # -- formula levels --
 
     def formula(self) -> A.Formula:
         lhs = self.or_part()
-        if self.accept("implies"):
-            return A.Implies(lhs, self.formula(), loc=_first_loc(lhs))
+        tok = self.accept("implies")
+        if tok:
+            with self.nested(tok):
+                rhs = self.formula()
+            return A.Implies(lhs, rhs, loc=_first_loc(lhs))
         return lhs
 
     def or_part(self) -> A.Formula:
@@ -227,11 +255,14 @@ class _Parser:
 
     def temporal(self) -> A.Formula:
         lhs = self.unary()
-        if self.accept("until"):
-            return A.Until(lhs, self.temporal(), loc=_first_loc(lhs))
-        if self.accept("since"):
-            return A.Since(lhs, self.temporal(), loc=_first_loc(lhs))
-        return lhs
+        tok = self.peek()
+        if tok.kind not in ("until", "since"):
+            return lhs
+        self.next()
+        with self.nested(tok):
+            rhs = self.temporal()
+        ctor = A.Until if tok.kind == "until" else A.Since
+        return ctor(lhs, rhs, loc=_first_loc(lhs))
 
     _UNARY = {
         "not": A.Not, "next": A.Next, "prev": A.Prev, "always": A.Always,
@@ -243,7 +274,9 @@ class _Parser:
         ctor = self._UNARY.get(tok.kind)
         if ctor is not None:
             self.next()
-            return ctor(self.unary(), loc=self.loc(tok))
+            with self.nested(tok):
+                child = self.unary()
+            return ctor(child, loc=self.loc(tok))
         if tok.kind in ("exists", "forall"):
             self.next()
             self.expect("LBRACE", "'{'")
@@ -252,7 +285,8 @@ class _Parser:
                 names.append(self.expect("IDENT", "a variable name").text)
             self.expect("RBRACE", "'}'")
             self.expect("AT", "'@'")
-            body = self.formula()
+            with self.nested(tok):
+                body = self.formula()
             ctor = A.Exists if tok.kind == "exists" else A.Forall
             return ctor(tuple(names), body, loc=self.loc(tok))
         if tok.kind == "pin":
@@ -263,7 +297,8 @@ class _Parser:
             frame_var = self.pin_slot()
             self.expect("RPAREN", "')'")
             self.expect("LBRACE", "'{'")
-            body = self.formula()
+            with self.nested(tok):
+                body = self.formula()
             self.expect("RBRACE", "'}'")
             return A.Freeze(time_var, frame_var, body, loc=self.loc(tok))
         return self.primary()
@@ -282,7 +317,8 @@ class _Parser:
             return A.TrueConst(loc=self.loc(tok))
         if tok.kind == "LPAREN":
             self.next()
-            inner = self.formula()
+            with self.nested(tok):
+                inner = self.formula()
             self.expect("RPAREN", "')'")
             return inner
         if tok.kind == "nonempty":
@@ -542,10 +578,13 @@ class _Parser:
             return A.BBoxOf(var, loc=self.loc(tok))
         if tok.kind == "TILDE":
             self.next()
-            return A.Complement(self.spatial_primary(), loc=self.loc(tok))
+            with self.nested(tok):
+                inner = self.spatial_primary()
+            return A.Complement(inner, loc=self.loc(tok))
         if tok.kind == "LPAREN":
             self.next()
-            inner = self.spatial()
+            with self.nested(tok):
+                inner = self.spatial()
             self.expect("RPAREN", "')'")
             return inner
         found = tok.text or "end of input"
@@ -554,6 +593,24 @@ class _Parser:
 
 def _first_loc(node) -> A.Loc | None:
     return getattr(node, "loc", None)
+
+
+def _check_depth(phi: A.Formula) -> None:
+    """Reject trees nested deeper than ``MAX_NESTING``.
+
+    The parser's own count misses left-associative chains such as
+    ``a or a or ...``, which nest the tree without nesting the parse, so
+    the finished tree is measured too, without recursion.
+    """
+    stack = [(phi, 0, None)]
+    while stack:
+        node, depth, loc = stack.pop()
+        loc = getattr(node, "loc", None) or loc
+        if depth > MAX_NESTING:
+            raise _too_deep(loc.line if loc else None, loc.column if loc else None)
+        for value in vars(node).values():
+            if isinstance(value, (A.Formula, A.SpatialTerm)):
+                stack.append((value, depth + 1, loc))
 
 
 def parse(text: str) -> A.Formula:
@@ -571,4 +628,5 @@ def parse(text: str) -> A.Formula:
             f"unexpected trailing input starting at {trailing.text!r}",
             trailing.line, trailing.column,
         )
+    _check_depth(phi)
     return phi

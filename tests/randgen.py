@@ -125,10 +125,7 @@ class FormulaGen:
             if roll < 0.8:
                 return A.UniverseSet()
             return A.EmptySet()
-        kinds = ["comp", "union"]
-        if self.allow_sugar:
-            kinds.append("inter")
-        kind = rng.choice(kinds)
+        kind = rng.choice(("comp", "union", "inter"))
         if kind == "comp":
             return A.Complement(self._spatial(obj_vars, depth - 1))
         lhs = self._spatial(obj_vars, depth - 1)

@@ -228,3 +228,14 @@ def test_input_errors_exit_1():
     with pytest.raises(SystemExit) as excinfo:
         bad_input()
     assert excinfo.value.code == 1
+
+
+@pytest.mark.parametrize("command", ["check", "monitor"])
+def test_deeply_nested_spec_is_a_diagnostic_not_a_crash(runner, tmp_path, command):
+    spec = tmp_path / "deep.pmspec"
+    spec.write_text("not " * 3000 + "true\n")
+    extra = ("--input", "-") if command == "monitor" else ()
+    result = invoke(runner, command, "--spec", str(spec), *extra, input="")
+    assert result.exit_code == 1
+    assert "1:401: syntax: specification nests deeper than 100 levels" in result.stderr
+    assert "Traceback" not in result.stderr

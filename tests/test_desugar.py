@@ -1,9 +1,11 @@
 import random
 
+from percemon.evaluate import Env, EvalContext, evaluate
 from percemon.stql import ast as A
 from percemon.stql.ast import is_core
 from percemon.stql.desugar import desugar
 from percemon.stql.parser import parse
+from percemon.trace import BoundingBox, DetectedObject, make_frame
 
 from randgen import FormulaGen
 
@@ -38,10 +40,22 @@ def test_implication_definition():
 
 
 def test_spatial_intersection_de_morgan():
+    # Spatial intersection is core: it survives desugaring, and its verdict
+    # equals that of the explicit De Morgan form ~(~A | ~B).
     a, b = A.BBoxOf("x"), A.BBoxOf("y")
     before = A.SpatialExists(A.SpatialIntersect(a, b))
-    after = desugar(before)
-    assert after == A.SpatialExists(A.Complement(A.SpatialUnion(A.Complement(a), A.Complement(b))))
+    assert desugar(before) == before
+    de_morgan = A.SpatialExists(A.Complement(A.SpatialUnion(A.Complement(a), A.Complement(b))))
+    overlap = make_frame(0, 0.0, 100.0, 100.0, [
+        DetectedObject(1, "car", 0.9, BoundingBox(0, 0, 10, 10)),
+        DetectedObject(2, "car", 0.9, BoundingBox(5, 5, 20, 20)),
+        DetectedObject(3, "car", 0.9, BoundingBox(10, 0, 30, 10)),
+    ])
+    for x, y, expected in ((1, 2, True), (1, 3, False), (2, 3, True)):
+        env = Env(objects={"x": overlap.objects[x], "y": overlap.objects[y]})
+        ctx = EvalContext([overlap], 0)
+        assert evaluate(desugar(before), ctx, env) is expected
+        assert evaluate(de_morgan, ctx, env) is expected
 
 
 def test_nested_sugar_in_area_ratio():

@@ -127,6 +127,19 @@ def test_zero_denominator_warning_not_repeated_at_warning_level(caplog):
     assert len(repeats) <= 1
 
 
+def test_each_compiled_formula_warns_once_on_its_own(caplog):
+    # Warn-once state belongs to the compiled formula, not to the process.
+    a, b = obj(1, prob=0.9), obj(2, prob=0.0)
+    env = Env(objects={"u": a, "v": b})
+    with caplog.at_level("WARNING", logger="percemon.evaluate"):
+        for _ in range(2):
+            phi = parse("prob(u) >= 0.1 * prob(v)")
+            for _ in range(3):
+                evaluate(phi, ctx(frame(0, a, b)), env)
+    warnings = [r for r in caplog.records if "prob(v)" in r.message]
+    assert len(warnings) == 2
+
+
 # --- reference points, offsets, distances ------------------------------------
 
 def test_ref_point_examples():

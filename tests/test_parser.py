@@ -1,8 +1,14 @@
 import pytest
 
 from percemon.errors import SpecError
+from percemon.evaluate import evaluate_trace
+from percemon.monitor import MonitorConfig, run_monitor
 from percemon.stql import ast as A
-from percemon.stql.parser import parse
+from percemon.stql.bindings import check_bindings
+from percemon.stql.desugar import desugar
+from percemon.stql.parser import MAX_NESTING, parse
+from percemon.stql.printer import format_formula
+from percemon.trace import BoundingBox, DetectedObject, make_frame
 
 
 def test_exists_with_prob_atom():
@@ -180,3 +186,50 @@ def test_unterminated_string():
 
 def test_scientific_notation():
     assert parse("prob(a) > 1e-06") == A.ProbCmpConst("a", A.Cmp.GT, 1e-06)
+
+
+# --- nesting limit ------------------------------------------------------------
+
+def _chain(op, n):
+    return f" {op} ".join(["true"] * (n + 1))
+
+
+# Each builds a specification nested exactly n levels deep, counting the
+# formula and spatial-term nodes below the root (or the parentheses).
+NESTING_SHAPES = {
+    "not": lambda n: "not " * n + "true",
+    "always": lambda n: "always " * n + "true",
+    "parens": lambda n: "(" * n + "true" + ")" * n,
+    "and-chain": lambda n: _chain("and", n),
+    "or-chain": lambda n: _chain("or", n),
+    "implies-chain": lambda n: _chain("implies", n),
+    "until-chain": lambda n: _chain("until", n),
+    "pin": lambda n: "".join(f"pin (_, f{i}) {{ " for i in range(n)) + "true" + " }" * n,
+    "forall": lambda n: ("".join(f"forall {{a{i}}} @ " for i in range(n - 1))
+                         + "nonempty(bbox(a0))"),
+    "complement": lambda n: "exists {a} @ nonempty(" + "~" * (n - 2) + "bbox(a))",
+    "union-chain": lambda n: "exists {a} @ nonempty(" + " | ".join(["bbox(a)"] * (n - 1)) + ")",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTING_SHAPES))
+def test_nesting_at_the_limit_runs_end_to_end(shape):
+    # Desugaring, compiling and evaluating all recurse per level; a formula
+    # at the limit must still get through every stage.
+    phi = parse(NESTING_SHAPES[shape](MAX_NESTING))
+    assert check_bindings(phi) == []
+    core = desugar(phi)
+    format_formula(core)
+    frames = [make_frame(i, i / 10, 100.0, 100.0,
+                         [DetectedObject(1, "car", 0.9, BoundingBox(1, 1, 5, 5))])
+              for i in range(3)]
+    assert evaluate_trace(core, frames) == [True] * 3
+    config = MonitorConfig(max_history=3, max_horizon=3)
+    assert [v.value for v in run_monitor(phi, frames, config)] == [True] * 3
+
+
+@pytest.mark.parametrize("shape", sorted(NESTING_SHAPES))
+def test_nesting_past_the_limit_is_a_located_error(shape):
+    diag = _error_of(NESTING_SHAPES[shape](MAX_NESTING + 1)).diagnostics[0]
+    assert f"deeper than {MAX_NESTING}" in diag.message
+    assert diag.line == 1 and diag.column is not None

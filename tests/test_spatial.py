@@ -189,3 +189,51 @@ def test_random_terms_match_grid_oracle():
         assert area(region) == int(grid.sum())
         assert is_empty(region) == (not grid.any())
         assert _disjointness_holds(region)
+
+
+# --- rectangles built without validation --------------------------------------
+
+@st.composite
+def float_boxes(draw):
+    """Finite boxes that may stick out of SMALL on any side (exercises the clip)."""
+    coord = st.floats(-20.0, 80.0, allow_nan=False, allow_infinity=False)
+    x1, x2 = sorted((draw(coord), draw(coord)))
+    y1, y2 = sorted((draw(coord), draw(coord)))
+    return BoundingBox(x1, y1, x2, y2)
+
+
+@st.composite
+def region_terms(draw, depth=3):
+    if depth == 0 or draw(st.booleans()):
+        return ("box", draw(float_boxes()))
+    op = draw(st.sampled_from(("union", "intersect", "complement", "difference")))
+    if op == "complement":
+        return (op, draw(region_terms(depth - 1)))
+    return (op, draw(region_terms(depth - 1)), draw(region_terms(depth - 1)))
+
+
+_BINARY = {"union": union, "intersect": intersect, "difference": difference}
+
+
+def _built_checked(term) -> Region:
+    """Build the region of a term, checking the rectangles of every step."""
+    if term[0] == "box":
+        region = from_box(term[1], SMALL)
+    elif term[0] == "complement":
+        region = complement(_built_checked(term[1]))
+    else:
+        region = _BINARY[term[0]](_built_checked(term[1]), _built_checked(term[2]))
+    for r in region.rects:
+        coords = (r.xmin, r.ymin, r.xmax, r.ymax)
+        assert BoundingBox(*coords) == r
+        assert all(type(v) is float for v in coords)
+        assert r.xmax > r.xmin and r.ymax > r.ymin
+        assert 0.0 <= r.xmin and r.xmax <= SMALL.width
+        assert 0.0 <= r.ymin and r.ymax <= SMALL.height
+    assert _disjointness_holds(region)
+    return region
+
+
+@given(region_terms())
+def test_derived_rectangles_would_pass_validation(term):
+    _built_checked(term)
