@@ -24,7 +24,7 @@ from .evaluate import (
     ref_point,
 )
 from .generator import GenConfig, generate_frames
-from .monitor import Monitor, MonitorConfig, Verdict, new_monitor, run_monitor
+from .monitor import Monitor, MonitorConfig, Verdict, run_monitor
 from .stql import (
     FrameBounds,
     check_bindings,
@@ -76,7 +76,6 @@ __all__ = [
     "generate_frames",
     "load_trace",
     "make_frame",
-    "new_monitor",
     "parse",
     "parse_frame",
     "quantifier_assignments",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .generator import GenConfig, generate_frames
-from .monitor import Monitor, MonitorConfig
+from .monitor import Monitor
 from .stql.builtins import resolve_spec
 
 
@@ -51,7 +51,7 @@ def run_bench(
     for count in object_counts:
         name, formula = resolve_spec(spec, params)
         stream = generate_frames(GenConfig(frames=frames, objects=count, seed=seed))
-        monitor = Monitor(formula, MonitorConfig(params=dict(params or {})))
+        monitor = Monitor(formula)
         verdicts = []
         for frame in stream:
             verdicts.extend(monitor.push_frame(frame))

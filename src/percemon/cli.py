@@ -21,11 +21,11 @@ import click
 
 from . import __version__
 from .bench import render_json, render_tsv, run_bench
-from .errors import ContractViolation, Diagnostic, PercemonError, SpecError
+from .errors import ContractViolation, PercemonError
 from .evaluate import EvalContext, evaluate
 from .generator import GenConfig, generate_frames
 from .monitor import Monitor, MonitorConfig, Verdict
-from .stql.bindings import check_bindings
+from .stql.bindings import require_bindings
 from .stql.bounds import compute_bounds
 from .stql.builtins import resolve_spec
 from .stql.desugar import desugar
@@ -86,16 +86,7 @@ def _parse_params(pairs: tuple[str, ...]) -> dict[str, float]:
 
 def _checked_spec(spec: str, params: dict[str, float]):
     name, formula = resolve_spec(spec, params)
-    problems = check_bindings(formula)
-    if problems:
-        raise SpecError(
-            [
-                Diagnostic(d.kind, d.message,
-                           d.loc.line if d.loc else None,
-                           d.loc.column if d.loc else None)
-                for d in problems
-            ]
-        )
+    require_bindings(formula)
     return name, formula
 
 
@@ -141,9 +132,12 @@ def run(spec: str, trace_path: str, params: tuple[str, ...]) -> None:
     _, formula = _checked_spec(spec, _parse_params(params))
     core = desugar(formula)
     frames = list(load_trace(trace_path))
+    # Every verdict sees the whole trace, so the window start never moves and
+    # one table of closed past-operator summaries serves all of them.
+    summaries: dict = {}
     for index, frame in enumerate(frames):
         started = time.perf_counter_ns()
-        value = evaluate(core, EvalContext(frames, index))
+        value = evaluate(core, EvalContext(frames, index, summaries=summaries))
         elapsed = time.perf_counter_ns() - started
         _emit_verdict(Verdict(frame.frame_number, frame.timestamp, bool(value), elapsed))
 
@@ -161,12 +155,10 @@ def run(spec: str, trace_path: str, params: tuple[str, ...]) -> None:
 def monitor(spec: str, input_path: str, max_history: int | None,
             max_horizon: int | None, params: tuple[str, ...]) -> None:
     """Monitor a frame stream online, emitting verdicts as they settle."""
-    parsed = _parse_params(params)
-    _, formula = _checked_spec(spec, parsed)
-    config = MonitorConfig(max_history=max_history, max_horizon=max_horizon, params=parsed)
-    engine = Monitor(formula, config)
+    _, formula = _checked_spec(spec, _parse_params(params))
+    engine = Monitor(formula, MonitorConfig(max_history=max_history, max_horizon=max_horizon))
     with click.open_file(input_path, "r", encoding="utf-8") as stream:
-        for frame in read_stream(stream, default_universe=config.default_universe):
+        for frame in read_stream(stream):
             for verdict in engine.push_frame(frame):
                 _emit_verdict(verdict)
             sys.stdout.flush()

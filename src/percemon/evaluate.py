@@ -4,9 +4,26 @@ This is the offline semantics used directly by ``run`` and as the oracle
 for the online monitor. A formula is compiled once into a tree of
 closures, one per node, each holding the semantic clause of its node kind;
 ``evaluate`` looks up the compiled program of the formula object and calls
-it. ``until``/``since`` are computed as their defining disjunction (a
-witness frame for the right operand, with the left operand required at
-every frame from the start up to and including the witness).
+it. ``until`` and ``since`` scan for a witness frame for the right
+operand, with the left operand required at every frame from the evaluated
+one up to and including the witness, within the visible trace.
+
+A closed ``since`` is the exception: one with no free variable and no
+``next``/``prev``/``until``/``since`` in either operand, such as the
+desugared ``once p`` and ``holds p`` of a closed state formula ``p``. Its
+operands at a frame depend on that frame alone, so it is computed by the
+Havelund-Rosu recurrence under the same truncated semantics: per stream
+index k it keeps the latest witness j <= k (right operand at j, left
+operand on all of [j, k]) or -1, derived from the entry for k - 1 with one
+evaluation of each operand, and in a window starting at stream index s it
+is true when that witness is >= s. An ``EvalContext`` may carry a table of
+these entries together with the window's stream offset; the monitor keeps
+one for the life of a stream, so each verdict costs one step per closed
+``since`` however long the window is. Without a table, each ``evaluate``
+call computes the entries afresh from the window start, which is the same
+code run from scratch.
+
+A pin compiles to its body when nothing below it reads its variables.
 
 Conventions for finite traces and partial data:
 
@@ -39,6 +56,7 @@ from . import spatial
 from .errors import ContractViolation
 from .spatial import Region, Universe
 from .stql import ast as A
+from .stql.bindings import free_variables
 from .trace import BoundingBox, DetectedObject, Frame
 
 log = logging.getLogger("percemon.evaluate")
@@ -76,11 +94,25 @@ class EvalStats:
 
 
 class EvalContext:
-    """A trace (or buffered window) and the index under evaluation."""
+    """A trace (or buffered window) and the index under evaluation.
 
-    __slots__ = ("trace", "index", "stats")
+    ``offset`` is the stream index of ``trace[0]``. ``summaries`` holds the
+    closed ``since`` entries of one formula over one stream, keyed by node;
+    the caller owns it and passes it again with every later window of that
+    stream, whose start may only move forward. With None, ``evaluate``
+    computes the entries from the window start for that call alone.
+    """
 
-    def __init__(self, trace: Sequence[Frame], index: int, stats: EvalStats | None = None):
+    __slots__ = ("trace", "index", "stats", "offset", "summaries")
+
+    def __init__(
+        self,
+        trace: Sequence[Frame],
+        index: int,
+        stats: EvalStats | None = None,
+        offset: int = 0,
+        summaries: dict | None = None,
+    ):
         if not 0 <= index < len(trace):
             raise ContractViolation(
                 f"evaluation index {index} outside trace of length {len(trace)}"
@@ -88,6 +120,8 @@ class EvalContext:
         self.trace = trace
         self.index = index
         self.stats = stats
+        self.offset = offset
+        self.summaries = summaries
 
     @property
     def frame(self) -> Frame:
@@ -99,6 +133,8 @@ class EvalContext:
         ctx.trace = self.trace
         ctx.index = index
         ctx.stats = self.stats
+        ctx.offset = self.offset
+        ctx.summaries = self.summaries
         return ctx
 
 
@@ -250,9 +286,66 @@ def _until_since(c: _Compiler, phi: A.Until | A.Since) -> Check:
     return check
 
 
+_TEMPORAL = (A.Next, A.Prev, A.Until, A.Since)
+
+
+def _is_closed_since(phi: A.Since) -> bool:
+    """No free variable, and both operands read the evaluated frame only."""
+    operands = itertools.chain(A.subformulas(phi.lhs), A.subformulas(phi.rhs))
+    return not free_variables(phi) and not any(isinstance(sub, _TEMPORAL) for sub in operands)
+
+
+class _Witnesses:
+    """Closed ``since`` entries for the stream indices base, base + 1, ...
+
+    ``latest[k - base]`` is the latest witness j <= k or -1. Entries only
+    depend on frames, so they stay valid for every later window; the entry
+    at ``base`` is kept as the predecessor of the first one still needed.
+    """
+
+    __slots__ = ("base", "latest")
+
+    def __init__(self, start: int):
+        # Nothing before the window start is visible: a -1 sentinel entry.
+        self.base = start - 1
+        self.latest = [-1]
+
+
+def _since(c: _Compiler, phi: A.Since) -> Check:
+    """A closed ``since`` by its recurrence, any other by the scan."""
+    if not _is_closed_since(phi):
+        return _until_since(c, phi)
+    lhs, rhs = c.formula(phi.lhs), c.formula(phi.rhs)
+    key = id(phi)
+
+    def check(ctx: EvalContext, env: Env) -> bool:
+        start = ctx.offset
+        summary = ctx.summaries.get(key)
+        if summary is None or not summary.base < start <= summary.base + len(summary.latest):
+            # No entry for the frame before the window: summarize from its start.
+            summary = ctx.summaries[key] = _Witnesses(start)
+        elif summary.base < start - 1:
+            del summary.latest[: start - 1 - summary.base]
+            summary.base = start - 1
+        latest, base = summary.latest, summary.base
+        wanted = start + ctx.index
+        for k in range(base + len(latest), wanted + 1):
+            here = ctx.at(k - start)
+            if not lhs(here, env):
+                latest.append(-1)
+            else:
+                latest.append(k if rhs(here, env) else latest[-1])
+        return latest[wanted - base] >= start
+    return check
+
+
 def _freeze(c: _Compiler, phi: A.Freeze) -> Check:
     child = c.formula(phi.child)
-    time_var, frame_var = phi.time_var, phi.frame_var
+    used = free_variables(phi.child)
+    time_var = phi.time_var if phi.time_var in used else None
+    frame_var = phi.frame_var if phi.frame_var in used else None
+    if time_var is None and frame_var is None:
+        return child
 
     def check(ctx: EvalContext, env: Env) -> bool:
         # Copy only the pin maps that change; the pinned values are those of
@@ -430,7 +523,7 @@ _FORMULA_BUILDERS: dict[type, Callable[[_Compiler, A.Formula], Check]] = {
     A.Next: _next_prev,
     A.Prev: _next_prev,
     A.Until: _until_since,
-    A.Since: _until_since,
+    A.Since: _since,
     A.Freeze: _freeze,
     A.Exists: _exists,
     A.TimeConstraint: _time_constraint,
@@ -512,7 +605,8 @@ def evaluate(phi: A.Formula, ctx: EvalContext, env: Env = EMPTY_ENV) -> bool:
     """Boolean quality of a desugared formula at ``ctx.index``.
 
     The formula is compiled on first use and its program kept for later
-    calls with the same formula object.
+    calls with the same formula object. Without a summary table in ``ctx``
+    the call uses one of its own, computed from the window start.
     """
     entry = _programs.get(id(phi))
     if entry is None:
@@ -520,6 +614,8 @@ def evaluate(phi: A.Formula, ctx: EvalContext, env: Env = EMPTY_ENV) -> bool:
         if len(_programs) >= _PROGRAMS_MAX:
             del _programs[next(iter(_programs))]
         entry = _programs[id(phi)] = (phi, program)
+    if ctx.summaries is None:
+        ctx = EvalContext(ctx.trace, ctx.index, ctx.stats, ctx.offset, {})
     return entry[1](ctx, env)
 
 

@@ -17,20 +17,12 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
-from .errors import (
-    ConfigError,
-    ContractViolation,
-    Diagnostic,
-    NonMonotonicFrameNumber,
-    NonMonotonicTimestamp,
-    SpecError,
-)
+from .errors import ConfigError, ContractViolation, NonMonotonicFrameNumber, NonMonotonicTimestamp
 from .evaluate import EvalContext, EvalStats, evaluate
 from .stql import ast as A
-from .stql.bindings import check_bindings
+from .stql.bindings import require_bindings
 from .stql.bounds import FrameBounds, compute_bounds
 from .stql.desugar import desugar
 from .trace import Frame
@@ -38,12 +30,10 @@ from .trace import Frame
 
 @dataclass(frozen=True)
 class MonitorConfig:
-    """Window overrides, an optional default universe, and spec parameters."""
+    """Window overrides; each acts as a lower bound on its side of the window."""
 
     max_history: int | None = None
     max_horizon: int | None = None
-    default_universe: tuple[float, float] | None = None
-    params: Mapping[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -65,6 +55,8 @@ class Verdict:
 
 
 def _effective_bound(inferred: int | None, override: int | None, side: str) -> int:
+    if override is not None and override < 0:
+        raise ConfigError(f"max_{side} must not be negative, got {override}")
     if inferred is None and override is None:
         raise ConfigError(
             f"specification needs an unbounded {side}; supply max_{side} to truncate the window"
@@ -81,18 +73,7 @@ class Monitor:
 
     def __init__(self, formula: A.Formula, config: MonitorConfig | None = None):
         config = config or MonitorConfig()
-        problems = check_bindings(formula)
-        if problems:
-            raise SpecError(
-                [
-                    Diagnostic(
-                        d.kind, d.message,
-                        d.loc.line if d.loc else None,
-                        d.loc.column if d.loc else None,
-                    )
-                    for d in problems
-                ]
-            )
+        require_bindings(formula)
         self.formula = desugar(formula)
         self.inferred_bounds: FrameBounds = compute_bounds(self.formula)
         self.history = _effective_bound(self.inferred_bounds.history, config.max_history, "history")
@@ -100,6 +81,9 @@ class Monitor:
         self.capacity = self.history + self.horizon + 1
         self.config = config
         self.stats = EvalStats()
+        # Per-node state of the closed past operators, carried from verdict
+        # to verdict (see ``evaluate``).
+        self._summaries: dict = {}
         self._buffer: deque[Frame] = deque()
         self._base = 0          # stream index of the oldest buffered frame
         self._pushed = 0        # total frames pushed
@@ -116,11 +100,15 @@ class Monitor:
         # clamped to the stream. During pushes eviction already keeps the
         # buffer there; during flush the buffer still holds older frames
         # for verdicts past the first pending one, so trim the start.
+        # Verdicts are emitted in index order and the base only grows, so
+        # window starts never move backwards, flush included: that is what
+        # lets the summaries reuse entries computed for earlier windows.
         start = max(self._base, index - self.history)
         window = list(self._buffer)[start - self._base :]
         rel = index - start
         started = time.perf_counter_ns()
-        value = evaluate(self.formula, EvalContext(window, rel, self.stats))
+        ctx = EvalContext(window, rel, self.stats, offset=start, summaries=self._summaries)
+        value = evaluate(self.formula, ctx)
         elapsed = time.perf_counter_ns() - started
         frame = window[rel]
         return Verdict(frame.frame_number, frame.timestamp, bool(value), elapsed)
@@ -164,11 +152,6 @@ class Monitor:
     @property
     def buffered(self) -> int:
         return len(self._buffer)
-
-
-def new_monitor(formula: A.Formula, config: MonitorConfig | None = None) -> Monitor:
-    """Construct a monitor; raises ``ConfigError`` for unbounded specs without overrides."""
-    return Monitor(formula, config)
 
 
 def run_monitor(formula: A.Formula, frames, config: MonitorConfig | None = None) -> list[Verdict]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import ContractViolation
+from ..errors import ContractViolation, Diagnostic, SpecError
 from . import ast as A
 
 OBJECT = "object"
@@ -41,6 +41,22 @@ def check_bindings(phi: A.Formula) -> list[BindDiagnostic]:
     out: list[BindDiagnostic] = []
     _walk(phi, {}, out)
     return out
+
+
+def require_bindings(phi: A.Formula) -> None:
+    """Raise ``SpecError`` listing every binding problem of ``phi``, if any."""
+    problems = check_bindings(phi)
+    if problems:
+        raise SpecError([
+            Diagnostic(d.kind, d.message, d.loc.line if d.loc else None,
+                       d.loc.column if d.loc else None)
+            for d in problems
+        ])
+
+
+def free_variables(phi: A.Formula) -> frozenset[str]:
+    """Names of every kind that ``phi`` reads without binding them itself."""
+    return frozenset(d.name for d in check_bindings(phi) if d.kind == UNBOUND)
 
 
 def _use(name: str, expected: str, scope: dict[str, str], loc, out) -> None:

@@ -1,4 +1,4 @@
-from percemon.stql.bindings import KIND_MISMATCH, SHADOWING, UNBOUND, check_bindings
+from percemon.stql.bindings import KIND_MISMATCH, SHADOWING, UNBOUND, check_bindings, free_variables
 from percemon.stql.builtins import phi1, phi2
 from percemon.stql.parser import parse
 
@@ -23,6 +23,12 @@ def test_unbound_in_spatial_term():
 def test_unbound_pin_variables():
     assert kinds("x - C_TIME <= 1") == [UNBOUND]
     assert kinds("f - C_FRAME <= 1") == [UNBOUND]
+
+
+def test_free_variables_are_those_bound_outside():
+    body = parse("pin (x, f) { exists {a} @ x - C_TIME <= 1 and prob(b) > 0.5 }").child
+    assert free_variables(body) == {"x", "b"}
+    assert free_variables(parse("exists {a} @ prob(a) > 0.5")) == frozenset()
 
 
 def test_well_bound_formulas_pass():

@@ -4,6 +4,10 @@ import pytest
 from click.testing import CliRunner
 
 from percemon.cli import cli
+from percemon.evaluate import evaluate_trace
+from percemon.stql.desugar import desugar
+from percemon.stql.parser import parse
+from percemon.trace import load_trace
 
 
 @pytest.fixture()
@@ -102,6 +106,22 @@ def test_run_smooth_trajectories_all_true(runner, tmp_path):
     assert all(v for _, v in values)
 
 
+@pytest.mark.parametrize("spec_text", [
+    "once (exists {a} @ prob(a) > 0.8)",
+    "(forall {a} @ (prob(a) < 0.5 or prob(a) > 0.9)) since (forall {a} @ prob(a) < 0.5)",
+])
+def test_run_matches_offline_evaluator_on_closed_past_specs(runner, tmp_path, spec_text):
+    spec = tmp_path / "spec.pmspec"
+    spec.write_text(spec_text + "\n")
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(gen_lines(runner, "--drop-prob", "0.3", "--conf-dip-prob", "0.3"))
+    result = invoke(runner, "run", "--spec", str(spec), "--trace", str(trace))
+    assert result.exit_code == 0
+    frames = list(load_trace(str(trace)))
+    expected = evaluate_trace(desugar(parse(spec_text)), frames)
+    assert [v for _, v in verdict_values(result.stdout)] == expected
+
+
 def test_run_empty_trace_produces_no_output(runner, tmp_path):
     trace = tmp_path / "empty.jsonl"
     trace.write_text("")
@@ -141,6 +161,20 @@ def test_monitor_unbounded_spec_requires_override(runner, tmp_path):
                      "--max-horizon", "3", input=payload)
     assert bounded.exit_code == 0
     assert len(verdict_values(bounded.stdout)) == 12
+
+
+@pytest.mark.parametrize("spec_text, flag, value", [
+    ("holds (exists {a} @ prob(a) > 0.5)", "--max-history", "-5"),
+    ("prev true", "--max-horizon", "-3"),
+])
+def test_monitor_rejects_negative_window_override(runner, tmp_path, spec_text, flag, value):
+    spec = tmp_path / "spec.pmspec"
+    spec.write_text(spec_text + "\n")
+    result = invoke(runner, "monitor", "--spec", str(spec), "--input", "-", flag, value,
+                    input=gen_lines(runner))
+    assert result.exit_code == 1
+    assert f"error: {flag[2:].replace('-', '_')} must not be negative, got {value}" in result.stderr
+    assert result.stdout == ""
 
 
 def test_monitor_rejects_non_monotonic_input(runner):

@@ -5,7 +5,7 @@ import pytest
 from percemon.errors import ConfigError, ContractViolation, NonMonotonicFrameNumber, SpecError
 from percemon.evaluate import evaluate_trace
 from percemon.generator import GenConfig, generate_frames
-from percemon.monitor import Monitor, MonitorConfig, new_monitor, run_monitor
+from percemon.monitor import Monitor, MonitorConfig, run_monitor
 from percemon.stql.builtins import phi1, phi2
 from percemon.stql.desugar import desugar
 from percemon.stql.parser import parse
@@ -19,7 +19,7 @@ def frames_of(n):
 
 
 def test_builtin_monitor_capacity():
-    m = new_monitor(phi1())
+    m = Monitor(phi1())
     assert (m.history, m.horizon) == (1, 0)
     assert m.capacity == 2
 
