@@ -38,8 +38,6 @@ from .trace import (
     BoundingBox,
     DetectedObject,
     Frame,
-    TraceStream,
-    load_trace,
     make_frame,
     parse_frame,
     read_stream,
@@ -65,7 +63,6 @@ __all__ = [
     "MonitorConfig",
     "PercemonError",
     "SpecError",
-    "TraceStream",
     "Verdict",
     "check_bindings",
     "compute_bounds",
@@ -74,7 +71,6 @@ __all__ = [
     "evaluate_trace",
     "format_formula",
     "generate_frames",
-    "load_trace",
     "make_frame",
     "parse",
     "parse_frame",

@@ -2,7 +2,8 @@
 
 Verdicts stream as JSONL records
 ``{"frame": n, "timestamp": t, "verdict": b, "eval_time_ns": k}``; frames
-use the trace module's wire format. Exit codes: 0 on success, 1 on input
+use the trace module's wire format and are read with ``read_stream``, so
+an ingest error names its input line. Exit codes: 0 on success, 1 on input
 or specification errors, 2 on internal contract violations. Set
 ``PERCEMON_LOG`` to error, warn, info or debug to control diagnostics on
 stderr.
@@ -21,7 +22,7 @@ import click
 
 from . import __version__
 from .bench import render_json, render_tsv, run_bench
-from .errors import ContractViolation, PercemonError
+from .errors import ContractViolation, IngestError, PercemonError
 from .evaluate import EvalContext, evaluate
 from .generator import GenConfig, generate_frames
 from .monitor import Monitor, MonitorConfig, Verdict
@@ -30,7 +31,7 @@ from .stql.bounds import compute_bounds
 from .stql.builtins import resolve_spec
 from .stql.desugar import desugar
 from .stql.printer import format_formula
-from .trace import load_trace, read_stream, serialize_frame
+from .trace import read_stream, serialize_frame
 
 _LOG_LEVELS = {
     "error": logging.ERROR,
@@ -131,7 +132,9 @@ def run(spec: str, trace_path: str, params: tuple[str, ...]) -> None:
     """Offline-evaluate a specification over a recorded trace."""
     _, formula = _checked_spec(spec, _parse_params(params))
     core = desugar(formula)
-    frames = list(load_trace(trace_path))
+    # All or nothing: the whole trace is read and checked before any verdict.
+    with open(trace_path, "rb") as fp:
+        frames = list(read_stream(fp))
     # Every verdict sees the whole trace, so the window start never moves and
     # one table of closed past-operator summaries serves all of them.
     summaries: dict = {}
@@ -154,14 +157,23 @@ def run(spec: str, trace_path: str, params: tuple[str, ...]) -> None:
 @_guarded
 def monitor(spec: str, input_path: str, max_history: int | None,
             max_horizon: int | None, params: tuple[str, ...]) -> None:
-    """Monitor a frame stream online, emitting verdicts as they settle."""
+    """Monitor a frame stream online, emitting verdicts as they settle.
+
+    On bad input, the verdicts of every frame accepted so far are flushed
+    before the error is reported.
+    """
     _, formula = _checked_spec(spec, _parse_params(params))
     engine = Monitor(formula, MonitorConfig(max_history=max_history, max_horizon=max_horizon))
-    with click.open_file(input_path, "r", encoding="utf-8") as stream:
-        for frame in read_stream(stream):
-            for verdict in engine.push_frame(frame):
-                _emit_verdict(verdict)
-            sys.stdout.flush()
+    try:
+        with click.open_file(input_path, "rb") as stream:
+            for frame in read_stream(stream):
+                for verdict in engine.push_frame(frame):
+                    _emit_verdict(verdict)
+                sys.stdout.flush()
+    except IngestError:
+        for verdict in engine.flush():
+            _emit_verdict(verdict)
+        raise
     for verdict in engine.flush():
         _emit_verdict(verdict)
 

@@ -22,6 +22,12 @@ class ConfigError(PercemonError):
 class IngestError(PercemonError):
     """A frame record or stream is malformed."""
 
+    line: int | None = None  # 1-based input line, set by ``trace.read_stream``
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        return message if self.line is None else f"line {self.line}: {message}"
+
 
 class MalformedJson(IngestError):
     pass

@@ -628,9 +628,11 @@ def evaluate_trace(
 ) -> list[bool]:
     """Verdict for every frame index of a finite trace.
 
-    With ``history``/``horizon`` set, each index is evaluated over its
-    clipped window only (mirroring what a bounded online monitor sees);
-    with both None the whole trace is visible from every index.
+    Frames are taken in the order given; their frame numbers and
+    timestamps are not checked (``read_stream`` checks them where frames
+    are read). With ``history``/``horizon`` set, each index is evaluated
+    over its clipped window only (mirroring what a bounded online monitor
+    sees); with both None the whole trace is visible from every index.
     """
     frames = list(frames)
     n = len(frames)

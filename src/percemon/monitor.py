@@ -11,6 +11,9 @@ more than history + horizon + 1 frames.
 Configured bounds act as lower bounds on the window: the effective history
 and horizon are the maximum of the inferred requirement and the override.
 A specification whose requirement is unbounded needs an explicit override.
+
+The monitor takes frames in the order the caller pushes them and does not
+check it; ``trace.read_stream`` checks frame order where frames are read.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import ConfigError, ContractViolation, NonMonotonicFrameNumber, NonMonotonicTimestamp
+from .errors import ConfigError, ContractViolation
 from .evaluate import EvalContext, EvalStats, evaluate
 from .stql import ast as A
 from .stql.bindings import require_bindings
@@ -69,7 +72,11 @@ def _effective_bound(inferred: int | None, override: int | None, side: str) -> i
 
 
 class Monitor:
-    """Single-owner online monitor; push frames sequentially, then flush."""
+    """Single-owner online monitor; push frames sequentially, then flush.
+
+    Frames are taken in the order given; frame numbers and timestamps are
+    not checked here (``read_stream`` does that for frames read from JSONL).
+    """
 
     def __init__(self, formula: A.Formula, config: MonitorConfig | None = None):
         config = config or MonitorConfig()
@@ -79,7 +86,6 @@ class Monitor:
         self.history = _effective_bound(self.inferred_bounds.history, config.max_history, "history")
         self.horizon = _effective_bound(self.inferred_bounds.horizon, config.max_horizon, "horizon")
         self.capacity = self.history + self.horizon + 1
-        self.config = config
         self.stats = EvalStats()
         # Per-node state of the closed past operators, carried from verdict
         # to verdict (see ``evaluate``).
@@ -89,11 +95,6 @@ class Monitor:
         self._pushed = 0        # total frames pushed
         self._next = 0          # next verdict index to emit
         self._flushed = False
-        self._last: Frame | None = None
-
-    @property
-    def bounds(self) -> FrameBounds:
-        return FrameBounds(self.history, self.horizon)
 
     def _emit(self, index: int) -> Verdict:
         # The verdict window is exactly [index - history, index + horizon],
@@ -117,12 +118,6 @@ class Monitor:
         """Append one frame; return the verdicts it makes decidable."""
         if self._flushed:
             raise ContractViolation("monitor already flushed")
-        if self._last is not None:
-            if frame.frame_number <= self._last.frame_number:
-                raise NonMonotonicFrameNumber(self._last.frame_number, frame.frame_number)
-            if frame.timestamp < self._last.timestamp:
-                raise NonMonotonicTimestamp(self._last.timestamp, frame.timestamp)
-        self._last = frame
         self._buffer.append(frame)
         self._pushed += 1
         newest = self._pushed - 1

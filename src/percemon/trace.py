@@ -3,14 +3,19 @@
 A trace is an ordered sequence of frames. Each frame is one detector and
 tracker snapshot: a frame number, a timestamp in seconds, the image extent
 in pixels, and the detected objects keyed by their tracker id. All types
-are immutable value objects; streams may be read lazily from files or
-stdin.
+are immutable value objects.
 
-Wire format, one record per line (unknown fields ignored):
+Wire format, one record per line (unknown fields ignored; ``width`` and
+``height`` are required):
 
     {"frame": 0, "timestamp": 0.0, "width": 800, "height": 600,
      "objects": [{"id": 7, "class": "pedestrian", "prob": 0.92,
                   "bbox": [10, 20, 30, 60]}]}
+
+``read_stream`` is where frames enter the program: it parses each record,
+checks that frame numbers strictly increase and timestamps never decrease,
+and tags any ``IngestError`` with the input line it came from. Nothing
+downstream checks frame order again.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .errors import (
     ConfidenceOutOfRange,
     ContractViolation,
     DuplicateObjectId,
+    IngestError,
     InvalidField,
     MalformedJson,
     MissingField,
@@ -135,7 +141,8 @@ class Frame:
                 raise InvalidField(name, "must be finite")
             object.__setattr__(self, name, float(value))
         if self.width <= 0 or self.height <= 0:
-            raise InvalidField("width", "image extent must be positive")
+            raise InvalidField("width" if self.width <= 0 else "height",
+                               "image extent must be positive")
         for key, obj in self.objects.items():
             if key != obj.object_id:
                 raise ContractViolation(f"object map key {key} != object id {obj.object_id}")
@@ -159,59 +166,22 @@ def make_frame(
     how real detectors slightly overshoot the image. Duplicate ids are an
     error.
     """
+    width = _as_number("width", width)
+    height = _as_number("height", height)
     table: dict[int, DetectedObject] = {}
     for obj in objects:
         if obj.object_id in table:
             raise DuplicateObjectId(obj.object_id)
-        clipped = obj.bbox.clip(float(width), float(height))
-        if clipped != obj.bbox:
+        b = obj.bbox
+        if b.xmin < 0 or b.ymin < 0 or b.xmax > width or b.ymax > height:
             log.warning(
                 "frame %s: object %s box clipped to the %sx%s universe",
                 frame_number, obj.object_id, width, height,
             )
-            obj = DetectedObject(obj.object_id, obj.class_label, obj.confidence, clipped)
+            obj = DetectedObject(obj.object_id, obj.class_label, obj.confidence,
+                                 b.clip(width, height))
         table[obj.object_id] = obj
     return Frame(frame_number, timestamp, width, height, table)
-
-
-class TraceStream:
-    """Validated, immutable sequence of frames.
-
-    Frame numbers must strictly increase; timestamps must not decrease
-    (detectors can emit bursts with equal timestamps).
-    """
-
-    __slots__ = ("_frames",)
-
-    def __init__(self, frames: Iterable[Frame]):
-        frames = tuple(frames)
-        for prev, cur in zip(frames, frames[1:]):
-            if cur.frame_number <= prev.frame_number:
-                raise NonMonotonicFrameNumber(prev.frame_number, cur.frame_number)
-            if cur.timestamp < prev.timestamp:
-                raise NonMonotonicTimestamp(prev.timestamp, cur.timestamp)
-        self._frames = frames
-
-    @property
-    def frames(self) -> tuple[Frame, ...]:
-        return self._frames
-
-    def __len__(self) -> int:
-        return len(self._frames)
-
-    def __getitem__(self, index):
-        return self._frames[index]
-
-    def __iter__(self) -> Iterator[Frame]:
-        return iter(self._frames)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, TraceStream):
-            return self._frames == other._frames
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"TraceStream({len(self._frames)} frames)"
 
 
 def _require(record: dict, name: str):
@@ -226,12 +196,11 @@ def _as_number(name: str, value) -> float:
     return float(value)
 
 
-def parse_frame(json_text: str, default_universe: tuple[float, float] | None = None) -> Frame:
+def parse_frame(json_text: str) -> Frame:
     """Parse one JSONL record into a validated frame.
 
     Boxes falling outside [0, width] x [0, height] are clipped with a
-    warning. ``default_universe`` supplies the extent for records that omit
-    width/height.
+    warning.
     """
     try:
         record = json.loads(json_text)
@@ -242,13 +211,8 @@ def parse_frame(json_text: str, default_universe: tuple[float, float] | None = N
 
     frame_number = _require(record, "frame")
     timestamp = _require(record, "timestamp")
-    if "width" in record and "height" in record:
-        width = _as_number("width", record["width"])
-        height = _as_number("height", record["height"])
-    elif default_universe is not None:
-        width, height = default_universe
-    else:
-        raise MissingField("width" if "width" not in record else "height")
+    width = _require(record, "width")
+    height = _require(record, "height")
 
     raw_objects = _require(record, "objects")
     if not isinstance(raw_objects, list):
@@ -302,33 +266,39 @@ def serialize_frame(frame: Frame) -> str:
     return json.dumps(record, separators=(",", ":"))
 
 
-def read_stream(
-    source: IO[str] | IO[bytes] | Iterable[str] | Iterable[bytes],
-    default_universe: tuple[float, float] | None = None,
-) -> Iterator[Frame]:
+def _decoded(line: str | bytes) -> str:
+    if isinstance(line, str):
+        return line
+    try:
+        return line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedJson(f"not valid UTF-8: {exc.reason} at byte {exc.start}") from exc
+
+
+def read_stream(source: IO[str] | IO[bytes] | Iterable[str] | Iterable[bytes]) -> Iterator[Frame]:
     """Yield frames from newline-delimited JSON records, in order.
 
-    Accepts text or UTF-8 byte lines; blank lines are skipped. Raises on
-    the first monotonicity violation or malformed record.
+    Accepts text or UTF-8 byte lines; blank lines are skipped but counted.
+    Raises on the first malformed record or monotonicity violation: frame
+    numbers must strictly increase and timestamps must not decrease
+    (detectors can emit bursts with equal timestamps). The raised
+    ``IngestError`` keeps its subclass and carries the 1-based input line
+    in ``line``.
     """
     prev: Frame | None = None
-    for line in source:
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
-        line = line.strip()
-        if not line:
-            continue
-        frame = parse_frame(line, default_universe=default_universe)
-        if prev is not None:
-            if frame.frame_number <= prev.frame_number:
-                raise NonMonotonicFrameNumber(prev.frame_number, frame.frame_number)
-            if frame.timestamp < prev.timestamp:
-                raise NonMonotonicTimestamp(prev.timestamp, frame.timestamp)
+    for number, line in enumerate(source, 1):
+        try:
+            line = _decoded(line).strip()
+            if not line:
+                continue
+            frame = parse_frame(line)
+            if prev is not None:
+                if frame.frame_number <= prev.frame_number:
+                    raise NonMonotonicFrameNumber(prev.frame_number, frame.frame_number)
+                if frame.timestamp < prev.timestamp:
+                    raise NonMonotonicTimestamp(prev.timestamp, frame.timestamp)
+        except IngestError as exc:
+            exc.line = number
+            raise
         prev = frame
         yield frame
-
-
-def load_trace(path, default_universe: tuple[float, float] | None = None) -> TraceStream:
-    """Read a whole JSONL trace file into memory."""
-    with open(path, "r", encoding="utf-8") as fp:
-        return TraceStream(read_stream(fp, default_universe=default_universe))

@@ -7,7 +7,8 @@ from percemon.cli import cli
 from percemon.evaluate import evaluate_trace
 from percemon.stql.desugar import desugar
 from percemon.stql.parser import parse
-from percemon.trace import load_trace
+from percemon.monitor import run_monitor
+from percemon.trace import read_stream
 
 
 @pytest.fixture()
@@ -117,7 +118,7 @@ def test_run_matches_offline_evaluator_on_closed_past_specs(runner, tmp_path, sp
     trace.write_text(gen_lines(runner, "--drop-prob", "0.3", "--conf-dip-prob", "0.3"))
     result = invoke(runner, "run", "--spec", str(spec), "--trace", str(trace))
     assert result.exit_code == 0
-    frames = list(load_trace(str(trace)))
+    frames = list(read_stream(trace.read_bytes().splitlines()))
     expected = evaluate_trace(desugar(parse(spec_text)), frames)
     assert [v for _, v in verdict_values(result.stdout)] == expected
 
@@ -135,6 +136,55 @@ def test_run_rejects_malformed_trace(runner, tmp_path):
     trace.write_text("not json\n")
     result = invoke(runner, "run", "--spec", "builtin:phi1", "--trace", str(trace))
     assert result.exit_code == 1
+
+
+def record(frame, timestamp, width="10", objects="[]"):
+    return (f'{{"frame":{frame},"timestamp":{timestamp},"width":{width},"height":10,'
+            f'"objects":{objects}}}\n')
+
+
+OUT_OF_ORDER = [
+    (record(0, 0.0) + record(1, 0.1) + record(1, 0.2), "line 3: frame number 1 does not increase over 1"),
+    (record(0, 0.0) + "\n" + record(1, 0.3) + record(2, 0.2), "line 4: timestamp 0.2 decreases below 0.3"),
+]
+
+
+@pytest.mark.parametrize("payload, message", OUT_OF_ORDER)
+def test_run_rejects_out_of_order_trace(runner, tmp_path, payload, message):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(payload)
+    result = invoke(runner, "run", "--spec", "builtin:phi1", "--trace", str(trace))
+    assert result.exit_code == 1
+    assert result.stdout == ""  # run is all or nothing
+    assert result.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["run", "monitor"])
+@pytest.mark.parametrize("width, reason", [
+    ('"800"', "expected a number, got '800'"),
+    ("[]", "expected a number, got []"),
+    ("true", "expected a number, got True"),
+    ("0", "image extent must be positive"),
+])
+def test_malformed_width_is_a_located_error(runner, tmp_path, command, width, reason):
+    trace = tmp_path / "trace.jsonl"
+    box = '[{"id":1,"class":"car","prob":0.5,"bbox":[0,0,5,5]}]'
+    trace.write_text(record(0, 0.0) + record(1, 0.1, width=width, objects=box))
+    flag = "--trace" if command == "run" else "--input"
+    result = invoke(runner, command, "--spec", "builtin:phi1", flag, str(trace))
+    assert result.exit_code == 1
+    assert f"error: line 2: invalid field 'width': {reason}\n" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("command", ["run", "monitor"])
+def test_invalid_utf8_is_a_located_error(runner, tmp_path, command):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_bytes(record(0, 0.0).encode() + b"\xff\xfe\n")
+    flag = "--trace" if command == "run" else "--input"
+    result = invoke(runner, command, "--spec", "builtin:phi1", flag, str(trace))
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: line 2: not valid UTF-8")
 
 
 # --- monitor -----------------------------------------------------------------
@@ -185,6 +235,29 @@ def test_monitor_rejects_non_monotonic_input(runner):
     result = invoke(runner, "monitor", "--spec", "builtin:phi1", "--input", "-", input=lines)
     assert result.exit_code == 1
     assert "frame number" in result.stderr
+
+
+@pytest.mark.parametrize("payload, message", OUT_OF_ORDER)
+def test_monitor_reports_out_of_order_input_by_line(runner, payload, message):
+    result = invoke(runner, "monitor", "--spec", "builtin:phi1", "--input", "-", input=payload)
+    assert result.exit_code == 1
+    assert result.stderr == f"error: {message}\n"
+
+
+def test_monitor_flushes_accepted_frames_before_reporting_bad_input(runner, tmp_path):
+    spec = tmp_path / "spec.pmspec"
+    spec.write_text("next next true\n")
+    good = [record(n, n / 10) for n in range(4)]
+    bad = record(4, 0.4, objects='[{"id":1,"class":"car","prob":0.5,"bbox":[5,5,1,1]}]')
+    result = invoke(runner, "monitor", "--spec", str(spec), "--input", "-",
+                    input="".join(good) + bad)
+    assert result.exit_code == 1
+    assert result.stderr == ("error: line 5: invalid field 'bbox': "
+                             "inverted box [5.0, 5.0, 1.0, 1.0]\n")
+    accepted = list(read_stream(good))
+    expected = [(v.frame_number, v.value) for v in run_monitor(parse("next next true"), accepted)]
+    assert verdict_values(result.stdout) == expected
+    assert [n for n, _ in expected] == [0, 1, 2, 3]
 
 
 def test_monitor_reads_from_file(runner, tmp_path):

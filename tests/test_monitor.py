@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from percemon.errors import ConfigError, ContractViolation, NonMonotonicFrameNumber, SpecError
+from percemon.errors import ConfigError, ContractViolation, SpecError
 from percemon.evaluate import evaluate_trace
 from percemon.generator import GenConfig, generate_frames
 from percemon.monitor import Monitor, MonitorConfig, run_monitor
@@ -150,11 +150,13 @@ def test_buffer_never_exceeds_capacity():
         assert m.buffered <= m.capacity
 
 
-def test_non_monotonic_push_rejected():
-    m = Monitor(parse("prev true"), MonitorConfig())
-    m.push_frame(make_frame(5, 0.5, 10, 10, []))
-    with pytest.raises(NonMonotonicFrameNumber):
-        m.push_frame(make_frame(5, 0.6, 10, 10, []))
+def test_monitor_takes_frames_in_caller_order():
+    # Frame order is checked where frames are read, not by the monitor.
+    frames = [make_frame(n, t, 10, 10, []) for n, t in ((5, 0.5), (5, 0.6), (2, 0.1))]
+    spec = parse("prev true or next true")
+    verdicts = run_monitor(spec, frames)
+    assert [v.frame_number for v in verdicts] == [5, 5, 2]
+    assert [v.value for v in verdicts] == evaluate_trace(desugar(spec), frames)
 
 
 def test_push_after_flush_rejected():

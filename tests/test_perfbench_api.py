@@ -1,0 +1,43 @@
+"""The benchmark under ``perfbench/`` drives the package through its public
+names; this runs its traced pass on a short stream so that renaming one of
+them fails here rather than only in a benchmark run."""
+
+import dataclasses
+import importlib
+from pathlib import Path
+
+import pytest
+
+from percemon.evaluate import evaluate_trace
+from percemon.monitor import MonitorConfig
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture()
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return {name: importlib.import_module(name) for name in ("workloads", "prepare", "traced")}
+
+
+def test_traced_pass_matches_offline_evaluator(perfbench):
+    prepare, traced = perfbench["prepare"], perfbench["traced"]
+    workload = dataclasses.replace(perfbench["workloads"].WORKLOADS["phi1-sparse"], frames=50)
+    inputs = prepare.Inputs(workload, seed=3)
+    lines = inputs.jsonl.splitlines(keepends=True)
+    assert len(lines) == 50
+    expected = evaluate_trace(inputs.formula, inputs.frames,
+                              history=inputs.history, horizon=inputs.horizon)
+    assert inputs.reference == expected
+
+    config = MonitorConfig(max_history=workload.max_history)
+    _, untraced = traced.untraced_pass(lines, workload.spec_arg(), config)
+    tracer = traced.Tracer()
+    wall, setup_ns, values = tracer.run(lines, workload.spec_arg(), config)
+    assert values == untraced == expected
+    assert False in expected  # the faulty stream exercises both verdicts
+
+    metrics = traced.layer_metrics([tracer], [wall], [wall], [setup_ns], len(lines))
+    assert len(tracer.parse_ns) == 50
+    assert metrics["spatial.calls_per_frame"] == 0
+    assert metrics["evaluate.assignments_per_frame"] > 0

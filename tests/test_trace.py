@@ -19,7 +19,6 @@ from percemon.trace import (
     BoundingBox,
     DetectedObject,
     Frame,
-    TraceStream,
     make_frame,
     parse_frame,
     read_stream,
@@ -65,11 +64,6 @@ def test_parse_missing_fields():
         parse_frame('{"frame":0,"timestamp":0.0,"objects":[]}')
     with pytest.raises(MissingField):
         parse_frame('{"frame":0,"timestamp":0.0,"width":100,"height":100}')
-
-
-def test_parse_default_universe_fills_missing_extent():
-    frame = parse_frame('{"frame":0,"timestamp":0.0,"objects":[]}', default_universe=(640, 480))
-    assert (frame.width, frame.height) == (640.0, 480.0)
 
 
 def test_parse_duplicate_object_id():
@@ -146,12 +140,88 @@ def test_read_stream_non_monotonic_timestamp():
         list(read_stream(lines))
 
 
-def test_trace_stream_validates():
-    a = Frame(0, 0.0, 10, 10)
-    b = Frame(1, 0.0, 10, 10)  # equal timestamps are allowed
-    assert len(TraceStream([a, b])) == 2
-    with pytest.raises(NonMonotonicFrameNumber):
-        TraceStream([b, a])
+def test_read_stream_allows_equal_timestamps():
+    lines = [
+        '{"frame":0,"timestamp":0.5,"width":10,"height":10,"objects":[]}',
+        '{"frame":1,"timestamp":0.5,"width":10,"height":10,"objects":[]}',
+    ]
+    assert [f.timestamp for f in read_stream(lines)] == [0.5, 0.5]
+
+
+def _record(frame, timestamp=None, objects="[]"):
+    timestamp = frame / 10 if timestamp is None else timestamp
+    return (f'{{"frame":{frame},"timestamp":{timestamp},"width":10,"height":10,'
+            f'"objects":{objects}}}')
+
+
+@pytest.mark.parametrize("bad_line, error", [
+    ("{not json", MalformedJson),
+    (_record(9, objects='[{"id":1,"class":"car","prob":0.5,"bbox":[5,5,1,1]}]'), InvalidField),
+    (_record(9, objects='[{"id":1,"class":"car","prob":2,"bbox":[0,0,1,1]}]'), ConfidenceOutOfRange),
+    (_record(1), NonMonotonicFrameNumber),
+    (_record(9, timestamp=0.0), NonMonotonicTimestamp),
+])
+def test_read_stream_locates_errors_by_input_line(bad_line, error):
+    # Line 3 is blank and still counts, so the bad record is on line 5.
+    lines = [_record(0), _record(1), "", _record(2), bad_line, _record(10)]
+    frames = read_stream(lines)
+    assert [next(frames).frame_number for _ in range(3)] == [0, 1, 2]
+    with pytest.raises(error) as info:
+        next(frames)
+    assert info.value.line == 5
+    assert str(info.value).startswith("line 5: ")
+
+
+def test_unlocated_ingest_error_message_is_unchanged():
+    with pytest.raises(InvalidField) as info:
+        parse_frame(_record(0, objects='[{"id":1,"class":"car","prob":0.5,"bbox":[5,5,1,1]}]'))
+    assert info.value.line is None
+    assert str(info.value) == "invalid field 'bbox': inverted box [5.0, 5.0, 1.0, 1.0]"
+
+
+def _count_boxes(monkeypatch) -> list:
+    built = []
+    original = BoundingBox.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(BoundingBox, "__post_init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("count", [0, 1, 4])
+def test_in_universe_boxes_are_validated_once(monkeypatch, count):
+    objects = ",".join(
+        f'{{"id":{i},"class":"car","prob":0.5,"bbox":[{i},{i},{i + 1},{i + 2}]}}'
+        for i in range(count)
+    )
+    built = _count_boxes(monkeypatch)
+    frame = parse_frame(_record(0, objects=f"[{objects}]"))
+    assert len(frame.objects) == count
+    assert len(built) == count
+
+
+@pytest.mark.parametrize("bbox, clipped", [
+    ([-5, 2, 5, 8], (0, 2, 5, 8)),
+    ([2, -5, 8, 5], (2, 0, 8, 5)),
+    ([5, 2, 15, 8], (5, 2, 10, 8)),
+    ([2, 5, 8, 15], (2, 5, 8, 10)),
+])
+def test_out_of_universe_box_is_rebuilt_once(monkeypatch, bbox, clipped):
+    built = _count_boxes(monkeypatch)
+    frame = parse_frame(_record(0, objects=f'[{{"id":1,"class":"car","prob":0.5,"bbox":{bbox}}}]'))
+    assert len(built) == 2  # the parsed box and its clip
+    assert frame.objects[1].bbox == BoundingBox(*clipped)
+
+
+@pytest.mark.parametrize("extent, name", [('"width":0,"height":10', "width"),
+                                          ('"width":10,"height":-1', "height")])
+def test_parse_rejects_non_positive_extent(extent, name):
+    line = f'{{"frame":0,"timestamp":0.0,{extent},"objects":[]}}'
+    with pytest.raises(InvalidField, match=f"'{name}': image extent must be positive"):
+        parse_frame(line)
 
 
 coordinates = st.floats(min_value=0, max_value=100, allow_nan=False, allow_infinity=False)
