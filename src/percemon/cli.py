@@ -92,7 +92,9 @@ def _checked_spec(spec: str, params: dict[str, float]):
 
 
 def _emit_verdict(verdict: Verdict) -> None:
-    click.echo(json.dumps(verdict.to_json_obj(), separators=(",", ":")))
+    # One buffered write per verdict; the commands flush where output must
+    # be seen, inside ``_guarded`` so that a closed pipe exits quietly.
+    sys.stdout.write(json.dumps(verdict.to_json_obj(), separators=(",", ":")) + "\n")
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
@@ -143,6 +145,7 @@ def run(spec: str, trace_path: str, params: tuple[str, ...]) -> None:
         value = evaluate(core, EvalContext(frames, index, summaries=summaries))
         elapsed = time.perf_counter_ns() - started
         _emit_verdict(Verdict(frame.frame_number, frame.timestamp, bool(value), elapsed))
+    sys.stdout.flush()
 
 
 @cli.command()
@@ -173,9 +176,11 @@ def monitor(spec: str, input_path: str, max_history: int | None,
     except IngestError:
         for verdict in engine.flush():
             _emit_verdict(verdict)
+        sys.stdout.flush()
         raise
     for verdict in engine.flush():
         _emit_verdict(verdict)
+    sys.stdout.flush()
 
 
 @cli.command()

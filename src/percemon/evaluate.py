@@ -2,9 +2,9 @@
 
 This is the offline semantics used directly by ``run`` and as the oracle
 for the online monitor. A formula is compiled once into a tree of
-closures, one per node, each holding the semantic clause of its node kind;
-``evaluate`` looks up the compiled program of the formula object and calls
-it. ``until`` and ``since`` scan for a witness frame for the right
+closures, one per node or fused group of nodes (see below), each holding
+the semantic clause of its node kind; ``evaluate`` looks up the compiled
+program of the formula object and calls it. ``until`` and ``since`` scan for a witness frame for the right
 operand, with the left operand required at every frame from the evaluated
 one up to and including the witness, within the visible trace.
 
@@ -24,6 +24,22 @@ call computes the entries afresh from the window start, which is the same
 code run from scratch.
 
 A pin compiles to its body when nothing below it reads its variables.
+
+The propositional core is fused as it is compiled, so a desugared ``and``
+costs one node rather than four:
+
+* a chain of ``or``, however associated, is one node over its flattened
+  disjuncts, evaluated left to right up to the first true one;
+* ``not (a or b or ...)``, which is what ``and`` and the body of a
+  ``forall`` desugar to, is one conjunction of the negated disjuncts,
+  evaluated left to right up to the first false one;
+* ``not not a`` is ``a``, and ``not (x == y)``/``not (x != y)`` are
+  ``x != y``/``x == y``. No other atom has an exact complement
+  (``prob``/``class`` atoms are false when the id is absent, ratio atoms
+  when the denominator is zero), so any other ``not`` stays a node.
+
+Evaluation order, short-circuiting and every quantifier assignment, region
+operation and temporal step are those of the unfused tree.
 
 Conventions for finite traces and partial data:
 
@@ -48,7 +64,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -149,30 +164,43 @@ def quantifier_assignments(
     if not variables:
         raise ContractViolation("quantifier without variables")
     objs = [frame.objects[key] for key in sorted(frame.objects)]
+    if len(variables) == 1:
+        var = variables[0]
+        for obj in objs:
+            yield {var: obj}
+        return
     for combo in itertools.product(objs, repeat=len(variables)):
         yield dict(zip(variables, combo))
 
 
+def _coordinate(axis: A.Axis, ref: A.ReferencePoint) -> Callable[[BoundingBox], float]:
+    """The ``axis`` coordinate of a box's named reference point, as a function."""
+    if axis is A.Axis.LAT:
+        if ref is A.ReferencePoint.LM:
+            return lambda box: box.xmin
+        if ref is A.ReferencePoint.RM:
+            return lambda box: box.xmax
+        return lambda box: (box.xmin + box.xmax) / 2.0
+    if ref is A.ReferencePoint.TM:
+        return lambda box: box.ymin
+    if ref is A.ReferencePoint.BM:
+        return lambda box: box.ymax
+    return lambda box: (box.ymin + box.ymax) / 2.0
+
+
 def ref_point(box: BoundingBox, ref: A.ReferencePoint) -> tuple[float, float]:
     """Coordinates of a named reference point of a box."""
-    mid_x = (box.xmin + box.xmax) / 2.0
-    mid_y = (box.ymin + box.ymax) / 2.0
-    if ref is A.ReferencePoint.LM:
-        return box.xmin, mid_y
-    if ref is A.ReferencePoint.RM:
-        return box.xmax, mid_y
-    if ref is A.ReferencePoint.TM:
-        return mid_x, box.ymin
-    if ref is A.ReferencePoint.BM:
-        return mid_x, box.ymax
-    return mid_x, mid_y
+    return _coordinate(A.Axis.LAT, ref)(box), _coordinate(A.Axis.LON, ref)(box)
 
 
-def _captured(env: Env, name: str) -> DetectedObject:
-    obj = env.objects.get(name)
-    if obj is None:
-        raise ContractViolation(f"object variable {name!r} is unbound; run check_bindings first")
-    return obj
+def _unbound(exc: KeyError) -> ContractViolation:
+    """The error for an object variable missing from ``Env.objects``.
+
+    Atoms read captured objects with a plain ``env.objects[name]`` inside a
+    ``try`` where nothing else can raise ``KeyError``, and turn it into this.
+    """
+    name = exc.args[0]
+    return ContractViolation(f"object variable {name!r} is unbound; run check_bindings first")
 
 
 def _pin(pins: Mapping[str, float], name: str, kind: str):
@@ -181,36 +209,69 @@ def _pin(pins: Mapping[str, float], name: str, kind: str):
     return pins[name]
 
 
-def _current(ctx: EvalContext, obj: DetectedObject) -> DetectedObject | None:
-    return ctx.trace[ctx.index].objects.get(obj.object_id)
-
-
-def _offset_value(term: A.OffsetTerm, env: Env) -> float:
-    x, y = ref_point(_captured(env, term.var).bbox, term.ref)
-    return x if term.axis is A.Axis.LAT else y
-
-
-def _universe(ctx: EvalContext) -> Universe:
-    frame = ctx.trace[ctx.index]
-    return Universe(frame.width, frame.height)
-
-
-# A compiled formula node, and a compiled spatial term.
-Check = Callable[[EvalContext, Env], bool]
-Term = Callable[[Universe, Env], Region]
+_UNIVERSES_MAX = 16
 
 
 class _Compiler:
-    """Builds the closure tree of one formula and owns its warn-once state."""
+    """Builds the closure tree of one formula and owns its per-program state:
+    warn-once messages and universes by image extent."""
 
     def __init__(self) -> None:
         self.warned: set[str] = set()
+        self.universes: dict[tuple[float, float], Universe] = {}
+
+    def universe(self, ctx: EvalContext) -> Universe:
+        """The current frame's universe. A stream has one image extent, so its
+        spatial atoms share one checked ``Universe`` instead of each building
+        its own."""
+        frame = ctx.trace[ctx.index]
+        key = (frame.width, frame.height)
+        universe = self.universes.get(key)
+        if universe is None:
+            if len(self.universes) >= _UNIVERSES_MAX:
+                self.universes.clear()
+            universe = self.universes[key] = Universe(frame.width, frame.height)
+        return universe
 
     def formula(self, phi: A.Formula) -> Check:
         build = _FORMULA_BUILDERS.get(type(phi))
         if build is None:
             raise ContractViolation(f"evaluator needs a desugared formula, got {type(phi).__name__}")
         return build(self, phi)
+
+    def disjuncts(self, phi: A.Formula) -> list[Check]:
+        """Checks whose disjunction, in list order, is ``phi``: an ``or``
+        chain of any association, flattened."""
+        if type(phi) is A.Or:
+            return self.disjuncts(phi.lhs) + self.disjuncts(phi.rhs)
+        return [self.formula(phi)]
+
+    def conjuncts(self, phi: A.Formula) -> list[Check]:
+        """Checks whose conjunction, in list order, is ``phi``."""
+        if type(phi) is A.Not:
+            return self.negated(phi.child)
+        return [self.formula(phi)]
+
+    def negated(self, phi: A.Formula) -> list[Check]:
+        """Checks whose conjunction, in list order, is ``not phi``.
+
+        ``not (a or b)`` is ``not a and not b`` (De Morgan), ``not not a``
+        is ``a``, and the id comparisons are each other's complement. Other
+        atoms have none: ``prob``/``class`` are false when the id is absent
+        and a ratio atom is false on a zero denominator.
+        """
+        kind = type(phi)
+        if kind is A.Or:
+            return self.negated(phi.lhs) + self.negated(phi.rhs)
+        if kind is A.Not:
+            return self.conjuncts(phi.child)
+        if kind is A.IdEq or kind is A.IdNeq:
+            return [_id_check(phi.lhs, phi.rhs, equal=kind is A.IdNeq)]
+        child = self.formula(phi)
+
+        def check(ctx: EvalContext, env: Env) -> bool:
+            return not child(ctx, env)
+        return [check]
 
     def term(self, term: A.SpatialTerm) -> Term:
         build = _TERM_BUILDERS.get(type(term))
@@ -240,20 +301,52 @@ def _true(c: _Compiler, phi: A.TrueConst) -> Check:
     return check
 
 
-def _not(c: _Compiler, phi: A.Not) -> Check:
-    child = c.formula(phi.child)
+def _any(parts: list[Check]) -> Check:
+    """Left to right, stopping at the first true part."""
+    if len(parts) == 1:
+        return parts[0]
+    if len(parts) == 2:
+        first, second = parts
+
+        def check(ctx: EvalContext, env: Env) -> bool:
+            return first(ctx, env) or second(ctx, env)
+        return check
+    parts = tuple(parts)
 
     def check(ctx: EvalContext, env: Env) -> bool:
-        return not child(ctx, env)
+        for part in parts:
+            if part(ctx, env):
+                return True
+        return False
     return check
+
+
+def _all(parts: list[Check]) -> Check:
+    """Left to right, stopping at the first false part."""
+    if len(parts) == 1:
+        return parts[0]
+    if len(parts) == 2:
+        first, second = parts
+
+        def check(ctx: EvalContext, env: Env) -> bool:
+            return first(ctx, env) and second(ctx, env)
+        return check
+    parts = tuple(parts)
+
+    def check(ctx: EvalContext, env: Env) -> bool:
+        for part in parts:
+            if not part(ctx, env):
+                return False
+        return True
+    return check
+
+
+def _not(c: _Compiler, phi: A.Not) -> Check:
+    return _all(c.negated(phi.child))
 
 
 def _or(c: _Compiler, phi: A.Or) -> Check:
-    lhs, rhs = c.formula(phi.lhs), c.formula(phi.rhs)
-
-    def check(ctx: EvalContext, env: Env) -> bool:
-        return lhs(ctx, env) or rhs(ctx, env)
-    return check
+    return _any(c.disjuncts(phi))
 
 
 def _next_prev(c: _Compiler, phi: A.Next | A.Prev) -> Check:
@@ -369,21 +462,24 @@ def _exists(c: _Compiler, phi: A.Exists) -> Check:
             return False
         objects = dict(env.objects)
         inner = Env(env.time_pins, env.frame_pins, objects)
-        stats = ctx.stats
         # Full fold over the domain, no early exit: quantifier cost scales
         # with the number of assignments, which is the behavior the bench
         # measures, and the result is independent of enumeration order.
         result = False
+        count = 0
         for assignment in quantifier_assignments(variables, frame):
-            if stats is not None:
-                stats.assignments += 1
             objects.update(assignment)
-            result = child(ctx, inner) or result
+            count += 1
+            if child(ctx, inner):
+                result = True
+        if ctx.stats is not None:
+            ctx.stats.assignments += count
         return result
     return check
 
 
 # --- atoms -------------------------------------------------------------------
+# Each reads its captured objects with ``env.objects[name]`` (see ``_unbound``).
 
 def _time_constraint(c: _Compiler, phi: A.TimeConstraint) -> Check:
     var, op, bound = phi.var, phi.cmp.function, phi.bound
@@ -401,20 +497,38 @@ def _frame_constraint(c: _Compiler, phi: A.FrameConstraint) -> Check:
     return check
 
 
-def _id_cmp(c: _Compiler, phi: A.IdEq | A.IdNeq) -> Check:
-    lhs, rhs = phi.lhs, phi.rhs
-    op = operator.eq if type(phi) is A.IdEq else operator.ne
-
-    def check(ctx: EvalContext, env: Env) -> bool:
-        return op(_captured(env, lhs).object_id, _captured(env, rhs).object_id)
+def _id_check(lhs_var: str, rhs_var: str, equal: bool) -> Check:
+    """``lhs_var == rhs_var`` on captured ids, or ``!=`` when not ``equal``."""
+    if equal:
+        def check(ctx: EvalContext, env: Env) -> bool:
+            objects = env.objects
+            try:
+                return objects[lhs_var].object_id == objects[rhs_var].object_id
+            except KeyError as exc:
+                raise _unbound(exc) from None
+    else:
+        def check(ctx: EvalContext, env: Env) -> bool:
+            objects = env.objects
+            try:
+                return objects[lhs_var].object_id != objects[rhs_var].object_id
+            except KeyError as exc:
+                raise _unbound(exc) from None
     return check
+
+
+def _id_cmp(c: _Compiler, phi: A.IdEq | A.IdNeq) -> Check:
+    return _id_check(phi.lhs, phi.rhs, equal=type(phi) is A.IdEq)
 
 
 def _class_eq_const(c: _Compiler, phi: A.ClassEqConst) -> Check:
     var, label = phi.var, phi.label
 
     def check(ctx: EvalContext, env: Env) -> bool:
-        current = _current(ctx, _captured(env, var))
+        try:
+            object_id = env.objects[var].object_id
+        except KeyError as exc:
+            raise _unbound(exc) from None
+        current = ctx.trace[ctx.index].objects.get(object_id)
         return current is not None and current.class_label == label
     return check
 
@@ -423,8 +537,13 @@ def _class_eq_var(c: _Compiler, phi: A.ClassEqVar) -> Check:
     lhs_var, rhs_var = phi.lhs, phi.rhs
 
     def check(ctx: EvalContext, env: Env) -> bool:
-        lhs = _current(ctx, _captured(env, lhs_var))
-        rhs = _current(ctx, _captured(env, rhs_var))
+        objects = env.objects
+        try:
+            lhs_id, rhs_id = objects[lhs_var].object_id, objects[rhs_var].object_id
+        except KeyError as exc:
+            raise _unbound(exc) from None
+        current = ctx.trace[ctx.index].objects
+        lhs, rhs = current.get(lhs_id), current.get(rhs_id)
         return lhs is not None and rhs is not None and lhs.class_label == rhs.class_label
     return check
 
@@ -433,7 +552,11 @@ def _prob_const(c: _Compiler, phi: A.ProbCmpConst) -> Check:
     var, op, bound = phi.var, phi.cmp.function, phi.bound
 
     def check(ctx: EvalContext, env: Env) -> bool:
-        current = _current(ctx, _captured(env, var))
+        try:
+            object_id = env.objects[var].object_id
+        except KeyError as exc:
+            raise _unbound(exc) from None
+        current = ctx.trace[ctx.index].objects.get(object_id)
         return current is not None and op(current.confidence, bound)
     return check
 
@@ -444,8 +567,13 @@ def _prob_ratio(c: _Compiler, phi: A.ProbCmpRatio) -> Check:
     ratio_ok = c.ratio_rhs_ok
 
     def check(ctx: EvalContext, env: Env) -> bool:
-        lhs = _current(ctx, _captured(env, lhs_var))
-        rhs = _current(ctx, _captured(env, rhs_var))
+        objects = env.objects
+        try:
+            lhs_id, rhs_id = objects[lhs_var].object_id, objects[rhs_var].object_id
+        except KeyError as exc:
+            raise _unbound(exc) from None
+        current = ctx.trace[ctx.index].objects
+        lhs, rhs = current.get(lhs_id), current.get(rhs_id)
         if lhs is None or rhs is None:
             return False
         if not ratio_ok(rhs.confidence, what):
@@ -455,28 +583,29 @@ def _prob_ratio(c: _Compiler, phi: A.ProbCmpRatio) -> Check:
 
 
 def _spatial_exists(c: _Compiler, phi: A.SpatialExists) -> Check:
-    term = c.term(phi.term)
+    term, universe = c.term(phi.term), c.universe
 
     def check(ctx: EvalContext, env: Env) -> bool:
-        return not spatial.is_empty(term(_universe(ctx), env))
+        return not spatial.is_empty(term(universe(ctx), env))
     return check
 
 
 def _area_const(c: _Compiler, phi: A.AreaCmpConst) -> Check:
     term, op, bound = c.term(phi.term), phi.cmp.function, phi.bound
+    universe = c.universe
 
     def check(ctx: EvalContext, env: Env) -> bool:
-        return op(spatial.area(term(_universe(ctx), env)), bound)
+        return op(spatial.area(term(universe(ctx), env)), bound)
     return check
 
 
 def _area_ratio(c: _Compiler, phi: A.AreaCmpRatio) -> Check:
     lhs, rhs = c.term(phi.lhs), c.term(phi.rhs)
     op, ratio = phi.cmp.function, phi.ratio
-    ratio_ok = c.ratio_rhs_ok
+    ratio_ok, universe_of = c.ratio_rhs_ok, c.universe
 
     def check(ctx: EvalContext, env: Env) -> bool:
-        universe = _universe(ctx)
+        universe = universe_of(ctx)
         rhs_area = spatial.area(rhs(universe, env))
         if not ratio_ok(rhs_area, "area"):
             return False
@@ -487,32 +616,50 @@ def _area_ratio(c: _Compiler, phi: A.AreaCmpRatio) -> Check:
 def _ed(c: _Compiler, phi: A.EDCmp) -> Check:
     lhs, lhs_ref, rhs, rhs_ref = phi.lhs, phi.lhs_ref, phi.rhs, phi.rhs_ref
     op, bound = phi.cmp.function, phi.bound
+    lhs_x, lhs_y = _coordinate(A.Axis.LAT, lhs_ref), _coordinate(A.Axis.LON, lhs_ref)
+    rhs_x, rhs_y = _coordinate(A.Axis.LAT, rhs_ref), _coordinate(A.Axis.LON, rhs_ref)
 
     def check(ctx: EvalContext, env: Env) -> bool:
-        ax, ay = ref_point(_captured(env, lhs).bbox, lhs_ref)
-        bx, by = ref_point(_captured(env, rhs).bbox, rhs_ref)
-        return op(math.hypot(ax - bx, ay - by), bound)
+        objects = env.objects
+        try:
+            lhs_box, rhs_box = objects[lhs].bbox, objects[rhs].bbox
+        except KeyError as exc:
+            raise _unbound(exc) from None
+        dx = lhs_x(lhs_box) - rhs_x(rhs_box)
+        return op(math.hypot(dx, lhs_y(lhs_box) - rhs_y(rhs_box)), bound)
     return check
 
 
 def _offset_const(c: _Compiler, phi: A.OffsetCmpConst) -> Check:
-    term, op, bound = phi.term, phi.cmp.function, phi.bound
+    var, coordinate = phi.term.var, _coordinate(phi.term.axis, phi.term.ref)
+    op, bound = phi.cmp.function, phi.bound
 
     def check(ctx: EvalContext, env: Env) -> bool:
-        return op(_offset_value(term, env), bound)
+        try:
+            box = env.objects[var].bbox
+        except KeyError as exc:
+            raise _unbound(exc) from None
+        return op(coordinate(box), bound)
     return check
 
 
 def _offset_ratio(c: _Compiler, phi: A.OffsetCmpRatio) -> Check:
-    lhs, rhs, op, ratio = phi.lhs, phi.rhs, phi.cmp.function, phi.ratio
-    what = f"{rhs.axis.value}({rhs.var})"
+    lhs_var, lhs_coordinate = phi.lhs.var, _coordinate(phi.lhs.axis, phi.lhs.ref)
+    rhs_var, rhs_coordinate = phi.rhs.var, _coordinate(phi.rhs.axis, phi.rhs.ref)
+    op, ratio = phi.cmp.function, phi.ratio
+    what = f"{phi.rhs.axis.value}({rhs_var})"
     ratio_ok = c.ratio_rhs_ok
 
     def check(ctx: EvalContext, env: Env) -> bool:
-        rhs_value = _offset_value(rhs, env)
-        if not ratio_ok(rhs_value, what):
-            return False
-        return op(_offset_value(lhs, env), ratio * rhs_value)
+        objects = env.objects
+        try:
+            rhs_value = rhs_coordinate(objects[rhs_var].bbox)
+            if not ratio_ok(rhs_value, what):
+                return False
+            lhs_value = lhs_coordinate(objects[lhs_var].bbox)
+        except KeyError as exc:
+            raise _unbound(exc) from None
+        return op(lhs_value, ratio * rhs_value)
     return check
 
 
@@ -559,7 +706,11 @@ def _bbox_of(c: _Compiler, term: A.BBoxOf) -> Term:
     var = term.var
 
     def region(universe: Universe, env: Env) -> Region:
-        return spatial.from_box(_captured(env, var).bbox, universe)
+        try:
+            box = env.objects[var].bbox
+        except KeyError as exc:
+            raise _unbound(exc) from None
+        return spatial.from_box(box, universe)
     return region
 
 
@@ -592,7 +743,8 @@ _TERM_BUILDERS: dict[type, Callable[[_Compiler, A.SpatialTerm], Term]] = {
 
 def eval_spatial(term: A.SpatialTerm, ctx: EvalContext, env: Env) -> Region:
     """Evaluate a core spatial term within the current frame's universe."""
-    return _Compiler().term(term)(_universe(ctx), env)
+    compiler = _Compiler()
+    return compiler.term(term)(compiler.universe(ctx), env)
 
 
 # Compiled programs by formula identity. Each entry holds its formula, so the

@@ -39,18 +39,24 @@ class Universe:
         return self.width * self.height
 
 
-@dataclass(frozen=True)
 class Region:
     """A finite union of interior-disjoint rectangles inside a universe.
 
     Construct regions through the module functions; they maintain the
     disjointness invariant. Two regions with different rectangle
     decompositions may denote the same point set, so compare regions by
-    area of their symmetric difference, not by equality.
+    area of their symmetric difference, not by equality. A plain slotted
+    class: the evaluator builds several per quantifier assignment.
     """
 
-    universe: Universe
-    rects: tuple[BoundingBox, ...] = ()
+    __slots__ = ("universe", "rects")
+
+    def __init__(self, universe: Universe, rects: tuple[BoundingBox, ...] = ()):
+        self.universe = universe
+        self.rects = rects
+
+    def __repr__(self) -> str:
+        return f"Region({self.universe!r}, {self.rects!r})"
 
 
 def _rect(xmin: float, ymin: float, xmax: float, ymax: float) -> BoundingBox:
@@ -95,6 +101,8 @@ def _subtract_all(pieces: list[BoundingBox], cutters: tuple[BoundingBox, ...]) -
 
 
 def _same_universe(a: Region, b: Region) -> Universe:
+    if a.universe is b.universe:
+        return a.universe
     if a.universe != b.universe:
         raise ContractViolation(
             f"regions belong to different universes: {a.universe} vs {b.universe}"
@@ -115,8 +123,11 @@ def from_box(box: BoundingBox, universe: Universe) -> Region:
 
     A box that is degenerate after clipping yields the empty region.
     """
-    # The clip of ``BoundingBox.clip``, without re-validating its result.
     width, height = universe.width, universe.height
+    if 0.0 <= box.xmin < box.xmax <= width and 0.0 <= box.ymin < box.ymax <= height:
+        # Inside and non-degenerate: the clip is the box itself.
+        return Region(universe, (box,))
+    # The clip of ``BoundingBox.clip``, without re-validating its result.
     xmin = min(max(box.xmin, 0.0), width)
     ymin = min(max(box.ymin, 0.0), height)
     xmax = min(max(box.xmax, 0.0), width)
@@ -171,7 +182,7 @@ def difference(a: Region, b: Region) -> Region:
 
 def area(a: Region) -> float:
     """Total area in square pixels (exact sum over disjoint rectangles)."""
-    return sum(r.area for r in a.rects)
+    return sum([(r.xmax - r.xmin) * (r.ymax - r.ymin) for r in a.rects])
 
 
 def is_empty(a: Region) -> bool:

@@ -140,9 +140,7 @@ class Frame:
             if not math.isfinite(value):
                 raise InvalidField(name, "must be finite")
             object.__setattr__(self, name, float(value))
-        if self.width <= 0 or self.height <= 0:
-            raise InvalidField("width" if self.width <= 0 else "height",
-                               "image extent must be positive")
+        _check_extent(self.width, self.height)
         for key, obj in self.objects.items():
             if key != obj.object_id:
                 raise ContractViolation(f"object map key {key} != object id {obj.object_id}")
@@ -151,6 +149,11 @@ class Frame:
                 raise ContractViolation(
                     f"object {key} box outside the {self.width}x{self.height} universe"
                 )
+
+
+def _check_extent(width: float, height: float) -> None:
+    if width <= 0 or height <= 0:
+        raise InvalidField("width" if width <= 0 else "height", "image extent must be positive")
 
 
 def make_frame(
@@ -168,6 +171,8 @@ def make_frame(
     """
     width = _as_number("width", width)
     height = _as_number("height", height)
+    # Before any box is clipped into the image, which must not be empty.
+    _check_extent(width, height)
     table: dict[int, DetectedObject] = {}
     for obj in objects:
         if obj.object_id in table:
@@ -283,22 +288,32 @@ def read_stream(source: IO[str] | IO[bytes] | Iterable[str] | Iterable[bytes]) -
     numbers must strictly increase and timestamps must not decrease
     (detectors can emit bursts with equal timestamps). The raised
     ``IngestError`` keeps its subclass and carries the 1-based input line
-    in ``line``.
+    in ``line``; a line that cannot be decoded, from a byte or a text-mode
+    source, is a ``MalformedJson``.
     """
     prev: Frame | None = None
-    for number, line in enumerate(source, 1):
-        try:
-            line = _decoded(line).strip()
-            if not line:
-                continue
-            frame = parse_frame(line)
-            if prev is not None:
-                if frame.frame_number <= prev.frame_number:
-                    raise NonMonotonicFrameNumber(prev.frame_number, frame.frame_number)
-                if frame.timestamp < prev.timestamp:
-                    raise NonMonotonicTimestamp(prev.timestamp, frame.timestamp)
-        except IngestError as exc:
-            exc.line = number
-            raise
-        prev = frame
-        yield frame
+    number = 0
+    try:
+        for number, line in enumerate(source, 1):
+            try:
+                line = _decoded(line).strip()
+                if not line:
+                    continue
+                frame = parse_frame(line)
+                if prev is not None:
+                    if frame.frame_number <= prev.frame_number:
+                        raise NonMonotonicFrameNumber(prev.frame_number, frame.frame_number)
+                    if frame.timestamp < prev.timestamp:
+                        raise NonMonotonicTimestamp(prev.timestamp, frame.timestamp)
+            except IngestError as exc:
+                exc.line = number
+                raise
+            prev = frame
+            yield frame
+    except UnicodeDecodeError as exc:
+        # Only a text-mode source raises this, from its iterator. It decodes a
+        # chunk at a time, starting in the line after the last one returned,
+        # so the bad byte's line is found by counting the newlines before it.
+        error = MalformedJson(f"not valid {exc.encoding.upper()}: {exc.reason}")
+        error.line = number + 1 + exc.object.count(b"\n", 0, exc.start)
+        raise error from exc

@@ -1,14 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from percemon.cli import cli
 from percemon.evaluate import evaluate_trace
+from percemon.generator import GenConfig, generate_frames
 from percemon.stql.desugar import desugar
 from percemon.stql.parser import parse
 from percemon.monitor import run_monitor
-from percemon.trace import read_stream
+from percemon.trace import read_stream, serialize_frame
 
 
 @pytest.fixture()
@@ -346,3 +351,27 @@ def test_deeply_nested_spec_is_a_diagnostic_not_a_crash(runner, tmp_path, comman
     assert result.exit_code == 1
     assert "1:401: syntax: specification nests deeper than 100 levels" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+# --- output into a closed pipe -------------------------------------------------
+
+@pytest.mark.parametrize("command", ["monitor", "run"])
+def test_closed_pipe_exits_quietly(tmp_path, command):
+    # Far more verdicts than a pipe buffers, so writes hit the closed pipe.
+    trace = tmp_path / "trace.jsonl"
+    frames = generate_frames(GenConfig(frames=4000, objects=3, seed=5))
+    trace.write_text("".join(serialize_frame(f) + "\n" for f in frames))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    flag = "--input" if command == "monitor" else "--trace"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "percemon.cli", command, "--spec", "builtin:phi1", flag, str(trace)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 128 + 13
+    assert json.loads(first)["frame"] == 0
+    assert stderr == ""  # no "Exception ignored ... BrokenPipeError" at shutdown

@@ -1,0 +1,180 @@
+"""Differential tests for the fused propositional core of the compiler.
+
+``evaluate`` compiles ``or`` chains into one n-ary node, ``not (a or b)``
+into one conjunction of the negated parts, ``not not a`` into ``a`` and
+``not (x == y)`` into ``x != y``. These tests check that the fused program
+means the same as the syntax tree: the same verdicts on rewritten but
+equivalent trees, the same errors, the same evaluation order and the same
+quantifier work.
+"""
+
+import dataclasses
+import logging
+import random
+
+import pytest
+
+from percemon import spatial
+from percemon.errors import ContractViolation
+from percemon.evaluate import EMPTY_ENV, Env, EvalContext, evaluate, evaluate_trace
+from percemon.generator import GenConfig, generate_frames
+from percemon.monitor import Monitor
+from percemon.stql import ast as A
+from percemon.stql.builtins import phi2
+from percemon.stql.desugar import desugar
+from percemon.stql.parser import parse
+from percemon.trace import BoundingBox, DetectedObject, make_frame
+
+from randgen import FormulaGen, random_trace
+
+_OPPOSITE_ID = {A.IdEq: A.IdNeq, A.IdNeq: A.IdEq}
+
+
+def _disjuncts(phi):
+    if type(phi) is A.Or:
+        return _disjuncts(phi.lhs) + _disjuncts(phi.rhs)
+    return [phi]
+
+
+def _regroup(parts, rng):
+    """The disjunction of ``parts`` in order, split at random points."""
+    if len(parts) == 1:
+        return parts[0]
+    cut = rng.randint(1, len(parts) - 1)
+    return A.Or(_regroup(parts[:cut], rng), _regroup(parts[cut:], rng))
+
+
+def scramble(phi, rng):
+    """An equivalent core formula: ``or`` chains re-associated, random
+    subformulas wrapped in ``not not``, and negated id comparisons swapped
+    for their complement (and back)."""
+    kind = type(phi)
+    if kind is A.Or:
+        out = _regroup([scramble(part, rng) for part in _disjuncts(phi)], rng)
+    elif kind is A.Not and type(phi.child) in _OPPOSITE_ID and rng.random() < 0.5:
+        out = _OPPOSITE_ID[type(phi.child)](phi.child.lhs, phi.child.rhs)
+    elif kind in _OPPOSITE_ID and rng.random() < 0.3:
+        out = A.Not(_OPPOSITE_ID[kind](phi.lhs, phi.rhs))
+    else:
+        changes = {name: scramble(getattr(phi, name), rng) for name in ("child", "lhs", "rhs")
+                   if isinstance(getattr(phi, name, None), A.Formula)}
+        out = dataclasses.replace(phi, **changes) if changes else phi
+    if rng.random() < 0.3:
+        out = A.Not(A.Not(out))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_equivalent_trees_give_the_same_verdicts(seed):
+    rng = random.Random(seed)
+    gen = FormulaGen(rng, max_depth=5, allow_sugar=True)
+    changed = 0
+    for _ in range(200):
+        phi = desugar(gen.formula())
+        variant = scramble(phi, rng)
+        changed += variant != phi
+        for trace in (random_trace(rng, max_frames=6, max_objects=3) for _ in range(2)):
+            assert evaluate_trace(variant, trace) == evaluate_trace(phi, trace), (phi, variant)
+    assert changed > 100  # most trees have something to rewrite
+
+
+def _frame_with(*objects):
+    return make_frame(0, 0.0, 100.0, 100.0, objects)
+
+
+def _car(oid, box=(10, 10, 30, 30)):
+    return DetectedObject(oid, "car", 0.9, BoundingBox(*box))
+
+
+@pytest.mark.parametrize("ids", [(1, 1), (1, 2)])
+def test_negated_id_comparisons_are_their_complements(ids):
+    frames = [_frame_with(_car(1), _car(2))]
+    env = Env(objects={"a": frames[0].objects[ids[0]], "b": frames[0].objects[ids[1]]})
+    context = EvalContext(frames, 0)
+    for atom, complement in ((A.IdEq("a", "b"), A.IdNeq("a", "b")),
+                             (A.IdNeq("a", "b"), A.IdEq("a", "b"))):
+        assert evaluate(A.Not(atom), context, env) == evaluate(complement, context, env)
+        assert evaluate(A.Not(A.Not(atom)), context, env) == evaluate(atom, context, env)
+        assert evaluate(A.Not(atom), context, env) != evaluate(atom, context, env)
+
+
+@pytest.mark.parametrize("text", [
+    "true and a == b",
+    "a == b and true",
+    "true implies prob(a) > 0.5",
+    "not (a == b) implies true",
+    "a != b",
+    "not (a == b)",
+    "true and (false or (true and lat(a, lm) > 1))",
+])
+def test_unbound_variable_under_fused_nodes_still_raises(text):
+    phi = desugar(parse(text.replace("false", "not true")))
+    frames = [_frame_with(_car(1))]
+    with pytest.raises(ContractViolation, match="object variable 'a' is unbound"):
+        evaluate(phi, EvalContext(frames, 0), EMPTY_ENV)
+    # With only the other variable bound, the error still names the missing one.
+    env = Env(objects={"b": frames[0].objects[1]})
+    with pytest.raises(ContractViolation, match="object variable 'a' is unbound"):
+        evaluate(phi, EvalContext(frames, 0), env)
+
+
+# Ratio atoms over a, b and c, which have distinct areas, and z, a zero-area
+# box: each records its denominator's area, then its numerator's.
+RATIO_TRUE = "area(bbox(a) & bbox(b)) / area(bbox(a)) >= 0.1"      # areas 100, 25
+RATIO_ZERO = "area(bbox(b)) / area(bbox(z)) >= 0.5"                 # area 0, warns
+RATIO_NEVER = "area(bbox(c)) / area(bbox(c)) >= 0.5"                # areas 900, 900
+
+
+@pytest.mark.parametrize("spec, value, areas", [
+    (f"{RATIO_TRUE} and {RATIO_ZERO}", False, [100.0, 25.0, 0]),
+    (f"({RATIO_TRUE} and {RATIO_ZERO}) and {RATIO_NEVER}", False, [100.0, 25.0, 0]),
+    (f"{RATIO_TRUE} and ({RATIO_ZERO} and {RATIO_NEVER})", False, [100.0, 25.0, 0]),
+    (f"{RATIO_ZERO} or {RATIO_TRUE}", True, [0, 100.0, 25.0]),
+    (f"{RATIO_ZERO} or ({RATIO_TRUE} or {RATIO_NEVER})", True, [0, 100.0, 25.0]),
+    (f"forall {{q}} @ (q == a implies ({RATIO_TRUE} and {RATIO_ZERO} and {RATIO_NEVER}))",
+     False, [100.0, 25.0, 0]),
+])
+def test_fused_ratio_atoms_run_left_to_right_and_stop(monkeypatch, caplog, spec, value, areas):
+    objects = {"a": _car(1, (0, 0, 10, 10)), "b": _car(2, (5, 5, 25, 25)),
+               "c": _car(3, (40, 40, 70, 70)), "z": _car(4, (50, 0, 50, 20))}
+    phi = desugar(parse(spec))
+    frames = [_frame_with(*objects.values())]
+    seen = []
+    original = spatial.area
+
+    def recording_area(region):
+        result = original(region)
+        seen.append(result)
+        return result
+
+    monkeypatch.setattr(spatial, "area", recording_area)
+    with caplog.at_level(logging.DEBUG, logger="percemon.evaluate"):
+        for _ in range(2):
+            assert evaluate(phi, EvalContext(frames, 0), Env(objects=objects)) is value
+    # Each atom is evaluated in source order until the outcome is settled.
+    assert seen == areas * 2
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1  # warn-once per compiled formula
+    assert "ratio denominator (area) is zero" in warnings[0].getMessage()
+
+
+def test_universe_follows_each_frames_extent():
+    # One compiled formula over frames of the same width and other heights.
+    fits = A.AreaCmpConst(A.UniverseSet(), A.Cmp.EQ, 100.0 * 50.0)
+    for height, value in ((50.0, True), (100.0, False), (50.0, True)):
+        frames = [make_frame(0, 0.0, 100.0, height, [])]
+        assert evaluate(fits, EvalContext(frames, 0)) is value
+
+
+def test_phi2_assignments_stay_n_plus_n_squared():
+    n = 16
+    frames = list(generate_frames(GenConfig(frames=12, objects=n, seed=7)))
+    assert all(len(f.objects) == n for f in frames)
+    monitor = Monitor(phi2())
+    per_verdict = []
+    for f in frames:
+        before = monitor.stats.assignments
+        assert len(monitor.push_frame(f)) == 1
+        per_verdict.append(monitor.stats.assignments - before)
+    # Frame 0 has no previous frame, so the inner exists is never reached.
+    assert per_verdict == [n] + [n + n * n] * (len(frames) - 1)

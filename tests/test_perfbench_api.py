@@ -41,3 +41,24 @@ def test_traced_pass_matches_offline_evaluator(perfbench):
     assert len(tracer.parse_ns) == 50
     assert metrics["spatial.calls_per_frame"] == 0
     assert metrics["evaluate.assignments_per_frame"] > 0
+
+
+@pytest.mark.parametrize("name", ["phi2-crowd", "phi1-sparse", "holds-window"])
+def test_traced_pass_keeps_each_workload_in_its_layer_ranges(perfbench, name):
+    prepare, traced = perfbench["prepare"], perfbench["traced"]
+    workload = perfbench["workloads"].WORKLOADS[name]
+    # The generated stream does not depend on its length, so this is the
+    # prefix of the seed-7 stream that the benchmark's traced pass reads.
+    inputs = prepare.Inputs(dataclasses.replace(workload, frames=workload.traced_frames), seed=7)
+    lines = inputs.jsonl.splitlines(keepends=True)
+    assert len(lines) == workload.traced_frames
+
+    config = MonitorConfig(max_history=workload.max_history)
+    tracer = traced.Tracer()
+    wall, setup_ns, values = tracer.run(lines, workload.spec_arg(), config)
+    assert values == inputs.reference
+
+    metrics = traced.layer_metrics([tracer], [wall], [wall], [setup_ns], len(lines))
+    assert workload.layer_ranges
+    for metric, (low, high) in workload.layer_ranges.items():
+        assert low <= metrics[metric] <= high, metric

@@ -224,6 +224,32 @@ def test_parse_rejects_non_positive_extent(extent, name):
         parse_frame(line)
 
 
+@pytest.mark.parametrize("extent, name", [('"width":0,"height":10', "width"),
+                                          ('"width":10,"height":-1', "height")])
+def test_non_positive_extent_is_rejected_before_any_clip(caplog, extent, name):
+    box = '{"id":1,"class":"car","prob":0.5,"bbox":[0,0,5,5]}'
+    line = f'{{"frame":0,"timestamp":0.0,{extent},"objects":[{box}]}}'
+    with caplog.at_level("DEBUG", logger="percemon"):
+        with pytest.raises(InvalidField) as info:
+            list(read_stream([line]))
+    assert str(info.value) == f"line 1: invalid field '{name}': image extent must be positive"
+    assert caplog.records == []
+
+
+@pytest.mark.parametrize("good_lines", [1, 3, 400])
+def test_text_source_that_cannot_decode_is_a_located_error(tmp_path, good_lines):
+    # 400 good lines put the bad one past the first chunk a text file decodes.
+    path = tmp_path / "trace.jsonl"
+    good = "".join(_record(i) + "\n" for i in range(good_lines)).encode()
+    path.write_bytes(good + b"\xff\xfe\n" + _record(good_lines).encode() + b"\n")
+    with open(path, encoding="utf-8") as source:
+        frames = read_stream(source)
+        with pytest.raises(MalformedJson) as info:
+            list(frames)
+    assert info.value.line == good_lines + 1
+    assert str(info.value) == f"line {good_lines + 1}: not valid UTF-8: invalid start byte"
+
+
 coordinates = st.floats(min_value=0, max_value=100, allow_nan=False, allow_infinity=False)
 
 
