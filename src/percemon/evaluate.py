@@ -158,12 +158,13 @@ def quantifier_assignments(
 ) -> Iterator[dict[str, DetectedObject]]:
     """All |objects|^k assignments of frame objects to the variables.
 
-    Objects are enumerated in ascending id order and tuples in
-    lexicographic order over the variable positions; repetition is allowed.
+    Objects are enumerated in the order of the frame's map, which ingest
+    keeps in ascending id order, and tuples in lexicographic order over the
+    variable positions; repetition is allowed.
     """
     if not variables:
         raise ContractViolation("quantifier without variables")
-    objs = [frame.objects[key] for key in sorted(frame.objects)]
+    objs = frame.objects.values()
     if len(variables) == 1:
         var = variables[0]
         for obj in objs:
@@ -209,29 +210,18 @@ def _pin(pins: Mapping[str, float], name: str, kind: str):
     return pins[name]
 
 
-_UNIVERSES_MAX = 16
+def _universe(ctx: EvalContext) -> Universe:
+    """The current frame's universe."""
+    frame = ctx.trace[ctx.index]
+    return Universe(frame.width, frame.height)
 
 
 class _Compiler:
     """Builds the closure tree of one formula and owns its per-program state:
-    warn-once messages and universes by image extent."""
+    warn-once messages."""
 
     def __init__(self) -> None:
         self.warned: set[str] = set()
-        self.universes: dict[tuple[float, float], Universe] = {}
-
-    def universe(self, ctx: EvalContext) -> Universe:
-        """The current frame's universe. A stream has one image extent, so its
-        spatial atoms share one checked ``Universe`` instead of each building
-        its own."""
-        frame = ctx.trace[ctx.index]
-        key = (frame.width, frame.height)
-        universe = self.universes.get(key)
-        if universe is None:
-            if len(self.universes) >= _UNIVERSES_MAX:
-                self.universes.clear()
-            universe = self.universes[key] = Universe(frame.width, frame.height)
-        return universe
 
     def formula(self, phi: A.Formula) -> Check:
         build = _FORMULA_BUILDERS.get(type(phi))
@@ -583,29 +573,28 @@ def _prob_ratio(c: _Compiler, phi: A.ProbCmpRatio) -> Check:
 
 
 def _spatial_exists(c: _Compiler, phi: A.SpatialExists) -> Check:
-    term, universe = c.term(phi.term), c.universe
+    term = c.term(phi.term)
 
     def check(ctx: EvalContext, env: Env) -> bool:
-        return not spatial.is_empty(term(universe(ctx), env))
+        return not spatial.is_empty(term(_universe(ctx), env))
     return check
 
 
 def _area_const(c: _Compiler, phi: A.AreaCmpConst) -> Check:
     term, op, bound = c.term(phi.term), phi.cmp.function, phi.bound
-    universe = c.universe
 
     def check(ctx: EvalContext, env: Env) -> bool:
-        return op(spatial.area(term(universe(ctx), env)), bound)
+        return op(spatial.area(term(_universe(ctx), env)), bound)
     return check
 
 
 def _area_ratio(c: _Compiler, phi: A.AreaCmpRatio) -> Check:
     lhs, rhs = c.term(phi.lhs), c.term(phi.rhs)
     op, ratio = phi.cmp.function, phi.ratio
-    ratio_ok, universe_of = c.ratio_rhs_ok, c.universe
+    ratio_ok = c.ratio_rhs_ok
 
     def check(ctx: EvalContext, env: Env) -> bool:
-        universe = universe_of(ctx)
+        universe = _universe(ctx)
         rhs_area = spatial.area(rhs(universe, env))
         if not ratio_ok(rhs_area, "area"):
             return False
@@ -743,8 +732,7 @@ _TERM_BUILDERS: dict[type, Callable[[_Compiler, A.SpatialTerm], Term]] = {
 
 def eval_spatial(term: A.SpatialTerm, ctx: EvalContext, env: Env) -> Region:
     """Evaluate a core spatial term within the current frame's universe."""
-    compiler = _Compiler()
-    return compiler.term(term)(compiler.universe(ctx), env)
+    return _Compiler().term(term)(_universe(ctx), env)
 
 
 # Compiled programs by formula identity. Each entry holds its formula, so the

@@ -7,6 +7,11 @@ rectangles". Regions are compared by area (Lebesgue measure): shared edges
 and zero-width slivers count as empty. Coordinates are ordinary IEEE
 doubles; the operations only ever take mins and maxes of input
 coordinates, so no epsilon handling is needed.
+
+Rectangles are plain ``BoundingBox`` values and nothing here checks them
+again: ingest (``trace``) has checked every input box and image extent,
+and a rectangle derived from checked boxes by mins and maxes is finite and
+ordered.
 """
 
 from __future__ import annotations
@@ -17,26 +22,20 @@ from .errors import ContractViolation
 from .trace import BoundingBox
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Universe:
-    """The bounded rectangle within which all regions are interpreted."""
+    """The bounded rectangle within which all regions are interpreted.
+
+    A plain value: the evaluator builds one from each frame's extent,
+    which ingest has already checked to be positive and finite.
+    """
 
     width: float
     height: float
 
-    def __post_init__(self) -> None:
-        if not (self.width > 0 and self.height > 0):
-            raise ContractViolation(f"universe extent must be positive, got {self.width}x{self.height}")
-        object.__setattr__(self, "width", float(self.width))
-        object.__setattr__(self, "height", float(self.height))
-
     @property
     def box(self) -> BoundingBox:
         return BoundingBox(0.0, 0.0, self.width, self.height)
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
 
 
 class Region:
@@ -59,18 +58,6 @@ class Region:
         return f"Region({self.universe!r}, {self.rects!r})"
 
 
-def _rect(xmin: float, ymin: float, xmax: float, ymax: float) -> BoundingBox:
-    """A rectangle built without ``BoundingBox`` validation.
-
-    Sound only for coordinates that are mins and maxes of coordinates of
-    boxes already validated (finite floats), taken so that xmin <= xmax and
-    ymin <= ymax; every caller below derives its rectangles that way.
-    """
-    box = object.__new__(BoundingBox)
-    box.__dict__.update(xmin=xmin, ymin=ymin, xmax=xmax, ymax=ymax)
-    return box
-
-
 def _subtract_box(piece: BoundingBox, cutter: BoundingBox) -> list[BoundingBox]:
     """Split ``piece`` minus ``cutter`` into at most four disjoint rectangles."""
     ox1 = max(piece.xmin, cutter.xmin)
@@ -82,13 +69,13 @@ def _subtract_box(piece: BoundingBox, cutter: BoundingBox) -> list[BoundingBox]:
         return [piece]
     out = []
     if piece.xmin < ox1:
-        out.append(_rect(piece.xmin, piece.ymin, ox1, piece.ymax))
+        out.append(BoundingBox(piece.xmin, piece.ymin, ox1, piece.ymax))
     if ox2 < piece.xmax:
-        out.append(_rect(ox2, piece.ymin, piece.xmax, piece.ymax))
+        out.append(BoundingBox(ox2, piece.ymin, piece.xmax, piece.ymax))
     if piece.ymin < oy1:
-        out.append(_rect(ox1, piece.ymin, ox2, oy1))
+        out.append(BoundingBox(ox1, piece.ymin, ox2, oy1))
     if oy2 < piece.ymax:
-        out.append(_rect(ox1, oy2, ox2, piece.ymax))
+        out.append(BoundingBox(ox1, oy2, ox2, piece.ymax))
     return out
 
 
@@ -127,14 +114,10 @@ def from_box(box: BoundingBox, universe: Universe) -> Region:
     if 0.0 <= box.xmin < box.xmax <= width and 0.0 <= box.ymin < box.ymax <= height:
         # Inside and non-degenerate: the clip is the box itself.
         return Region(universe, (box,))
-    # The clip of ``BoundingBox.clip``, without re-validating its result.
-    xmin = min(max(box.xmin, 0.0), width)
-    ymin = min(max(box.ymin, 0.0), height)
-    xmax = min(max(box.xmax, 0.0), width)
-    ymax = min(max(box.ymax, 0.0), height)
-    if not (xmax > xmin and ymax > ymin):
+    clipped = box.clip(width, height)
+    if not (clipped.xmax > clipped.xmin and clipped.ymax > clipped.ymin):
         return empty_region(universe)
-    return Region(universe, (_rect(xmin, ymin, xmax, ymax),))
+    return Region(universe, (clipped,))
 
 
 def union(a: Region, b: Region) -> Region:
@@ -161,7 +144,7 @@ def intersect(a: Region, b: Region) -> Region:
             x2 = min(pa.xmax, pb.xmax)
             y2 = min(pa.ymax, pb.ymax)
             if x1 < x2 and y1 < y2:
-                rects.append(_rect(x1, y1, x2, y2))
+                rects.append(BoundingBox(x1, y1, x2, y2))
     return Region(u, tuple(rects))
 
 

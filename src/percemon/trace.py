@@ -2,8 +2,9 @@
 
 A trace is an ordered sequence of frames. Each frame is one detector and
 tracker snapshot: a frame number, a timestamp in seconds, the image extent
-in pixels, and the detected objects keyed by their tracker id. All types
-are immutable value objects.
+in pixels, and the detected objects keyed by their tracker id, in
+ascending id order. All types are immutable plain values: their
+constructors check nothing.
 
 Wire format, one record per line (unknown fields ignored; ``width`` and
 ``height`` are required):
@@ -12,10 +13,15 @@ Wire format, one record per line (unknown fields ignored; ``width`` and
      "objects": [{"id": 7, "class": "pedestrian", "prob": 0.92,
                   "bbox": [10, 20, 30, 60]}]}
 
-``read_stream`` is where frames enter the program: it parses each record,
-checks that frame numbers strictly increase and timestamps never decrease,
-and tags any ``IngestError`` with the input line it came from. Nothing
-downstream checks frame order again.
+``_checked_frame`` is the one place where field values are checked and
+converted to float. ``parse_frame`` checks only the JSON shape of a record
+and hands it the raw values; ``make_frame`` is the checked constructor for
+library callers. Frame fields are checked before any object, and every
+object before any box is clipped into the image. ``read_stream`` is where
+frames enter the program: it parses each record, checks that frame
+numbers strictly increase and timestamps never decrease, and tags any
+``IngestError`` with the input line it came from. Nothing downstream
+checks a frame again.
 """
 
 from __future__ import annotations
@@ -24,11 +30,10 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Any, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     ConfidenceOutOfRange,
-    ContractViolation,
     DuplicateObjectId,
     IngestError,
     InvalidField,
@@ -41,7 +46,7 @@ from .errors import (
 log = logging.getLogger("percemon.trace")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Axis-aligned box in image coordinates (origin top-left, y grows down)."""
 
@@ -49,32 +54,6 @@ class BoundingBox:
     ymin: float
     xmax: float
     ymax: float
-
-    def __post_init__(self) -> None:
-        for name in ("xmin", "ymin", "xmax", "ymax"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise InvalidField(name, f"expected a number, got {value!r}")
-            if not math.isfinite(value):
-                raise InvalidField(name, "coordinate must be finite")
-            object.__setattr__(self, name, float(value))
-        if self.xmin > self.xmax or self.ymin > self.ymax:
-            raise InvalidField(
-                "bbox",
-                f"inverted box [{self.xmin}, {self.ymin}, {self.xmax}, {self.ymax}]",
-            )
-
-    @property
-    def width(self) -> float:
-        return self.xmax - self.xmin
-
-    @property
-    def height(self) -> float:
-        return self.ymax - self.ymin
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
 
     def clip(self, width: float, height: float) -> "BoundingBox":
         """Clamp the box into [0, width] x [0, height]. Idempotent."""
@@ -90,7 +69,7 @@ class BoundingBox:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetectedObject:
     """One tracked detection: tracker id, class label, confidence and box."""
 
@@ -99,27 +78,15 @@ class DetectedObject:
     confidence: float
     bbox: BoundingBox
 
-    def __post_init__(self) -> None:
-        if isinstance(self.object_id, bool) or not isinstance(self.object_id, int):
-            raise InvalidField("id", f"expected a natural number, got {self.object_id!r}")
-        if self.object_id < 0:
-            raise InvalidField("id", f"object id must be non-negative, got {self.object_id}")
-        if not isinstance(self.class_label, str) or not self.class_label:
-            raise InvalidField("class", "class label must be a non-empty string")
-        if isinstance(self.confidence, bool) or not isinstance(self.confidence, (int, float)):
-            raise InvalidField("prob", f"expected a number, got {self.confidence!r}")
-        if not (0.0 <= float(self.confidence) <= 1.0):
-            raise ConfidenceOutOfRange(float(self.confidence))
-        object.__setattr__(self, "confidence", float(self.confidence))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Frame:
     """One timestamped perception snapshot.
 
-    The object map is keyed by tracker id; every box must already lie
-    inside the [0, width] x [0, height] universe (ingestion clips and
-    warns, so a violation here is a programming error).
+    The object map is keyed by tracker id in ascending id order, and every
+    box lies inside the [0, width] x [0, height] universe. ``make_frame``,
+    ``parse_frame`` and ``read_stream`` establish this; a frame built
+    directly is taken as given.
     """
 
     frame_number: int
@@ -128,32 +95,92 @@ class Frame:
     height: float
     objects: Mapping[int, DetectedObject] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if isinstance(self.frame_number, bool) or not isinstance(self.frame_number, int):
-            raise InvalidField("frame", f"expected a natural number, got {self.frame_number!r}")
-        if self.frame_number < 0:
-            raise InvalidField("frame", "frame number must be non-negative")
-        for name in ("timestamp", "width", "height"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise InvalidField(name, f"expected a number, got {value!r}")
-            if not math.isfinite(value):
-                raise InvalidField(name, "must be finite")
-            object.__setattr__(self, name, float(value))
-        _check_extent(self.width, self.height)
-        for key, obj in self.objects.items():
-            if key != obj.object_id:
-                raise ContractViolation(f"object map key {key} != object id {obj.object_id}")
-            b = obj.bbox
-            if b.xmin < 0 or b.ymin < 0 or b.xmax > self.width or b.ymax > self.height:
-                raise ContractViolation(
-                    f"object {key} box outside the {self.width}x{self.height} universe"
-                )
+
+def _number(name: str, value: Any) -> float:
+    """A JSON number as a float; an integer beyond the float range is infinite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidField(name, f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
-def _check_extent(width: float, height: float) -> None:
+def _finite(name: str, value: Any, reason: str) -> float:
+    number = _number(name, value)
+    if not math.isfinite(number):
+        raise InvalidField(name, reason)
+    return number
+
+
+def _natural(name: str, value: Any) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidField(name, f"expected a natural number, got {value!r}")
+    return value
+
+
+# One detection's raw fields: id, class, prob and the four bbox coordinates.
+_RawObject = tuple[Any, Any, Any, Sequence[Any]]
+
+
+def _checked_frame(
+    frame_number: Any, timestamp: Any, width: Any, height: Any, objects: Iterable[_RawObject]
+) -> Frame:
+    """The one validator of frame field values, for parsed and built frames.
+
+    Checks the frame's own fields, then each object in turn, and only then
+    clips boxes that reach outside the image (with a warning), so no
+    warning precedes an error. Objects go into the map in ascending id
+    order.
+    """
+    if _natural("frame", frame_number) < 0:
+        raise InvalidField("frame", "frame number must be non-negative")
+    timestamp = _finite("timestamp", timestamp, "must be finite")
+    width = _number("width", width)
+    height = _number("height", height)
     if width <= 0 or height <= 0:
         raise InvalidField("width" if width <= 0 else "height", "image extent must be positive")
+    if not math.isfinite(width):
+        raise InvalidField("width", "must be finite")
+    if not math.isfinite(height):
+        raise InvalidField("height", "must be finite")
+
+    table: dict[int, DetectedObject] = {}
+    clipped = []
+    ascending = True
+    last = -1
+    for object_id, label, prob, (xmin, ymin, xmax, ymax) in objects:
+        xmin = _finite("xmin", xmin, "coordinate must be finite")
+        ymin = _finite("ymin", ymin, "coordinate must be finite")
+        xmax = _finite("xmax", xmax, "coordinate must be finite")
+        ymax = _finite("ymax", ymax, "coordinate must be finite")
+        if xmin > xmax or ymin > ymax:
+            raise InvalidField("bbox", f"inverted box [{xmin}, {ymin}, {xmax}, {ymax}]")
+        if _natural("id", object_id) < 0:
+            raise InvalidField("id", f"object id must be non-negative, got {object_id}")
+        if not isinstance(label, str) or not label:
+            raise InvalidField("class", "class label must be a non-empty string")
+        prob = _number("prob", prob)
+        if not (0.0 <= prob <= 1.0):
+            raise ConfidenceOutOfRange(prob)
+        if object_id in table:
+            raise DuplicateObjectId(object_id)
+        box = BoundingBox(xmin, ymin, xmax, ymax)
+        if xmin < 0 or ymin < 0 or xmax > width or ymax > height:
+            box = box.clip(width, height)
+            clipped.append(object_id)
+        table[object_id] = DetectedObject(object_id, label, prob, box)
+        ascending = ascending and object_id > last
+        last = object_id
+
+    for object_id in clipped:
+        log.warning(
+            "frame %s: object %s box clipped to the %sx%s universe",
+            frame_number, object_id, width, height,
+        )
+    if not ascending:
+        table = dict(sorted(table.items()))
+    return Frame(frame_number, timestamp, width, height, table)
 
 
 def make_frame(
@@ -163,30 +190,18 @@ def make_frame(
     height: float,
     objects: Iterable[DetectedObject] = (),
 ) -> Frame:
-    """Build a frame from a list of detections, clipping boxes into the universe.
+    """Build a checked frame from a list of detections, clipping boxes into the universe.
 
-    Out-of-universe boxes are clipped and reported with a warning, matching
-    how real detectors slightly overshoot the image. Duplicate ids are an
-    error.
+    The detections' fields are checked as ingest checks them, with the same
+    errors. Out-of-universe boxes are clipped and reported with a warning,
+    matching how real detectors slightly overshoot the image. Duplicate ids
+    are an error.
     """
-    width = _as_number("width", width)
-    height = _as_number("height", height)
-    # Before any box is clipped into the image, which must not be empty.
-    _check_extent(width, height)
-    table: dict[int, DetectedObject] = {}
-    for obj in objects:
-        if obj.object_id in table:
-            raise DuplicateObjectId(obj.object_id)
-        b = obj.bbox
-        if b.xmin < 0 or b.ymin < 0 or b.xmax > width or b.ymax > height:
-            log.warning(
-                "frame %s: object %s box clipped to the %sx%s universe",
-                frame_number, obj.object_id, width, height,
-            )
-            obj = DetectedObject(obj.object_id, obj.class_label, obj.confidence,
-                                 b.clip(width, height))
-        table[obj.object_id] = obj
-    return Frame(frame_number, timestamp, width, height, table)
+    return _checked_frame(frame_number, timestamp, width, height, (
+        (obj.object_id, obj.class_label, obj.confidence,
+         (obj.bbox.xmin, obj.bbox.ymin, obj.bbox.xmax, obj.bbox.ymax))
+        for obj in objects
+    ))
 
 
 def _require(record: dict, name: str):
@@ -195,10 +210,15 @@ def _require(record: dict, name: str):
     return record[name]
 
 
-def _as_number(name: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidField(name, f"expected a number, got {value!r}")
-    return float(value)
+def _raw_objects(raw_objects: list) -> Iterator[_RawObject]:
+    """The raw fields of each object record, after its JSON shape is checked."""
+    for raw in raw_objects:
+        if not isinstance(raw, dict):
+            raise InvalidField("objects", "each object must be a JSON object")
+        bbox = _require(raw, "bbox")
+        if not isinstance(bbox, list) or len(bbox) != 4:
+            raise InvalidField("bbox", "expected [xmin, ymin, xmax, ymax]")
+        yield _require(raw, "id"), _require(raw, "class"), _require(raw, "prob"), bbox
 
 
 def parse_frame(json_text: str) -> Frame:
@@ -218,27 +238,10 @@ def parse_frame(json_text: str) -> Frame:
     timestamp = _require(record, "timestamp")
     width = _require(record, "width")
     height = _require(record, "height")
-
     raw_objects = _require(record, "objects")
     if not isinstance(raw_objects, list):
         raise InvalidField("objects", "expected a list")
-
-    detections = []
-    for raw in raw_objects:
-        if not isinstance(raw, dict):
-            raise InvalidField("objects", "each object must be a JSON object")
-        bbox_raw = _require(raw, "bbox")
-        if not isinstance(bbox_raw, list) or len(bbox_raw) != 4:
-            raise InvalidField("bbox", "expected [xmin, ymin, xmax, ymax]")
-        detections.append(
-            DetectedObject(
-                object_id=_require(raw, "id"),
-                class_label=_require(raw, "class"),
-                confidence=_require(raw, "prob"),
-                bbox=BoundingBox(*bbox_raw),
-            )
-        )
-    return make_frame(frame_number, timestamp, width, height, detections)
+    return _checked_frame(frame_number, timestamp, width, height, _raw_objects(raw_objects))
 
 
 def _plain_number(value: float):
@@ -265,7 +268,7 @@ def serialize_frame(frame: Frame) -> str:
                     _plain_number(obj.bbox.ymax),
                 ],
             }
-            for obj in sorted(frame.objects.values(), key=lambda o: o.object_id)
+            for obj in frame.objects.values()
         ],
     }
     return json.dumps(record, separators=(",", ":"))

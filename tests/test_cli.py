@@ -182,6 +182,30 @@ def test_malformed_width_is_a_located_error(runner, tmp_path, command, width, re
     assert "Traceback" not in result.stderr
 
 
+HUGE = str(10**400)
+
+
+@pytest.mark.parametrize("command", ["run", "monitor"])
+@pytest.mark.parametrize("timestamp, width, bbox, prob, message", [
+    ("0.1", "10", f"[0,0,{HUGE},5]", "0.5", "invalid field 'xmax': coordinate must be finite"),
+    (HUGE, "10", "[0,0,5,5]", "0.5", "invalid field 'timestamp': must be finite"),
+    ("0.1", HUGE, "[0,0,5,5]", "0.5", "invalid field 'width': must be finite"),
+    ("0.1", "10", "[0,0,5,5]", HUGE, "confidence inf is outside [0, 1]"),
+    ("0.1", "10", "[0,0,5,5]", "-" + HUGE, "confidence -inf is outside [0, 1]"),
+], ids=["bbox", "timestamp", "width", "prob", "negative-prob"])
+def test_huge_integer_is_a_located_error(runner, tmp_path, command, timestamp, width, bbox, prob,
+                                         message):
+    trace = tmp_path / "trace.jsonl"
+    box = f'[{{"id":1,"class":"car","prob":{prob},"bbox":{bbox}}}]'
+    trace.write_text(record(0, 0.0) + record(1, timestamp, width=width, objects=box))
+    flag = "--trace" if command == "run" else "--input"
+    result = invoke(runner, command, "--spec", "builtin:phi1", flag, str(trace))
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: line 2: ")
+    assert f"error: line 2: {message}\n" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 @pytest.mark.parametrize("command", ["run", "monitor"])
 def test_invalid_utf8_is_a_located_error(runner, tmp_path, command):
     trace = tmp_path / "trace.jsonl"

@@ -186,13 +186,14 @@ def test_euclidean_distance():
 # --- quantifiers --------------------------------------------------------------
 
 def test_quantifier_assignment_enumeration():
-    f = frame(0, obj(3), obj(7))
-    single = list(quantifier_assignments(["v"], f))
-    assert [a["v"].object_id for a in single] == [3, 7]
-    double = list(quantifier_assignments(["v", "w"], f))
-    assert [(a["v"].object_id, a["w"].object_id) for a in double] == [
-        (3, 3), (3, 7), (7, 3), (7, 7)
-    ]
+    # Ascending id order whatever order the detections came in.
+    for f in (frame(0, obj(3), obj(7)), frame(0, obj(7), obj(3))):
+        single = list(quantifier_assignments(["v"], f))
+        assert [a["v"].object_id for a in single] == [3, 7]
+        double = list(quantifier_assignments(["v", "w"], f))
+        assert [(a["v"].object_id, a["w"].object_id) for a in double] == [
+            (3, 3), (3, 7), (7, 3), (7, 7)
+        ]
 
 
 def test_exists_on_empty_frame_is_false():

@@ -225,7 +225,6 @@ def _built_checked(term) -> Region:
         region = _BINARY[term[0]](_built_checked(term[1]), _built_checked(term[2]))
     for r in region.rects:
         coords = (r.xmin, r.ymin, r.xmax, r.ymax)
-        assert BoundingBox(*coords) == r
         assert all(type(v) is float for v in coords)
         assert r.xmax > r.xmin and r.ymax > r.ymin
         assert 0.0 <= r.xmin and r.xmax <= SMALL.width

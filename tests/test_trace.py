@@ -3,12 +3,13 @@ import json
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from percemon.errors import (
     ConfidenceOutOfRange,
     DuplicateObjectId,
+    IngestError,
     InvalidField,
     MalformedJson,
     MissingField,
@@ -91,17 +92,17 @@ def test_out_of_universe_box_clipped_with_warning(caplog):
 
 def test_inverted_box_rejected():
     with pytest.raises(InvalidField):
-        BoundingBox(10, 0, 0, 10)
+        make_frame(0, 0.0, 100, 100, [DetectedObject(1, "car", 0.5, BoundingBox(10, 0, 0, 10))])
 
 
 def test_non_finite_coordinates_rejected():
     with pytest.raises(InvalidField):
-        BoundingBox(0, 0, math.inf, 10)
+        make_frame(0, 0.0, 100, 100, [DetectedObject(1, "car", 0.5, BoundingBox(0, 0, math.inf, 10))])
 
 
 def test_empty_class_label_rejected():
     with pytest.raises(InvalidField):
-        DetectedObject(1, "", 0.5, BoundingBox(0, 0, 1, 1))
+        make_frame(0, 0.0, 100, 100, [DetectedObject(1, "", 0.5, BoundingBox(0, 0, 1, 1))])
 
 
 def test_read_stream_in_order():
@@ -181,13 +182,13 @@ def test_unlocated_ingest_error_message_is_unchanged():
 
 def _count_boxes(monkeypatch) -> list:
     built = []
-    original = BoundingBox.__post_init__
+    original = BoundingBox.__init__
 
-    def counting(self):
+    def counting(self, *coordinates):
         built.append(self)
-        original(self)
+        original(self, *coordinates)
 
-    monkeypatch.setattr(BoundingBox, "__post_init__", counting)
+    monkeypatch.setattr(BoundingBox, "__init__", counting)
     return built
 
 
@@ -224,15 +225,26 @@ def test_parse_rejects_non_positive_extent(extent, name):
         parse_frame(line)
 
 
-@pytest.mark.parametrize("extent, name", [('"width":0,"height":10', "width"),
-                                          ('"width":10,"height":-1', "height")])
-def test_non_positive_extent_is_rejected_before_any_clip(caplog, extent, name):
-    box = '{"id":1,"class":"car","prob":0.5,"bbox":[0,0,5,5]}'
-    line = f'{{"frame":0,"timestamp":0.0,{extent},"objects":[{box}]}}'
+@pytest.mark.parametrize("fields, message", [
+    pytest.param('"frame":0,"timestamp":0.0,"width":0,"height":10',
+                 "invalid field 'width': image extent must be positive",
+                 id='"width":0,"height":10-width'),
+    pytest.param('"frame":0,"timestamp":0.0,"width":10,"height":-1',
+                 "invalid field 'height': image extent must be positive",
+                 id='"width":10,"height":-1-height'),
+    pytest.param('"frame":-1,"timestamp":0.0,"width":10,"height":10',
+                 "invalid field 'frame': frame number must be non-negative", id="frame"),
+    pytest.param('"frame":0,"timestamp":NaN,"width":10,"height":10',
+                 "invalid field 'timestamp': must be finite", id="timestamp"),
+])
+def test_non_positive_extent_is_rejected_before_any_clip(caplog, fields, message):
+    # The box reaches outside the image in every case, so it would be clipped.
+    box = '{"id":1,"class":"car","prob":0.5,"bbox":[0,0,50,50]}'
+    line = f'{{{fields},"objects":[{box}]}}'
     with caplog.at_level("DEBUG", logger="percemon"):
         with pytest.raises(InvalidField) as info:
             list(read_stream([line]))
-    assert str(info.value) == f"line 1: invalid field '{name}': image extent must be positive"
+    assert str(info.value) == f"line 1: {message}"
     assert caplog.records == []
 
 
@@ -301,3 +313,31 @@ def test_read_stream_yields_one_frame_per_line(numbers):
     )
     frames = list(read_stream(io.StringIO(payload)))
     assert [f.frame_number for f in frames] == numbers
+
+
+HOSTILE_VALUES = ["null", '"x"', "true", "[]", "{}", "NaN", "1e999", "-1",
+                  str(10**400), str(-10**400)]
+FRAME_FIELDS = ["frame", "timestamp", "width", "height"]
+OBJECT_FIELDS = ["id", "class", "prob"]
+CORNERS = ["xmin", "ymin", "xmax", "ymax"]
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(FRAME_FIELDS + OBJECT_FIELDS + CORNERS), st.sampled_from(HOSTILE_VALUES))
+def test_hostile_field_value_is_a_frame_or_an_ingest_error(name, value):
+    obj = {"id": 2, "class": "car", "prob": 0.5, "bbox": [10, 20, 30, 40]}
+    record = {"frame": 3, "timestamp": 0.3, "width": 100, "height": 100,
+              "objects": [{"id": 1, "class": "bus", "prob": 0.9, "bbox": [0, 0, 5, 5]}, obj]}
+    hole = "HOSTILE"
+    if name in CORNERS:
+        obj["bbox"][CORNERS.index(name)] = hole
+    elif name in OBJECT_FIELDS:
+        obj[name] = hole
+    else:
+        record[name] = hole
+    line = json.dumps(record).replace(json.dumps(hole), value)
+    try:
+        frame = parse_frame(line)
+    except IngestError:
+        return
+    assert parse_frame(serialize_frame(frame)) == frame
