@@ -1,7 +1,7 @@
 """Command-line interface: check, run, monitor, bench and gen.
 
-Verdicts stream as JSONL records
-``{"frame": n, "timestamp": t, "verdict": b, "eval_time_ns": k}``; frames
+Verdicts stream as compact JSONL records
+``{"frame":n,"timestamp":t,"verdict":b,"eval_time_ns":k}``; frames
 use the trace module's wire format and are read with ``read_stream``, so
 an ingest error names its input line. Exit codes: 0 on success, 1 on input
 or specification errors, 2 on internal contract violations. Set
@@ -12,7 +12,6 @@ stderr.
 from __future__ import annotations
 
 import functools
-import json
 import logging
 import os
 import sys
@@ -93,8 +92,15 @@ def _checked_spec(spec: str, params: dict[str, float]):
 
 def _emit_verdict(verdict: Verdict) -> None:
     # One buffered write per verdict; the commands flush where output must
-    # be seen, inside ``_guarded`` so that a closed pipe exits quietly.
-    sys.stdout.write(json.dumps(verdict.to_json_obj(), separators=(",", ":")) + "\n")
+    # be seen, inside ``_guarded`` so that a closed pipe exits quietly. The
+    # line is formatted directly, with the bytes of ``json.dumps(
+    # verdict.to_json_obj(), separators=(",", ":"))``: an int and a finite
+    # float (ingest checks timestamps) print as their repr in JSON too.
+    sys.stdout.write(
+        f'{{"frame":{verdict.frame_number!r},"timestamp":{verdict.timestamp!r},'
+        f'"verdict":{"true" if verdict.value else "false"},'
+        f'"eval_time_ns":{verdict.eval_time_ns!r}}}\n'
+    )
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})

@@ -14,6 +14,8 @@ A specification whose requirement is unbounded needs an explicit override.
 
 The monitor takes frames in the order the caller pushes them and does not
 check it; ``trace.read_stream`` checks frame order where frames are read.
+Each verdict copies the window out of the buffer once, and a ``Verdict``
+is a plain value built like the trace records (``trace.plain_value``).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .stql import ast as A
 from .stql.bindings import require_bindings
 from .stql.bounds import FrameBounds, compute_bounds
 from .stql.desugar import desugar
-from .trace import Frame
+from .trace import Frame, plain_value
 
 
 @dataclass(frozen=True)
@@ -39,9 +41,9 @@ class MonitorConfig:
     max_horizon: int | None = None
 
 
-@dataclass(frozen=True)
+@plain_value
 class Verdict:
-    """Per-frame monitoring output."""
+    """Per-frame monitoring output, a plain value like the trace records."""
 
     frame_number: int
     timestamp: float
@@ -105,7 +107,9 @@ class Monitor:
         # window starts never move backwards, flush included: that is what
         # lets the summaries reuse entries computed for earlier windows.
         start = max(self._base, index - self.history)
-        window = list(self._buffer)[start - self._base :]
+        window = list(self._buffer)
+        if start > self._base:
+            window = window[start - self._base :]
         rel = index - start
         started = time.perf_counter_ns()
         ctx = EvalContext(window, rel, self.stats, offset=start, summaries=self._summaries)

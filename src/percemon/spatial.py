@@ -16,13 +16,11 @@ ordered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ContractViolation
-from .trace import BoundingBox
+from .trace import BoundingBox, plain_value
 
 
-@dataclass(frozen=True, slots=True)
+@plain_value
 class Universe:
     """The bounded rectangle within which all regions are interpreted.
 

@@ -4,7 +4,9 @@ A trace is an ordered sequence of frames. Each frame is one detector and
 tracker snapshot: a frame number, a timestamp in seconds, the image extent
 in pixels, and the detected objects keyed by their tracker id, in
 ascending id order. All types are immutable plain values: their
-constructors check nothing.
+constructors check nothing. ``plain_value`` makes them (and
+``spatial.Universe`` and ``monitor.Verdict``) frozen slotted dataclasses
+whose ``__init__`` stores each field through its slot descriptor.
 
 Wire format, one record per line (unknown fields ignored; ``width`` and
 ``height`` are required):
@@ -14,10 +16,12 @@ Wire format, one record per line (unknown fields ignored; ``width`` and
                   "bbox": [10, 20, 30, 60]}]}
 
 ``_checked_frame`` is the one place where field values are checked and
-converted to float. ``parse_frame`` checks only the JSON shape of a record
-and hands it the raw values; ``make_frame`` is the checked constructor for
-library callers. Frame fields are checked before any object, and every
-object before any box is clipped into the image. ``read_stream`` is where
+converted to float. A valid value passes it inline, with no call per field;
+only a value it turns down goes through ``_number``, ``_finite`` and
+``_natural``, which word the error. ``parse_frame`` checks only the JSON
+shape of a record and hands it the raw values; ``make_frame`` is the
+checked constructor for library callers. Frame fields are checked before
+any object, and every object before any box is clipped into the image. ``read_stream`` is where
 frames enter the program: it parses each record, checks that frame
 numbers strictly increase and timestamps never decrease, and tags any
 ``IngestError`` with the input line it came from. Nothing downstream
@@ -29,7 +33,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import IO, Any, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -45,8 +49,38 @@ from .errors import (
 
 log = logging.getLogger("percemon.trace")
 
+_NO_VALUE = object()
 
-@dataclass(frozen=True, slots=True)
+
+def plain_value(cls):
+    """Make ``cls`` a frozen slotted dataclass with a cheap ``__init__``.
+
+    The dataclass keeps its value equality, hash and repr, and assigning a
+    field still raises ``FrozenInstanceError``. Only ``__init__`` is
+    replaced: the dataclass one sets each field through
+    ``object.__setattr__``, this one stores it through the field's slot
+    descriptor, which skips the attribute lookup and takes about two thirds
+    of the time. A ``default_factory`` runs when its argument is left out;
+    the records use no other kind of default.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    scope = {"_NO_VALUE": _NO_VALUE}
+    params, body = [], []
+    for f in fields(cls):
+        scope[f"_set_{f.name}"] = getattr(cls, f.name).__set__
+        if f.default_factory is not MISSING:
+            scope[f"_make_{f.name}"] = f.default_factory
+            params.append(f"{f.name}=_NO_VALUE")
+            body.append(f"    if {f.name} is _NO_VALUE: {f.name} = _make_{f.name}()")
+        else:
+            params.append(f.name)
+        body.append(f"    _set_{f.name}(self, {f.name})")
+    exec(f"def __init__(self, {', '.join(params)}):\n" + "\n".join(body), scope)
+    cls.__init__ = scope["__init__"]
+    return cls
+
+
+@plain_value
 class BoundingBox:
     """Axis-aligned box in image coordinates (origin top-left, y grows down)."""
 
@@ -69,7 +103,7 @@ class BoundingBox:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@plain_value
 class DetectedObject:
     """One tracked detection: tracker id, class label, confidence and box."""
 
@@ -79,7 +113,7 @@ class DetectedObject:
     bbox: BoundingBox
 
 
-@dataclass(frozen=True, slots=True)
+@plain_value
 class Frame:
     """One timestamped perception snapshot.
 
@@ -94,6 +128,11 @@ class Frame:
     width: float
     height: float
     objects: Mapping[int, DetectedObject] = field(default_factory=dict)
+
+
+# The error wording of ``_checked_frame``. Its accepted path does not call
+# these; they run for a value that path turned down, to raise the error
+# that names it, or to accept a subclass of int, float or str.
 
 
 def _number(name: str, value: Any) -> float:
@@ -123,16 +162,8 @@ def _natural(name: str, value: Any) -> int:
 _RawObject = tuple[Any, Any, Any, Sequence[Any]]
 
 
-def _checked_frame(
-    frame_number: Any, timestamp: Any, width: Any, height: Any, objects: Iterable[_RawObject]
-) -> Frame:
-    """The one validator of frame field values, for parsed and built frames.
-
-    Checks the frame's own fields, then each object in turn, and only then
-    clips boxes that reach outside the image (with a warning), so no
-    warning precedes an error. Objects go into the map in ascending id
-    order.
-    """
+def _frame_fields(frame_number: Any, timestamp: Any, width: Any, height: Any):
+    """The frame's own fields, checked one by one in wording order."""
     if _natural("frame", frame_number) < 0:
         raise InvalidField("frame", "frame number must be non-negative")
     timestamp = _finite("timestamp", timestamp, "must be finite")
@@ -144,43 +175,96 @@ def _checked_frame(
         raise InvalidField("width", "must be finite")
     if not math.isfinite(height):
         raise InvalidField("height", "must be finite")
+    return timestamp, width, height
+
+
+def _object_fields(object_id: Any, label: Any, prob: Any, xmin: Any, ymin: Any, xmax: Any,
+                   ymax: Any, table: Mapping[int, DetectedObject]):
+    """One object's fields, checked one by one in wording order."""
+    xmin = _finite("xmin", xmin, "coordinate must be finite")
+    ymin = _finite("ymin", ymin, "coordinate must be finite")
+    xmax = _finite("xmax", xmax, "coordinate must be finite")
+    ymax = _finite("ymax", ymax, "coordinate must be finite")
+    if xmin > xmax or ymin > ymax:
+        raise InvalidField("bbox", f"inverted box [{xmin}, {ymin}, {xmax}, {ymax}]")
+    if _natural("id", object_id) < 0:
+        raise InvalidField("id", f"object id must be non-negative, got {object_id}")
+    if not isinstance(label, str) or not label:
+        raise InvalidField("class", "class label must be a non-empty string")
+    prob = _number("prob", prob)
+    if not (0.0 <= prob <= 1.0):
+        raise ConfidenceOutOfRange(prob)
+    if object_id in table:
+        raise DuplicateObjectId(object_id)
+    return prob, xmin, ymin, xmax, ymax
+
+
+_REAL = (int, float)
+
+
+def _checked_frame(
+    frame_number: Any, timestamp: Any, width: Any, height: Any, objects: Iterable[_RawObject]
+) -> Frame:
+    """The one validator of frame field values, for parsed and built frames.
+
+    Checks the frame's own fields, then each object in turn, and only then
+    clips boxes that reach outside the image (with a warning), so no
+    warning precedes an error. Objects go into the map in ascending id
+    order.
+
+    A valid value passes inline: its exact type is int or float (so a bool
+    is turned down), ``float()`` converts it (an int beyond the float range
+    overflows and is turned down too), and one chained comparison checks
+    its range. A frame or object with any value turned down is checked
+    again field by field (``_frame_fields``, ``_object_fields``), which
+    raises the error that names the first bad field, or accepts a subclass
+    of int, float or str as a plain value.
+    """
+    inf = math.inf
+    try:
+        valid = (type(frame_number) is int and frame_number >= 0 and type(timestamp) in _REAL
+                 and type(width) in _REAL and type(height) in _REAL)
+        if valid:
+            t, w, h = float(timestamp), float(width), float(height)
+            valid = -inf < t < inf and 0.0 < w < inf and 0.0 < h < inf
+    except OverflowError:
+        valid = False
+    if not valid:
+        t, w, h = _frame_fields(frame_number, timestamp, width, height)
 
     table: dict[int, DetectedObject] = {}
     clipped = []
     ascending = True
     last = -1
     for object_id, label, prob, (xmin, ymin, xmax, ymax) in objects:
-        xmin = _finite("xmin", xmin, "coordinate must be finite")
-        ymin = _finite("ymin", ymin, "coordinate must be finite")
-        xmax = _finite("xmax", xmax, "coordinate must be finite")
-        ymax = _finite("ymax", ymax, "coordinate must be finite")
-        if xmin > xmax or ymin > ymax:
-            raise InvalidField("bbox", f"inverted box [{xmin}, {ymin}, {xmax}, {ymax}]")
-        if _natural("id", object_id) < 0:
-            raise InvalidField("id", f"object id must be non-negative, got {object_id}")
-        if not isinstance(label, str) or not label:
-            raise InvalidField("class", "class label must be a non-empty string")
-        prob = _number("prob", prob)
-        if not (0.0 <= prob <= 1.0):
-            raise ConfidenceOutOfRange(prob)
-        if object_id in table:
-            raise DuplicateObjectId(object_id)
-        box = BoundingBox(xmin, ymin, xmax, ymax)
-        if xmin < 0 or ymin < 0 or xmax > width or ymax > height:
-            box = box.clip(width, height)
+        try:
+            valid = (type(xmin) in _REAL and type(ymin) in _REAL and type(xmax) in _REAL
+                     and type(ymax) in _REAL and type(prob) in _REAL)
+            if valid:
+                x1, y1, x2, y2, p = float(xmin), float(ymin), float(xmax), float(ymax), float(prob)
+                valid = (-inf < x1 <= x2 < inf and -inf < y1 <= y2 < inf and 0.0 <= p <= 1.0
+                         and type(object_id) is int and object_id >= 0 and object_id not in table
+                         and type(label) is str and label != "")
+        except OverflowError:
+            valid = False
+        if not valid:
+            p, x1, y1, x2, y2 = _object_fields(object_id, label, prob, xmin, ymin, xmax, ymax, table)
+        box = BoundingBox(x1, y1, x2, y2)
+        if x1 < 0 or y1 < 0 or x2 > w or y2 > h:
+            box = box.clip(w, h)
             clipped.append(object_id)
-        table[object_id] = DetectedObject(object_id, label, prob, box)
+        table[object_id] = DetectedObject(object_id, label, p, box)
         ascending = ascending and object_id > last
         last = object_id
 
     for object_id in clipped:
         log.warning(
             "frame %s: object %s box clipped to the %sx%s universe",
-            frame_number, object_id, width, height,
+            frame_number, object_id, w, h,
         )
     if not ascending:
         table = dict(sorted(table.items()))
-    return Frame(frame_number, timestamp, width, height, table)
+    return Frame(frame_number, t, w, h, table)
 
 
 def make_frame(
@@ -204,28 +288,31 @@ def make_frame(
     ))
 
 
-def _require(record: dict, name: str):
-    if name not in record:
-        raise MissingField(name)
-    return record[name]
-
-
 def _raw_objects(raw_objects: list) -> Iterator[_RawObject]:
     """The raw fields of each object record, after its JSON shape is checked."""
     for raw in raw_objects:
         if not isinstance(raw, dict):
             raise InvalidField("objects", "each object must be a JSON object")
-        bbox = _require(raw, "bbox")
+        try:
+            bbox = raw["bbox"]
+        except KeyError:
+            raise MissingField("bbox") from None
         if not isinstance(bbox, list) or len(bbox) != 4:
             raise InvalidField("bbox", "expected [xmin, ymin, xmax, ymax]")
-        yield _require(raw, "id"), _require(raw, "class"), _require(raw, "prob"), bbox
+        try:
+            values = raw["id"], raw["class"], raw["prob"], bbox
+        except KeyError as exc:
+            raise MissingField(exc.args[0]) from None
+        yield values
 
 
 def parse_frame(json_text: str) -> Frame:
     """Parse one JSONL record into a validated frame.
 
     Boxes falling outside [0, width] x [0, height] are clipped with a
-    warning.
+    warning. A record that lacks several required fields is reported
+    missing the first of them, in the order frame, timestamp, width,
+    height, objects (and bbox, id, class, prob within an object).
     """
     try:
         record = json.loads(json_text)
@@ -233,12 +320,13 @@ def parse_frame(json_text: str) -> Frame:
         raise MalformedJson(f"not valid JSON: {exc}") from exc
     if not isinstance(record, dict):
         raise MalformedJson("frame record must be a JSON object")
-
-    frame_number = _require(record, "frame")
-    timestamp = _require(record, "timestamp")
-    width = _require(record, "width")
-    height = _require(record, "height")
-    raw_objects = _require(record, "objects")
+    try:
+        frame_number, timestamp, width, height, raw_objects = (
+            record["frame"], record["timestamp"], record["width"], record["height"],
+            record["objects"],
+        )
+    except KeyError as exc:
+        raise MissingField(exc.args[0]) from None
     if not isinstance(raw_objects, list):
         raise InvalidField("objects", "expected a list")
     return _checked_frame(frame_number, timestamp, width, height, _raw_objects(raw_objects))

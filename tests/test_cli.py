@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,13 +8,15 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
-from percemon.cli import cli
+from percemon.cli import _emit_verdict, cli
 from percemon.evaluate import evaluate_trace
 from percemon.generator import GenConfig, generate_frames
 from percemon.stql.desugar import desugar
 from percemon.stql.parser import parse
-from percemon.monitor import run_monitor
+from percemon.monitor import Verdict, run_monitor
 from percemon.trace import read_stream, serialize_frame
 
 
@@ -36,6 +40,26 @@ def gen_lines(runner, *extra):
     result = invoke(runner, "gen", "--frames", "12", "--objects", "2", "--seed", "3", *extra)
     assert result.exit_code == 0
     return result.stdout
+
+
+# --- verdict lines -----------------------------------------------------------
+
+# Ingest admits any finite timestamp, so the verdict line must print every one
+# as JSON does: shortest round-trip digits, exponents, subnormals, -0.0.
+timestamps = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 0.1 + 0.2, 1e16, 1e22, 5e-324, 3.0, -1.0, 2.0 ** 53]),
+    st.integers(-(10 ** 6), 10 ** 6).map(float),
+)
+
+
+@given(st.integers(0, 10 ** 30), timestamps, st.booleans(), st.integers(0, 2 ** 64))
+def test_verdict_line_is_the_compact_json_of_the_verdict(frame_number, timestamp, value, eval_ns):
+    verdict = Verdict(frame_number, timestamp, value, eval_ns)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit_verdict(verdict)
+    assert out.getvalue() == json.dumps(verdict.to_json_obj(), separators=(",", ":")) + "\n"
 
 
 # --- check -------------------------------------------------------------------

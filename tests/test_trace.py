@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -16,6 +17,8 @@ from percemon.errors import (
     NonMonotonicFrameNumber,
     NonMonotonicTimestamp,
 )
+from percemon.monitor import Verdict
+from percemon.spatial import Universe
 from percemon.trace import (
     BoundingBox,
     DetectedObject,
@@ -341,3 +344,216 @@ def test_hostile_field_value_is_a_frame_or_an_ingest_error(name, value):
     except IngestError:
         return
     assert parse_frame(serialize_frame(frame)) == frame
+
+
+BIG = str(10**400)
+
+
+def _hostile_line(name, value):
+    """The hostile-value test's record, with ``value`` in field ``name`` of object 2."""
+    obj = {"id": 2, "class": "car", "prob": 0.5, "bbox": [10, 20, 30, 40]}
+    record = {"frame": 3, "timestamp": 0.3, "width": 100, "height": 100,
+              "objects": [{"id": 1, "class": "bus", "prob": 0.9, "bbox": [0, 0, 5, 5]}, obj]}
+    if name in CORNERS:
+        obj["bbox"][CORNERS.index(name)] = "HOSTILE"
+    elif name in OBJECT_FIELDS:
+        obj[name] = "HOSTILE"
+    else:
+        record[name] = "HOSTILE"
+    return json.dumps(record).replace('"HOSTILE"', value)
+
+
+# The error class and message of every (field, hostile value) pair, or None
+# where the record is accepted. Recorded from the field-by-field validator
+# before it gained an inline path for valid values; the validator must word
+# every rejection exactly so.
+HOSTILE_OUTCOMES = {
+    # frame
+    ("frame", "null"): (InvalidField, "invalid field 'frame': expected a natural number, got None"),
+    ("frame", '"x"'): (InvalidField, "invalid field 'frame': expected a natural number, got 'x'"),
+    ("frame", "true"): (InvalidField, "invalid field 'frame': expected a natural number, got True"),
+    ("frame", "[]"): (InvalidField, "invalid field 'frame': expected a natural number, got []"),
+    ("frame", "{}"): (InvalidField, "invalid field 'frame': expected a natural number, got {}"),
+    ("frame", "NaN"): (InvalidField, "invalid field 'frame': expected a natural number, got nan"),
+    ("frame", "1e999"): (InvalidField, "invalid field 'frame': expected a natural number, got inf"),
+    ("frame", "-1"): (InvalidField, "invalid field 'frame': frame number must be non-negative"),
+    ("frame", BIG): None,
+    ("frame", "-" + BIG): (InvalidField, "invalid field 'frame': frame number must be non-negative"),
+    # timestamp
+    ("timestamp", "null"): (InvalidField, "invalid field 'timestamp': expected a number, got None"),
+    ("timestamp", '"x"'): (InvalidField, "invalid field 'timestamp': expected a number, got 'x'"),
+    ("timestamp", "true"): (InvalidField, "invalid field 'timestamp': expected a number, got True"),
+    ("timestamp", "[]"): (InvalidField, "invalid field 'timestamp': expected a number, got []"),
+    ("timestamp", "{}"): (InvalidField, "invalid field 'timestamp': expected a number, got {}"),
+    ("timestamp", "NaN"): (InvalidField, "invalid field 'timestamp': must be finite"),
+    ("timestamp", "1e999"): (InvalidField, "invalid field 'timestamp': must be finite"),
+    ("timestamp", "-1"): None,
+    ("timestamp", BIG): (InvalidField, "invalid field 'timestamp': must be finite"),
+    ("timestamp", "-" + BIG): (InvalidField, "invalid field 'timestamp': must be finite"),
+    # width
+    ("width", "null"): (InvalidField, "invalid field 'width': expected a number, got None"),
+    ("width", '"x"'): (InvalidField, "invalid field 'width': expected a number, got 'x'"),
+    ("width", "true"): (InvalidField, "invalid field 'width': expected a number, got True"),
+    ("width", "[]"): (InvalidField, "invalid field 'width': expected a number, got []"),
+    ("width", "{}"): (InvalidField, "invalid field 'width': expected a number, got {}"),
+    ("width", "NaN"): (InvalidField, "invalid field 'width': must be finite"),
+    ("width", "1e999"): (InvalidField, "invalid field 'width': must be finite"),
+    ("width", "-1"): (InvalidField, "invalid field 'width': image extent must be positive"),
+    ("width", BIG): (InvalidField, "invalid field 'width': must be finite"),
+    ("width", "-" + BIG): (InvalidField, "invalid field 'width': image extent must be positive"),
+    # height
+    ("height", "null"): (InvalidField, "invalid field 'height': expected a number, got None"),
+    ("height", '"x"'): (InvalidField, "invalid field 'height': expected a number, got 'x'"),
+    ("height", "true"): (InvalidField, "invalid field 'height': expected a number, got True"),
+    ("height", "[]"): (InvalidField, "invalid field 'height': expected a number, got []"),
+    ("height", "{}"): (InvalidField, "invalid field 'height': expected a number, got {}"),
+    ("height", "NaN"): (InvalidField, "invalid field 'height': must be finite"),
+    ("height", "1e999"): (InvalidField, "invalid field 'height': must be finite"),
+    ("height", "-1"): (InvalidField, "invalid field 'height': image extent must be positive"),
+    ("height", BIG): (InvalidField, "invalid field 'height': must be finite"),
+    ("height", "-" + BIG): (InvalidField, "invalid field 'height': image extent must be positive"),
+    # id
+    ("id", "null"): (InvalidField, "invalid field 'id': expected a natural number, got None"),
+    ("id", '"x"'): (InvalidField, "invalid field 'id': expected a natural number, got 'x'"),
+    ("id", "true"): (InvalidField, "invalid field 'id': expected a natural number, got True"),
+    ("id", "[]"): (InvalidField, "invalid field 'id': expected a natural number, got []"),
+    ("id", "{}"): (InvalidField, "invalid field 'id': expected a natural number, got {}"),
+    ("id", "NaN"): (InvalidField, "invalid field 'id': expected a natural number, got nan"),
+    ("id", "1e999"): (InvalidField, "invalid field 'id': expected a natural number, got inf"),
+    ("id", "-1"): (InvalidField, "invalid field 'id': object id must be non-negative, got -1"),
+    ("id", BIG): None,
+    ("id", "-" + BIG): (InvalidField, "invalid field 'id': object id must be non-negative, got -" + BIG),
+    # class
+    ("class", "null"): (InvalidField, "invalid field 'class': class label must be a non-empty string"),
+    ("class", '"x"'): None,
+    ("class", "true"): (InvalidField, "invalid field 'class': class label must be a non-empty string"),
+    ("class", "[]"): (InvalidField, "invalid field 'class': class label must be a non-empty string"),
+    ("class", "{}"): (InvalidField, "invalid field 'class': class label must be a non-empty string"),
+    ("class", "NaN"): (InvalidField, "invalid field 'class': class label must be a non-empty string"),
+    ("class", "1e999"): (InvalidField, "invalid field 'class': class label must be a non-empty string"),
+    ("class", "-1"): (InvalidField, "invalid field 'class': class label must be a non-empty string"),
+    ("class", BIG): (InvalidField, "invalid field 'class': class label must be a non-empty string"),
+    ("class", "-" + BIG): (InvalidField, "invalid field 'class': class label must be a non-empty string"),
+    # prob
+    ("prob", "null"): (InvalidField, "invalid field 'prob': expected a number, got None"),
+    ("prob", '"x"'): (InvalidField, "invalid field 'prob': expected a number, got 'x'"),
+    ("prob", "true"): (InvalidField, "invalid field 'prob': expected a number, got True"),
+    ("prob", "[]"): (InvalidField, "invalid field 'prob': expected a number, got []"),
+    ("prob", "{}"): (InvalidField, "invalid field 'prob': expected a number, got {}"),
+    ("prob", "NaN"): (ConfidenceOutOfRange, "confidence nan is outside [0, 1]"),
+    ("prob", "1e999"): (ConfidenceOutOfRange, "confidence inf is outside [0, 1]"),
+    ("prob", "-1"): (ConfidenceOutOfRange, "confidence -1.0 is outside [0, 1]"),
+    ("prob", BIG): (ConfidenceOutOfRange, "confidence inf is outside [0, 1]"),
+    ("prob", "-" + BIG): (ConfidenceOutOfRange, "confidence -inf is outside [0, 1]"),
+    # xmin
+    ("xmin", "null"): (InvalidField, "invalid field 'xmin': expected a number, got None"),
+    ("xmin", '"x"'): (InvalidField, "invalid field 'xmin': expected a number, got 'x'"),
+    ("xmin", "true"): (InvalidField, "invalid field 'xmin': expected a number, got True"),
+    ("xmin", "[]"): (InvalidField, "invalid field 'xmin': expected a number, got []"),
+    ("xmin", "{}"): (InvalidField, "invalid field 'xmin': expected a number, got {}"),
+    ("xmin", "NaN"): (InvalidField, "invalid field 'xmin': coordinate must be finite"),
+    ("xmin", "1e999"): (InvalidField, "invalid field 'xmin': coordinate must be finite"),
+    ("xmin", "-1"): None,
+    ("xmin", BIG): (InvalidField, "invalid field 'xmin': coordinate must be finite"),
+    ("xmin", "-" + BIG): (InvalidField, "invalid field 'xmin': coordinate must be finite"),
+    # ymin
+    ("ymin", "null"): (InvalidField, "invalid field 'ymin': expected a number, got None"),
+    ("ymin", '"x"'): (InvalidField, "invalid field 'ymin': expected a number, got 'x'"),
+    ("ymin", "true"): (InvalidField, "invalid field 'ymin': expected a number, got True"),
+    ("ymin", "[]"): (InvalidField, "invalid field 'ymin': expected a number, got []"),
+    ("ymin", "{}"): (InvalidField, "invalid field 'ymin': expected a number, got {}"),
+    ("ymin", "NaN"): (InvalidField, "invalid field 'ymin': coordinate must be finite"),
+    ("ymin", "1e999"): (InvalidField, "invalid field 'ymin': coordinate must be finite"),
+    ("ymin", "-1"): None,
+    ("ymin", BIG): (InvalidField, "invalid field 'ymin': coordinate must be finite"),
+    ("ymin", "-" + BIG): (InvalidField, "invalid field 'ymin': coordinate must be finite"),
+    # xmax
+    ("xmax", "null"): (InvalidField, "invalid field 'xmax': expected a number, got None"),
+    ("xmax", '"x"'): (InvalidField, "invalid field 'xmax': expected a number, got 'x'"),
+    ("xmax", "true"): (InvalidField, "invalid field 'xmax': expected a number, got True"),
+    ("xmax", "[]"): (InvalidField, "invalid field 'xmax': expected a number, got []"),
+    ("xmax", "{}"): (InvalidField, "invalid field 'xmax': expected a number, got {}"),
+    ("xmax", "NaN"): (InvalidField, "invalid field 'xmax': coordinate must be finite"),
+    ("xmax", "1e999"): (InvalidField, "invalid field 'xmax': coordinate must be finite"),
+    ("xmax", "-1"): (InvalidField, "invalid field 'bbox': inverted box [10.0, 20.0, -1.0, 40.0]"),
+    ("xmax", BIG): (InvalidField, "invalid field 'xmax': coordinate must be finite"),
+    ("xmax", "-" + BIG): (InvalidField, "invalid field 'xmax': coordinate must be finite"),
+    # ymax
+    ("ymax", "null"): (InvalidField, "invalid field 'ymax': expected a number, got None"),
+    ("ymax", '"x"'): (InvalidField, "invalid field 'ymax': expected a number, got 'x'"),
+    ("ymax", "true"): (InvalidField, "invalid field 'ymax': expected a number, got True"),
+    ("ymax", "[]"): (InvalidField, "invalid field 'ymax': expected a number, got []"),
+    ("ymax", "{}"): (InvalidField, "invalid field 'ymax': expected a number, got {}"),
+    ("ymax", "NaN"): (InvalidField, "invalid field 'ymax': coordinate must be finite"),
+    ("ymax", "1e999"): (InvalidField, "invalid field 'ymax': coordinate must be finite"),
+    ("ymax", "-1"): (InvalidField, "invalid field 'bbox': inverted box [10.0, 20.0, 30.0, -1.0]"),
+    ("ymax", BIG): (InvalidField, "invalid field 'ymax': coordinate must be finite"),
+    ("ymax", "-" + BIG): (InvalidField, "invalid field 'ymax': coordinate must be finite"),
+}
+
+
+def test_hostile_outcome_table_covers_every_pair():
+    fields = FRAME_FIELDS + OBJECT_FIELDS + CORNERS
+    assert HOSTILE_VALUES == ["null", '"x"', "true", "[]", "{}", "NaN", "1e999", "-1", BIG, "-" + BIG]
+    assert set(HOSTILE_OUTCOMES) == {(name, value) for name in fields for value in HOSTILE_VALUES}
+
+
+@pytest.mark.parametrize("name, value", [
+    pytest.param(name, value, id=f"{name}={value[:8]}") for name, value in HOSTILE_OUTCOMES
+])
+def test_hostile_field_value_outcome_is_pinned(name, value):
+    expected = HOSTILE_OUTCOMES[name, value]
+    line = _hostile_line(name, value)
+    if expected is None:
+        parse_frame(line)
+        return
+    error, message = expected
+    with pytest.raises(IngestError) as info:
+        parse_frame(line)
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+def _dataclass_twin(cls):
+    """A frozen dataclass with ``cls``'s fields, built the standard way."""
+    return dataclasses.make_dataclass(
+        cls.__name__, [(f.name, f.type) for f in dataclasses.fields(cls)], frozen=True)
+
+
+BOX = BoundingBox(1.0, 2.0, 3.0, 4.0)
+RECORD_VALUES = [
+    pytest.param(cls, values, other, id=cls.__name__) for cls, values, other in [
+        (BoundingBox, (1.0, 2.0, 3.0, 4.0), (1.0, 2.0, 3.0, 4.5)),
+        (DetectedObject, (7, "car", 0.5, BOX), (7, "car", 0.5, BoundingBox(1.0, 2.0, 3.0, 5.0))),
+        (Frame, (3, 0.3, 100.0, 80.0, {7: DetectedObject(7, "car", 0.5, BOX)}),
+         (3, 0.3, 100.0, 80.0, {})),
+        (Universe, (100.0, 80.0), (100.0, 81.0)),
+        (Verdict, (3, 0.3, True, 1200), (3, 0.3, False, 1200)),
+    ]
+]
+
+
+@pytest.mark.parametrize("cls, values, other", RECORD_VALUES)
+def test_records_are_immutable_values_like_a_frozen_dataclass(cls, values, other):
+    record, twin = cls(*values), _dataclass_twin(cls)(*values)
+    assert record == cls(*values) and record is not cls(*values)
+    assert record != cls(*other)
+    assert repr(record) == repr(twin)
+    assert [getattr(record, f.name) for f in dataclasses.fields(cls)] == list(values)
+    assert cls(**{f.name: v for f, v in zip(dataclasses.fields(cls), values)}) == record
+    try:
+        assert hash(record) == hash(twin) == hash(cls(*values))
+    except TypeError:
+        # A frame's object map is a dict, so a frame hashes as its twin does: not at all.
+        with pytest.raises(TypeError):
+            hash(twin)
+    for f in dataclasses.fields(cls):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, f.name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, f.name)
+    assert not hasattr(record, "__dict__")
+
+
+def test_frame_objects_default_to_a_fresh_empty_map():
+    first, second = Frame(0, 0.0, 1.0, 1.0), Frame(0, 0.0, 1.0, 1.0)
+    assert first.objects == {} and first.objects is not second.objects
