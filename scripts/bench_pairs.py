@@ -2,28 +2,31 @@
 
 Usage:
     python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_N.json
-        [--workloads W1,W2] [--pairs 10] [--seed 7] [--seconds 30]
-        [--traced-seconds 8] [--change-note TEXT] [--parent-rev REV] [--host TEXT]
+        [--workloads W1,W2] [--seed 7] [--traced-seconds 8]
 
-DIR is a tree of the repository (a ``git archive`` or a copy; each keeps its
-own ``.perfbench-work``). For every workload, pair i runs
+DIR is a git checkout of the repository (each keeps its own
+``.perfbench-work``). For every workload, pair i of the protocol's 10 runs
 
-    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
+    python3 perfbench/run.py --workload W --seed S --trace 0
 
-once in each tree, the parent first in even pairs and the change first in
-odd ones, so a slow stretch of a shared host lands on both sides. With
-``--traced-seconds`` one ``--trace 1`` run per side and workload follows.
-Each run's last output line is its result. The record holds every result
-line (``runs``, ``traced``) and, per end-to-end metric of ``BENCHMARK.json``,
-the parent's and the change's q1/median/q3, the pairs the change won and
-the ratio of the medians (``summary``). Stops with exit 1 at the first run
-that fails.
+once in each tree, at the benchmark's own run length, the parent first in
+even pairs and the change first in odd ones, so a slow stretch of a shared
+host lands on both sides. With ``--traced-seconds`` one ``--trace 1`` run
+per side and workload follows. Each run's last output line is its result.
+The record names the command that made it, each tree's ``git describe``,
+and the host; it holds every result line (``runs``, ``traced``) and, per
+end-to-end metric of ``BENCHMARK.json``, the parent's and the change's
+q1/median/q3, the pairs the change won and the ratio of the medians
+(``summary``). Stops with exit 1 at the first run that fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
+import shlex
 import statistics
 import subprocess
 import sys
@@ -31,17 +34,23 @@ from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+def run_once(tree: Path, workload: str, seed: int, extra: list[str]) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), *extra]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         sys.stderr.write(proc.stdout + proc.stderr)
         raise SystemExit(f"bench_pairs: {' '.join(cmd)} failed in {tree} (exit {proc.returncode})")
     return json.loads(lines[-1])
+
+
+def describe(tree: Path) -> str | None:
+    proc = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=tree,
+                          capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -81,44 +90,38 @@ def main() -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--workloads", default="phi2-crowd,phi1-sparse,holds-window")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--traced-seconds", type=float, default=0.0)
-    parser.add_argument("--change-note", default="")
-    parser.add_argument("--parent-rev", default="")
-    parser.add_argument("--host", default="")
     args = parser.parse_args()
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     metrics = {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
     workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
+    traced_args = ["--seconds", f"{args.traced_seconds:g}", "--trace", "1"]
 
     runs = []
     for workload in workloads:
-        for pair in range(args.pairs):
+        for pair in range(PAIRS):
             for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                result = run_once(trees[side], workload, args.seed, args.seconds, 0)
+                result = run_once(trees[side], workload, args.seed, ["--trace", "0"])
                 runs.append({"workload": workload, "pair": pair, "side": side, "result": result})
                 fps = result["metrics"]["frames_per_s"]["value"]
                 print(f"{workload} pair {pair} {side}: frames_per_s {fps:.1f}", file=sys.stderr)
     traced = {}
     if args.traced_seconds > 0:
         for workload in workloads:
-            traced[workload] = {side: run_once(trees[side], workload, args.seed,
-                                               args.traced_seconds, 1) for side in SIDES}
+            traced[workload] = {side: run_once(trees[side], workload, args.seed, traced_args)
+                                for side in SIDES}
 
+    command = f"python3 perfbench/run.py --workload W --seed {args.seed}"
     record = {
-        "change": args.change_note,
-        "parent": args.parent_rev,
-        "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
-                   f"--seconds {args.seconds:g} --trace 0",
-        "traced_command": (f"python3 perfbench/run.py --workload W --seed {args.seed} "
-                           f"--seconds {args.traced_seconds:g} --trace 1"
-                           if traced else None),
-        "host": args.host,
-        "protocol": f"{args.pairs} pairs per workload, alternating which side runs first; "
+        "made_by": shlex.join(["python3", "scripts/bench_pairs.py", *sys.argv[1:]]),
+        "parent": describe(trees["parent"]),
+        "change": describe(trees["change"]),
+        "command": f"{command} --trace 0",
+        "traced_command": f"{command} {shlex.join(traced_args)}" if traced else None,
+        "host": f"{platform.machine()}, {len(os.sched_getaffinity(0))} usable CPUs, "
+                f"Python {platform.python_version()}",
+        "protocol": f"{PAIRS} pairs per workload, alternating which side runs first; "
                     "frames_per_s and setup_s are reported at the reference host speed by "
                     "perfbench's CPU probe",
         "summary": summarize(runs, metrics),

@@ -92,15 +92,8 @@ def _checked_spec(spec: str, params: dict[str, float]):
 
 def _emit_verdict(verdict: Verdict) -> None:
     # One buffered write per verdict; the commands flush where output must
-    # be seen, inside ``_guarded`` so that a closed pipe exits quietly. The
-    # line is formatted directly, with the bytes of ``json.dumps(
-    # verdict.to_json_obj(), separators=(",", ":"))``: an int and a finite
-    # float (ingest checks timestamps) print as their repr in JSON too.
-    sys.stdout.write(
-        f'{{"frame":{verdict.frame_number!r},"timestamp":{verdict.timestamp!r},'
-        f'"verdict":{"true" if verdict.value else "false"},'
-        f'"eval_time_ns":{verdict.eval_time_ns!r}}}\n'
-    )
+    # be seen, inside ``_guarded`` so that a closed pipe exits quietly.
+    sys.stdout.write(verdict.to_json_line())
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})

@@ -15,7 +15,8 @@ A specification whose requirement is unbounded needs an explicit override.
 The monitor takes frames in the order the caller pushes them and does not
 check it; ``trace.read_stream`` checks frame order where frames are read.
 Each verdict copies the window out of the buffer once, and a ``Verdict``
-is a plain value built like the trace records (``trace.plain_value``).
+is a plain value built like the trace records (``trace.plain_value``);
+``Verdict.to_json_line`` is the line the CLI prints for it.
 """
 
 from __future__ import annotations
@@ -57,6 +58,19 @@ class Verdict:
             "verdict": self.value,
             "eval_time_ns": self.eval_time_ns,
         }
+
+    def to_json_line(self) -> str:
+        """The verdict as one JSONL line, newline included.
+
+        Formatted directly, with the bytes of ``json.dumps(self.to_json_obj(),
+        separators=(",", ":"))``: an int and a finite float (ingest checks
+        timestamps) print as their repr in JSON too.
+        """
+        return (
+            f'{{"frame":{self.frame_number!r},"timestamp":{self.timestamp!r},'
+            f'"verdict":{"true" if self.value else "false"},'
+            f'"eval_time_ns":{self.eval_time_ns!r}}}\n'
+        )
 
 
 def _effective_bound(inferred: int | None, override: int | None, side: str) -> int:

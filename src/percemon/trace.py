@@ -220,6 +220,11 @@ def _checked_frame(
     raises the error that names the first bad field, or accepts a subclass
     of int, float or str as a plain value.
     """
+    # The inline tests must accept exactly what ``_frame_fields`` and
+    # ``_object_fields`` accept for values of exact type int, float and str,
+    # converted alike. Accepting more lets a bad value through unworded;
+    # accepting less sends valid input down the slow path. A change to a
+    # field rule is made in both places.
     inf = math.inf
     try:
         valid = (type(frame_number) is int and frame_number >= 0 and type(timestamp) in _REAL

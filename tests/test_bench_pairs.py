@@ -43,8 +43,9 @@ def test_summary_counts_wins_by_each_metrics_direction(bench_pairs):
     assert summary["runs"] == {"parent": 4, "change": 4}
 
 
-def test_summary_reproduces_the_committed_bench_record(bench_pairs):
-    record = json.loads((REPO / "BENCH_6.json").read_text())
+@pytest.mark.parametrize("path", sorted(REPO.glob("BENCH_*.json")), ids=lambda path: path.name)
+def test_summary_reproduces_each_committed_bench_record(bench_pairs, path):
+    record = json.loads(path.read_text())
     benchmark = json.loads((REPO / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     assert bench_pairs.summarize(record["runs"], metrics) == record["summary"]

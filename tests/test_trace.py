@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from percemon.errors import (
     NonMonotonicFrameNumber,
     NonMonotonicTimestamp,
 )
+from percemon import trace
 from percemon.monitor import Verdict
 from percemon.spatial import Universe
 from percemon.trace import (
@@ -318,49 +320,31 @@ def test_read_stream_yields_one_frame_per_line(numbers):
     assert [f.frame_number for f in frames] == numbers
 
 
-HOSTILE_VALUES = ["null", '"x"', "true", "[]", "{}", "NaN", "1e999", "-1",
-                  str(10**400), str(-10**400)]
+BIG = str(10**400)
+HOSTILE_VALUES = ["null", '"x"', "true", "[]", "{}", "NaN", "1e999", "-1", BIG, "-" + BIG]
 FRAME_FIELDS = ["frame", "timestamp", "width", "height"]
 OBJECT_FIELDS = ["id", "class", "prob"]
 CORNERS = ["xmin", "ymin", "xmax", "ymax"]
 
 
-@settings(max_examples=300)
-@given(st.sampled_from(FRAME_FIELDS + OBJECT_FIELDS + CORNERS), st.sampled_from(HOSTILE_VALUES))
-def test_hostile_field_value_is_a_frame_or_an_ingest_error(name, value):
+def _record_line(texts):
+    """A two-object record with the JSON text ``texts[name]`` in each field
+    ``name`` it names: a frame field, or a field or bbox corner of object 2."""
     obj = {"id": 2, "class": "car", "prob": 0.5, "bbox": [10, 20, 30, 40]}
     record = {"frame": 3, "timestamp": 0.3, "width": 100, "height": 100,
               "objects": [{"id": 1, "class": "bus", "prob": 0.9, "bbox": [0, 0, 5, 5]}, obj]}
-    hole = "HOSTILE"
-    if name in CORNERS:
-        obj["bbox"][CORNERS.index(name)] = hole
-    elif name in OBJECT_FIELDS:
-        obj[name] = hole
-    else:
-        record[name] = hole
-    line = json.dumps(record).replace(json.dumps(hole), value)
-    try:
-        frame = parse_frame(line)
-    except IngestError:
-        return
-    assert parse_frame(serialize_frame(frame)) == frame
-
-
-BIG = str(10**400)
-
-
-def _hostile_line(name, value):
-    """The hostile-value test's record, with ``value`` in field ``name`` of object 2."""
-    obj = {"id": 2, "class": "car", "prob": 0.5, "bbox": [10, 20, 30, 40]}
-    record = {"frame": 3, "timestamp": 0.3, "width": 100, "height": 100,
-              "objects": [{"id": 1, "class": "bus", "prob": 0.9, "bbox": [0, 0, 5, 5]}, obj]}
-    if name in CORNERS:
-        obj["bbox"][CORNERS.index(name)] = "HOSTILE"
-    elif name in OBJECT_FIELDS:
-        obj[name] = "HOSTILE"
-    else:
-        record[name] = "HOSTILE"
-    return json.dumps(record).replace('"HOSTILE"', value)
+    for name in texts:
+        hole = f"HOLE-{name}"
+        if name in CORNERS:
+            obj["bbox"][CORNERS.index(name)] = hole
+        elif name in OBJECT_FIELDS:
+            obj[name] = hole
+        else:
+            record[name] = hole
+    line = json.dumps(record)
+    for name, text in texts.items():
+        line = line.replace(json.dumps(f"HOLE-{name}"), text)
+    return line
 
 
 # The error class and message of every (field, hostile value) pair, or None
@@ -492,25 +476,49 @@ HOSTILE_OUTCOMES = {
 }
 
 
-def test_hostile_outcome_table_covers_every_pair():
-    fields = FRAME_FIELDS + OBJECT_FIELDS + CORNERS
-    assert HOSTILE_VALUES == ["null", '"x"', "true", "[]", "{}", "NaN", "1e999", "-1", BIG, "-" + BIG]
-    assert set(HOSTILE_OUTCOMES) == {(name, value) for name in fields for value in HOSTILE_VALUES}
+def test_hostile_field_value_is_a_frame_or_an_ingest_error():
+    # Each hostile value in each field of object 2 (or of the frame) is an
+    # accepted frame that survives a serialize/parse round trip, or an
+    # ingest error with the class and message the table pins.
+    for name in FRAME_FIELDS + OBJECT_FIELDS + CORNERS:
+        for value in HOSTILE_VALUES:
+            line = _record_line({name: value})
+            expected = HOSTILE_OUTCOMES[name, value]
+            if expected is None:
+                frame = parse_frame(line)
+                assert parse_frame(serialize_frame(frame)) == frame, (name, value)
+                continue
+            with pytest.raises(IngestError) as info:
+                parse_frame(line)
+            assert (type(info.value), str(info.value)) == expected, (name, value)
 
 
-@pytest.mark.parametrize("name, value", [
-    pytest.param(name, value, id=f"{name}={value[:8]}") for name, value in HOSTILE_OUTCOMES
-])
-def test_hostile_field_value_outcome_is_pinned(name, value):
-    expected = HOSTILE_OUTCOMES[name, value]
-    line = _hostile_line(name, value)
-    if expected is None:
-        parse_frame(line)
-        return
-    error, message = expected
-    with pytest.raises(IngestError) as info:
-        parse_frame(line)
-    assert (type(info.value), str(info.value)) == (error, message)
+def _outcome(line):
+    try:
+        return parse_frame(line)
+    except IngestError as exc:
+        return type(exc), str(exc)
+
+
+# Values on both sides of every field rule: type, sign, the [0, 1] of prob,
+# the box order of 10 <= x <= 30, 20 <= y <= 40, finiteness, the float range,
+# an empty label and the other object's id 1.
+EDGE_TEXTS = [json.dumps(v) for v in [
+    -1, 0, 1, 2, 35, -0.0, 0.5, 1.0, 1.5, 15.5, 1e-300, 1e308, 10**400, -(10**400),
+    math.inf, -math.inf, math.nan, "car", "", True, None, [],
+]]
+
+
+def test_inline_and_field_by_field_checks_agree():
+    # With ``_REAL`` empty the validator's inline tests accept no value, so
+    # every frame and object is checked field by field. Each edge value in
+    # each field must give the same frame, or the same error, both ways.
+    for name in FRAME_FIELDS + OBJECT_FIELDS + CORNERS:
+        for value in EDGE_TEXTS:
+            line = _record_line({name: value})
+            with mock.patch.object(trace, "_REAL", ()):
+                by_field = _outcome(line)
+            assert _outcome(line) == by_field, (name, value)
 
 
 def _dataclass_twin(cls):
