@@ -23,7 +23,12 @@ one for the life of a stream, so each verdict costs one step per closed
 call computes the entries afresh from the window start, which is the same
 code run from scratch.
 
-A pin compiles to its body when nothing below it reads its variables.
+A pin compiles to its body when nothing below it reads its variables. A
+pin that only a frame-distance guard reads, over ``until``/``since`` with a
+true left operand, is the guarded idiom of ``always (C_FRAME - f <= k
+implies p)`` and ``once (f - C_FRAME < k and p)``: it compiles to one node
+over the rest of the right operand that looks only at the frames within the
+guard's reach, with no pin left (see ``_guarded_idiom``).
 
 The propositional core is fused as it is compiled, so a desugared ``and``
 costs one node rather than four:
@@ -72,6 +77,7 @@ from .errors import ContractViolation
 from .spatial import Region, Universe
 from .stql import ast as A
 from .stql.bindings import free_variables
+from .stql.bounds import frame_guard
 from .trace import BoundingBox, DetectedObject, Frame
 
 log = logging.getLogger("percemon.evaluate")
@@ -285,10 +291,12 @@ class _Compiler:
 
 # --- propositional and temporal core ----------------------------------------
 
+def _always_true(ctx: EvalContext, env: Env) -> bool:
+    return True
+
+
 def _true(c: _Compiler, phi: A.TrueConst) -> Check:
-    def check(ctx: EvalContext, env: Env) -> bool:
-        return True
-    return check
+    return _always_true
 
 
 def _any(parts: list[Check]) -> Check:
@@ -313,6 +321,8 @@ def _any(parts: list[Check]) -> Check:
 
 def _all(parts: list[Check]) -> Check:
     """Left to right, stopping at the first false part."""
+    if not parts:
+        return _always_true
     if len(parts) == 1:
         return parts[0]
     if len(parts) == 2:
@@ -422,7 +432,58 @@ def _since(c: _Compiler, phi: A.Since) -> Check:
     return check
 
 
+def _guarded_idiom(phi: A.Freeze):
+    """The frame-guarded pin idiom under ``phi``, or None.
+
+    The idiom is ``pin (_, f) { X }`` or ``pin (_, f) { not X }`` where X is
+    ``true until R`` or ``true since R`` and the conjuncts of R are a
+    frame-distance guard on ``f`` (``bounds.frame_guard``, which also sizes
+    the window) and parts that read neither ``f`` nor the pinned time. It
+    is what ``always (C_FRAME - f <= k implies p)`` and ``once (f - C_FRAME
+    < k and p)`` desugar to. Returns (operator, negated, reach, parts).
+    """
+    frame_var, child = phi.frame_var, phi.child
+    negated = type(child) is A.Not
+    op = child.child if negated else child
+    if frame_var is None or type(op) not in (A.Until, A.Since) or type(op.lhs) is not A.TrueConst:
+        return None
+    if phi.time_var is not None and phi.time_var in free_variables(child):
+        return None
+    guard = frame_guard(op.rhs, frozenset((frame_var,)), future=type(op) is A.Until)
+    if guard is None or any(frame_var in free_variables(part) for part in guard[1]):
+        return None
+    return op, negated, guard[0], guard[1]
+
+
+def _window(c: _Compiler, phi: A.Freeze, idiom) -> Check:
+    """A guarded idiom as one node: is some part-conjunction witness within reach?
+
+    ``true until R`` at frame i is true when the parts hold together at some
+    visible frame j in [i, i + reach], ``true since R`` when they do at some
+    j in [i - reach, i]: beyond that the guard is false. The frames are
+    scanned in the operator's own order.
+    """
+    op, negated, reach, parts = idiom
+    body = _all([c.formula(part) for part in parts])
+    future = type(op) is A.Until
+
+    def check(ctx: EvalContext, env: Env) -> bool:
+        i = ctx.index
+        if future:
+            frames = range(i, min(i + reach, len(ctx.trace) - 1) + 1)
+        else:
+            frames = range(i, max(i - reach, 0) - 1, -1)
+        for j in frames:
+            if body(ctx.at(j), env):
+                return not negated
+        return negated
+    return check
+
+
 def _freeze(c: _Compiler, phi: A.Freeze) -> Check:
+    idiom = _guarded_idiom(phi)
+    if idiom is not None:
+        return _window(c, phi, idiom)
     child = c.formula(phi.child)
     used = free_variables(phi.child)
     time_var = phi.time_var if phi.time_var in used else None

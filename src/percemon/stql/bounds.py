@@ -88,39 +88,55 @@ def conjuncts(phi: A.Formula) -> list[A.Formula]:
     return [phi]
 
 
-def _future_guard(rhs: A.Formula, pinned: frozenset[str]) -> int | None:
-    """Horizon implied by a ``C_FRAME - f < n`` style conjunct, or None."""
-    best: int | None = None
-    for part in conjuncts(rhs):
-        if not isinstance(part, A.FrameConstraint) or part.var not in pinned:
-            continue
-        # Canonical form is pinned minus current: f - C_FRAME cmp bound.
-        # Future evaluation makes f - C_FRAME <= 0, so useful guards are
-        # lower bounds with a non-positive constant.
+def _guard_reach(part: A.FrameConstraint, future: bool) -> int | None:
+    """How far from the pin a frame-distance guard lets the witness lie.
+
+    The canonical form is pinned minus current, ``f - C_FRAME cmp bound``.
+    Going forward that difference is <= 0, so the useful guards are lower
+    bounds with a non-positive constant (``C_FRAME - f <= n``); going back
+    it is >= 0 and they are upper bounds with a non-negative one. The
+    result is the largest distance at which the guard holds, -1 when it
+    holds at none, or None when ``part`` is no such guard.
+    """
+    if future:
         if part.cmp is A.Cmp.GE and part.bound <= 0:
-            candidate = -part.bound
-        elif part.cmp is A.Cmp.GT and part.bound <= 0:
-            candidate = max(-part.bound - 1, 0)
-        else:
-            continue
-        best = candidate if best is None else min(best, candidate)
-    return best
-
-
-def _past_guard(rhs: A.Formula, pinned: frozenset[str]) -> int | None:
-    """History implied by an ``f - C_FRAME < n`` style conjunct, or None."""
-    best: int | None = None
-    for part in conjuncts(rhs):
-        if not isinstance(part, A.FrameConstraint) or part.var not in pinned:
-            continue
+            return -part.bound
+        if part.cmp is A.Cmp.GT and part.bound <= 0:
+            return -part.bound - 1
+    else:
         if part.cmp is A.Cmp.LE and part.bound >= 0:
-            candidate = part.bound
-        elif part.cmp is A.Cmp.LT and part.bound >= 0:
-            candidate = max(part.bound - 1, 0)
+            return part.bound
+        if part.cmp is A.Cmp.LT and part.bound >= 0:
+            return part.bound - 1
+    return None
+
+
+def frame_guard(
+    rhs: A.Formula, pinned: frozenset[str], future: bool
+) -> tuple[int, list[A.Formula]] | None:
+    """The frame-distance guard among the positive conjuncts of ``rhs``.
+
+    Returns the reach of the tightest guard on a ``pinned`` frame variable
+    (see ``_guard_reach``; ``future`` for ``until``, else ``since``) and the
+    other conjuncts in order, or None when ``rhs`` has no such guard.
+    """
+    reach: int | None = None
+    rest: list[A.Formula] = []
+    for part in conjuncts(rhs):
+        here = None
+        if isinstance(part, A.FrameConstraint) and part.var in pinned:
+            here = _guard_reach(part, future)
+        if here is None:
+            rest.append(part)
         else:
-            continue
-        best = candidate if best is None else min(best, candidate)
-    return best
+            reach = here if reach is None else min(reach, here)
+    return None if reach is None else (reach, rest)
+
+
+def _guard_bound(rhs: A.Formula, pinned: frozenset[str], future: bool) -> int | None:
+    """Frames of horizon (``future``) or history a guard in ``rhs`` implies, or None."""
+    guard = frame_guard(rhs, pinned, future)
+    return None if guard is None else max(guard[0], 0)
 
 
 def _bounds(phi: A.Formula, pinned: frozenset[str]) -> tuple[int | None, int | None]:
@@ -145,13 +161,13 @@ def _bounds(phi: A.Formula, pinned: frozenset[str]) -> tuple[int | None, int | N
     if isinstance(phi, A.Until):
         lh, lz = _bounds(phi.lhs, pinned)
         rh, rz = _bounds(phi.rhs, pinned)
-        guard = _future_guard(phi.rhs, pinned)
+        guard = _guard_bound(phi.rhs, pinned, future=True)
         horizon = None if guard is None else _add(guard, _max(lz, rz))
         return _max(lh, rh), horizon
     if isinstance(phi, A.Since):
         lh, lz = _bounds(phi.lhs, pinned)
         rh, rz = _bounds(phi.rhs, pinned)
-        guard = _past_guard(phi.rhs, pinned)
+        guard = _guard_bound(phi.rhs, pinned, future=False)
         history = None if guard is None else _add(guard, _max(lh, rh))
         return history, _max(lz, rz)
     if isinstance(phi, A.ATOM_KINDS):
