@@ -17,7 +17,9 @@ The record names the command that made it, each tree's ``git describe``,
 and the host; it holds every result line (``runs``, ``traced``) and, per
 end-to-end metric of ``BENCHMARK.json``, the parent's and the change's
 q1/median/q3, the pairs the change won and the ratio of the medians
-(``summary``). Stops with exit 1 at the first run that fails.
+(``summary``). With traced runs it also holds, per workload and per-layer
+metric of ``BENCHMARK.json``, the parent's and the change's value
+(``traced_summary``). Stops with exit 1 at the first run that fails.
 """
 
 from __future__ import annotations
@@ -84,6 +86,15 @@ def summarize(runs: list[dict], metrics: dict[str, str]) -> dict:
     return summary
 
 
+def summarize_traced(traced: dict, metrics: list[str]) -> dict:
+    """Parent and change value of each per-layer metric, per traced workload."""
+    return {
+        workload: {name: {side: round(sides[side]["metrics"][name]["value"], 4) for side in SIDES}
+                   for name in metrics}
+        for workload, sides in traced.items()
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -94,7 +105,9 @@ def main() -> int:
     parser.add_argument("--traced-seconds", type=float, default=0.0)
     args = parser.parse_args()
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    metrics = {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+    benchmark = json.loads(BENCHMARK.read_text())
+    metrics = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    per_layer = [m["name"] for m in benchmark["per_layer"]]
     workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
     traced_args = ["--seconds", f"{args.traced_seconds:g}", "--trace", "1"]
 
@@ -125,6 +138,7 @@ def main() -> int:
                     "frames_per_s and setup_s are reported at the reference host speed by "
                     "perfbench's CPU probe",
         "summary": summarize(runs, metrics),
+        "traced_summary": summarize_traced(traced, per_layer),
         "runs": runs,
         "traced": traced,
     }

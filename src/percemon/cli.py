@@ -20,9 +20,8 @@ import time
 import click
 
 from . import __version__
-from .bench import render_json, render_tsv, run_bench
 from .errors import ContractViolation, IngestError, PercemonError
-from .evaluate import EvalContext, evaluate
+from .evaluate import EvalContext, describe_temporal, evaluate
 from .generator import GenConfig, generate_frames
 from .monitor import Monitor, MonitorConfig, Verdict
 from .stql.bindings import require_bindings
@@ -118,6 +117,7 @@ def check(spec: str, params: tuple[str, ...]) -> None:
     click.echo(f"formula: {format_formula(formula)}")
     click.echo(f"desugared: {format_formula(core)}")
     click.echo(bounds.describe())
+    click.echo(describe_temporal(core))
     if bounds.history is None:
         click.echo("warning: history is unbounded; online monitoring needs --max-history", err=True)
     if bounds.horizon is None:
@@ -137,7 +137,7 @@ def run(spec: str, trace_path: str, params: tuple[str, ...]) -> None:
     with open(trace_path, "rb") as fp:
         frames = list(read_stream(fp))
     # Every verdict sees the whole trace, so the window start never moves and
-    # one table of closed past-operator summaries serves all of them.
+    # one table of temporal summaries serves all of them.
     summaries: dict = {}
     for index, frame in enumerate(frames):
         started = time.perf_counter_ns()
@@ -195,6 +195,9 @@ def monitor(spec: str, input_path: str, max_history: int | None,
 def bench(spec: str, objects: str, frames: int, seed: int,
           count_assignments: bool, as_json: bool, params: tuple[str, ...]) -> None:
     """Measure per-verdict evaluation time against synthetic streams."""
+    # Imported here: ``monitor`` and ``run`` never need it or its imports.
+    from .bench import render_json, render_tsv, run_bench
+
     try:
         counts = [int(part) for part in objects.split(",") if part.strip()]
     except ValueError:

@@ -4,24 +4,10 @@ This is the offline semantics used directly by ``run`` and as the oracle
 for the online monitor. A formula is compiled once into a tree of
 closures, one per node or fused group of nodes (see below), each holding
 the semantic clause of its node kind; ``evaluate`` looks up the compiled
-program of the formula object and calls it. ``until`` and ``since`` scan for a witness frame for the right
-operand, with the left operand required at every frame from the evaluated
-one up to and including the witness, within the visible trace.
-
-A closed ``since`` is the exception: one with no free variable and no
-``next``/``prev``/``until``/``since`` in either operand, such as the
-desugared ``once p`` and ``holds p`` of a closed state formula ``p``. Its
-operands at a frame depend on that frame alone, so it is computed by the
-Havelund-Rosu recurrence under the same truncated semantics: per stream
-index k it keeps the latest witness j <= k (right operand at j, left
-operand on all of [j, k]) or -1, derived from the entry for k - 1 with one
-evaluation of each operand, and in a window starting at stream index s it
-is true when that witness is >= s. An ``EvalContext`` may carry a table of
-these entries together with the window's stream offset; the monitor keeps
-one for the life of a stream, so each verdict costs one step per closed
-``since`` however long the window is. Without a table, each ``evaluate``
-call computes the entries afresh from the window start, which is the same
-code run from scratch.
+program of the formula object and calls it. ``until`` and ``since`` scan
+for a witness frame for the right operand, with the left operand required
+at every frame from the evaluated one up to and including the witness,
+within the visible trace.
 
 A pin compiles to its body when nothing below it reads its variables. A
 pin that only a frame-distance guard reads, over ``until``/``since`` with a
@@ -29,6 +15,32 @@ true left operand, is the guarded idiom of ``always (C_FRAME - f <= k
 implies p)`` and ``once (f - C_FRAME < k and p)``: it compiles to one node
 over the rest of the right operand that looks only at the frames within the
 guard's reach, with no pin left (see ``_guarded_idiom``).
+
+Summaries replace the scan where the operands allow it: a ``since``, or a
+guarded idiom, whose operands hold no temporal operator and no free time or
+frame variable, and whose free object variables are read only by atoms
+that re-resolve the id (``prob``, ``class``, ``==``, ``!=``; box atoms read
+the snapshot captured where the variable was bound). Such operands at a
+frame depend on that frame and the bound ids alone. Per node and tuple of
+ids the evaluator keeps, for stream indices k, the latest witness j <= k
+(right operand at j, left operand on all of [j, k]) or -1, each derived
+from the one for k - 1 with one evaluation of each operand: the
+Havelund-Rosu recurrence, sliced by track id as in parametric trace
+slicing. A ``since`` in a window starting at stream index s is true when
+the latest witness at the evaluated frame is >= s, and a guarded idiom
+when the latest witness at the last visible frame of its reach lies
+within the reach (for ``always`` the witness is a failure of ``p``). A
+closed ``since`` is the case with no ids. The truncated-window semantics
+are unchanged: a witness outside the window does not count.
+
+An ``EvalContext`` may carry the table of these entries together with the
+window's stream offset; the monitor keeps one for the life of a stream and
+trims it to each window (``trim_summaries``), so each verdict costs one
+step per summarized node and id tuple however long the window is. A new
+entry is seeded by the plain scan back from the frame it is first needed
+at, so a new track costs what the scan would. Without a table, each
+``evaluate`` call uses a table of its own, which is the same code run from
+scratch.
 
 The propositional core is fused as it is compiled, so a desugared ``and``
 costs one node rather than four:
@@ -118,10 +130,13 @@ class EvalContext:
     """A trace (or buffered window) and the index under evaluation.
 
     ``offset`` is the stream index of ``trace[0]``. ``summaries`` holds the
-    closed ``since`` entries of one formula over one stream, keyed by node;
-    the caller owns it and passes it again with every later window of that
-    stream, whose start may only move forward. With None, ``evaluate``
-    computes the entries from the window start for that call alone.
+    temporal summaries of one formula over one stream, keyed by (node id,
+    tuple of the object ids bound to the node's free object variables);
+    closed nodes have the empty tuple. The caller owns it and passes it
+    again with every later window of that stream, whose start may only
+    move forward, and may drop what the window no longer needs with
+    ``trim_summaries``. With None, ``evaluate`` uses a table for that call
+    alone.
     """
 
     __slots__ = ("trace", "index", "stats", "offset", "summaries")
@@ -216,18 +231,30 @@ def _pin(pins: Mapping[str, float], name: str, kind: str):
     return pins[name]
 
 
+# The universe of the last extent asked for. A stream keeps its extent, so
+# one universe serves every spatial atom until the extent changes.
+_last_universe = Universe(1.0, 1.0)
+
+
 def _universe(ctx: EvalContext) -> Universe:
     """The current frame's universe."""
+    global _last_universe
     frame = ctx.trace[ctx.index]
-    return Universe(frame.width, frame.height)
+    universe = _last_universe
+    if universe.width != frame.width or universe.height != frame.height:
+        universe = _last_universe = Universe(frame.width, frame.height)
+    return universe
 
 
 class _Compiler:
     """Builds the closure tree of one formula and owns its per-program state:
-    warn-once messages."""
+    warn-once messages. ``plan`` lists, per ``until``/``since`` and guarded
+    idiom in compile order, the variables its summary is keyed by, or None
+    for a scan."""
 
     def __init__(self) -> None:
         self.warned: set[str] = set()
+        self.plan: list[tuple[str, ...] | None] = []
 
     def formula(self, phi: A.Formula) -> Check:
         build = _FORMULA_BUILDERS.get(type(phi))
@@ -362,6 +389,7 @@ def _next_prev(c: _Compiler, phi: A.Next | A.Prev) -> Check:
 
 
 def _until_since(c: _Compiler, phi: A.Until | A.Since) -> Check:
+    c.plan.append(None)
     lhs, rhs = c.formula(phi.lhs), c.formula(phi.rhs)
     forward = type(phi) is A.Until
 
@@ -380,55 +408,145 @@ def _until_since(c: _Compiler, phi: A.Until | A.Since) -> Check:
 
 
 _TEMPORAL = (A.Next, A.Prev, A.Until, A.Since)
+# Atoms that read the box captured where their object variables were bound.
+_BOX_ATOMS = (A.SpatialExists, A.AreaCmpConst, A.AreaCmpRatio, A.EDCmp,
+              A.OffsetCmpConst, A.OffsetCmpRatio)
 
 
-def _is_closed_since(phi: A.Since) -> bool:
-    """No free variable, and both operands read the evaluated frame only."""
-    operands = itertools.chain(A.subformulas(phi.lhs), A.subformulas(phi.rhs))
-    return not free_variables(phi) and not any(isinstance(sub, _TEMPORAL) for sub in operands)
+def _summary_ids(parts: Sequence[A.Formula]) -> tuple[str, ...] | None:
+    """The object variables whose ids key a summary of ``parts``, or None.
+
+    A summary needs parts whose value at a frame depends on that frame and
+    on the ids bound to their free object variables alone: no temporal
+    operator, no free time or frame variable, and no box atom reading a
+    free object variable (``prob``/``class``/``==``/``!=`` re-resolve the
+    id). Bindings never shadow, so a variable free in a part is bound
+    outside it; box atoms over variables bound inside read that frame.
+    """
+    free = frozenset().union(*(free_variables(part) for part in parts))
+    for part in parts:
+        for sub in A.subformulas(part):
+            if isinstance(sub, _TEMPORAL):
+                return None
+            if isinstance(sub, (A.TimeConstraint, A.FrameConstraint)) and sub.var in free:
+                return None
+            if isinstance(sub, _BOX_ATOMS) and free_variables(sub) & free:
+                return None
+    return tuple(sorted(free))
+
+
+def _summary_key(node: A.Formula, variables: tuple[str, ...]) -> Callable[[Env], tuple]:
+    """The table key of ``node`` under the ids the environment binds to ``variables``."""
+    node_id = id(node)
+    if not variables:
+        closed = (node_id, ())
+        return lambda env: closed
+    if len(variables) == 1:
+        var = variables[0]
+
+        def key(env: Env) -> tuple:
+            try:
+                return node_id, (env.objects[var].object_id,)
+            except KeyError as exc:
+                raise _unbound(exc) from None
+        return key
+
+    def key(env: Env) -> tuple:
+        objects = env.objects
+        try:
+            return node_id, tuple([objects[var].object_id for var in variables])
+        except KeyError as exc:
+            raise _unbound(exc) from None
+    return key
 
 
 class _Witnesses:
-    """Closed ``since`` entries for the stream indices base, base + 1, ...
+    """Summary entries of one node for one tuple of ids, at stream indices
+    base, base + 1, ...
 
-    ``latest[k - base]`` is the latest witness j <= k or -1. Entries only
-    depend on frames, so they stay valid for every later window; the entry
-    at ``base`` is kept as the predecessor of the first one still needed.
+    ``latest[k - base]`` is the latest witness j in [lower, k] (right
+    operand at j, left operand on all of [j, k]) or -1. Entries depend on
+    frames and ids only, so they stay valid for every later window, and
+    they answer for the frames [low, k] whenever low >= lower.
     """
 
-    __slots__ = ("base", "latest")
+    __slots__ = ("lower", "base", "latest")
 
-    def __init__(self, start: int):
-        # Nothing before the window start is visible: a -1 sentinel entry.
-        self.base = start - 1
-        self.latest = [-1]
+    def __init__(self, lower: int, base: int, found: int):
+        self.lower = lower
+        self.base = base
+        self.latest = [found]
+
+
+def _latest(ctx: EvalContext, env: Env, key: tuple, lhs: Check | None, rhs: Check,
+            lower: int, target: int) -> int:
+    """The latest witness in [lower, target], or -1, from the entry under ``key``.
+
+    Stream indices, both within the window; a None ``lhs`` is true. An
+    entry that covers the query is extended to ``target`` by the
+    Havelund-Rosu recurrence, one evaluation of each operand per frame.
+    Otherwise a new one is seeded at ``target`` by the scan back from it,
+    which stops at its first decision as the plain ``since`` scan does.
+    """
+    start = ctx.offset
+    summaries = ctx.summaries
+    entry = summaries.get(key)
+    if (entry is None or lower < entry.lower or target < entry.base
+            or entry.base + len(entry.latest) < start):
+        found = -1
+        for k in range(target, lower - 1, -1):
+            here = ctx.at(k - start)
+            if lhs is not None and not lhs(here, env):
+                break
+            if rhs(here, env):
+                found = k
+                break
+        summaries[key] = _Witnesses(lower, target, found)
+        return found
+    latest, base = entry.latest, entry.base
+    for k in range(base + len(latest), target + 1):
+        here = ctx.at(k - start)
+        if lhs is not None and not lhs(here, env):
+            latest.append(-1)
+        else:
+            latest.append(k if rhs(here, env) else latest[-1])
+    return latest[target - base]
+
+
+def trim_summaries(summaries: dict, start: int) -> None:
+    """Trim a summary table to a window that starts at stream index ``start``.
+
+    Entries that end before it are dropped: their ids have left the window,
+    or a later query seeds them afresh. The others keep the entries from
+    ``start - 1`` on, the predecessor of the first one a query can need.
+    """
+    dead = []
+    for key, entry in summaries.items():
+        base, latest = entry.base, entry.latest
+        if base + len(latest) <= start:
+            dead.append(key)
+        elif base < start - 1:
+            del latest[: start - 1 - base]
+            entry.base = start - 1
+    for key in dead:
+        del summaries[key]
 
 
 def _since(c: _Compiler, phi: A.Since) -> Check:
-    """A closed ``since`` by its recurrence, any other by the scan."""
-    if not _is_closed_since(phi):
+    """A ``since`` by its summary when its operands allow one (see
+    ``_summary_ids``), keyed by the ids of its free object variables, any
+    other by the scan."""
+    variables = _summary_ids((phi.lhs, phi.rhs))
+    if variables is None:
         return _until_since(c, phi)
-    lhs, rhs = c.formula(phi.lhs), c.formula(phi.rhs)
-    key = id(phi)
+    c.plan.append(variables)
+    lhs = None if type(phi.lhs) is A.TrueConst else c.formula(phi.lhs)
+    rhs = c.formula(phi.rhs)
+    key = _summary_key(phi, variables)
 
     def check(ctx: EvalContext, env: Env) -> bool:
         start = ctx.offset
-        summary = ctx.summaries.get(key)
-        if summary is None or not summary.base < start <= summary.base + len(summary.latest):
-            # No entry for the frame before the window: summarize from its start.
-            summary = ctx.summaries[key] = _Witnesses(start)
-        elif summary.base < start - 1:
-            del summary.latest[: start - 1 - summary.base]
-            summary.base = start - 1
-        latest, base = summary.latest, summary.base
-        wanted = start + ctx.index
-        for k in range(base + len(latest), wanted + 1):
-            here = ctx.at(k - start)
-            if not lhs(here, env):
-                latest.append(-1)
-            else:
-                latest.append(k if rhs(here, env) else latest[-1])
-        return latest[wanted - base] >= start
+        return _latest(ctx, env, key(env), lhs, rhs, start, start + ctx.index) >= start
     return check
 
 
@@ -460,23 +578,41 @@ def _window(c: _Compiler, phi: A.Freeze, idiom) -> Check:
 
     ``true until R`` at frame i is true when the parts hold together at some
     visible frame j in [i, i + reach], ``true since R`` when they do at some
-    j in [i - reach, i]: beyond that the guard is false. The frames are
-    scanned in the operator's own order.
+    j in [i - reach, i]: beyond that the guard is false. With a summary
+    (see ``_summary_ids``) that is the latest witness in those frames,
+    keyed by the ids of the parts' free object variables; otherwise the
+    frames are scanned in the operator's own order.
     """
     op, negated, reach, parts = idiom
+    variables = _summary_ids(parts)
+    c.plan.append(variables)
     body = _all([c.formula(part) for part in parts])
     future = type(op) is A.Until
+    if variables is None:
+        def check(ctx: EvalContext, env: Env) -> bool:
+            i = ctx.index
+            if future:
+                frames = range(i, min(i + reach, len(ctx.trace) - 1) + 1)
+            else:
+                frames = range(i, max(i - reach, 0) - 1, -1)
+            for j in frames:
+                if body(ctx.at(j), env):
+                    return not negated
+            return negated
+        return check
+    key = _summary_key(phi, variables)
 
     def check(ctx: EvalContext, env: Env) -> bool:
         i = ctx.index
         if future:
-            frames = range(i, min(i + reach, len(ctx.trace) - 1) + 1)
+            lo, hi = i, min(i + reach, len(ctx.trace) - 1)
         else:
-            frames = range(i, max(i - reach, 0) - 1, -1)
-        for j in frames:
-            if body(ctx.at(j), env):
-                return not negated
-        return negated
+            lo, hi = max(i - reach, 0), i
+        if hi < lo:
+            return negated
+        start = ctx.offset
+        found = _latest(ctx, env, key(env), None, body, start + lo, start + hi) >= start + lo
+        return found != negated
     return check
 
 
@@ -789,6 +925,29 @@ _TERM_BUILDERS: dict[type, Callable[[_Compiler, A.SpatialTerm], Term]] = {
     A.SpatialUnion: _union_intersect,
     A.SpatialIntersect: _union_intersect,
 }
+
+
+def describe_temporal(phi: A.Formula) -> str:
+    """One line on how each ``until``/``since`` of a desugared formula runs.
+
+    For example ``temporal: 1 closed summary, 1 per-id summary over {b},
+    0 scans``. It is read from the plan the compiler records as it decides,
+    so it says what the evaluator does. ``next``/``prev`` are single steps
+    and not counted.
+    """
+    compiler = _Compiler()
+    compiler.formula(phi)
+    plan = compiler.plan
+
+    def count(n: int, noun: str, plural: str) -> str:
+        return f"{n} {noun if n == 1 else plural}"
+
+    per_id = [ids for ids in plan if ids]
+    line = (f"temporal: {count(plan.count(()), 'closed summary', 'closed summaries')}, "
+            f"{count(len(per_id), 'per-id summary', 'per-id summaries')}")
+    if per_id:
+        line += " over " + ", ".join("{" + ", ".join(ids) + "}" for ids in per_id)
+    return f"{line}, {count(plan.count(None), 'scan', 'scans')}"
 
 
 def eval_spatial(term: A.SpatialTerm, ctx: EvalContext, env: Env) -> Region:

@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import ConfigError, ContractViolation
-from .evaluate import EvalContext, EvalStats, evaluate
+from .evaluate import EvalContext, EvalStats, evaluate, trim_summaries
 from .stql import ast as A
 from .stql.bindings import require_bindings
 from .stql.bounds import FrameBounds, compute_bounds
@@ -103,8 +103,8 @@ class Monitor:
         self.horizon = _effective_bound(self.inferred_bounds.horizon, config.max_horizon, "horizon")
         self.capacity = self.history + self.horizon + 1
         self.stats = EvalStats()
-        # Per-node state of the closed past operators, carried from verdict
-        # to verdict (see ``evaluate``).
+        # Per-node, per-id temporal summaries, carried from verdict to
+        # verdict and trimmed to each window (see ``evaluate``).
         self._summaries: dict = {}
         self._buffer: deque[Frame] = deque()
         self._base = 0          # stream index of the oldest buffered frame
@@ -125,6 +125,7 @@ class Monitor:
         if start > self._base:
             window = window[start - self._base :]
         rel = index - start
+        trim_summaries(self._summaries, start)
         started = time.perf_counter_ns()
         ctx = EvalContext(window, rel, self.stats, offset=start, summaries=self._summaries)
         value = evaluate(self.formula, ctx)
