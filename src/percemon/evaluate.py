@@ -231,30 +231,25 @@ def _pin(pins: Mapping[str, float], name: str, kind: str):
     return pins[name]
 
 
-# The universe of the last extent asked for. A stream keeps its extent, so
-# one universe serves every spatial atom until the extent changes.
-_last_universe = Universe(1.0, 1.0)
-
-
-def _universe(ctx: EvalContext) -> Universe:
-    """The current frame's universe."""
-    global _last_universe
-    frame = ctx.trace[ctx.index]
-    universe = _last_universe
-    if universe.width != frame.width or universe.height != frame.height:
-        universe = _last_universe = Universe(frame.width, frame.height)
-    return universe
-
-
 class _Compiler:
     """Builds the closure tree of one formula and owns its per-program state:
-    warn-once messages. ``plan`` lists, per ``until``/``since`` and guarded
-    idiom in compile order, the variables its summary is keyed by, or None
-    for a scan."""
+    warn-once messages and the universe of the last image extent. ``plan``
+    lists, per ``until``/``since`` and guarded idiom in compile order, the
+    variables its summary is keyed by, or None for a scan."""
 
     def __init__(self) -> None:
         self.warned: set[str] = set()
         self.plan: list[tuple[str, ...] | None] = []
+        self.last_universe: Universe | None = None
+
+    def universe(self, ctx: EvalContext) -> Universe:
+        """The current frame's universe. A stream keeps its image extent, so
+        one universe serves every spatial atom until the extent changes."""
+        frame = ctx.trace[ctx.index]
+        universe = self.last_universe
+        if universe is None or universe.width != frame.width or universe.height != frame.height:
+            universe = self.last_universe = Universe(frame.width, frame.height)
+        return universe
 
     def formula(self, phi: A.Formula) -> Check:
         build = _FORMULA_BUILDERS.get(type(phi))
@@ -770,28 +765,29 @@ def _prob_ratio(c: _Compiler, phi: A.ProbCmpRatio) -> Check:
 
 
 def _spatial_exists(c: _Compiler, phi: A.SpatialExists) -> Check:
-    term = c.term(phi.term)
+    term, universe = c.term(phi.term), c.universe
 
     def check(ctx: EvalContext, env: Env) -> bool:
-        return not spatial.is_empty(term(_universe(ctx), env))
+        return not spatial.is_empty(term(universe(ctx), env))
     return check
 
 
 def _area_const(c: _Compiler, phi: A.AreaCmpConst) -> Check:
     term, op, bound = c.term(phi.term), phi.cmp.function, phi.bound
+    universe = c.universe
 
     def check(ctx: EvalContext, env: Env) -> bool:
-        return op(spatial.area(term(_universe(ctx), env)), bound)
+        return op(spatial.area(term(universe(ctx), env)), bound)
     return check
 
 
 def _area_ratio(c: _Compiler, phi: A.AreaCmpRatio) -> Check:
     lhs, rhs = c.term(phi.lhs), c.term(phi.rhs)
     op, ratio = phi.cmp.function, phi.ratio
-    ratio_ok = c.ratio_rhs_ok
+    ratio_ok, universe_of = c.ratio_rhs_ok, c.universe
 
     def check(ctx: EvalContext, env: Env) -> bool:
-        universe = _universe(ctx)
+        universe = universe_of(ctx)
         rhs_area = spatial.area(rhs(universe, env))
         if not ratio_ok(rhs_area, "area"):
             return False
@@ -952,7 +948,8 @@ def describe_temporal(phi: A.Formula) -> str:
 
 def eval_spatial(term: A.SpatialTerm, ctx: EvalContext, env: Env) -> Region:
     """Evaluate a core spatial term within the current frame's universe."""
-    return _Compiler().term(term)(_universe(ctx), env)
+    compiler = _Compiler()
+    return compiler.term(term)(compiler.universe(ctx), env)
 
 
 # Compiled programs by formula identity. Each entry holds its formula, so the
