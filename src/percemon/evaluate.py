@@ -313,12 +313,10 @@ class _Compiler:
 
 # --- propositional and temporal core ----------------------------------------
 
-def _always_true(ctx: EvalContext, env: Env) -> bool:
-    return True
-
-
 def _true(c: _Compiler, phi: A.TrueConst) -> Check:
-    return _always_true
+    def check(ctx: EvalContext, env: Env) -> bool:
+        return True
+    return check
 
 
 def _any(parts: list[Check]) -> Check:
@@ -343,8 +341,6 @@ def _any(parts: list[Check]) -> Check:
 
 def _all(parts: list[Check]) -> Check:
     """Left to right, stopping at the first false part."""
-    if not parts:
-        return _always_true
     if len(parts) == 1:
         return parts[0]
     if len(parts) == 2:
@@ -551,7 +547,8 @@ def _guarded_idiom(phi: A.Freeze):
     The idiom is ``pin (_, f) { X }`` or ``pin (_, f) { not X }`` where X is
     ``true until R`` or ``true since R`` and the conjuncts of R are a
     frame-distance guard on ``f`` (``bounds.frame_guard``, which also sizes
-    the window) and parts that read neither ``f`` nor the pinned time. It
+    the window) and at least one part that reads neither ``f`` nor the
+    pinned time. It
     is what ``always (C_FRAME - f <= k implies p)`` and ``once (f - C_FRAME
     < k and p)`` desugar to. Returns (operator, negated, reach, parts).
     """
@@ -563,7 +560,7 @@ def _guarded_idiom(phi: A.Freeze):
     if phi.time_var is not None and phi.time_var in free_variables(child):
         return None
     guard = frame_guard(op.rhs, frozenset((frame_var,)), future=type(op) is A.Until)
-    if guard is None or any(frame_var in free_variables(part) for part in guard[1]):
+    if guard is None or not guard[1] or any(frame_var in free_variables(part) for part in guard[1]):
         return None
     return op, negated, guard[0], guard[1]
 

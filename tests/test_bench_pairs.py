@@ -49,3 +49,27 @@ def test_summary_reproduces_each_committed_bench_record(bench_pairs, path):
     benchmark = json.loads((REPO / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     assert bench_pairs.summarize(record["runs"], metrics) == record["summary"]
+
+
+def test_traced_summary_pairs_each_per_layer_metric(bench_pairs):
+    def traced(steps, us):
+        return {"correct": True, "attempted": 10, "failed": 0, "metrics": {
+            "evaluate.temporal_steps_per_frame": {"value": steps, "unit": "count/frame"},
+            "evaluate.us_p50": {"value": us, "unit": "us"},
+        }}
+    record = {"w": {"parent": traced(23.783333, 55.25851), "change": traced(5.0, 30.1)}}
+    metrics = ["evaluate.temporal_steps_per_frame", "evaluate.us_p50"]
+    assert bench_pairs.summarize_traced(record, metrics) == {"w": {
+        "evaluate.temporal_steps_per_frame": {"parent": 23.7833, "change": 5.0},
+        "evaluate.us_p50": {"parent": 55.2585, "change": 30.1},
+    }}
+
+
+@pytest.mark.parametrize("path", sorted(path for path in REPO.glob("BENCH_*.json")
+                                        if "traced_summary" in json.loads(path.read_text())),
+                         ids=lambda path: path.name)
+def test_traced_summary_reproduces_each_committed_bench_record(bench_pairs, path):
+    record = json.loads(path.read_text())
+    benchmark = json.loads((REPO / "BENCHMARK.json").read_text())
+    metrics = [m["name"] for m in benchmark["per_layer"]]
+    assert bench_pairs.summarize_traced(record["traced"], metrics) == record["traced_summary"]

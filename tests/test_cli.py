@@ -99,6 +99,35 @@ def test_check_missing_file(runner):
     assert result.exit_code == 1
 
 
+HOLDS_WINDOW_SPEC = Path(__file__).resolve().parent.parent / "perfbench" / "specs" / "holds_window.stql"
+
+
+@pytest.mark.parametrize("spec, line", [
+    (str(HOLDS_WINDOW_SPEC), "temporal: 1 closed summary, 1 per-id summary over {b}, 0 scans"),
+    ("builtin:phi1", "temporal: 0 closed summaries, 0 per-id summaries, 0 scans"),
+    # A box atom reads the box captured at the pin, not the track's box at
+    # the frame under evaluation, so the guarded always keeps its scan.
+    ("forall {b} @ pin (_, f) { always (C_FRAME - f <= 5 implies lat(b, ct) > 300) }",
+     "temporal: 0 closed summaries, 0 per-id summaries, 1 scan"),
+])
+def test_check_reports_how_each_temporal_operator_runs(runner, tmp_path, spec, line):
+    if not spec.startswith("builtin:") and not spec.endswith(".stql"):
+        (tmp_path / "spec.stql").write_text(spec + "\n")
+        spec = str(tmp_path / "spec.stql")
+    result = invoke(runner, "check", "--spec", spec)
+    assert result.exit_code == 0
+    assert line in result.stdout.splitlines()
+
+
+def test_importing_the_cli_leaves_the_bench_module_unloaded():
+    code = ("import sys, percemon.cli; "
+            "print(sorted({'percemon.bench', 'statistics'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_check_param_overrides(runner):
     result = invoke(runner, "check", "--spec", "builtin:phi1", "--param", "c1=5",
                     "--param", "prob_high=0.9")
