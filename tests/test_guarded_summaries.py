@@ -22,8 +22,6 @@ from percemon.cli import cli
 from percemon.evaluate import EvalContext, describe_temporal, evaluate, evaluate_trace
 from percemon.generator import GenConfig, generate_frames
 from percemon.monitor import Monitor, MonitorConfig, run_monitor
-from percemon.stql import ast as A
-from percemon.stql.bounds import compute_bounds
 from percemon.stql.builtins import resolve_spec
 from percemon.stql.desugar import desugar
 from percemon.stql.parser import parse
@@ -168,10 +166,10 @@ def _sliding_shared_table(core, frames, history, horizon):
 def _check_every_path(formula, streams):
     core = desugar(formula)
     for frames in streams:
+        # ``evaluate_trace`` calls ``evaluate`` with no table.
         whole = evaluate_trace(core, frames)
         assert whole == _scans(core, frames), format_formula(formula)
         assert _run_shared_table(core, frames) == whole
-        assert [evaluate(core, EvalContext(frames, i)) for i in range(len(frames))] == whole
         for history, horizon in WINDOWS:
             config = MonitorConfig(max_history=history, max_horizon=horizon)
             monitor = Monitor(formula, config)
@@ -200,12 +198,6 @@ def test_fallbacks_keep_the_scan_and_its_verdicts(name):
     formula = parse(FALLBACKS[name])
     assert describe_temporal(desugar(formula)) == ONE_SCAN
     _check_every_path(formula, _streams())
-
-
-def test_idioms_keep_the_desugared_core_and_the_inferred_window():
-    core = desugar(parse(HOLDS_WINDOW.read_text()))
-    assert compute_bounds(core).describe() == "history=unbounded horizon=5"
-    assert "until" in format_formula(core) and "pin (_, f)" in format_formula(core)
 
 
 def test_a_query_reaching_below_an_entry_seeds_a_new_one():
