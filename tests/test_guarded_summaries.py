@@ -203,8 +203,9 @@ def test_fallbacks_keep_the_scan_and_its_verdicts(name):
 def test_a_query_reaching_below_an_entry_seeds_a_new_one():
     # Near the end of the trace the idiom's window is clipped: the queries at
     # 4, 3 and 2 end at frame 5, where the entry seeded by the query at 5
-    # does, but only the query at 2 sees the failure at frame 2. Were it
-    # answered from that entry, the verdict at 5 would reach the witness at 2.
+    # does, but only the query at 2 sees the failure at frame 2. Answered
+    # from that entry, it would miss it, and the since at 5 would find its
+    # witness at 2.
     box = BoundingBox(10.0, 10.0, 50.0, 50.0)
     frames = [make_frame(i, i / 10, 800.0, 600.0, [DetectedObject(1, "car", confidence, box)])
               for i, confidence in enumerate((0.9, 0.9, 0.3, 0.9, 0.9, 0.9))]
