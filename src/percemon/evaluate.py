@@ -4,34 +4,35 @@ This is the offline semantics used directly by ``run`` and as the oracle
 for the online monitor. A formula is compiled once into a tree of
 closures, one per node or fused group of nodes (see below), each holding
 the semantic clause of its node kind; ``evaluate`` looks up the compiled
-program of the formula object and calls it. ``until`` and ``since`` scan
-for a witness frame for the right operand, with the left operand required
-at every frame from the evaluated one up to and including the witness,
-within the visible trace.
+program of the formula object and calls it.
 
-A pin compiles to its body when nothing below it reads its variables. A
+Every ``until`` and ``since`` compiles to one node (``_temporal``): ``lhs
+until/since R``, with the witness at most a reach of frames away,
+optionally negated. At frame i a witness is a frame where R holds, with
+``lhs`` at every frame from i up to and including it, within the visible
+trace and the reach. A plain ``until``/``since`` has an unbounded reach. A
 pin that only a frame-distance guard reads, over ``until``/``since`` with a
 true left operand, is the guarded idiom of ``always (C_FRAME - f <= k
-implies p)`` and ``once (f - C_FRAME < k and p)``: it compiles to one node
-over the rest of the right operand that looks only at the frames within the
-guard's reach, with no pin left (see ``_guarded_idiom``).
+implies p)`` and ``once (f - C_FRAME < k and p)``: it is the same node with
+the guard's reach and the rest of R, with no pin left (see
+``_guarded_idiom``). A pin that nothing below it reads compiles to its body.
 
-Summaries replace the scan where the operands allow it: a ``since``, or a
-guarded idiom, whose operands hold no temporal operator and no free time or
-frame variable, and whose free object variables are read only by atoms
-that re-resolve the id (``prob``, ``class``, ``==``, ``!=``; box atoms read
-the snapshot captured where the variable was bound). Such operands at a
-frame depend on that frame and the bound ids alone. Per node and tuple of
-ids the evaluator keeps, for stream indices k, the latest witness j <= k
-(right operand at j, left operand on all of [j, k]) or -1, each derived
-from the one for k - 1 with one evaluation of each operand: the
+The node scans the frames within reach in its operator's order, unless its
+operands allow a summary: they hold no temporal operator and no free time or
+frame variable, their free object variables are read only by atoms that
+re-resolve the id (``prob``, ``class``, ``==``, ``!=``; box atoms read the
+snapshot captured where the variable was bound), and for ``until`` the left
+operand is true. Such operands at a frame depend on that frame and the bound
+ids alone. Per node and tuple of ids the evaluator keeps, for stream indices
+k, the latest witness j <= k (R at j, ``lhs`` on all of [j, k]) or -1, each
+derived from the one for k - 1 with one evaluation of each operand: the
 Havelund-Rosu recurrence, sliced by track id as in parametric trace
-slicing. A ``since`` in a window starting at stream index s is true when
-the latest witness at the evaluated frame is >= s, and a guarded idiom
-when the latest witness at the last visible frame of its reach lies
-within the reach (for ``always`` the witness is a failure of ``p``). A
-closed ``since`` is the case with no ids. The truncated-window semantics
-are unchanged: a witness outside the window does not count.
+slicing. Un-negated, the node holds when the latest witness at the last visible frame
+of its reach lies within the reach, so an unguarded ``always``/``eventually``
+is summarized as the guarded idioms are (for ``always`` the witness is a
+failure of ``p``). A closed node is the case with no ids. The
+truncated-window semantics are unchanged: a witness outside the window does
+not count.
 
 An ``EvalContext`` may carry the table of these entries together with the
 window's stream offset; the monitor keeps one for the life of a stream and
@@ -81,6 +82,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -379,25 +381,6 @@ def _next_prev(c: _Compiler, phi: A.Next | A.Prev) -> Check:
     return check
 
 
-def _until_since(c: _Compiler, phi: A.Until | A.Since) -> Check:
-    c.plan.append(None)
-    lhs, rhs = c.formula(phi.lhs), c.formula(phi.rhs)
-    forward = type(phi) is A.Until
-
-    def check(ctx: EvalContext, env: Env) -> bool:
-        # Disjunction over witnesses j (j >= i for until, j <= i for since),
-        # with lhs required at every frame from i through j inclusive.
-        witnesses = range(ctx.index, len(ctx.trace)) if forward else range(ctx.index, -1, -1)
-        for j in witnesses:
-            here = ctx.at(j)
-            if not lhs(here, env):
-                return False
-            if rhs(here, env):
-                return True
-        return False
-    return check
-
-
 _TEMPORAL = (A.Next, A.Prev, A.Until, A.Since)
 # Atoms that read the box captured where their object variables were bound.
 _BOX_ATOMS = (A.SpatialExists, A.AreaCmpConst, A.AreaCmpRatio, A.EDCmp,
@@ -473,11 +456,13 @@ def _latest(ctx: EvalContext, env: Env, key: tuple, lhs: Check | None, rhs: Chec
             lower: int, target: int) -> int:
     """The latest witness in [lower, target], or -1, from the entry under ``key``.
 
-    Stream indices, both within the window; a None ``lhs`` is true. An
-    entry that covers the query is extended to ``target`` by the
-    Havelund-Rosu recurrence, one evaluation of each operand per frame.
-    Otherwise a new one is seeded at ``target`` by the scan back from it,
-    which stops at its first decision as the plain ``since`` scan does.
+    Stream indices; ``target`` is at most the window's end and a None
+    ``lhs`` is true. An entry that covers the query is extended to
+    ``target`` by the Havelund-Rosu recurrence, one evaluation of each
+    operand per frame. Otherwise a new one is seeded at ``target`` by the
+    scan back from it, which stops at its first decision as the plain
+    ``since`` scan does. With ``lower > target`` (a guard no frame meets)
+    the range is empty and the answer is below ``lower``.
     """
     start = ctx.offset
     summaries = ctx.summaries
@@ -523,24 +508,6 @@ def trim_summaries(summaries: dict, start: int) -> None:
         del summaries[key]
 
 
-def _since(c: _Compiler, phi: A.Since) -> Check:
-    """A ``since`` by its summary when its operands allow one (see
-    ``_summary_ids``), keyed by the ids of its free object variables, any
-    other by the scan."""
-    variables = _summary_ids((phi.lhs, phi.rhs))
-    if variables is None:
-        return _until_since(c, phi)
-    c.plan.append(variables)
-    lhs = None if type(phi.lhs) is A.TrueConst else c.formula(phi.lhs)
-    rhs = c.formula(phi.rhs)
-    key = _summary_key(phi, variables)
-
-    def check(ctx: EvalContext, env: Env) -> bool:
-        start = ctx.offset
-        return _latest(ctx, env, key(env), lhs, rhs, start, start + ctx.index) >= start
-    return check
-
-
 def _guarded_idiom(phi: A.Freeze):
     """The frame-guarded pin idiom under ``phi``, or None.
 
@@ -565,53 +532,65 @@ def _guarded_idiom(phi: A.Freeze):
     return op, negated, guard[0], guard[1]
 
 
-def _window(c: _Compiler, phi: A.Freeze, idiom) -> Check:
-    """A guarded idiom as one node: is some part-conjunction witness within reach?
+# The reach of an unguarded ``until``/``since``: past the end of any window.
+_UNBOUNDED = sys.maxsize
 
-    ``true until R`` at frame i is true when the parts hold together at some
-    visible frame j in [i, i + reach], ``true since R`` when they do at some
-    j in [i - reach, i]: beyond that the guard is false. With a summary
-    (see ``_summary_ids``) that is the latest witness in those frames,
-    keyed by the ids of the parts' free object variables; otherwise the
-    frames are scanned in the operator's own order.
+
+def _temporal(c: _Compiler, node: A.Formula, idiom: tuple | None = None) -> Check:
+    """``lhs until/since R``, R a conjunction of parts, with the witness at
+    most ``reach`` frames away, optionally negated.
+
+    A plain ``until``/``since`` is ``node`` itself with an unbounded reach
+    and its right operand as the only part; a guarded idiom (see
+    ``_guarded_idiom``) brings its operator, negation, reach and parts, and
+    ``node`` is its pin. At frame i the witness is a frame j in [i, i +
+    reach] for ``until``, in [i - reach, i] for ``since``, clipped to the
+    visible trace, where the parts hold together, with ``lhs`` on every
+    frame from i through j. With a summary (see ``_summary_ids``; for
+    ``until`` only when ``lhs`` is true, so that the latest witness answers
+    it) that is the latest witness in those frames, keyed by the ids of the
+    operands' free object variables; otherwise the frames are scanned in the
+    operator's own order.
     """
-    op, negated, reach, parts = idiom
-    variables = _summary_ids(parts)
+    op, negated, reach, parts = idiom or (node, False, _UNBOUNDED, (node.rhs,))
+    forward = type(op) is A.Until
+    true_lhs = type(op.lhs) is A.TrueConst
+    variables = _summary_ids((op.lhs, *parts)) if true_lhs or not forward else None
     c.plan.append(variables)
+    lhs = None if true_lhs else c.formula(op.lhs)
     body = _all([c.formula(part) for part in parts])
-    future = type(op) is A.Until
     if variables is None:
         def check(ctx: EvalContext, env: Env) -> bool:
             i = ctx.index
-            if future:
+            if forward:
                 frames = range(i, min(i + reach, len(ctx.trace) - 1) + 1)
             else:
                 frames = range(i, max(i - reach, 0) - 1, -1)
             for j in frames:
-                if body(ctx.at(j), env):
+                here = ctx.at(j)
+                if lhs is not None and not lhs(here, env):
+                    return negated
+                if body(here, env):
                     return not negated
             return negated
         return check
-    key = _summary_key(phi, variables)
+    key = _summary_key(node, variables)
 
     def check(ctx: EvalContext, env: Env) -> bool:
-        i = ctx.index
-        if future:
+        i, start = ctx.index, ctx.offset
+        if forward:
             lo, hi = i, min(i + reach, len(ctx.trace) - 1)
         else:
             lo, hi = max(i - reach, 0), i
-        if hi < lo:
-            return negated
-        start = ctx.offset
-        found = _latest(ctx, env, key(env), None, body, start + lo, start + hi) >= start + lo
-        return found != negated
+        lower = start + lo
+        return (_latest(ctx, env, key(env), lhs, body, lower, start + hi) >= lower) != negated
     return check
 
 
 def _freeze(c: _Compiler, phi: A.Freeze) -> Check:
     idiom = _guarded_idiom(phi)
     if idiom is not None:
-        return _window(c, phi, idiom)
+        return _temporal(c, phi, idiom)
     child = c.formula(phi.child)
     used = free_variables(phi.child)
     time_var = phi.time_var if phi.time_var in used else None
@@ -848,8 +827,8 @@ _FORMULA_BUILDERS: dict[type, Callable[[_Compiler, A.Formula], Check]] = {
     A.Or: _or,
     A.Next: _next_prev,
     A.Prev: _next_prev,
-    A.Until: _until_since,
-    A.Since: _since,
+    A.Until: _temporal,
+    A.Since: _temporal,
     A.Freeze: _freeze,
     A.Exists: _exists,
     A.TimeConstraint: _time_constraint,

@@ -3,10 +3,11 @@
 ``pin (_, f) { always (C_FRAME - f <= k implies p) }`` and ``pin (_, f) {
 once (f - C_FRAME < k and p) }`` compile to one bounded-window node over
 ``p``; when ``p`` reads its object variables only through id-resolved atoms,
-that node, like any such ``since``, keeps one summary per tuple of bound ids.
-Every path must give the verdicts of the plain scans: the monitor (flush and
-an ingest error included), the shared table of ``run`` and ``evaluate``
-without a table. The scans themselves are the evaluator with the idiom
+that node, like any such ``since`` and any such ``until`` with a true left
+operand (an unguarded ``always``/``eventually``), keeps one summary per
+tuple of bound ids. Every path must give the verdicts of the plain scans:
+the monitor (flush and an ingest error included), the shared table of
+``run`` and ``evaluate`` without a table. The scans themselves are the evaluator with the idiom
 recognizer and the summaries switched off.
 """
 
@@ -95,7 +96,7 @@ def _idiom(rng: random.Random, p: str) -> str:
 
 
 def _summarized(rng: random.Random) -> str:
-    """A guarded idiom or an un-pinned per-id ``since``, in a random position."""
+    """A guarded idiom or an unguarded per-id ``until``/``since``, in a random position."""
     states = _States(rng)
     two = rng.random() < 0.3
     variables = ("a", "b") if two else ("b",)
@@ -103,7 +104,8 @@ def _summarized(rng: random.Random) -> str:
     if rng.random() < 0.6:
         # Confidences change from frame to frame; classes and ids do not.
         p = f"prob({rng.choice(variables)}) > {rng.uniform(0.5, 0.9):.2f} {rng.choice(('and', 'or'))} ({p})"
-    shape = rng.choice(("idiom", "idiom", "idiom", "holds", "once", "since"))
+    shape = rng.choice(("idiom", "idiom", "idiom", "holds", "once", "since", "always",
+                        "eventually"))
     if shape == "idiom":
         node = _idiom(rng, p)
     elif shape == "since":
@@ -133,6 +135,8 @@ FALLBACKS = {
                 "(prob(b) > 0.6 or C_TIME - t < 0.15)) }",
     "box atom in a past idiom": "exists {b} @ pin (_, f) { once (f - C_FRAME < 4 and "
                                 "nonempty(bbox(b) & universe)) }",
+    # The latest witness does not answer an until whose left operand can fail.
+    "until with a left operand": "forall {b} @ (prob(b) > 0.3 until prob(b) < 0.5)",
 }
 ONE_SCAN = "temporal: 0 closed summaries, 0 per-id summaries, 1 scan"
 
@@ -197,6 +201,19 @@ def test_summarized_shapes_match_the_scans(seed):
 def test_fallbacks_keep_the_scan_and_its_verdicts(name):
     formula = parse(FALLBACKS[name])
     assert describe_temporal(desugar(formula)) == ONE_SCAN
+    _check_every_path(formula, _streams())
+
+
+@pytest.mark.parametrize("spec, verdict", [
+    ("forall {b} @ pin (_, f) { always (C_FRAME - f < 0 implies prob(b) > 0.6) }", True),
+    ("exists {b} @ pin (_, f) { once (f - C_FRAME < 0 and prob(b) > 0.5) }", False),
+])
+def test_a_guard_no_frame_meets_gives_the_empty_witness_range(spec, verdict):
+    # The reach is -1: the summary is asked for a latest witness in a range
+    # that ends before it starts.
+    formula = parse(spec)
+    assert describe_temporal(desugar(formula)).endswith(" 0 scans")
+    assert evaluate_trace(desugar(formula), _streams()[0]) == [verdict] * 36
     _check_every_path(formula, _streams())
 
 
@@ -324,6 +341,18 @@ def test_holds_window_costs_about_one_step_per_object_per_frame():
     # The scan took 1296 steps here; quantifiers are untouched.
     assert counts["steps"] <= (COUNTED_STREAM.objects + 3) * len(frames)
     assert (counts["assignments"], counts["calls"]) == (584, 160)
+
+
+def test_unguarded_always_costs_about_one_step_per_object_per_frame(tmp_path):
+    spec = tmp_path / "spec.stql"
+    spec.write_text("forall {b} @ always prob(b) > 0.6\n")
+    frames = list(generate_frames(COUNTED_STREAM))
+    config = MonitorConfig(max_horizon=5)
+    verdicts, counts = _counted(str(spec), frames, config)
+    monitor = Monitor(resolve_spec(str(spec))[1], config)
+    assert verdicts == _scans(monitor.formula, frames, monitor.history, monitor.horizon)
+    # The scan to the end of each window took 1216 steps here.
+    assert counts["steps"] <= (COUNTED_STREAM.objects + 3) * len(frames)
 
 
 @pytest.mark.parametrize("spec, steps, assignments, calls", [
