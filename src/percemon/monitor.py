@@ -14,15 +14,15 @@ A specification whose requirement is unbounded needs an explicit override.
 
 The monitor takes frames in the order the caller pushes them and does not
 check it; ``trace.read_stream`` checks frame order where frames are read.
-Each verdict copies the window out of the buffer once, and a ``Verdict``
-is a plain value built like the trace records (``trace.plain_value``);
-``Verdict.to_json_line`` is the line the CLI prints for it.
+The buffer is the window of the verdict under evaluation, which reads it
+in place without a copy. A ``Verdict`` is a plain value built like the
+trace records (``trace.plain_value``); ``Verdict.to_json_line`` is the
+line the CLI prints for it.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import ConfigError, ContractViolation
@@ -106,24 +106,28 @@ class Monitor:
         # Per-node, per-id temporal summaries, carried from verdict to
         # verdict and trimmed to each window (see ``evaluate``).
         self._summaries: dict = {}
-        self._buffer: deque[Frame] = deque()
+        self._buffer: list[Frame] = []
         self._base = 0          # stream index of the oldest buffered frame
         self._pushed = 0        # total frames pushed
         self._next = 0          # next verdict index to emit
         self._flushed = False
 
+    def _evict(self, start: int) -> None:
+        """Drop the buffered frames before stream index ``start``."""
+        if start > self._base:
+            del self._buffer[: start - self._base]
+            self._base = start
+
     def _emit(self, index: int) -> Verdict:
         # The verdict window is exactly [index - history, index + horizon],
-        # clamped to the stream. During pushes eviction already keeps the
-        # buffer there; during flush the buffer still holds older frames
-        # for verdicts past the first pending one, so trim the start.
+        # clamped to the stream, and the buffer already ends where it does.
+        # During pushes eviction already keeps the buffer's start there;
+        # during flush the buffer still holds older frames, so evict them.
         # Verdicts are emitted in index order and the base only grows, so
         # window starts never move backwards, flush included: that is what
         # lets the summaries reuse entries computed for earlier windows.
-        start = max(self._base, index - self.history)
-        window = list(self._buffer)
-        if start > self._base:
-            window = window[start - self._base :]
+        self._evict(index - self.history)
+        start, window = self._base, self._buffer
         rel = index - start
         trim_summaries(self._summaries, start)
         started = time.perf_counter_ns()
@@ -145,9 +149,7 @@ class Monitor:
         while self._next + self.horizon <= newest:
             out.append(self._emit(self._next))
             self._next += 1
-            while self._base < self._next - self.history:
-                self._buffer.popleft()
-                self._base += 1
+            self._evict(self._next - self.history)
         if len(self._buffer) > self.capacity:
             raise ContractViolation(
                 f"window holds {len(self._buffer)} frames, capacity is {self.capacity}"
