@@ -7,8 +7,8 @@ that node, like any such ``since`` and any such ``until`` with a true left
 operand (an unguarded ``always``/``eventually``), keeps one summary per
 tuple of bound ids. Every path must give the verdicts of the plain scans:
 the monitor (flush and an ingest error included), the shared table of
-``run`` and ``evaluate`` without a table. The scans themselves are the evaluator with the idiom
-recognizer and the summaries switched off.
+``run`` and ``evaluate`` without a table. The scans themselves are the
+evaluator with the idiom recognizer and the summaries switched off.
 """
 
 import importlib
