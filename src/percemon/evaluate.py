@@ -17,22 +17,24 @@ implies p)`` and ``once (f - C_FRAME < k and p)``: it is the same node with
 the guard's reach and the rest of R, with no pin left (see
 ``_guarded_idiom``). A pin that nothing below it reads compiles to its body.
 
-The node scans the frames within reach in its operator's order, unless its
-operands allow a summary: they hold no temporal operator and no free time or
-frame variable, their free object variables are read only by atoms that
-re-resolve the id (``prob``, ``class``, ``==``, ``!=``; box atoms read the
-snapshot captured where the variable was bound), and for ``until`` the left
-operand is true. Such operands at a frame depend on that frame and the bound
-ids alone. Per node and tuple of ids the evaluator keeps, for stream indices
-k, the latest witness j <= k (R at j, ``lhs`` on all of [j, k]) or -1, each
-derived from the one for k - 1 with one evaluation of each operand: the
-Havelund-Rosu recurrence, sliced by track id as in parametric trace
-slicing. Un-negated, the node holds when the latest witness at the last visible frame
-of its reach lies within the reach, so an unguarded ``always``/``eventually``
-is summarized as the guarded idioms are (for ``always`` the witness is a
-failure of ``p``). A closed node is the case with no ids. The
-truncated-window semantics are unchanged: a witness outside the window does
-not count.
+The node scans the frames within reach in its operator's order, unless it
+is a ``since`` or a guarded idiom whose operands allow a summary: they hold
+no temporal operator and no free time or frame variable, and their free
+object variables are read only by atoms that re-resolve the id (``prob``,
+``class``, ``==``, ``!=``; box atoms read the snapshot captured where the
+variable was bound). Such operands at a frame depend on that frame and the
+bound ids alone. Per node and tuple of ids the evaluator keeps, for stream
+indices k, the latest witness j <= k (R at j, ``lhs`` on all of [j, k]) or
+-1, each derived from the one for k - 1 with one evaluation of each
+operand: the Havelund-Rosu recurrence, sliced by track id as in parametric
+trace slicing. Un-negated, the node holds when the latest witness at the
+last visible frame of its reach lies within the reach (for a guarded
+``always`` the witness is a failure of ``p``). A closed node is the case
+with no ids. An ``until`` with an unbounded reach keeps the scan: the query
+would end at the last visible frame, so each new id would be seeded by a
+walk back from there, about the whole trace per id offline, where the scan
+forward from the evaluated frame often stops at once. The truncated-window
+semantics are unchanged: a witness outside the window does not count.
 
 An ``EvalContext`` may carry the table of these entries together with the
 window's stream offset; the monitor keeps one for the life of a stream and
@@ -547,15 +549,15 @@ def _temporal(c: _Compiler, node: A.Formula, idiom: tuple | None = None) -> Chec
     reach] for ``until``, in [i - reach, i] for ``since``, clipped to the
     visible trace, where the parts hold together, with ``lhs`` on every
     frame from i through j. With a summary (see ``_summary_ids``; for
-    ``until`` only when ``lhs`` is true, so that the latest witness answers
-    it) that is the latest witness in those frames, keyed by the ids of the
-    operands' free object variables; otherwise the frames are scanned in the
-    operator's own order.
+    ``until`` only with a bounded reach, i.e. a guarded idiom, whose ``lhs``
+    is true) that is the latest witness in those frames, keyed by the ids
+    of the operands' free object variables; otherwise the frames are
+    scanned in the operator's own order.
     """
     op, negated, reach, parts = idiom or (node, False, _UNBOUNDED, (node.rhs,))
     forward = type(op) is A.Until
     true_lhs = type(op.lhs) is A.TrueConst
-    variables = _summary_ids((op.lhs, *parts)) if true_lhs or not forward else None
+    variables = _summary_ids((op.lhs, *parts)) if idiom or not forward else None
     c.plan.append(variables)
     lhs = None if true_lhs else c.formula(op.lhs)
     body = _all([c.formula(part) for part in parts])

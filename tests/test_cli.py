@@ -109,9 +109,9 @@ HOLDS_WINDOW_SPEC = Path(__file__).resolve().parent.parent / "perfbench" / "spec
     # the frame under evaluation, so the guarded always keeps its scan.
     ("forall {b} @ pin (_, f) { always (C_FRAME - f <= 5 implies lat(b, ct) > 300) }",
      "temporal: 0 closed summaries, 0 per-id summaries, 1 scan"),
-    # An unguarded always over an id-resolved atom is summarized per track.
+    # An always with no guard looks to the end of the window: it scans.
     ("forall {b} @ always prob(b) > 0.6",
-     "temporal: 0 closed summaries, 1 per-id summary over {b}, 0 scans"),
+     "temporal: 0 closed summaries, 0 per-id summaries, 1 scan"),
 ])
 def test_check_reports_how_each_temporal_operator_runs(runner, tmp_path, spec, line):
     if not spec.startswith("builtin:") and not spec.endswith(".stql"):
