@@ -15,6 +15,7 @@ single-fault builders for tests and demos live here too.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -43,8 +44,8 @@ class GenConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {p}")
-        if self.width <= 0 or self.height <= 0:
-            raise ConfigError("image extent must be positive")
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise ConfigError("image extent must be positive and finite")
 
 
 def safe_zone(width: float, height: float, margin: float = 0.05) -> tuple[int, int, int, int]:

@@ -8,26 +8,27 @@ once, holds, universal quantification) parse and print normally but are
 rewritten into the core by ``desugar``. Spatial intersection is core: the
 evaluator computes it directly.
 
-Node equality ignores source locations, so a parsed formula compares equal
-to the same formula built programmatically.
+Every node kind declares its fields as class annotations, in constructor
+order, and derives the rest from ``Node``: a positional constructor with a
+keyword-only source location ``loc``, equality and hashing by kind and
+fields (locations ignored, so a parsed formula compares equal to the same
+formula built programmatically), a repr, immutability, and the structural
+walks ``children`` and ``map``. Passes that recurse over the tree go
+through those two, so this module alone says which fields hold sub-nodes.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Callable, Optional
 
 
 @dataclass(frozen=True)
 class Loc:
     line: int
     column: int
-
-
-def _loc_field():
-    return field(default=None, compare=False, repr=False, kw_only=True)
 
 
 class Cmp(Enum):
@@ -84,163 +85,173 @@ class Axis(Enum):
     LON = "lon"  # y coordinate: offset from the top image edge
 
 
-class Formula:
+class Node:
+    """Base class of every syntax-tree node.
+
+    Nodes keep their values in the instance ``__dict__`` (no slots), so
+    ``vars(node)`` lists the fields and ``loc``.
+    """
+
+    _fields: tuple[str, ...] = ()
+    loc: Optional[Loc]
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *values, loc: Optional[Loc] = None) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} field(s) "
+                            f"{self._fields}, got {len(values)}")
+        state = self.__dict__
+        state.update(zip(self._fields, values))
+        state["loc"] = loc
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def children(self) -> list[Node]:
+        """The sub-nodes held in this node's fields, in field order."""
+        return [value for value in self._values() if isinstance(value, Node)]
+
+    def map(self, fn: Callable[[Node], Node]) -> Node:
+        """The same kind of node with ``fn`` applied to each sub-node.
+
+        Other fields and ``loc`` are kept.
+        """
+        values = [fn(value) if isinstance(value, Node) else value for value in self._values()]
+        return type(self)(*values, loc=self.loc)
+
+
+class Formula(Node):
     """Base class of all formula nodes."""
 
 
-class SpatialTerm:
+class SpatialTerm(Node):
     """Base class of all spatial term nodes."""
 
 
 # --- spatial terms ----------------------------------------------------------
 
-@dataclass(frozen=True)
 class EmptySet(SpatialTerm):
-    loc: Optional[Loc] = _loc_field()
+    """The empty region."""
 
-
-@dataclass(frozen=True)
 class UniverseSet(SpatialTerm):
-    loc: Optional[Loc] = _loc_field()
+    """The whole image."""
 
-
-@dataclass(frozen=True)
 class BBoxOf(SpatialTerm):
     var: str
-    loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
 class Complement(SpatialTerm):
     term: SpatialTerm
-    loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
 class SpatialUnion(SpatialTerm):
     lhs: SpatialTerm
     rhs: SpatialTerm
-    loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
 class SpatialIntersect(SpatialTerm):
     lhs: SpatialTerm
     rhs: SpatialTerm
-    loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
-class OffsetTerm:
+class OffsetTerm(Node):
     """Lateral or longitudinal coordinate of a reference point of a box."""
 
     axis: Axis
     var: str
     ref: ReferencePoint
-    loc: Optional[Loc] = _loc_field()
 
 
 # --- propositional / temporal core -----------------------------------------
 
-@dataclass(frozen=True)
 class TrueConst(Formula):
-    loc: Optional[Loc] = _loc_field()
+    """The constant true."""
 
-
-@dataclass(frozen=True)
 class Not(Formula):
     child: Formula
-    loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
 class Or(Formula):
     lhs: Formula
     rhs: Formula
-    loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
 class And(Formula):  # sugar
     lhs: Formula
     rhs: Formula
-    loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
 class Implies(Formula):  # sugar
     lhs: Formula
     rhs: Formula
-    loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
 class Next(Formula):
     child: Formula
-    loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
 class Prev(Formula):
     child: Formula
-    loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
 class Always(Formula):  # sugar
     child: Formula
-    loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
 class Eventually(Formula):  # sugar
     child: Formula
-    loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
 class Once(Formula):  # sugar
     child: Formula
-    loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
 class Holds(Formula):  # sugar
     child: Formula
-    loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
 class Until(Formula):
     lhs: Formula
     rhs: Formula
-    loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
 class Since(Formula):
     lhs: Formula
     rhs: Formula
-    loc: Optional[Loc] = _loc_field()
 
 
 # --- binders ----------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Exists(Formula):
     variables: tuple[str, ...]
     child: Formula
-    loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
 class Forall(Formula):  # sugar
     variables: tuple[str, ...]
     child: Formula
-    loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
 class Freeze(Formula):
     """Pin the current timestamp and frame index into variables.
 
@@ -250,102 +261,78 @@ class Freeze(Formula):
     time_var: Optional[str]
     frame_var: Optional[str]
     child: Formula
-    loc: Optional[Loc] = _loc_field()
 
 
 # --- atoms ------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class TimeConstraint(Formula):
     """Pinned timestamp minus current timestamp, compared with a constant."""
 
     var: str
     cmp: Cmp
     bound: float
-    loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
 class FrameConstraint(Formula):
     """Pinned frame index minus current index, compared with a constant."""
 
     var: str
     cmp: Cmp
     bound: int
-    loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
 class ClassEqConst(Formula):
     var: str
     label: str
-    loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
 class ClassEqVar(Formula):
     lhs: str
     rhs: str
-    loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
 class ProbCmpConst(Formula):
     var: str
     cmp: Cmp
     bound: float
-    loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
 class ProbCmpRatio(Formula):
     lhs: str
     cmp: Cmp
     ratio: float
     rhs: str
-    loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
 class IdEq(Formula):
     lhs: str
     rhs: str
-    loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
 class IdNeq(Formula):
     lhs: str
     rhs: str
-    loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
 class SpatialExists(Formula):
     """True when the spatial term denotes a region of positive area."""
 
     term: SpatialTerm
-    loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
 class AreaCmpConst(Formula):
     term: SpatialTerm
     cmp: Cmp
     bound: float
-    loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
 class AreaCmpRatio(Formula):
     lhs: SpatialTerm
     cmp: Cmp
     ratio: float
     rhs: SpatialTerm
-    loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
 class EDCmp(Formula):
     """Euclidean distance between reference points of two boxes."""
 
@@ -355,24 +342,19 @@ class EDCmp(Formula):
     rhs_ref: ReferencePoint
     cmp: Cmp
     bound: float
-    loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
 class OffsetCmpConst(Formula):
     term: OffsetTerm
     cmp: Cmp
     bound: float
-    loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
 class OffsetCmpRatio(Formula):
     lhs: OffsetTerm
     cmp: Cmp
     ratio: float
     rhs: OffsetTerm
-    loc: Optional[Loc] = _loc_field()
 
 
 SUGAR_FORMULAS = (And, Implies, Always, Eventually, Once, Holds, Forall)
@@ -395,14 +377,10 @@ ATOM_KINDS = (
     OffsetCmpRatio,
 )
 
-Node = Union[Formula, SpatialTerm, OffsetTerm]
-
-
 def subformulas(phi: Formula):
     """Yield ``phi`` and every formula node below it, pre-order."""
     yield phi
-    for name in ("child", "lhs", "rhs"):
-        sub = getattr(phi, name, None)
+    for sub in phi.children():
         if isinstance(sub, Formula):
             yield from subformulas(sub)
 

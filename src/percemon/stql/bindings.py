@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import ContractViolation, Diagnostic, SpecError
+from ..errors import Diagnostic, SpecError
 from . import ast as A
 
 OBJECT = "object"
@@ -29,11 +29,6 @@ class BindDiagnostic:
     name: str
     message: str
     loc: A.Loc | None = None
-
-    def render(self) -> str:
-        if self.loc is None:
-            return f"{self.kind}: {self.message}"
-        return f"{self.loc.line}:{self.loc.column}: {self.kind}: {self.message}"
 
 
 def check_bindings(phi: A.Formula) -> list[BindDiagnostic]:
@@ -84,79 +79,36 @@ def _bind(name: str, kind: str, scope: dict[str, str], loc, out) -> dict[str, st
     return scope
 
 
-def _walk_spatial(term: A.SpatialTerm, scope, out) -> None:
-    if isinstance(term, A.BBoxOf):
-        _use(term.var, OBJECT, scope, term.loc, out)
-    elif isinstance(term, A.Complement):
-        _walk_spatial(term.term, scope, out)
-    elif isinstance(term, (A.SpatialUnion, A.SpatialIntersect)):
-        _walk_spatial(term.lhs, scope, out)
-        _walk_spatial(term.rhs, scope, out)
-    elif not isinstance(term, (A.EmptySet, A.UniverseSet)):
-        raise ContractViolation(f"unknown spatial term {term!r}")
+# The variables that each atom or term reads, as (field, kind) pairs in
+# reading order. Binders are handled in ``_walk``; other nodes read none.
+_READS = {
+    A.TimeConstraint: (("var", TIME),),
+    A.FrameConstraint: (("var", FRAME),),
+    A.ClassEqConst: (("var", OBJECT),),
+    A.ProbCmpConst: (("var", OBJECT),),
+    A.BBoxOf: (("var", OBJECT),),
+    A.OffsetTerm: (("var", OBJECT),),
+    A.ClassEqVar: (("lhs", OBJECT), ("rhs", OBJECT)),
+    A.ProbCmpRatio: (("lhs", OBJECT), ("rhs", OBJECT)),
+    A.IdEq: (("lhs", OBJECT), ("rhs", OBJECT)),
+    A.IdNeq: (("lhs", OBJECT), ("rhs", OBJECT)),
+    A.EDCmp: (("lhs", OBJECT), ("rhs", OBJECT)),
+}
 
 
-def _walk(phi: A.Formula, scope: dict[str, str], out: list[BindDiagnostic]) -> None:
-    if isinstance(phi, (A.Exists, A.Forall)):
-        inner = scope
-        for name in phi.variables:
-            inner = _bind(name, OBJECT, inner, phi.loc, out)
-        _walk(phi.child, inner, out)
-        return
-    if isinstance(phi, A.Freeze):
-        inner = scope
-        if phi.time_var is not None:
-            inner = _bind(phi.time_var, TIME, inner, phi.loc, out)
-        if phi.frame_var is not None:
-            inner = _bind(phi.frame_var, FRAME, inner, phi.loc, out)
-        _walk(phi.child, inner, out)
-        return
-
-    if isinstance(phi, (A.Not, A.Next, A.Prev, A.Always, A.Eventually, A.Once, A.Holds)):
-        _walk(phi.child, scope, out)
-        return
-    if isinstance(phi, (A.Or, A.And, A.Implies, A.Until, A.Since)):
-        _walk(phi.lhs, scope, out)
-        _walk(phi.rhs, scope, out)
-        return
-
-    if isinstance(phi, A.TrueConst):
-        return
-    if isinstance(phi, A.TimeConstraint):
-        _use(phi.var, TIME, scope, phi.loc, out)
-        return
-    if isinstance(phi, A.FrameConstraint):
-        _use(phi.var, FRAME, scope, phi.loc, out)
-        return
-    if isinstance(phi, A.ClassEqConst):
-        _use(phi.var, OBJECT, scope, phi.loc, out)
-        return
-    if isinstance(phi, (A.ClassEqVar, A.IdEq, A.IdNeq, A.ProbCmpRatio)):
-        _use(phi.lhs, OBJECT, scope, phi.loc, out)
-        _use(phi.rhs, OBJECT, scope, phi.loc, out)
-        return
-    if isinstance(phi, A.ProbCmpConst):
-        _use(phi.var, OBJECT, scope, phi.loc, out)
-        return
-    if isinstance(phi, A.SpatialExists):
-        _walk_spatial(phi.term, scope, out)
-        return
-    if isinstance(phi, A.AreaCmpConst):
-        _walk_spatial(phi.term, scope, out)
-        return
-    if isinstance(phi, A.AreaCmpRatio):
-        _walk_spatial(phi.lhs, scope, out)
-        _walk_spatial(phi.rhs, scope, out)
-        return
-    if isinstance(phi, A.EDCmp):
-        _use(phi.lhs, OBJECT, scope, phi.loc, out)
-        _use(phi.rhs, OBJECT, scope, phi.loc, out)
-        return
-    if isinstance(phi, A.OffsetCmpConst):
-        _use(phi.term.var, OBJECT, scope, phi.term.loc or phi.loc, out)
-        return
-    if isinstance(phi, A.OffsetCmpRatio):
-        _use(phi.lhs.var, OBJECT, scope, phi.lhs.loc or phi.loc, out)
-        _use(phi.rhs.var, OBJECT, scope, phi.rhs.loc or phi.loc, out)
-        return
-    raise ContractViolation(f"unknown formula node {phi!r}")
+def _walk(node: A.Node, scope: dict[str, str], out: list[BindDiagnostic], loc=None) -> None:
+    # A node without a location reports the nearest enclosing one.
+    loc = node.loc or loc
+    if isinstance(node, (A.Exists, A.Forall)):
+        for name in node.variables:
+            scope = _bind(name, OBJECT, scope, loc, out)
+    elif isinstance(node, A.Freeze):
+        if node.time_var is not None:
+            scope = _bind(node.time_var, TIME, scope, loc, out)
+        if node.frame_var is not None:
+            scope = _bind(node.frame_var, FRAME, scope, loc, out)
+    else:
+        for name, kind in _READS.get(type(node), ()):
+            _use(getattr(node, name), kind, scope, loc, out)
+    for child in node.children():
+        _walk(child, scope, out, loc)

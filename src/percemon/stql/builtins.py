@@ -19,10 +19,11 @@ frame and exist to measure quantifier blow-up.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Mapping
 
-from ..errors import ConfigError
+from ..errors import ConfigError, Diagnostic, SpecError
 from . import ast as A
 from .parser import parse
 
@@ -45,7 +46,10 @@ def resolve_params(params: Mapping[str, float] | None = None) -> dict[str, float
         unknown = set(params) - set(DEFAULT_PARAMS) - {"c1", "c2", "c3", "c4"}
         if unknown:
             raise ConfigError(f"unknown parameter(s): {', '.join(sorted(unknown))}")
-        merged.update({k: float(v) for k, v in params.items()})
+        for name, value in params.items():
+            merged[name] = float(value)
+            if not math.isfinite(merged[name]):
+                raise ConfigError(f"parameter {name} must be finite, got {value}")
     merged.setdefault("c1", 0.05 * merged["height"])
     merged.setdefault("c2", 0.95 * merged["height"])
     merged.setdefault("c3", 0.05 * merged["width"])
@@ -100,8 +104,20 @@ def probe(k: int) -> A.Formula:
 
 def read_spec_file(path: str) -> A.Formula:
     """Parse a specification file (UTF-8, # comments, one formula)."""
-    with open(path, "r", encoding="utf-8") as fp:
-        return parse(fp.read())
+    with open(path, "rb") as fp:
+        data = fp.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = _universal_newlines(data[:exc.start].decode("utf-8"))
+        raise SpecError([Diagnostic("lexical", f"not valid UTF-8: {exc.reason}",
+                                    before.count("\n") + 1, len(before) - before.rfind("\n"))]) from None
+    return parse(_universal_newlines(text))
+
+
+def _universal_newlines(text: str) -> str:
+    # What a text-mode read returns: "\r\n" and "\r" become "\n".
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def resolve_spec(

@@ -36,23 +36,8 @@ def desugar(phi: A.Formula) -> A.Formula:
     if isinstance(phi, A.Forall):
         return A.Not(A.Exists(phi.variables, A.Not(desugar(phi.child))))
 
-    if isinstance(phi, A.Not):
-        return A.Not(desugar(phi.child), loc=phi.loc)
-    if isinstance(phi, A.Or):
-        return A.Or(desugar(phi.lhs), desugar(phi.rhs), loc=phi.loc)
-    if isinstance(phi, A.Next):
-        return A.Next(desugar(phi.child), loc=phi.loc)
-    if isinstance(phi, A.Prev):
-        return A.Prev(desugar(phi.child), loc=phi.loc)
-    if isinstance(phi, A.Until):
-        return A.Until(desugar(phi.lhs), desugar(phi.rhs), loc=phi.loc)
-    if isinstance(phi, A.Since):
-        return A.Since(desugar(phi.lhs), desugar(phi.rhs), loc=phi.loc)
-    if isinstance(phi, A.Exists):
-        return A.Exists(phi.variables, desugar(phi.child), loc=phi.loc)
-    if isinstance(phi, A.Freeze):
-        return A.Freeze(phi.time_var, phi.frame_var, desugar(phi.child), loc=phi.loc)
-
     if isinstance(phi, A.ATOM_KINDS):
         return phi
+    if isinstance(phi, A.Formula):
+        return phi.map(desugar)
     raise ContractViolation(f"unknown formula node {phi!r}")

@@ -605,12 +605,11 @@ def _check_depth(phi: A.Formula) -> None:
     stack = [(phi, 0, None)]
     while stack:
         node, depth, loc = stack.pop()
-        loc = getattr(node, "loc", None) or loc
+        loc = node.loc or loc
         if depth > MAX_NESTING:
             raise _too_deep(loc.line if loc else None, loc.column if loc else None)
-        for value in vars(node).values():
-            if isinstance(value, (A.Formula, A.SpatialTerm)):
-                stack.append((value, depth + 1, loc))
+        stack.extend((child, depth + 1, loc) for child in node.children()
+                     if isinstance(child, (A.Formula, A.SpatialTerm)))
 
 
 def parse(text: str) -> A.Formula:

@@ -144,7 +144,40 @@ def test_check_unknown_param_fails(runner):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("command", ["check", "monitor"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_non_finite_param_fails(runner, command, value):
+    extra = ("--input", "-") if command == "monitor" else ()
+    result = invoke(runner, command, "--spec", "builtin:phi2", "--param", f"overlap={value}",
+                    *extra, input="")
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: parameter overlap must be finite")
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("command", ["check", "run", "monitor", "bench"])
+def test_spec_file_that_is_not_utf8_is_a_located_error(runner, tmp_path, command):
+    spec = tmp_path / "bad.stql"
+    spec.write_bytes(b"exists {a} @\r\n  prob(a) > 0.\xe9\n")
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(gen_lines(runner))
+    extra = {"check": (), "run": ("--trace", str(trace)), "monitor": ("--input", str(trace)),
+             "bench": ("--objects", "1", "--frames", "2")}[command]
+    result = invoke(runner, command, "--spec", str(spec), *extra)
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: 2:15: lexical: not valid UTF-8")
+    assert "Traceback" not in result.stderr
+
+
 # --- gen ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("flag", ["--width", "--height"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_gen_rejects_non_finite_extent(runner, flag, value):
+    result = invoke(runner, "gen", "--frames", "2", "--objects", "1", flag, value)
+    assert result.exit_code == 1
+    assert result.stderr == "error: image extent must be positive and finite\n"
+
 
 def test_gen_is_deterministic(runner):
     assert gen_lines(runner) == gen_lines(runner)

@@ -8,7 +8,6 @@ equivalent trees, the same errors, the same evaluation order and the same
 quantifier work.
 """
 
-import dataclasses
 import logging
 import random
 
@@ -56,9 +55,7 @@ def scramble(phi, rng):
     elif kind in _OPPOSITE_ID and rng.random() < 0.3:
         out = A.Not(_OPPOSITE_ID[kind](phi.lhs, phi.rhs))
     else:
-        changes = {name: scramble(getattr(phi, name), rng) for name in ("child", "lhs", "rhs")
-                   if isinstance(getattr(phi, name, None), A.Formula)}
-        out = dataclasses.replace(phi, **changes) if changes else phi
+        out = phi.map(lambda sub: scramble(sub, rng) if isinstance(sub, A.Formula) else sub)
     if rng.random() < 0.3:
         out = A.Not(A.Not(out))
     return out

@@ -62,6 +62,21 @@ def test_probability_validation():
         GenConfig(frames=1, objects=1, drop_prob=1.5)
 
 
+@pytest.mark.parametrize("extent", [{"width": float("nan")}, {"height": float("inf")},
+                                    {"width": -float("inf")}, {"height": 0.0}])
+def test_extent_must_be_positive_and_finite(extent):
+    with pytest.raises(ConfigError, match="image extent must be positive and finite"):
+        GenConfig(frames=1, objects=1, **extent)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_params_must_be_finite(value):
+    with pytest.raises(ConfigError, match="parameter overlap must be finite"):
+        resolve_params({"overlap": value})
+    with pytest.raises(ConfigError, match="parameter c1 must be finite"):
+        phi1({"c1": value})
+
+
 def test_safe_zone_is_strictly_inside_margins():
     x_lo, x_hi, y_lo, y_hi = safe_zone(800.0, 600.0)
     assert x_lo > 0.05 * 800 and x_hi < 0.95 * 800

@@ -62,3 +62,20 @@ def test_traced_pass_keeps_each_workload_in_its_layer_ranges(perfbench, name):
     assert workload.layer_ranges
     for metric, (low, high) in workload.layer_ranges.items():
         assert low <= metrics[metric] <= high, metric
+
+
+@pytest.mark.parametrize("name, nodes", [("phi2-crowd", 19), ("phi1-sparse", 41),
+                                         ("holds-window", 22)])
+def test_traced_pass_counts_each_workloads_core_nodes(perfbench, name, nodes):
+    # ``traced.core_nodes`` walks ``vars(node)``, so this also fails if syntax
+    # nodes stop keeping their fields in an instance dict.
+    prepare, traced = perfbench["prepare"], perfbench["traced"]
+    workload = perfbench["workloads"].WORKLOADS[name]
+    inputs = prepare.Inputs(dataclasses.replace(workload, frames=20), seed=7)
+    lines = inputs.jsonl.splitlines(keepends=True)
+    tracer = traced.Tracer()
+    wall, setup_ns, values = tracer.run(lines, workload.spec_arg(),
+                                        MonitorConfig(max_history=workload.max_history))
+    assert values == inputs.reference
+    metrics = traced.layer_metrics([tracer], [wall], [wall], [setup_ns], len(lines))
+    assert metrics["stql.core_nodes"] == nodes
