@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from typing import Mapping
 
 from ..errors import ConfigError, Diagnostic, SpecError
@@ -102,22 +103,20 @@ def probe(k: int) -> A.Formula:
     return A.Exists(names, A.ProbCmpConst(names[0], A.Cmp.GT, 1.0))
 
 
+# Bytes that are not UTF-8 decode to lone surrogates under "surrogateescape".
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
 def read_spec_file(path: str) -> A.Formula:
     """Parse a specification file (UTF-8, # comments, one formula)."""
-    with open(path, "rb") as fp:
-        data = fp.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        before = _universal_newlines(data[:exc.start].decode("utf-8"))
-        raise SpecError([Diagnostic("lexical", f"not valid UTF-8: {exc.reason}",
-                                    before.count("\n") + 1, len(before) - before.rfind("\n"))]) from None
-    return parse(_universal_newlines(text))
-
-
-def _universal_newlines(text: str) -> str:
-    # What a text-mode read returns: "\r\n" and "\r" become "\n".
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fp:
+        text = fp.read()
+    bad = _UNDECODED.search(text)
+    if bad:
+        at = bad.start()
+        raise SpecError([Diagnostic("lexical", f"not valid UTF-8: byte 0x{ord(text[at]) - 0xDC00:02x}",
+                                    text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))])
+    return parse(text)
 
 
 def resolve_spec(
