@@ -95,8 +95,7 @@ class Node:
     _fields: tuple[str, ...] = ()
     loc: Optional[Loc]
 
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls) -> None:
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
 
     def __init__(self, *values, loc: Optional[Loc] = None) -> None:
