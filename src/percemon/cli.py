@@ -21,7 +21,7 @@ import click
 
 from . import __version__
 from .errors import ContractViolation, IngestError, PercemonError
-from .evaluate import EvalContext, describe_temporal, evaluate
+from .evaluate import EvalContext, describe_spatial, describe_temporal, evaluate
 from .generator import GenConfig, generate_frames
 from .monitor import Monitor, MonitorConfig, Verdict
 from .stql.bindings import require_bindings
@@ -118,6 +118,7 @@ def check(spec: str, params: tuple[str, ...]) -> None:
     click.echo(f"desugared: {format_formula(core)}")
     click.echo(bounds.describe())
     click.echo(describe_temporal(core))
+    click.echo(describe_spatial(core))
     if bounds.history is None:
         click.echo("warning: history is unbounded; online monitoring needs --max-history", err=True)
     if bounds.horizon is None:

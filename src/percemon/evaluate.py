@@ -56,10 +56,20 @@ costs one node rather than four:
 * ``not not a`` is ``a``, and ``not (x == y)``/``not (x != y)`` are
   ``x != y``/``x == y``. No other atom has an exact complement
   (``prob``/``class`` atoms are false when the id is absent, ratio atoms
-  when the denominator is zero), so any other ``not`` stays a node.
+  when the denominator is zero), so any other ``not`` stays a node;
+* an id comparison at the head of such a chain, as in ``id1 == id2 and
+  ...`` or ``id1 == id2 implies ...``, is no node of its own: the chain
+  node compares the two captured ids itself (``_IdTest``).
 
-Evaluation order, short-circuiting and every quantifier assignment, region
-operation and temporal step are those of the unfused tree.
+A spatial term built only from ``bbox``, ``universe`` and ``&`` is at most
+one rectangle. Such a box term compiles to one ``spatial.box_meet`` call,
+which returns the clipped intersection as a box or None; its area is one
+product and ``nonempty`` a None test, bit for bit what the ``Region``
+operations give. Terms with ``~``, ``|`` or ``empty`` run through the
+``Region`` algebra.
+
+Evaluation order, short-circuiting, errors and every quantifier assignment
+and temporal step are those of the unfused tree.
 
 Conventions for finite traces and partial data:
 
@@ -86,7 +96,7 @@ import logging
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import spatial
 from .errors import ContractViolation
@@ -239,11 +249,13 @@ class _Compiler:
     """Builds the closure tree of one formula and owns its per-program state:
     warn-once messages and the universe of the last image extent. ``plan``
     lists, per ``until``/``since`` and guarded idiom in compile order, the
-    variables its summary is keyed by, or None for a scan."""
+    variables its summary is keyed by, or None for a scan; ``box_terms``
+    lists, per spatial term of an atom, whether it takes the box path."""
 
     def __init__(self) -> None:
         self.warned: set[str] = set()
         self.plan: list[tuple[str, ...] | None] = []
+        self.box_terms: list[bool] = []
         self.last_universe: Universe | None = None
 
     def universe(self, ctx: EvalContext) -> Universe:
@@ -256,26 +268,31 @@ class _Compiler:
         return universe
 
     def formula(self, phi: A.Formula) -> Check:
+        return _check(self.part(phi))
+
+    def part(self, phi: A.Formula) -> Part:
+        """``phi`` as a part of an ``or``/``and`` chain: a check, or an id
+        comparison kept as data for the chain to test inline."""
         build = _FORMULA_BUILDERS.get(type(phi))
         if build is None:
             raise ContractViolation(f"evaluator needs a desugared formula, got {type(phi).__name__}")
         return build(self, phi)
 
-    def disjuncts(self, phi: A.Formula) -> list[Check]:
-        """Checks whose disjunction, in list order, is ``phi``: an ``or``
+    def disjuncts(self, phi: A.Formula) -> list[Part]:
+        """Parts whose disjunction, in list order, is ``phi``: an ``or``
         chain of any association, flattened."""
         if type(phi) is A.Or:
             return self.disjuncts(phi.lhs) + self.disjuncts(phi.rhs)
-        return [self.formula(phi)]
+        return [self.part(phi)]
 
-    def conjuncts(self, phi: A.Formula) -> list[Check]:
-        """Checks whose conjunction, in list order, is ``phi``."""
+    def conjuncts(self, phi: A.Formula) -> list[Part]:
+        """Parts whose conjunction, in list order, is ``phi``."""
         if type(phi) is A.Not:
             return self.negated(phi.child)
-        return [self.formula(phi)]
+        return [self.part(phi)]
 
-    def negated(self, phi: A.Formula) -> list[Check]:
-        """Checks whose conjunction, in list order, is ``not phi``.
+    def negated(self, phi: A.Formula) -> list[Part]:
+        """Parts whose conjunction, in list order, is ``not phi``.
 
         ``not (a or b)`` is ``not a and not b`` (De Morgan), ``not not a``
         is ``a``, and the id comparisons are each other's complement. Other
@@ -288,12 +305,26 @@ class _Compiler:
         if kind is A.Not:
             return self.conjuncts(phi.child)
         if kind is A.IdEq or kind is A.IdNeq:
-            return [_id_check(phi.lhs, phi.rhs, equal=kind is A.IdNeq)]
+            return [_IdTest(phi.lhs, phi.rhs, equal=kind is A.IdNeq)]
         child = self.formula(phi)
 
         def check(ctx: EvalContext, env: Env) -> bool:
             return not child(ctx, env)
         return [check]
+
+    def measure(self, term: A.SpatialTerm, area: bool) -> Measure:
+        """The area of ``term`` in a universe, or whether it is nonempty.
+
+        A term of boxes, the universe and ``&`` alone takes the box path
+        (``_box_measure``); any other goes through its ``Region``."""
+        variables = _box_variables(term)
+        self.box_terms.append(variables is not None)
+        if variables is not None:
+            return _box_measure(variables, area)
+        region = self.term(term)
+        if area:
+            return lambda universe, env: spatial.area(region(universe, env))
+        return lambda universe, env: not spatial.is_empty(region(universe, env))
 
     def term(self, term: A.SpatialTerm) -> Term:
         build = _TERM_BUILDERS.get(type(term))
@@ -323,10 +354,52 @@ def _true(c: _Compiler, phi: A.TrueConst) -> Check:
     return check
 
 
-def _any(parts: list[Check]) -> Check:
+class _IdTest(NamedTuple):
+    """``lhs == rhs`` on captured ids, or ``!=`` when not ``equal``, as a
+    chain part: at the head of a chain the chain node compares the ids
+    itself, elsewhere it becomes an ``_id_check``."""
+
+    lhs: str
+    rhs: str
+    equal: bool
+
+
+def _check(part: Part) -> Check:
+    return _id_check(*part) if type(part) is _IdTest else part
+
+
+def _id_head(test: _IdTest, rest: Check, stop: bool) -> Check:
+    """``test or rest`` (``stop`` True) or ``test and rest`` (False): the
+    ids are compared inline and ``rest`` runs only if they do not settle it."""
+    lhs, rhs = test.lhs, test.rhs
+    if test.equal == stop:
+        def check(ctx: EvalContext, env: Env) -> bool:
+            objects = env.objects
+            try:
+                if objects[lhs].object_id == objects[rhs].object_id:
+                    return stop
+            except KeyError as exc:
+                raise _unbound(exc) from None
+            return rest(ctx, env)
+    else:
+        def check(ctx: EvalContext, env: Env) -> bool:
+            objects = env.objects
+            try:
+                if objects[lhs].object_id != objects[rhs].object_id:
+                    return stop
+            except KeyError as exc:
+                raise _unbound(exc) from None
+            return rest(ctx, env)
+    return check
+
+
+def _any(parts: list[Part]) -> Part:
     """Left to right, stopping at the first true part."""
     if len(parts) == 1:
         return parts[0]
+    if type(parts[0]) is _IdTest:
+        return _id_head(parts[0], _check(_any(parts[1:])), stop=True)
+    parts = [_check(part) for part in parts]
     if len(parts) == 2:
         first, second = parts
 
@@ -343,10 +416,13 @@ def _any(parts: list[Check]) -> Check:
     return check
 
 
-def _all(parts: list[Check]) -> Check:
+def _all(parts: list[Part]) -> Part:
     """Left to right, stopping at the first false part."""
     if len(parts) == 1:
         return parts[0]
+    if type(parts[0]) is _IdTest:
+        return _id_head(parts[0], _check(_all(parts[1:])), stop=False)
+    parts = [_check(part) for part in parts]
     if len(parts) == 2:
         first, second = parts
 
@@ -363,11 +439,11 @@ def _all(parts: list[Check]) -> Check:
     return check
 
 
-def _not(c: _Compiler, phi: A.Not) -> Check:
+def _not(c: _Compiler, phi: A.Not) -> Part:
     return _all(c.negated(phi.child))
 
 
-def _or(c: _Compiler, phi: A.Or) -> Check:
+def _or(c: _Compiler, phi: A.Or) -> Part:
     return _any(c.disjuncts(phi))
 
 
@@ -560,7 +636,7 @@ def _temporal(c: _Compiler, node: A.Formula, idiom: tuple | None = None) -> Chec
     variables = _summary_ids((op.lhs, *parts)) if idiom or not forward else None
     c.plan.append(variables)
     lhs = None if true_lhs else c.formula(op.lhs)
-    body = _all([c.formula(part) for part in parts])
+    body = _check(_all([c.part(part) for part in parts]))
     if variables is None:
         def check(ctx: EvalContext, env: Env) -> bool:
             i = ctx.index
@@ -676,8 +752,8 @@ def _id_check(lhs_var: str, rhs_var: str, equal: bool) -> Check:
     return check
 
 
-def _id_cmp(c: _Compiler, phi: A.IdEq | A.IdNeq) -> Check:
-    return _id_check(phi.lhs, phi.rhs, equal=type(phi) is A.IdEq)
+def _id_cmp(c: _Compiler, phi: A.IdEq | A.IdNeq) -> _IdTest:
+    return _IdTest(phi.lhs, phi.rhs, equal=type(phi) is A.IdEq)
 
 
 def _class_eq_const(c: _Compiler, phi: A.ClassEqConst) -> Check:
@@ -743,33 +819,33 @@ def _prob_ratio(c: _Compiler, phi: A.ProbCmpRatio) -> Check:
 
 
 def _spatial_exists(c: _Compiler, phi: A.SpatialExists) -> Check:
-    term, universe = c.term(phi.term), c.universe
+    nonempty, universe = c.measure(phi.term, area=False), c.universe
 
     def check(ctx: EvalContext, env: Env) -> bool:
-        return not spatial.is_empty(term(universe(ctx), env))
+        return nonempty(universe(ctx), env)
     return check
 
 
 def _area_const(c: _Compiler, phi: A.AreaCmpConst) -> Check:
-    term, op, bound = c.term(phi.term), phi.cmp.function, phi.bound
+    area, op, bound = c.measure(phi.term, area=True), phi.cmp.function, phi.bound
     universe = c.universe
 
     def check(ctx: EvalContext, env: Env) -> bool:
-        return op(spatial.area(term(universe(ctx), env)), bound)
+        return op(area(universe(ctx), env), bound)
     return check
 
 
 def _area_ratio(c: _Compiler, phi: A.AreaCmpRatio) -> Check:
-    lhs, rhs = c.term(phi.lhs), c.term(phi.rhs)
+    lhs, rhs = c.measure(phi.lhs, area=True), c.measure(phi.rhs, area=True)
     op, ratio = phi.cmp.function, phi.ratio
     ratio_ok, universe_of = c.ratio_rhs_ok, c.universe
 
     def check(ctx: EvalContext, env: Env) -> bool:
         universe = universe_of(ctx)
-        rhs_area = spatial.area(rhs(universe, env))
+        rhs_area = rhs(universe, env)
         if not ratio_ok(rhs_area, "area"):
             return False
-        return op(spatial.area(lhs(universe, env)), ratio * rhs_area)
+        return op(lhs(universe, env), ratio * rhs_area)
     return check
 
 
@@ -823,7 +899,7 @@ def _offset_ratio(c: _Compiler, phi: A.OffsetCmpRatio) -> Check:
     return check
 
 
-_FORMULA_BUILDERS: dict[type, Callable[[_Compiler, A.Formula], Check]] = {
+_FORMULA_BUILDERS: dict[type, Callable[[_Compiler, A.Formula], Part]] = {
     A.TrueConst: _true,
     A.Not: _not,
     A.Or: _or,
@@ -852,7 +928,41 @@ _FORMULA_BUILDERS: dict[type, Callable[[_Compiler, A.Formula], Check]] = {
 
 # --- spatial terms -----------------------------------------------------------
 # Region operations go through the public ``spatial`` functions, looked up at
-# call time, so that the layer can be wrapped from outside.
+# call time, so that the layer can be wrapped from outside. Box terms call
+# ``spatial.box_meet`` the same way.
+
+def _box_variables(term: A.SpatialTerm) -> tuple[str, ...] | None:
+    """The variables of the boxes ``term`` intersects, in reading order, if
+    it is built from ``bbox``, ``universe`` and ``&`` alone; else None."""
+    kind = type(term)
+    if kind is A.BBoxOf:
+        return (term.var,)
+    if kind is A.UniverseSet:
+        return ()
+    if kind is A.SpatialIntersect:
+        lhs, rhs = _box_variables(term.lhs), _box_variables(term.rhs)
+        if lhs is not None and rhs is not None:
+            return lhs + rhs
+    return None
+
+
+def _box_measure(variables: tuple[str, ...], area: bool) -> Measure:
+    """The area, or nonemptiness, of the meet of the universe and the boxes
+    captured for ``variables``: one ``spatial.box_meet``, then a product or
+    a None test, equal to what the ``Region`` operations give."""
+    def measure(universe: Universe, env: Env):
+        objects = env.objects
+        try:
+            boxes = [objects[var].bbox for var in variables]
+        except KeyError as exc:
+            raise _unbound(exc) from None
+        box = spatial.box_meet(boxes, universe)
+        if not area:
+            return box is not None
+        # ``area`` of the empty region is the empty sum, 0.
+        return 0 if box is None else (box.xmax - box.xmin) * (box.ymax - box.ymin)
+    return measure
+
 
 def _constant_set(c: _Compiler, term: A.EmptySet | A.UniverseSet) -> Term:
     name = "empty_region" if type(term) is A.EmptySet else "full_region"
@@ -909,19 +1019,33 @@ def describe_temporal(phi: A.Formula) -> str:
     so it says what the evaluator does. ``next``/``prev`` are single steps
     and not counted.
     """
-    compiler = _Compiler()
-    compiler.formula(phi)
-    plan = compiler.plan
-
-    def count(n: int, noun: str, plural: str) -> str:
-        return f"{n} {noun if n == 1 else plural}"
-
+    plan = _compiled(phi).plan
     per_id = [ids for ids in plan if ids]
-    line = (f"temporal: {count(plan.count(()), 'closed summary', 'closed summaries')}, "
-            f"{count(len(per_id), 'per-id summary', 'per-id summaries')}")
+    line = (f"temporal: {_count(plan.count(()), 'closed summary', 'closed summaries')}, "
+            f"{_count(len(per_id), 'per-id summary', 'per-id summaries')}")
     if per_id:
         line += " over " + ", ".join("{" + ", ".join(ids) + "}" for ids in per_id)
-    return f"{line}, {count(plan.count(None), 'scan', 'scans')}"
+    return f"{line}, {_count(plan.count(None), 'scan', 'scans')}"
+
+
+def describe_spatial(phi: A.Formula) -> str:
+    """One line on how the spatial terms of a desugared formula's atoms run,
+    for example ``spatial: 2 box terms, 0 region terms``: a box term is one
+    ``spatial.box_meet``, a region term the ``Region`` algebra. Read from the
+    compiler's plan, as ``describe_temporal`` is."""
+    box_terms = _compiled(phi).box_terms
+    return (f"spatial: {_count(box_terms.count(True), 'box term', 'box terms')}, "
+            f"{_count(box_terms.count(False), 'region term', 'region terms')}")
+
+
+def _compiled(phi: A.Formula) -> _Compiler:
+    compiler = _Compiler()
+    compiler.formula(phi)
+    return compiler
+
+
+def _count(n: int, noun: str, plural: str) -> str:
+    return f"{n} {noun if n == 1 else plural}"
 
 
 def eval_spatial(term: A.SpatialTerm, ctx: EvalContext, env: Env) -> Region:

@@ -24,6 +24,10 @@ from .trace import BoundingBox, DetectedObject, Frame, make_frame
 
 CLASS_PALETTE = ("car", "pedestrian", "cyclist")
 FRAME_PERIOD = 10  # frames per second of synthetic time
+BOX_SIZES = (30, 60)  # least and greatest box width and height, in pixels
+# Box coordinates are integers; beyond 2^53 not every integer is a double,
+# and a box's width can round away to nothing.
+MAX_EXTENT = 2.0 ** 53
 
 
 @dataclass(frozen=True)
@@ -46,6 +50,12 @@ class GenConfig:
                 raise ConfigError(f"{name} must lie in [0, 1], got {p}")
         if not (0 < self.width < math.inf and 0 < self.height < math.inf):
             raise ConfigError("image extent must be positive and finite")
+        if max(self.width, self.height) > MAX_EXTENT:
+            raise ConfigError(f"image extent must be at most 2^53, got {self.width:g} x {self.height:g}")
+        x_lo, x_hi, y_lo, y_hi = safe_zone(self.width, self.height)
+        if min(x_hi - x_lo, y_hi - y_lo) < BOX_SIZES[1]:
+            raise ConfigError(f"image extent {self.width:g} x {self.height:g} is too small for "
+                              f"{BOX_SIZES[0]}-{BOX_SIZES[1]} px boxes inside 5% margins")
 
 
 def safe_zone(width: float, height: float, margin: float = 0.05) -> tuple[int, int, int, int]:
@@ -60,8 +70,8 @@ def safe_zone(width: float, height: float, margin: float = 0.05) -> tuple[int, i
 class _WalkingBox:
     def __init__(self, rng: random.Random, zone: tuple[int, int, int, int]):
         x_lo, x_hi, y_lo, y_hi = zone
-        self.w = rng.randint(30, 60)
-        self.h = rng.randint(30, 60)
+        self.w = rng.randint(*BOX_SIZES)
+        self.h = rng.randint(*BOX_SIZES)
         self.zone = zone
         self.x = rng.randint(x_lo, max(x_lo, x_hi - self.w))
         self.y = rng.randint(y_lo, max(y_lo, y_hi - self.h))

@@ -12,9 +12,17 @@ Rectangles are plain ``BoundingBox`` values and nothing here checks them
 again: ingest (``trace``) has checked every input box and image extent,
 and a rectangle derived from checked boxes by mins and maxes is finite and
 ordered.
+
+A term built only from boxes, the universe and intersection is at most one
+rectangle, so the evaluator computes it with ``box_meet``: the rectangle as
+a box, or None when it has no area. Its area is one product of the same
+differences ``area`` sums, so both paths agree exactly; the ``Region``
+operations stay the reference for every other term.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 from .errors import ContractViolation
 from .trace import BoundingBox, plain_value
@@ -116,6 +124,30 @@ def from_box(box: BoundingBox, universe: Universe) -> Region:
     if not (clipped.xmax > clipped.xmin and clipped.ymax > clipped.ymin):
         return empty_region(universe)
     return Region(universe, (clipped,))
+
+
+def box_meet(boxes: Iterable[BoundingBox], universe: Universe) -> BoundingBox | None:
+    """The intersection of ``boxes`` and the universe, or None when it has no area.
+
+    Equal to intersecting the universe with ``from_box`` of each box: clamping
+    into the universe commutes with max and min, and a box that clips to
+    nothing leaves a meet with no area. Edge contact is empty, as in
+    ``intersect``.
+    """
+    x1 = y1 = 0.0
+    x2, y2 = universe.width, universe.height
+    for box in boxes:
+        if box.xmin > x1:
+            x1 = box.xmin
+        if box.ymin > y1:
+            y1 = box.ymin
+        if box.xmax < x2:
+            x2 = box.xmax
+        if box.ymax < y2:
+            y2 = box.ymax
+    if x1 < x2 and y1 < y2:
+        return BoundingBox(x1, y1, x2, y2)
+    return None
 
 
 def union(a: Region, b: Region) -> Region:

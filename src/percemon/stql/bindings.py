@@ -4,7 +4,10 @@ Every variable occurrence must be introduced by an enclosing binder of the
 right kind: object variables by ``exists``/``forall``, time variables by
 the first pin slot, frame variables by the second. Rebinding a name that
 is already in scope is an error (names share one namespace), which keeps
-the pinned-value maps unambiguous.
+the pinned-value maps unambiguous. At most ``MAX_OBJECT_VARIABLES`` object
+variables may be bound at once on one path of nested quantifiers, counting
+each quantifier that reads one of its variables: k of them cost n^k
+assignments on an n-object frame.
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ FRAME = "frame"
 UNBOUND = "unbound-variable"
 KIND_MISMATCH = "kind-mismatch"
 SHADOWING = "shadowing"
+ARITY = "quantifier-arity"
+
+MAX_OBJECT_VARIABLES = 4
 
 
 @dataclass(frozen=True)
@@ -35,6 +41,7 @@ def check_bindings(phi: A.Formula) -> list[BindDiagnostic]:
     """Return all binding problems; an empty list means the formula is closed."""
     out: list[BindDiagnostic] = []
     _walk(phi, {}, out)
+    _arity(phi, out)
     return out
 
 
@@ -112,3 +119,33 @@ def _walk(node: A.Node, scope: dict[str, str], out: list[BindDiagnostic], loc=No
             _use(getattr(node, name), kind, scope, loc, out)
     for child in node.children():
         _walk(child, scope, out, loc)
+
+
+def _arity(node: A.Node, out: list[BindDiagnostic], loc=None) -> tuple[set[str], int]:
+    """The object variables read below ``node``, and the most variables of
+    reading quantifiers nested on one path below it, reporting a quantifier
+    that takes that count past ``MAX_OBJECT_VARIABLES``.
+
+    A quantifier counts when its body reads one of its variables. One that
+    reads none is still enumerated, but does not count: the parser's nesting
+    limit admits a chain of 99 such quantifiers, which runs in constant time
+    on a one-object frame.
+    """
+    loc = node.loc or loc
+    reads: set[str] = set()
+    depth = 0
+    for child in node.children():
+        child_reads, child_depth = _arity(child, out, loc)
+        reads |= child_reads
+        depth = max(depth, child_depth)
+    for name, kind in _READS.get(type(node), ()):
+        if kind == OBJECT:
+            reads.add(getattr(node, name))
+    if isinstance(node, (A.Exists, A.Forall)) and reads.intersection(node.variables):
+        if depth <= MAX_OBJECT_VARIABLES < depth + len(node.variables):
+            out.append(BindDiagnostic(
+                ARITY, node.variables[0],
+                f"{depth + len(node.variables)} nested object variables; at most "
+                f"{MAX_OBJECT_VARIABLES} may be bound at once", loc))
+        depth += len(node.variables)
+    return reads, depth

@@ -26,6 +26,7 @@ from typing import Mapping
 
 from ..errors import ConfigError, Diagnostic, SpecError
 from . import ast as A
+from .bindings import MAX_OBJECT_VARIABLES
 from .parser import parse
 
 DEFAULT_PARAMS: dict[str, float] = {
@@ -36,12 +37,12 @@ DEFAULT_PARAMS: dict[str, float] = {
     "overlap": 0.3,
 }
 
-BUILTIN_NAMES = ("builtin:phi1", "builtin:phi2")
-PROBE_NAMES = ("probe:exists1", "probe:exists2", "probe:exists3")
-
 
 def resolve_params(params: Mapping[str, float] | None = None) -> dict[str, float]:
-    """Merge user parameters over the defaults and derive missing margins."""
+    """Merge user parameters over the defaults and derive missing margins.
+
+    The image extent must be positive and the confidences and the overlap
+    fraction must lie in [0, 1]; any other value makes a check vacuous."""
     merged = dict(DEFAULT_PARAMS)
     if params:
         unknown = set(params) - set(DEFAULT_PARAMS) - {"c1", "c2", "c3", "c4"}
@@ -51,6 +52,12 @@ def resolve_params(params: Mapping[str, float] | None = None) -> dict[str, float
             merged[name] = float(value)
             if not math.isfinite(merged[name]):
                 raise ConfigError(f"parameter {name} must be finite, got {value}")
+    for name in ("width", "height"):
+        if merged[name] <= 0:
+            raise ConfigError(f"parameter {name} must be positive, got {merged[name]:g}")
+    for name in ("prob_high", "prob_low", "overlap"):
+        if not 0 <= merged[name] <= 1:
+            raise ConfigError(f"parameter {name} must lie in [0, 1], got {merged[name]:g}")
     merged.setdefault("c1", 0.05 * merged["height"])
     merged.setdefault("c2", 0.95 * merged["height"])
     merged.setdefault("c3", 0.05 * merged["width"])
@@ -97,8 +104,8 @@ def phi2(params: Mapping[str, float] | None = None) -> A.Formula:
 
 def probe(k: int) -> A.Formula:
     """k object variables over an always-false body: n^k assignments per frame."""
-    if not 1 <= k <= 9:
-        raise ConfigError(f"probe nesting must be between 1 and 9, got {k}")
+    if not 1 <= k <= MAX_OBJECT_VARIABLES:
+        raise ConfigError(f"probe nesting must be between 1 and {MAX_OBJECT_VARIABLES}, got {k}")
     names = tuple(f"q{i}" for i in range(1, k + 1))
     return A.Exists(names, A.ProbCmpConst(names[0], A.Cmp.GT, 1.0))
 

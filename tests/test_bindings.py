@@ -1,5 +1,16 @@
-from percemon.stql.bindings import KIND_MISMATCH, SHADOWING, UNBOUND, check_bindings, free_variables
-from percemon.stql.builtins import phi1, phi2
+import pytest
+
+from percemon.errors import ConfigError
+from percemon.stql.bindings import (
+    ARITY,
+    KIND_MISMATCH,
+    MAX_OBJECT_VARIABLES,
+    SHADOWING,
+    UNBOUND,
+    check_bindings,
+    free_variables,
+)
+from percemon.stql.builtins import phi1, phi2, probe
 from percemon.stql.parser import parse
 
 
@@ -71,3 +82,39 @@ def test_diagnostics_carry_location():
 def test_multiple_problems_all_reported():
     out = check_bindings(parse("prob(a) > 0.5 and prob(b) > 0.5"))
     assert [d.name for d in out] == ["a", "b"]
+
+
+@pytest.mark.parametrize("text", [
+    "exists {a, b, c, d} @ prob(a) > 0.5",
+    "exists {a, b} @ forall {c, d} @ (prob(a) > 0.5 and prob(d) > 0.5)",
+    # Siblings are enumerated one after the other, not nested.
+    "(exists {a, b, c} @ prob(a) > 0.5) and (exists {d, e, f} @ prob(d) > 0.5)",
+    # A quantifier whose body reads none of its variables does not count.
+    "exists {a} @ exists {b, c, d, e} @ prob(a) > 0.5",
+])
+def test_quantifier_arity_within_the_limit_passes(text):
+    assert MAX_OBJECT_VARIABLES == 4
+    assert kinds(text) == []
+
+
+@pytest.mark.parametrize("text, name", [
+    ("exists {a, b, c, d, e} @ prob(a) > 0.5", "a"),
+    ("exists {a, b} @ forall {c} @ exists {d, e} @ (prob(a) > 0.5 and prob(c) > 0.5 and "
+     "prob(e) > 0.5)", "a"),
+    ("exists {a} @ forall {b, c, d, e} @ (prob(a) > 0.5 and prob(e) > 0.5)", "a"),
+])
+def test_quantifier_arity_past_the_limit_is_reported_once_at_its_quantifier(text, name):
+    # Counted from the innermost quantifier out, the one that passes the
+    # limit is reported, by its first variable.
+    out = check_bindings(parse(text))
+    assert [(d.kind, d.name) for d in out] == [(ARITY, name)]
+    assert out[0].loc.line == 1
+    assert "at most 4 may be bound at once" in out[0].message
+    assert free_variables(parse(text)) == frozenset()
+
+
+def test_probes_stay_within_the_arity_limit():
+    for k in range(1, MAX_OBJECT_VARIABLES + 1):
+        assert check_bindings(probe(k)) == []
+    with pytest.raises(ConfigError, match="between 1 and 4"):
+        probe(MAX_OBJECT_VARIABLES + 1)

@@ -122,6 +122,27 @@ def test_check_reports_how_each_temporal_operator_runs(runner, tmp_path, spec, l
     assert line in result.stdout.splitlines()
 
 
+@pytest.mark.parametrize("spec, line", [
+    ("builtin:phi2", "spatial: 2 box terms, 0 region terms"),
+    ("builtin:phi1", "spatial: 0 box terms, 0 region terms"),
+    (str(HOLDS_WINDOW_SPEC), "spatial: 0 box terms, 0 region terms"),
+    ("nonempty(universe)", "spatial: 1 box term, 0 region terms"),
+    ("exists {a, b} @ area(bbox(a) | bbox(b)) / area(universe & bbox(a)) >= 0.5",
+     "spatial: 1 box term, 1 region term"),
+    ("exists {a} @ (nonempty(~bbox(a)) or area(bbox(a) & empty) > 0)",
+     "spatial: 0 box terms, 2 region terms"),
+])
+def test_check_reports_how_each_spatial_term_runs(runner, tmp_path, spec, line):
+    if not spec.startswith("builtin:") and not spec.endswith(".stql"):
+        (tmp_path / "spec.stql").write_text(spec + "\n")
+        spec = str(tmp_path / "spec.stql")
+    result = invoke(runner, "check", "--spec", spec)
+    assert result.exit_code == 0
+    lines = result.stdout.splitlines()
+    # The spatial line follows the temporal one.
+    assert lines[lines.index(line) - 1].startswith("temporal: ")
+
+
 def test_importing_the_cli_leaves_the_bench_module_unloaded():
     code = ("import sys, percemon.cli; "
             "print(sorted({'percemon.bench', 'statistics'} & set(sys.modules)))")
@@ -155,6 +176,42 @@ def test_non_finite_param_fails(runner, command, value):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("command", ["check", "monitor"])
+@pytest.mark.parametrize("param, message", [
+    ("width=-5", "error: parameter width must be positive, got -5\n"),
+    ("height=0", "error: parameter height must be positive, got 0\n"),
+    ("prob_high=-2", "error: parameter prob_high must lie in [0, 1], got -2\n"),
+    ("prob_low=1.5", "error: parameter prob_low must lie in [0, 1], got 1.5\n"),
+    ("overlap=1.5", "error: parameter overlap must lie in [0, 1], got 1.5\n"),
+])
+def test_param_that_makes_a_check_vacuous_fails(runner, command, param, message):
+    extra = ("--input", "-") if command == "monitor" else ()
+    result = invoke(runner, command, "--spec", "builtin:phi1", "--param", param, *extra, input="")
+    assert result.exit_code == 1
+    assert result.stderr == message
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["check", "monitor"])
+@pytest.mark.parametrize("spec, at", [
+    ("exists {a, b, c, d, e, f, g, h} @ prob(a) > 0.5", "1:1"),
+    # Nested quantifiers that read their variables count together.
+    ("true and\n  exists {a, b} @ forall {c} @ exists {d, e} @\n"
+     "    (prob(a) > 0.5 and prob(c) > 0.5 and prob(e) > 0.1)", "2:3"),
+])
+def test_quantifier_arity_past_the_limit_fails_before_any_frame(runner, tmp_path, command, spec,
+                                                                 at):
+    (tmp_path / "wide.stql").write_text(spec + "\n")
+    extra = ("--input", "-") if command == "monitor" else ()
+    # A frame on stdin that would be read if the check came late.
+    result = invoke(runner, command, "--spec", str(tmp_path / "wide.stql"), *extra,
+                    input=gen_lines(runner))
+    assert result.exit_code == 1
+    assert result.stderr.startswith(f"error: {at}: quantifier-arity: ")
+    assert "at most 4 may be bound at once" in result.stderr
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize("command", ["check", "run", "monitor", "bench"])
 def test_spec_file_that_is_not_utf8_is_a_located_error(runner, tmp_path, command):
     spec = tmp_path / "bad.stql"
@@ -177,6 +234,20 @@ def test_gen_rejects_non_finite_extent(runner, flag, value):
     result = invoke(runner, "gen", "--frames", "2", "--objects", "1", flag, value)
     assert result.exit_code == 1
     assert result.stderr == "error: image extent must be positive and finite\n"
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--width", "0.5", "error: image extent 0.5 x 600 is too small for 30-60 px boxes inside "
+                       "5% margins\n"),
+    ("--height", "40", "error: image extent 800 x 40 is too small for 30-60 px boxes inside "
+                       "5% margins\n"),
+    ("--width", "1e308", "error: image extent must be at most 2^53, got 1e+308 x 600\n"),
+])
+def test_gen_rejects_an_extent_the_random_walk_cannot_use(runner, flag, value, message):
+    result = invoke(runner, "gen", "--frames", "2", "--objects", "1", flag, value)
+    assert result.exit_code == 1
+    assert result.stderr == message
+    assert result.stdout == ""
 
 
 def test_gen_is_deterministic(runner):

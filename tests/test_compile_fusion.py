@@ -103,6 +103,10 @@ def test_negated_id_comparisons_are_their_complements(ids):
     "a != b",
     "not (a == b)",
     "true and (false or (true and lat(a, lm) > 1))",
+    # An id comparison at the head of a longer chain is tested by the chain.
+    "a == b and true and true",
+    "a != b or false or false",
+    "not (a != b or false) or true",
 ])
 def test_unbound_variable_under_fused_nodes_still_raises(text):
     phi = desugar(parse(text.replace("false", "not true")))
@@ -132,10 +136,29 @@ RATIO_NEVER = "area(bbox(c)) / area(bbox(c)) >= 0.5"                # areas 900,
      False, [100.0, 25.0, 0]),
 ])
 def test_fused_ratio_atoms_run_left_to_right_and_stop(monkeypatch, caplog, spec, value, areas):
-    objects = {"a": _car(1, (0, 0, 10, 10)), "b": _car(2, (5, 5, 25, 25)),
-               "c": _car(3, (40, 40, 70, 70)), "z": _car(4, (50, 0, 50, 20))}
-    phi = desugar(parse(spec))
-    frames = [_frame_with(*objects.values())]
+    # Box-only terms run through ``spatial.box_meet``: record each meet's area.
+    seen = []
+    original = spatial.box_meet
+
+    def recording_meet(boxes, universe):
+        result = original(boxes, universe)
+        seen.append(0 if result is None else
+                    (result.xmax - result.xmin) * (result.ymax - result.ymin))
+        return result
+
+    _run_ratio_atoms(monkeypatch, caplog, spec, value, "box_meet", recording_meet)
+    # Each atom is evaluated in source order until the outcome is settled.
+    assert seen == areas * 2
+
+
+# The same order with region terms, which run through ``spatial.area``.
+@pytest.mark.parametrize("spec, value, areas", [
+    ("area(~bbox(c)) / area(bbox(a) | bbox(z)) >= 0.5 and area(bbox(b)) / area(bbox(z) | bbox(z)) >= 0.5",
+     False, [100.0, 9100.0, 0]),
+    ("area(bbox(b)) / area(bbox(z) | bbox(z)) >= 0.5 or area(bbox(a) | bbox(b)) / area(bbox(a) | bbox(a)) >= 0.1",
+     True, [0, 100.0, 475.0]),
+])
+def test_region_ratio_atoms_run_left_to_right_and_stop(monkeypatch, caplog, spec, value, areas):
     seen = []
     original = spatial.area
 
@@ -144,12 +167,21 @@ def test_fused_ratio_atoms_run_left_to_right_and_stop(monkeypatch, caplog, spec,
         seen.append(result)
         return result
 
-    monkeypatch.setattr(spatial, "area", recording_area)
+    _run_ratio_atoms(monkeypatch, caplog, spec, value, "area", recording_area)
+    assert seen == areas * 2
+
+
+def _run_ratio_atoms(monkeypatch, caplog, spec, value, name, recorder):
+    """Evaluate ``spec`` twice with ``spatial.<name>`` replaced by ``recorder``;
+    one zero denominator warns once."""
+    objects = {"a": _car(1, (0, 0, 10, 10)), "b": _car(2, (5, 5, 25, 25)),
+               "c": _car(3, (40, 40, 70, 70)), "z": _car(4, (50, 0, 50, 20))}
+    phi = desugar(parse(spec))
+    frames = [_frame_with(*objects.values())]
+    monkeypatch.setattr(spatial, name, recorder)
     with caplog.at_level(logging.DEBUG, logger="percemon.evaluate"):
         for _ in range(2):
             assert evaluate(phi, EvalContext(frames, 0), Env(objects=objects)) is value
-    # Each atom is evaluated in source order until the outcome is settled.
-    assert seen == areas * 2
     warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1  # warn-once per compiled formula
     assert "ratio denominator (area) is zero" in warnings[0].getMessage()

@@ -69,6 +69,52 @@ def test_extent_must_be_positive_and_finite(extent):
         GenConfig(frames=1, objects=1, **extent)
 
 
+@pytest.mark.parametrize("extent", [{"width": 0.5}, {"height": 68.0}, {"width": 60.0, "height": 60.0}])
+def test_extent_must_fit_the_largest_box_inside_the_margins(extent):
+    with pytest.raises(ConfigError, match="too small for 30-60 px boxes inside 5% margins"):
+        GenConfig(frames=1, objects=1, **extent)
+
+
+@pytest.mark.parametrize("extent", [{"width": 1e308}, {"height": 2.0 ** 53 + 2}])
+def test_extent_must_keep_integer_coordinates_exact(extent):
+    with pytest.raises(ConfigError, match="image extent must be at most 2\\^53"):
+        GenConfig(frames=1, objects=1, **extent)
+
+
+@pytest.mark.parametrize("extent", [69.0, 2.0 ** 53])
+def test_extreme_accepted_extents_keep_boxes_inside_the_margins(extent):
+    # The least and greatest accepted extents: every box keeps a width and
+    # height of 30-60 px and lies strictly inside the 5% margins, so no
+    # box is clipped and the persistence check holds throughout.
+    cfg = GenConfig(frames=30, objects=3, jump_prob=0.3, seed=4, width=extent, height=extent)
+    frames = generate_frames(cfg)
+    params = resolve_params({"width": extent, "height": extent})
+    for frame in frames:
+        for obj in frame.objects.values():
+            box = obj.bbox
+            assert 30 <= box.xmax - box.xmin <= 60 and 30 <= box.ymax - box.ymin <= 60
+            assert box.xmin > params["c3"] and box.xmax < params["c4"]
+            assert box.ymin > params["c1"] and box.ymax < params["c2"]
+    assert all(evaluate_trace(desugar(phi1({"width": extent, "height": extent})), frames))
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("width", -5.0, "parameter width must be positive, got -5"),
+    ("height", 0.0, "parameter height must be positive, got 0"),
+    ("prob_high", -2.0, "parameter prob_high must lie in \\[0, 1\\], got -2"),
+    ("prob_low", 1.01, "parameter prob_low must lie in \\[0, 1\\], got 1.01"),
+    ("overlap", 1.5, "parameter overlap must lie in \\[0, 1\\], got 1.5"),
+])
+def test_params_that_make_a_check_vacuous_are_rejected(name, value, message):
+    with pytest.raises(ConfigError, match=message):
+        resolve_params({name: value})
+
+
+def test_param_range_ends_are_accepted():
+    params = resolve_params({"prob_high": 1.0, "prob_low": 0.0, "overlap": 0.0, "width": 1.0})
+    assert (params["prob_high"], params["prob_low"], params["overlap"]) == (1.0, 0.0, 0.0)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_params_must_be_finite(value):
     with pytest.raises(ConfigError, match="parameter overlap must be finite"):

@@ -79,3 +79,23 @@ def test_traced_pass_counts_each_workloads_core_nodes(perfbench, name, nodes):
     assert values == inputs.reference
     metrics = traced.layer_metrics([tracer], [wall], [wall], [setup_ns], len(lines))
     assert metrics["stql.core_nodes"] == nodes
+
+
+def test_phi2_crowd_counted_work_is_pinned(perfbench):
+    # The exact counts of the benchmark's traced pass on its 200-frame seed-7
+    # prefix, so that a fast path which skips counted work fails here. Each
+    # overlap atom costs two box meets, one per side of its ratio, and box
+    # meets return boxes, which are not counted as rectangles out.
+    prepare, traced = perfbench["prepare"], perfbench["traced"]
+    workload = perfbench["workloads"].WORKLOADS["phi2-crowd"]
+    inputs = prepare.Inputs(dataclasses.replace(workload, frames=workload.traced_frames), seed=7)
+    lines = inputs.jsonl.splitlines(keepends=True)
+    tracer = traced.Tracer()
+    wall, setup_ns, values = tracer.run(lines, workload.spec_arg(), MonitorConfig())
+    assert values == inputs.reference
+    metrics = traced.layer_metrics([tracer], [wall], [wall], [setup_ns], len(lines))
+    assert metrics["evaluate.assignments_per_frame"] == 270.72
+    assert metrics["evaluate.quantifier_calls_per_frame"] == 16.92
+    assert metrics["evaluate.temporal_steps_per_frame"] == 31.84
+    assert metrics["spatial.calls_per_frame"] == 31.84
+    assert metrics["spatial.rects_out_per_frame"] == 0
