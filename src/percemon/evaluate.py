@@ -59,7 +59,7 @@ costs one node rather than four:
   when the denominator is zero), so any other ``not`` stays a node;
 * an id comparison at the head of such a chain, as in ``id1 == id2 and
   ...`` or ``id1 == id2 implies ...``, is no node of its own: the chain
-  node compares the two captured ids itself (``_IdTest``).
+  node compares the two captured ids itself (``_id_head``).
 
 A spatial term built only from ``bbox``, ``universe`` and ``&`` is at most
 one rectangle. Such a box term compiles to one ``spatial.box_meet`` call,
@@ -96,7 +96,7 @@ import logging
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from . import spatial
 from .errors import ContractViolation
@@ -271,8 +271,8 @@ class _Compiler:
         return _check(self.part(phi))
 
     def part(self, phi: A.Formula) -> Part:
-        """``phi`` as a part of an ``or``/``and`` chain: a check, or an id
-        comparison kept as data for the chain to test inline."""
+        """``phi`` as a part of an ``or``/``and`` chain: a check, or an
+        ``IdEq``/``IdNeq`` node, kept as data for the chain to test inline."""
         build = _FORMULA_BUILDERS.get(type(phi))
         if build is None:
             raise ContractViolation(f"evaluator needs a desugared formula, got {type(phi).__name__}")
@@ -305,7 +305,7 @@ class _Compiler:
         if kind is A.Not:
             return self.conjuncts(phi.child)
         if kind is A.IdEq or kind is A.IdNeq:
-            return [_IdTest(phi.lhs, phi.rhs, equal=kind is A.IdNeq)]
+            return [(A.IdNeq if kind is A.IdEq else A.IdEq)(phi.lhs, phi.rhs)]
         child = self.formula(phi)
 
         def check(ctx: EvalContext, env: Env) -> bool:
@@ -354,42 +354,37 @@ def _true(c: _Compiler, phi: A.TrueConst) -> Check:
     return check
 
 
-class _IdTest(NamedTuple):
-    """``lhs == rhs`` on captured ids, or ``!=`` when not ``equal``, as a
-    chain part: at the head of a chain the chain node compares the ids
-    itself, elsewhere it becomes an ``_id_check``."""
-
-    lhs: str
-    rhs: str
-    equal: bool
+# Id comparisons reach the chain builders as their syntax nodes, so that a
+# chain can test one at its head itself.
+_ID_TESTS = (A.IdEq, A.IdNeq)
 
 
 def _check(part: Part) -> Check:
-    return _id_check(*part) if type(part) is _IdTest else part
+    # A lone id comparison is the chain ``test or false``.
+    return _id_head(part, _false, stop=True) if type(part) in _ID_TESTS else part
 
 
-def _id_head(test: _IdTest, rest: Check, stop: bool) -> Check:
+def _false(ctx: EvalContext, env: Env) -> bool:
+    return False
+
+
+def _id_head(test: A.IdEq | A.IdNeq, rest: Check, stop: bool) -> Check:
     """``test or rest`` (``stop`` True) or ``test and rest`` (False): the
     ids are compared inline and ``rest`` runs only if they do not settle it."""
     lhs, rhs = test.lhs, test.rhs
-    if test.equal == stop:
-        def check(ctx: EvalContext, env: Env) -> bool:
-            objects = env.objects
-            try:
-                if objects[lhs].object_id == objects[rhs].object_id:
-                    return stop
-            except KeyError as exc:
-                raise _unbound(exc) from None
-            return rest(ctx, env)
-    else:
-        def check(ctx: EvalContext, env: Env) -> bool:
-            objects = env.objects
-            try:
-                if objects[lhs].object_id != objects[rhs].object_id:
-                    return stop
-            except KeyError as exc:
-                raise _unbound(exc) from None
-            return rest(ctx, env)
+    # The chain is settled when the ids are equal for an ``==`` in an ``or``
+    # or a ``!=`` in an ``and``, and when they differ otherwise.
+    settled_if_equal = (type(test) is A.IdEq) == stop
+
+    def check(ctx: EvalContext, env: Env) -> bool:
+        objects = env.objects
+        try:
+            equal = objects[lhs].object_id == objects[rhs].object_id
+        except KeyError as exc:
+            raise _unbound(exc) from None
+        if equal is settled_if_equal:
+            return stop
+        return rest(ctx, env)
     return check
 
 
@@ -397,7 +392,7 @@ def _any(parts: list[Part]) -> Part:
     """Left to right, stopping at the first true part."""
     if len(parts) == 1:
         return parts[0]
-    if type(parts[0]) is _IdTest:
+    if type(parts[0]) in _ID_TESTS:
         return _id_head(parts[0], _check(_any(parts[1:])), stop=True)
     parts = [_check(part) for part in parts]
     if len(parts) == 2:
@@ -420,7 +415,7 @@ def _all(parts: list[Part]) -> Part:
     """Left to right, stopping at the first false part."""
     if len(parts) == 1:
         return parts[0]
-    if type(parts[0]) is _IdTest:
+    if type(parts[0]) in _ID_TESTS:
         return _id_head(parts[0], _check(_all(parts[1:])), stop=False)
     parts = [_check(part) for part in parts]
     if len(parts) == 2:
@@ -733,27 +728,8 @@ def _frame_constraint(c: _Compiler, phi: A.FrameConstraint) -> Check:
     return check
 
 
-def _id_check(lhs_var: str, rhs_var: str, equal: bool) -> Check:
-    """``lhs_var == rhs_var`` on captured ids, or ``!=`` when not ``equal``."""
-    if equal:
-        def check(ctx: EvalContext, env: Env) -> bool:
-            objects = env.objects
-            try:
-                return objects[lhs_var].object_id == objects[rhs_var].object_id
-            except KeyError as exc:
-                raise _unbound(exc) from None
-    else:
-        def check(ctx: EvalContext, env: Env) -> bool:
-            objects = env.objects
-            try:
-                return objects[lhs_var].object_id != objects[rhs_var].object_id
-            except KeyError as exc:
-                raise _unbound(exc) from None
-    return check
-
-
-def _id_cmp(c: _Compiler, phi: A.IdEq | A.IdNeq) -> _IdTest:
-    return _IdTest(phi.lhs, phi.rhs, equal=type(phi) is A.IdEq)
+def _id_cmp(c: _Compiler, phi: A.IdEq | A.IdNeq) -> A.IdEq | A.IdNeq:
+    return phi
 
 
 def _class_eq_const(c: _Compiler, phi: A.ClassEqConst) -> Check:

@@ -51,7 +51,8 @@ class GenConfig:
         if not (0 < self.width < math.inf and 0 < self.height < math.inf):
             raise ConfigError("image extent must be positive and finite")
         if max(self.width, self.height) > MAX_EXTENT:
-            raise ConfigError(f"image extent must be at most 2^53, got {self.width:g} x {self.height:g}")
+            raise ConfigError(f"image extent must be at most 2^53, got "
+                              f"{self.width:g} x {self.height:g}")
         x_lo, x_hi, y_lo, y_hi = safe_zone(self.width, self.height)
         if min(x_hi - x_lo, y_hi - y_lo) < BOX_SIZES[1]:
             raise ConfigError(f"image extent {self.width:g} x {self.height:g} is too small for "

@@ -58,7 +58,9 @@ def require_bindings(phi: A.Formula) -> None:
 
 def free_variables(phi: A.Formula) -> frozenset[str]:
     """Names of every kind that ``phi`` reads without binding them itself."""
-    return frozenset(d.name for d in check_bindings(phi) if d.kind == UNBOUND)
+    out: list[BindDiagnostic] = []
+    _walk(phi, {}, out)
+    return frozenset(d.name for d in out if d.kind == UNBOUND)
 
 
 def _use(name: str, expected: str, scope: dict[str, str], loc, out) -> None:

@@ -153,10 +153,10 @@ def test_fused_ratio_atoms_run_left_to_right_and_stop(monkeypatch, caplog, spec,
 
 # The same order with region terms, which run through ``spatial.area``.
 @pytest.mark.parametrize("spec, value, areas", [
-    ("area(~bbox(c)) / area(bbox(a) | bbox(z)) >= 0.5 and area(bbox(b)) / area(bbox(z) | bbox(z)) >= 0.5",
-     False, [100.0, 9100.0, 0]),
-    ("area(bbox(b)) / area(bbox(z) | bbox(z)) >= 0.5 or area(bbox(a) | bbox(b)) / area(bbox(a) | bbox(a)) >= 0.1",
-     True, [0, 100.0, 475.0]),
+    ("area(~bbox(c)) / area(bbox(a) | bbox(z)) >= 0.5 and "
+     "area(bbox(b)) / area(bbox(z) | bbox(z)) >= 0.5", False, [100.0, 9100.0, 0]),
+    ("area(bbox(b)) / area(bbox(z) | bbox(z)) >= 0.5 or "
+     "area(bbox(a) | bbox(b)) / area(bbox(a) | bbox(a)) >= 0.1", True, [0, 100.0, 475.0]),
 ])
 def test_region_ratio_atoms_run_left_to_right_and_stop(monkeypatch, caplog, spec, value, areas):
     seen = []

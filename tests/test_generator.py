@@ -69,7 +69,8 @@ def test_extent_must_be_positive_and_finite(extent):
         GenConfig(frames=1, objects=1, **extent)
 
 
-@pytest.mark.parametrize("extent", [{"width": 0.5}, {"height": 68.0}, {"width": 60.0, "height": 60.0}])
+@pytest.mark.parametrize("extent", [{"width": 0.5}, {"height": 68.0},
+                                    {"width": 60.0, "height": 60.0}])
 def test_extent_must_fit_the_largest_box_inside_the_margins(extent):
     with pytest.raises(ConfigError, match="too small for 30-60 px boxes inside 5% margins"):
         GenConfig(frames=1, objects=1, **extent)
