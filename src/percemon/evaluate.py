@@ -372,19 +372,26 @@ def _id_head(test: A.IdEq | A.IdNeq, rest: Check, stop: bool) -> Check:
     """``test or rest`` (``stop`` True) or ``test and rest`` (False): the
     ids are compared inline and ``rest`` runs only if they do not settle it."""
     lhs, rhs = test.lhs, test.rhs
-    # The chain is settled when the ids are equal for an ``==`` in an ``or``
-    # or a ``!=`` in an ``and``, and when they differ otherwise.
-    settled_if_equal = (type(test) is A.IdEq) == stop
-
-    def check(ctx: EvalContext, env: Env) -> bool:
-        objects = env.objects
-        try:
-            equal = objects[lhs].object_id == objects[rhs].object_id
-        except KeyError as exc:
-            raise _unbound(exc) from None
-        if equal is settled_if_equal:
-            return stop
-        return rest(ctx, env)
+    # One closure per outcome that settles the chain: this runs once per
+    # quantifier assignment in ``phi1`` and ``phi2``.
+    if (type(test) is A.IdEq) == stop:
+        def check(ctx: EvalContext, env: Env) -> bool:
+            objects = env.objects
+            try:
+                if objects[lhs].object_id == objects[rhs].object_id:
+                    return stop
+            except KeyError as exc:
+                raise _unbound(exc) from None
+            return rest(ctx, env)
+    else:
+        def check(ctx: EvalContext, env: Env) -> bool:
+            objects = env.objects
+            try:
+                if objects[lhs].object_id != objects[rhs].object_id:
+                    return stop
+            except KeyError as exc:
+                raise _unbound(exc) from None
+            return rest(ctx, env)
     return check
 
 
