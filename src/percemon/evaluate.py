@@ -59,7 +59,12 @@ costs one node rather than four:
   when the denominator is zero), so any other ``not`` stays a node;
 * an id comparison at the head of such a chain, as in ``id1 == id2 and
   ...`` or ``id1 == id2 implies ...``, is no node of its own: the chain
-  node compares the two captured ids itself (``_id_head``).
+  node compares the two captured ids itself (``_id_head``);
+* a one-variable quantifier whose body is such a chain, comparing the
+  quantified variable with one bound outside (``phi1``, ``phi2`` and their
+  ``forall`` duals), tests that comparison inside its fold: it reads the
+  outer id once and runs the rest of the chain only for the assignments
+  the comparison does not settle. Every assignment is still enumerated.
 
 A spatial term built only from ``bbox``, ``universe`` and ``&`` is at most
 one rectangle. Such a box term compiles to one ``spatial.box_meet`` call,
@@ -79,7 +84,8 @@ Conventions for finite traces and partial data:
   quantifier is evaluated. Each bound variable captures the object
   snapshot (id, class, confidence, box) from that frame; tuples may repeat
   objects. Every assignment is evaluated (an order-independent fold, no
-  early exit), so quantifier cost genuinely scales with the domain.
+  early exit, each one bound in place), so quantifier cost genuinely scales
+  with the domain.
 * ``class``/``prob`` atoms re-resolve the captured id in the frame where
   the atom is evaluated, so they track the object through time; if the id
   is absent there, the atom is false. Box-derived atoms (``bbox``,
@@ -173,10 +179,6 @@ class EvalContext:
         self.offset = offset
         self.summaries = summaries
 
-    @property
-    def frame(self) -> Frame:
-        return self.trace[self.index]
-
     def at(self, index: int) -> "EvalContext":
         """The same trace at another index; the caller has bound-checked it."""
         ctx = object.__new__(EvalContext)
@@ -190,8 +192,9 @@ class EvalContext:
 
 def quantifier_assignments(
     variables: Sequence[str], frame: Frame
-) -> Iterator[dict[str, DetectedObject]]:
-    """All |objects|^k assignments of frame objects to the variables.
+) -> Iterator[tuple[DetectedObject, ...]]:
+    """All |objects|^k assignments of frame objects to the variables, each
+    a tuple of objects in variable order.
 
     Objects are enumerated in the order of the frame's map, which ingest
     keeps in ascending id order, and tuples in lexicographic order over the
@@ -199,14 +202,7 @@ def quantifier_assignments(
     """
     if not variables:
         raise ContractViolation("quantifier without variables")
-    objs = frame.objects.values()
-    if len(variables) == 1:
-        var = variables[0]
-        for obj in objs:
-            yield {var: obj}
-        return
-    for combo in itertools.product(objs, repeat=len(variables)):
-        yield dict(zip(variables, combo))
+    return itertools.product(frame.objects.values(), repeat=len(variables))
 
 
 def _coordinate(axis: A.Axis, ref: A.ReferencePoint) -> Callable[[BoundingBox], float]:
@@ -370,7 +366,10 @@ def _false(ctx: EvalContext, env: Env) -> bool:
 
 def _id_head(test: A.IdEq | A.IdNeq, rest: Check, stop: bool) -> Check:
     """``test or rest`` (``stop`` True) or ``test and rest`` (False): the
-    ids are compared inline and ``rest`` runs only if they do not settle it."""
+    ids are compared inline and ``rest`` runs only if they do not settle it.
+
+    The closure keeps (test, rest, stop) as ``id_head``, so that a
+    quantifier over its body can run the comparison in its own fold."""
     lhs, rhs = test.lhs, test.rhs
     # One closure per outcome that settles the chain: this runs once per
     # quantifier assignment in ``phi1`` and ``phi2``.
@@ -392,6 +391,7 @@ def _id_head(test: A.IdEq | A.IdNeq, rest: Check, stop: bool) -> Check:
             except KeyError as exc:
                 raise _unbound(exc) from None
             return rest(ctx, env)
+    check.id_head = (test, rest, stop)
     return check
 
 
@@ -691,29 +691,92 @@ def _freeze(c: _Compiler, phi: A.Freeze) -> Check:
 
 
 def _exists(c: _Compiler, phi: A.Exists) -> Check:
-    child = c.formula(phi.child)
     variables = phi.variables
+    fold, size = _fold(c.formula(phi.child), variables), len(variables)
 
     def check(ctx: EvalContext, env: Env) -> bool:
         frame = ctx.trace[ctx.index]
         if not frame.objects:
             return False
-        objects = dict(env.objects)
-        inner = Env(env.time_pins, env.frame_pins, objects)
-        # Full fold over the domain, no early exit: quantifier cost scales
-        # with the number of assignments, which is the behavior the bench
-        # measures, and the result is independent of enumeration order.
-        result = False
-        count = 0
-        for assignment in quantifier_assignments(variables, frame):
-            objects.update(assignment)
-            count += 1
-            if child(ctx, inner):
-                result = True
+        result = fold(ctx, env, frame)
         if ctx.stats is not None:
-            ctx.stats.assignments += count
+            ctx.stats.assignments += len(frame.objects) ** size
         return result
     return check
+
+
+def _fold(child: Check, variables: Sequence[str]) -> Callable[[EvalContext, Env, Frame], bool]:
+    """Whether ``child`` holds under some assignment of ``frame``'s objects
+    to ``variables``, bound in place in one copy of the captured objects.
+
+    Full fold over the domain, no early exit: quantifier cost scales with
+    the number of assignments, which is the behavior the bench measures,
+    and the result is independent of enumeration order. A one-variable
+    body whose chain starts with an id comparison of the variable with
+    one bound outside (``_id_head``) reads the outer id once and binds and
+    runs the rest of the chain only for the assignments the comparison
+    does not settle.
+    """
+    if len(variables) > 1:
+        def fold(ctx: EvalContext, env: Env, frame: Frame) -> bool:
+            objects = dict(env.objects)
+            inner = Env(env.time_pins, env.frame_pins, objects)
+            result = False
+            for combo in quantifier_assignments(variables, frame):
+                objects.update(zip(variables, combo))
+                if child(ctx, inner):
+                    result = True
+            return result
+        return fold
+    var = variables[0]
+    test, rest, stop = getattr(child, "id_head", (None, None, None))
+    if test is None or (test.lhs == var) == (test.rhs == var):
+        def fold(ctx: EvalContext, env: Env, frame: Frame) -> bool:
+            objects = dict(env.objects)
+            inner = Env(env.time_pins, env.frame_pins, objects)
+            result = False
+            for (obj,) in quantifier_assignments(variables, frame):
+                objects[var] = obj
+                if child(ctx, inner):
+                    result = True
+            return result
+        return fold
+    outer = test.rhs if test.lhs == var else test.lhs
+
+    def bound(env: Env) -> tuple[dict, Env, int]:
+        objects = dict(env.objects)
+        try:
+            outer_id = objects[outer].object_id
+        except KeyError as exc:
+            raise _unbound(exc) from None
+        return objects, Env(env.time_pins, env.frame_pins, objects), outer_id
+    # As in ``_id_head``, one closure per outcome that settles the chain; a
+    # settled assignment's body is ``stop``.
+    if (type(test) is A.IdEq) == stop:
+        def fold(ctx: EvalContext, env: Env, frame: Frame) -> bool:
+            objects, inner, outer_id = bound(env)
+            result = settled = False
+            for (obj,) in quantifier_assignments(variables, frame):
+                if obj.object_id == outer_id:
+                    settled = True
+                else:
+                    objects[var] = obj
+                    if rest(ctx, inner):
+                        result = True
+            return result or (stop and settled)
+    else:
+        def fold(ctx: EvalContext, env: Env, frame: Frame) -> bool:
+            objects, inner, outer_id = bound(env)
+            result = settled = False
+            for (obj,) in quantifier_assignments(variables, frame):
+                if obj.object_id != outer_id:
+                    settled = True
+                else:
+                    objects[var] = obj
+                    if rest(ctx, inner):
+                        result = True
+            return result or (stop and settled)
+    return fold
 
 
 # --- atoms -------------------------------------------------------------------

@@ -27,7 +27,6 @@ from typing import Mapping
 from ..errors import ConfigError, Diagnostic, SpecError
 from . import ast as A
 from .bindings import MAX_OBJECT_VARIABLES
-from .parser import parse
 
 DEFAULT_PARAMS: dict[str, float] = {
     "width": 800.0,
@@ -116,6 +115,9 @@ _UNDECODED = re.compile("[\udc80-\udcff]")
 
 def read_spec_file(path: str) -> A.Formula:
     """Parse a specification file (UTF-8, # comments, one formula)."""
+    # Imported here: a builtin or probe spec never needs the parser.
+    from .parser import parse
+
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fp:
         text = fp.read()
     bad = _UNDECODED.search(text)

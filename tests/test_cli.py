@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -144,12 +145,26 @@ def test_check_reports_how_each_spatial_term_runs(runner, tmp_path, spec, line):
 
 
 def test_importing_the_cli_leaves_the_bench_module_unloaded():
-    code = ("import sys, percemon.cli; "
-            "print(sorted({'percemon.bench', 'statistics'} & set(sys.modules)))")
+    # The parser is loaded: compiled after ``click`` it would raise the
+    # start's peak memory (see the imports of ``percemon.cli``).
+    unused = {"percemon.bench", "statistics", "percemon.generator", "percemon.stql.printer"}
+    code = f"import sys, percemon.cli; print(sorted({unused!r} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_every_package_export_resolves():
+    import percemon
+    import percemon.stql
+    for package in (percemon, percemon.stql):
+        for name in package.__all__:
+            assert getattr(package, name) is not None, (package.__name__, name)
+    # Names shared by a module and its function re-export the function.
+    assert percemon.evaluate is importlib.import_module("percemon.evaluate").evaluate
+    assert percemon.stql.desugar is importlib.import_module("percemon.stql.desugar").desugar
+    assert percemon.desugar is percemon.stql.desugar
 
 
 def test_check_param_overrides(runner):

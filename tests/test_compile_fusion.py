@@ -15,7 +15,7 @@ import pytest
 
 from percemon import spatial
 from percemon.errors import ContractViolation
-from percemon.evaluate import EMPTY_ENV, Env, EvalContext, evaluate, evaluate_trace
+from percemon.evaluate import EMPTY_ENV, Env, EvalContext, EvalStats, evaluate, evaluate_trace
 from percemon.generator import GenConfig, generate_frames
 from percemon.monitor import Monitor
 from percemon.stql import ast as A
@@ -207,3 +207,70 @@ def test_phi2_assignments_stay_n_plus_n_squared():
         per_verdict.append(monitor.stats.assignments - before)
     # Frame 0 has no previous frame, so the inner exists is never reached.
     assert per_verdict == [n] + [n + n * n] * (len(frames) - 1)
+
+
+# --- id comparisons at the head of a quantifier body ---------------------------
+# A one-variable quantifier whose body starts with ``v == w`` or ``v != w``,
+# ``w`` bound outside, tests the ids inside its fold. ``true and ...`` moves
+# the comparison off the head, which takes the generic fold.
+
+HEAD_TESTS = ["v == w", "w == v", "v != w", "w != v"]
+HEAD_RESTS = ["prob(v) > 0.5", "class(v) == class(w)",
+              "area(bbox(v) & bbox(w)) >= 0.3 * area(bbox(w))", "prev prob(v) > 0.3"]
+
+
+def _head_bodies(tests):
+    for test in tests:
+        yield test
+        for rest in HEAD_RESTS:
+            yield f"{test} and {rest}"
+            yield f"{test} or {rest}"
+            yield f"{test} implies {rest}"
+        yield f"{test} and {HEAD_RESTS[0]} and {HEAD_RESTS[2]}"
+
+
+def _fused_and_generic(body, outer):
+    """The formula with ``body`` under a quantifier over ``v``, and the same
+    with ``true and`` in front of the body, for each quantifier."""
+    for quantifier in ("exists {v}", "forall {v}"):
+        fused, generic = (f"{outer}({quantifier} @ ({b}))" for b in (body, f"true and ({body})"))
+        yield desugar(parse(fused)), desugar(parse(generic))
+
+
+def _same_verdicts_and_work(fused, generic, traces):
+    for trace in traces:
+        fused_stats, generic_stats = EvalStats(), EvalStats()
+        assert (evaluate_trace(fused, trace, stats=fused_stats)
+                == evaluate_trace(generic, trace, stats=generic_stats)), (fused, trace)
+        assert fused_stats.assignments == generic_stats.assignments
+
+
+@pytest.mark.parametrize("body", list(_head_bodies(HEAD_TESTS)))
+def test_head_id_test_in_the_fold_matches_the_generic_fold(body):
+    rng = random.Random(body)
+    traces = [random_trace(rng, max_frames=6, max_objects=4) for _ in range(6)]
+    for outer in ("forall {w} @ ", "exists {w} @ "):
+        for fused, generic in _fused_and_generic(body, outer):
+            _same_verdicts_and_work(fused, generic, traces)
+
+
+@pytest.mark.parametrize("body", ["v == v and prob(v) > 0.5", "v != v or prob(v) > 0.5",
+                                  "w == u and prob(v) > 0.5", "u != w or prob(v) > 0.5"])
+def test_comparisons_not_on_the_quantified_variable_match(body):
+    # Neither takes the fused fold; both still mean what the generic one does.
+    rng = random.Random(body)
+    traces = [random_trace(rng, max_frames=5, max_objects=3) for _ in range(6)]
+    for fused, generic in _fused_and_generic(body, outer="forall {w} @ exists {u} @ "):
+        _same_verdicts_and_work(fused, generic, traces)
+
+
+@pytest.mark.parametrize("body", list(_head_bodies(HEAD_TESTS[:1] + HEAD_TESTS[2:3])))
+def test_head_id_test_with_an_unbound_outer_variable_raises(body):
+    frames = [_frame_with(_car(1), _car(2))]
+    for fused, generic in _fused_and_generic(body, outer=""):
+        for formula in (fused, generic):
+            with pytest.raises(ContractViolation, match="object variable 'w' is unbound"):
+                evaluate(formula, EvalContext(frames, 0), EMPTY_ENV)
+            # On a frame without objects there is no assignment, so no error:
+            # ``exists`` is false and ``forall`` (``not exists not``) true.
+            assert evaluate(formula, EvalContext([_frame_with()], 0)) is (type(formula) is A.Not)

@@ -189,9 +189,9 @@ def test_quantifier_assignment_enumeration():
     # Ascending id order whatever order the detections came in.
     for f in (frame(0, obj(3), obj(7)), frame(0, obj(7), obj(3))):
         single = list(quantifier_assignments(["v"], f))
-        assert [a["v"].object_id for a in single] == [3, 7]
+        assert [a[0].object_id for a in single] == [3, 7]
         double = list(quantifier_assignments(["v", "w"], f))
-        assert [(a["v"].object_id, a["w"].object_id) for a in double] == [
+        assert [(a[0].object_id, a[1].object_id) for a in double] == [
             (3, 3), (3, 7), (7, 3), (7, 7)
         ]
 
