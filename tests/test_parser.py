@@ -233,3 +233,135 @@ def test_nesting_past_the_limit_is_a_located_error(shape):
     diag = _error_of(NESTING_SHAPES[shape](MAX_NESTING + 1)).diagnostics[0]
     assert f"deeper than {MAX_NESTING}" in diag.message
     assert diag.line == 1 and diag.column is not None
+
+
+# --- exact diagnostics --------------------------------------------------------
+
+# One malformed specification per place the lexer or parser reports a
+# problem, with its diagnostics exactly as ``check`` renders them.
+GOLDEN_DIAGNOSTICS = [
+    ('class(a) == "car', ['1:13: lexical: unterminated string literal']),
+    ('class(a) == "car\\"', ['1:13: lexical: unterminated string literal']),
+    ('prob(a) > $', ["1:11: lexical: unexpected character '$'"]),
+    ('"open\n  $ prob(a) ! "x\\\\" "y', [
+        '1:1: lexical: unterminated string literal',
+        "2:3: lexical: unexpected character '$'",
+        "2:13: lexical: unexpected character '!'",
+        '2:21: lexical: unterminated string literal',
+    ]),
+    ('   # nothing here\n', ['2:1: syntax: empty specification']),
+    ('true true', ["1:6: syntax: unexpected trailing input starting at 'true'"]),
+    ("not " * 101 + "true", ['1:401: syntax: specification nests deeper than 100 levels']),
+    (" or ".join(["true"] * 102), ['1:9: syntax: specification nests deeper than 100 levels']),
+    ('true and', ["1:9: syntax: expected a formula, found 'end of input'"]),
+    ('exists a', ["1:8: syntax: expected '{', found 'a'"]),
+    ('exists {}', ["1:9: syntax: expected a variable name, found '}'"]),
+    ('exists {a,}', ["1:11: syntax: expected a variable name, found '}'"]),
+    ('exists {a b}', ["1:11: syntax: expected '}', found 'b'"]),
+    ('exists {a} prob(a) > 1', ["1:12: syntax: expected '@', found 'prob'"]),
+    ('pin x', ["1:5: syntax: expected '(', found 'x'"]),
+    ('pin (1, f) { true }', ["1:6: syntax: expected a variable name or '_', found '1'"]),
+    ('pin (x f) { true }', ["1:8: syntax: expected ',', found 'f'"]),
+    ('pin (x, f { true }', ["1:11: syntax: expected ')', found '{'"]),
+    ('pin (x, f) true', ["1:12: syntax: expected '{', found 'true'"]),
+    ('pin (x, f) { true', ["1:18: syntax: expected '}', found 'end of input'"]),
+    ('(true', ["1:6: syntax: expected ')', found 'end of input'"]),
+    (')', ["1:1: syntax: expected a formula, found ')'"]),
+    ('nonempty bbox(a)', ["1:10: syntax: expected '(', found 'bbox'"]),
+    ('nonempty(bbox(a)', ["1:17: syntax: expected ')', found 'end of input'"]),
+    ('prob a', ["1:6: syntax: expected '(', found 'a'"]),
+    ('prob(1)', ["1:6: syntax: expected an object variable, found '1'"]),
+    ('prob(a', ["1:7: syntax: expected ')', found 'end of input'"]),
+    ('prob(a) 0.5', ['1:9: syntax: expected a comparison operator after probability']),
+    ('prob(a) == 0.5', [
+        '1:9: syntax: probability comparisons use <, <=, > or >= (== and != apply to classes and ids only)',
+    ]),
+    ('prob(a) > x', ["1:11: syntax: expected a number, found 'x'"]),
+    ('prob(a) > -x', ["1:12: syntax: expected a number, found 'x'"]),
+    ('prob(a) / area(bbox(b)) > 1', ["1:11: syntax: expected 'prob', found 'area'"]),
+    ('prob(a) / prob(b) 2', ['1:19: syntax: expected a comparison operator after probability']),
+    ('prob(a) > 2 * area(bbox(b))', ["1:15: syntax: expected 'prob', found 'area'"]),
+    ('class a', ["1:7: syntax: expected '(', found 'a'"]),
+    ('class(1)', ["1:7: syntax: expected an object variable, found '1'"]),
+    ('class(a', ["1:8: syntax: expected ')', found 'end of input'"]),
+    ('class(a) < "car"', ['1:10: syntax: class comparisons use == or !=']),
+    ('class(a) == car', [
+        "1:13: syntax: expected a quoted class label or 'class(...)', found 'car'",
+    ]),
+    ('class(a) == class b', ["1:19: syntax: expected '(', found 'b'"]),
+    ('class(a) == class(1)', ["1:19: syntax: expected an object variable, found '1'"]),
+    ('class(a) == class(b', ["1:20: syntax: expected ')', found 'end of input'"]),
+    ('area bbox(a)', ["1:6: syntax: expected '(', found 'bbox'"]),
+    ('area(bbox(a)', ["1:13: syntax: expected ')', found 'end of input'"]),
+    ('area(bbox(a)) != 3', [
+        '1:15: syntax: area comparisons use <, <=, > or >= (== and != apply to classes and ids only)',
+    ]),
+    ('area(bbox(a)) 3', ['1:15: syntax: expected a comparison operator after area']),
+    ('area(bbox(a)) / prob(a) > 1', ["1:17: syntax: expected 'area', found 'prob'"]),
+    ('area(bbox(a)) > 0.5 * bbox(b)', ["1:23: syntax: expected 'area', found 'bbox'"]),
+    ('lat a', ["1:5: syntax: expected '(', found 'a'"]),
+    ('lat(1, ct)', ["1:5: syntax: expected an object variable, found '1'"]),
+    ('lat(a ct)', ["1:7: syntax: expected ',', found 'ct'"]),
+    ('lat(a, 3)', ["1:8: syntax: expected a reference point (lm, rm, tm, bm or ct), found '3'"]),
+    ('lat(a, xx) > 1', [
+        "1:8: syntax: unknown reference point 'xx'; expected lm, rm, tm, bm or ct",
+    ]),
+    ('lat(a, ct > 1', ["1:11: syntax: expected ')', found '>'"]),
+    ('lat(a, ct) == 1', [
+        '1:12: syntax: offset comparisons use <, <=, > or >= (== and != apply to classes and ids only)',
+    ]),
+    ('lon(a, ct) 1', ['1:12: syntax: expected a comparison operator after offset']),
+    ('lat(a, ct) / area(bbox(a)) > 1', ["1:14: syntax: expected 'lat' or 'lon'"]),
+    ('lon(a, ct) > 2 * prob(b)', ["1:18: syntax: expected 'lat' or 'lon'"]),
+    ('dist a', ["1:6: syntax: expected '(', found 'a'"]),
+    ('dist(1, ct, b, lm) < 1', ["1:6: syntax: expected an object variable, found '1'"]),
+    ('dist(a ct, b, lm) < 1', ["1:8: syntax: expected ',', found 'ct'"]),
+    ('dist(a, ct b, lm) < 1', ["1:12: syntax: expected ',', found 'b'"]),
+    ('dist(a, ct, 1, lm) < 1', ["1:13: syntax: expected an object variable, found '1'"]),
+    ('dist(a, ct, b lm) < 1', ["1:15: syntax: expected ',', found 'lm'"]),
+    ('dist(a, ct, b, lm < 1', ["1:19: syntax: expected ')', found '<'"]),
+    ('dist(a, ct, b, lm) == 1', [
+        '1:20: syntax: distance comparisons use <, <=, > or >= (== and != apply to classes and ids only)',
+    ]),
+    ('dist(a, ct, b, lm) 1', ['1:20: syntax: expected a comparison operator after distance']),
+    ('C_TIME x', ["1:8: syntax: expected '-', found 'x'"]),
+    ('C_FRAME - 1', ["1:11: syntax: expected a pinned variable, found '1'"]),
+    ('C_TIME - x 1', ['1:12: syntax: expected a comparison operator after a time constraint']),
+    ('C_FRAME - f 1', ['1:13: syntax: expected a comparison operator after a frame constraint']),
+    ('C_FRAME - f <= 2.5', ['1:16: syntax: a frame constraint bound must be an integer, got 2.5']),
+    ('C_FRAME - f <= 1e2', [
+        '1:16: syntax: a frame constraint bound must be an integer, got 100.0',
+    ]),
+    ('x - C_TIME', ['1:11: syntax: expected a comparison operator after a time constraint']),
+    ('x - C_TIME <= y', ["1:15: syntax: expected a number, found 'y'"]),
+    ('f - C_FRAME <= 2.5', ['1:16: syntax: a frame constraint bound must be an integer, got 2.5']),
+    ('f - x > 1', ["1:5: syntax: expected C_TIME or C_FRAME after '-'"]),
+    ('a == 1', ["1:6: syntax: expected an object variable, found '1'"]),
+    ('a != "b"', ["1:6: syntax: expected an object variable, found 'b'"]),
+    ('probability(a) > 0.5', ["1:1: syntax: unknown function 'probability'"]),
+    ('a > b', ["1:3: syntax: expected '-', '==' or '!=' after variable 'a'"]),
+    ('a', ["1:2: syntax: expected '-', '==' or '!=' after variable 'a'"]),
+    ('in', ["1:3: syntax: expected '-', '==' or '!=' after variable 'in'"]),
+    ('', ['1:1: syntax: empty specification']),
+    ('nonempty(bbox 1)', ["1:15: syntax: expected '(', found '1'"]),
+    ('nonempty(bbox(1))', ["1:15: syntax: expected an object variable, found '1'"]),
+    ('nonempty(bbox(a)', ["1:17: syntax: expected ')', found 'end of input'"]),
+    ('nonempty((bbox(a))', ["1:19: syntax: expected ')', found 'end of input'"]),
+    ('nonempty(~)', ["1:11: syntax: expected a spatial term, found ')'"]),
+    ('nonempty(bbox(a) | )', ["1:20: syntax: expected a spatial term, found ')'"]),
+    ('nonempty(bbox(a) & 3)', ["1:20: syntax: expected a spatial term, found '3'"]),
+    ("exists {a} @ nonempty(" + "~" * 100 + "bbox(a))", [
+        '1:122: syntax: specification nests deeper than 100 levels',
+    ]),
+    ("exists {a} @ nonempty(" + " | ".join(["bbox(a)"] * 101) + ")", [
+        '1:43: syntax: specification nests deeper than 100 levels',
+    ]),
+    ('exists {a} @\n  (prob(a) >< 0.5)', ["2:13: syntax: expected a number, found '<'"]),
+    ('# c\n\n  exists {a} @ # c\n\tprob(a) >\r\n   =', ["5:4: lexical: unexpected character '='"]),
+]
+
+
+@pytest.mark.parametrize("text, rendered", GOLDEN_DIAGNOSTICS,
+                         ids=[repr(text)[:40] for text, _ in GOLDEN_DIAGNOSTICS])
+def test_diagnostics_render_exactly(text, rendered):
+    assert [d.render() for d in _error_of(text).diagnostics] == rendered
