@@ -19,7 +19,7 @@ import time
 
 # The package's modules are imported before ``click``: compiling a module
 # after it raises a start's peak memory by most of that compile's own peak
-# (about 1.2 of 1.9 MB for the parser). That is also why the parser, which
+# (1.4 MB by tracemalloc for the parser). That is also why the parser, which
 # only a spec file needs, is imported here.
 from . import __version__
 from .errors import ContractViolation, IngestError, PercemonError

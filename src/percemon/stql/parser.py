@@ -21,7 +21,14 @@ as division (``area(A)/area(B) >= r``) or multiplication
 (``area(A) >= r * area(B)``); both parse to the same ratio node. Time and
 frame constraints accept either operand order (``x - C_TIME`` or
 ``C_TIME - x``) and are normalized to the pinned-minus-current form.
-``#`` starts a line comment.
+
+Tokens are separated by spaces, tabs, line breaks and ``#`` line comments.
+Identifiers are word characters not starting with a decimal digit; the
+keywords and ``_`` are reserved. Numbers are decimal digits with an
+optional fraction and exponent (``3``, ``0.5``, ``1e-06``) and must be
+finite as a float. Strings are double-quoted on one line and escape only
+``\\"`` and ``\\\\``. Each token's kind is its own text, except for
+``IDENT``, ``NUMBER``, ``STRING`` and ``EOF``.
 
 A specification may nest at most ``MAX_NESTING`` levels deep, counting
 operators, binders, parentheses and spatial terms. Deeper input raises a
@@ -31,6 +38,7 @@ times per level) can exhaust the interpreter stack.
 
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -42,22 +50,26 @@ KEYWORDS = frozenset(
     true exists forall pin not and or implies
     next prev until since always eventually once holds
     nonempty empty universe bbox area lat lon dist prob class
-    C_TIME C_FRAME
+    C_TIME C_FRAME _
     """.split()
 )
 
-_SYMBOLS = (
-    ("<=", "LE"), (">=", "GE"), ("==", "EQ"), ("!=", "NE"),
-    ("<", "LT"), (">", "GT"),
-    ("{", "LBRACE"), ("}", "RBRACE"), ("(", "LPAREN"), (")", "RPAREN"),
-    (",", "COMMA"), ("@", "AT"), ("~", "TILDE"), ("|", "PIPE"), ("&", "AMP"),
-    ("-", "MINUS"), ("*", "STAR"), ("/", "SLASH"),
+# One alternative per token class; only ``space`` can hold a line break.
+_TOKEN = re.compile(
+    r"""
+      (?P<space>(?:[ \t\r\n]|\#[^\n]*)+)
+    | (?P<string>"(?P<body>(?:[^"\\\n]|\\["\\]|\\(?!["\\]))*)(?P<close>"?))
+    | (?P<number>\d+(?P<real>(?:\.\d+)?(?:[eE][+-]?\d+)?))
+    | (?P<word>[^\W\d]\w*)
+    | (?P<symbol>[<>=!]=|[<>{}(),@~|&*/-])
+    | (?P<other>.)
+    """,
+    re.VERBOSE,
 )
+_ESCAPE = re.compile(r'\\(["\\])')
+_INF = float("inf")
 
-CMP_TOKENS = {
-    "LT": A.Cmp.LT, "LE": A.Cmp.LE, "GT": A.Cmp.GT,
-    "GE": A.Cmp.GE, "EQ": A.Cmp.EQ, "NE": A.Cmp.NE,
-}
+_CMPS = {c.value: c for c in A.Cmp}
 
 REFERENCE_POINTS = {rp.value: rp for rp in A.ReferencePoint}
 
@@ -83,100 +95,39 @@ def _err(kind: str, message: str, line: int | None, column: int | None) -> SpecE
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     problems: list[Diagnostic] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def advance(k: int = 1) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, lexeme, column = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "space":
+            breaks = lexeme.count("\n")
+            if breaks:
+                line += breaks
+                line_start = m.start() + lexeme.rindex("\n") + 1
+        elif kind == "string":
+            if m["close"]:
+                body = _ESCAPE.sub(r"\1", m["body"])
+                tokens.append(Token("STRING", body, line, column))
             else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance()
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                advance()
-            continue
-        start_line, start_col = line, col
-        if ch == '"':
-            advance()
-            buf = []
-            closed = False
-            while i < n:
-                c = text[i]
-                if c == "\n":
-                    break
-                if c == "\\" and i + 1 < n and text[i + 1] in ('"', "\\"):
-                    buf.append(text[i + 1])
-                    advance(2)
-                    continue
-                if c == '"':
-                    advance()
-                    closed = True
-                    break
-                buf.append(c)
-                advance()
-            if not closed:
-                problems.append(Diagnostic("lexical", "unterminated string literal", start_line, start_col))
-                continue
-            tokens.append(Token("STRING", "".join(buf), start_line, start_col, "".join(buf)))
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            is_int = True
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                is_int = False
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    is_int = False
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            lexeme = text[i:j]
-            value = int(lexeme) if is_int else float(lexeme)
-            advance(j - i)
-            tokens.append(Token("NUMBER", lexeme, start_line, start_col, value))
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            advance(j - i)
-            if word == "_":
-                tokens.append(Token("UNDERSCORE", word, start_line, start_col))
-            elif word in KEYWORDS:
-                tokens.append(Token(word, word, start_line, start_col))
+                problems.append(Diagnostic("lexical", "unterminated string literal", line, column))
+        elif kind == "number":
+            try:  # int() refuses over 4300 digits, float() of a larger int overflows
+                value = float(lexeme) if m["real"] else int(lexeme)
+                finite = float(value) != _INF
+            except (ValueError, OverflowError):
+                finite = False
+            if finite:
+                tokens.append(Token("NUMBER", lexeme, line, column, value))
             else:
-                tokens.append(Token("IDENT", word, start_line, start_col))
-            continue
-        for sym, kind in _SYMBOLS:
-            if text.startswith(sym, i):
-                advance(len(sym))
-                tokens.append(Token(kind, sym, start_line, start_col))
-                break
+                problems.append(Diagnostic("lexical", f"number out of range: {lexeme!r}", line, column))
+        elif kind == "word":
+            tokens.append(Token(lexeme if lexeme in KEYWORDS else "IDENT", lexeme, line, column))
+        elif kind == "symbol":
+            tokens.append(Token(lexeme, lexeme, line, column))
         else:
-            problems.append(Diagnostic("lexical", f"unexpected character {ch!r}", start_line, start_col))
-            advance()
+            problems.append(Diagnostic("lexical", f"unexpected character {lexeme!r}", line, column))
     if problems:
         raise SpecError(problems)
-    tokens.append(Token("EOF", "", line, col))
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -192,8 +143,8 @@ class _Parser:
 
     # -- token plumbing --
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
@@ -206,12 +157,15 @@ class _Parser:
             return self.next()
         return None
 
-    def expect(self, kind: str, what: str) -> Token:
+    def expect(self, kind: str, what: str | None = None) -> Token:
+        """The next token, which must be of ``kind`` (described as ``what``, or quoted)."""
         tok = self.peek()
         if tok.kind != kind:
-            found = tok.text or "end of input"
-            raise _err("syntax", f"expected {what}, found {found!r}", tok.line, tok.column)
+            raise self.fail(f"expected {what or repr(kind)}, found {tok.text or 'end of input'!r}")
         return self.next()
+
+    def variable(self, what: str = "an object variable") -> str:
+        return self.expect("IDENT", what).text
 
     def fail(self, message: str) -> SpecError:
         tok = self.peek()
@@ -238,19 +192,19 @@ class _Parser:
         if tok:
             with self.nested(tok):
                 rhs = self.formula()
-            return A.Implies(lhs, rhs, loc=_first_loc(lhs))
+            return A.Implies(lhs, rhs, loc=lhs.loc)
         return lhs
 
     def or_part(self) -> A.Formula:
         lhs = self.and_part()
         while self.accept("or"):
-            lhs = A.Or(lhs, self.and_part(), loc=_first_loc(lhs))
+            lhs = A.Or(lhs, self.and_part(), loc=lhs.loc)
         return lhs
 
     def and_part(self) -> A.Formula:
         lhs = self.temporal()
         while self.accept("and"):
-            lhs = A.And(lhs, self.temporal(), loc=_first_loc(lhs))
+            lhs = A.And(lhs, self.temporal(), loc=lhs.loc)
         return lhs
 
     def temporal(self) -> A.Formula:
@@ -262,7 +216,7 @@ class _Parser:
         with self.nested(tok):
             rhs = self.temporal()
         ctor = A.Until if tok.kind == "until" else A.Since
-        return ctor(lhs, rhs, loc=_first_loc(lhs))
+        return ctor(lhs, rhs, loc=lhs.loc)
 
     _UNARY = {
         "not": A.Not, "next": A.Next, "prev": A.Prev, "always": A.Always,
@@ -279,34 +233,34 @@ class _Parser:
             return ctor(child, loc=self.loc(tok))
         if tok.kind in ("exists", "forall"):
             self.next()
-            self.expect("LBRACE", "'{'")
-            names = [self.expect("IDENT", "a variable name").text]
-            while self.accept("COMMA"):
-                names.append(self.expect("IDENT", "a variable name").text)
-            self.expect("RBRACE", "'}'")
-            self.expect("AT", "'@'")
+            self.expect("{")
+            names = [self.variable("a variable name")]
+            while self.accept(","):
+                names.append(self.variable("a variable name"))
+            self.expect("}")
+            self.expect("@")
             with self.nested(tok):
                 body = self.formula()
             ctor = A.Exists if tok.kind == "exists" else A.Forall
             return ctor(tuple(names), body, loc=self.loc(tok))
         if tok.kind == "pin":
             self.next()
-            self.expect("LPAREN", "'('")
+            self.expect("(")
             time_var = self.pin_slot()
-            self.expect("COMMA", "','")
+            self.expect(",")
             frame_var = self.pin_slot()
-            self.expect("RPAREN", "')'")
-            self.expect("LBRACE", "'{'")
+            self.expect(")")
+            self.expect("{")
             with self.nested(tok):
                 body = self.formula()
-            self.expect("RBRACE", "'}'")
+            self.expect("}")
             return A.Freeze(time_var, frame_var, body, loc=self.loc(tok))
         return self.primary()
 
     def pin_slot(self) -> str | None:
-        if self.accept("UNDERSCORE"):
+        if self.accept("_"):
             return None
-        return self.expect("IDENT", "a variable name or '_'").text
+        return self.variable("a variable name or '_'")
 
     # -- atoms --
 
@@ -315,140 +269,108 @@ class _Parser:
         if tok.kind == "true":
             self.next()
             return A.TrueConst(loc=self.loc(tok))
-        if tok.kind == "LPAREN":
+        if tok.kind == "(":
             self.next()
             with self.nested(tok):
                 inner = self.formula()
-            self.expect("RPAREN", "')'")
+            self.expect(")")
             return inner
         if tok.kind == "nonempty":
             self.next()
-            self.expect("LPAREN", "'('")
+            self.expect("(")
             term = self.spatial()
-            self.expect("RPAREN", "')'")
+            self.expect(")")
             return A.SpatialExists(term, loc=self.loc(tok))
         if tok.kind == "prob":
-            return self.prob_atom()
+            return self.ratio_atom(self.prob_term, "probability", A.ProbCmpConst, A.ProbCmpRatio)
+        if tok.kind == "area":
+            return self.ratio_atom(self.area_term, "area", A.AreaCmpConst, A.AreaCmpRatio)
+        if tok.kind in ("lat", "lon"):
+            return self.ratio_atom(self.offset_term, "offset", A.OffsetCmpConst, A.OffsetCmpRatio)
         if tok.kind == "class":
             return self.class_atom()
-        if tok.kind == "area":
-            return self.area_atom()
-        if tok.kind in ("lat", "lon"):
-            return self.offset_atom()
         if tok.kind == "dist":
             return self.dist_atom()
         if tok.kind in ("C_TIME", "C_FRAME"):
-            return self.constraint_atom_reversed()
+            self.next()
+            self.expect("-")
+            return self.constraint(self.variable("a pinned variable"), tok, tok, flip=True)
         if tok.kind == "IDENT":
             return self.ident_atom()
-        found = tok.text or "end of input"
-        raise _err("syntax", f"expected a formula, found {found!r}", tok.line, tok.column)
+        raise self.fail(f"expected a formula, found {tok.text or 'end of input'!r}")
 
-    def order_cmp(self, what: str) -> A.Cmp:
-        tok = self.peek()
-        cmp = CMP_TOKENS.get(tok.kind)
+    def cmp(self, what: str, order: bool = True) -> A.Cmp:
+        """A comparison operator after ``what``; with ``order``, not == or !=."""
+        cmp = _CMPS.get(self.peek().kind)
         if cmp is None:
             raise self.fail(f"expected a comparison operator after {what}")
-        if cmp not in A.ORDER_CMPS:
-            raise _err(
-                "syntax",
-                f"{what} comparisons use <, <=, > or >= (== and != apply to classes and ids only)",
-                tok.line, tok.column,
+        if order and cmp not in A.ORDER_CMPS:
+            raise self.fail(
+                f"{what} comparisons use <, <=, > or >= (== and != apply to classes and ids only)"
             )
         self.next()
         return cmp
 
-    def any_cmp(self, what: str) -> A.Cmp:
-        tok = self.peek()
-        cmp = CMP_TOKENS.get(tok.kind)
-        if cmp is None:
-            raise self.fail(f"expected a comparison operator after {what}")
-        self.next()
-        return cmp
-
-    def signed_number(self) -> tuple[float | int, bool, Token]:
-        neg = self.accept("MINUS")
+    def number(self) -> tuple[float | int, Token]:
+        neg = self.accept("-")
         tok = self.expect("NUMBER", "a number")
-        value = -tok.value if neg else tok.value
-        return value, isinstance(tok.value, int), tok
+        return (-tok.value if neg else tok.value), tok
 
     def real_number(self) -> float:
-        value, _, _ = self.signed_number()
-        return float(value)
+        return float(self.number()[0])
 
     def int_number(self, what: str) -> int:
-        value, is_int, tok = self.signed_number()
-        if not is_int:
+        value, tok = self.number()
+        if not isinstance(value, int):
             raise _err("syntax", f"{what} must be an integer, got {value}", tok.line, tok.column)
-        return int(value)
+        return value
 
-    def prob_term(self) -> str:
-        self.expect("prob", "'prob'")
-        self.expect("LPAREN", "'('")
-        var = self.expect("IDENT", "an object variable").text
-        self.expect("RPAREN", "')'")
+    def ratio_atom(self, term, what: str, const_kind, ratio_kind) -> A.Formula:
+        """``T cmp c``, ``T cmp r * T`` or ``T / T cmp r``, with ``term`` parsing ``T``."""
+        tok = self.peek()
+        lhs = term()
+        if self.accept("/"):
+            rhs = term()
+            cmp = self.cmp(what)
+            return ratio_kind(lhs, cmp, self.real_number(), rhs, loc=self.loc(tok))
+        cmp = self.cmp(what)
+        bound = self.real_number()
+        if self.accept("*"):
+            return ratio_kind(lhs, cmp, bound, term(), loc=self.loc(tok))
+        return const_kind(lhs, cmp, bound, loc=self.loc(tok))
+
+    def object_arg(self) -> str:
+        """``(v)``: one object variable in parentheses."""
+        self.expect("(")
+        var = self.variable()
+        self.expect(")")
         return var
 
-    def prob_atom(self) -> A.Formula:
-        tok = self.peek()
-        lhs = self.prob_term()
-        if self.accept("SLASH"):
-            rhs = self.prob_term()
-            cmp = self.order_cmp("probability")
-            ratio = self.real_number()
-            return A.ProbCmpRatio(lhs, cmp, ratio, rhs, loc=self.loc(tok))
-        cmp = self.order_cmp("probability")
-        bound = self.real_number()
-        if self.accept("STAR"):
-            rhs = self.prob_term()
-            return A.ProbCmpRatio(lhs, cmp, bound, rhs, loc=self.loc(tok))
-        return A.ProbCmpConst(lhs, cmp, bound, loc=self.loc(tok))
-
-    def class_atom(self) -> A.Formula:
-        tok = self.next()  # 'class'
-        self.expect("LPAREN", "'('")
-        lhs = self.expect("IDENT", "an object variable").text
-        self.expect("RPAREN", "')'")
-        op = self.peek()
-        if op.kind not in ("EQ", "NE"):
-            raise self.fail("class comparisons use == or !=")
-        self.next()
-        if self.peek().kind == "STRING":
-            label = self.next().value
-            atom: A.Formula = A.ClassEqConst(lhs, label, loc=self.loc(tok))
-        else:
-            self.expect("class", "a quoted class label or 'class(...)'")
-            self.expect("LPAREN", "'('")
-            rhs = self.expect("IDENT", "an object variable").text
-            self.expect("RPAREN", "')'")
-            atom = A.ClassEqVar(lhs, rhs, loc=self.loc(tok))
-        if op.kind == "NE":
-            return A.Not(atom, loc=self.loc(tok))
-        return atom
+    def prob_term(self) -> str:
+        self.expect("prob")
+        return self.object_arg()
 
     def area_term(self) -> A.SpatialTerm:
-        self.expect("area", "'area'")
-        self.expect("LPAREN", "'('")
+        self.expect("area")
+        self.expect("(")
         term = self.spatial()
-        self.expect("RPAREN", "')'")
+        self.expect(")")
         return term
 
-    def area_atom(self) -> A.Formula:
+    def offset_term(self) -> A.OffsetTerm:
         tok = self.peek()
-        lhs = self.area_term()
-        if self.accept("SLASH"):
-            rhs = self.area_term()
-            cmp = self.order_cmp("area")
-            ratio = self.real_number()
-            return A.AreaCmpRatio(lhs, cmp, ratio, rhs, loc=self.loc(tok))
-        cmp = self.order_cmp("area")
-        bound = self.real_number()
-        if self.accept("STAR"):
-            rhs = self.area_term()
-            return A.AreaCmpRatio(lhs, cmp, bound, rhs, loc=self.loc(tok))
-        return A.AreaCmpConst(lhs, cmp, bound, loc=self.loc(tok))
+        if tok.kind not in ("lat", "lon"):
+            raise self.fail("expected 'lat' or 'lon'")
+        self.next()
+        self.expect("(")
+        var, ref = self.point()
+        self.expect(")")
+        return A.OffsetTerm(A.Axis(tok.kind), var, ref, loc=self.loc(tok))
 
-    def reference_point(self) -> A.ReferencePoint:
+    def point(self) -> tuple[str, A.ReferencePoint]:
+        """``v, ref``: a named reference point of an object's box."""
+        var = self.variable()
+        self.expect(",")
         tok = self.expect("IDENT", "a reference point (lm, rm, tm, bm or ct)")
         ref = REFERENCE_POINTS.get(tok.text)
         if ref is None:
@@ -457,109 +379,75 @@ class _Parser:
                 f"unknown reference point {tok.text!r}; expected lm, rm, tm, bm or ct",
                 tok.line, tok.column,
             )
-        return ref
+        return var, ref
 
-    def offset_term(self) -> A.OffsetTerm:
-        tok = self.peek()
-        if tok.kind not in ("lat", "lon"):
-            raise self.fail("expected 'lat' or 'lon'")
+    def class_atom(self) -> A.Formula:
+        tok = self.next()  # 'class'
+        lhs = self.object_arg()
+        op = self.peek()
+        if op.kind not in ("==", "!="):
+            raise self.fail("class comparisons use == or !=")
         self.next()
-        axis = A.Axis.LAT if tok.kind == "lat" else A.Axis.LON
-        self.expect("LPAREN", "'('")
-        var = self.expect("IDENT", "an object variable").text
-        self.expect("COMMA", "','")
-        ref = self.reference_point()
-        self.expect("RPAREN", "')'")
-        return A.OffsetTerm(axis, var, ref, loc=self.loc(tok))
-
-    def offset_atom(self) -> A.Formula:
-        tok = self.peek()
-        lhs = self.offset_term()
-        if self.accept("SLASH"):
-            rhs = self.offset_term()
-            cmp = self.order_cmp("offset")
-            ratio = self.real_number()
-            return A.OffsetCmpRatio(lhs, cmp, ratio, rhs, loc=self.loc(tok))
-        cmp = self.order_cmp("offset")
-        bound = self.real_number()
-        if self.accept("STAR"):
-            rhs = self.offset_term()
-            return A.OffsetCmpRatio(lhs, cmp, bound, rhs, loc=self.loc(tok))
-        return A.OffsetCmpConst(lhs, cmp, bound, loc=self.loc(tok))
+        if self.peek().kind == "STRING":
+            atom: A.Formula = A.ClassEqConst(lhs, self.next().text, loc=self.loc(tok))
+        else:
+            self.expect("class", "a quoted class label or 'class(...)'")
+            atom = A.ClassEqVar(lhs, self.object_arg(), loc=self.loc(tok))
+        return A.Not(atom, loc=self.loc(tok)) if op.kind == "!=" else atom
 
     def dist_atom(self) -> A.Formula:
         tok = self.next()  # 'dist'
-        self.expect("LPAREN", "'('")
-        lhs = self.expect("IDENT", "an object variable").text
-        self.expect("COMMA", "','")
-        lhs_ref = self.reference_point()
-        self.expect("COMMA", "','")
-        rhs = self.expect("IDENT", "an object variable").text
-        self.expect("COMMA", "','")
-        rhs_ref = self.reference_point()
-        self.expect("RPAREN", "')'")
-        cmp = self.order_cmp("distance")
+        self.expect("(")
+        lhs, lhs_ref = self.point()
+        self.expect(",")
+        rhs, rhs_ref = self.point()
+        self.expect(")")
+        cmp = self.cmp("distance")
         bound = self.real_number()
         return A.EDCmp(lhs, lhs_ref, rhs, rhs_ref, cmp, bound, loc=self.loc(tok))
 
-    def constraint_atom_reversed(self) -> A.Formula:
-        """``C_TIME - x ~ c`` and ``C_FRAME - f ~ n``, normalized by flipping."""
-        tok = self.next()
-        self.expect("MINUS", "'-'")
-        var = self.expect("IDENT", "a pinned variable").text
-        if tok.kind == "C_TIME":
-            cmp = self.any_cmp("a time constraint")
-            bound = self.real_number()
-            return A.TimeConstraint(var, cmp.flipped(), -bound, loc=self.loc(tok))
-        cmp = self.any_cmp("a frame constraint")
-        bound = self.int_number("a frame constraint bound")
-        return A.FrameConstraint(var, cmp.flipped(), -bound, loc=self.loc(tok))
+    def constraint(self, var: str, anchor: Token, tok: Token, flip: bool) -> A.Formula:
+        """``var - anchor ~ c`` at ``tok``; ``flip`` normalizes ``anchor - var ~ c`` to it."""
+        if anchor.kind == "C_TIME":
+            cmp = self.cmp("a time constraint", order=False)
+            ctor, bound = A.TimeConstraint, self.real_number()
+        else:
+            cmp = self.cmp("a frame constraint", order=False)
+            ctor, bound = A.FrameConstraint, self.int_number("a frame constraint bound")
+        if flip:
+            cmp, bound = cmp.flipped(), -bound
+        return ctor(var, cmp, bound, loc=self.loc(tok))
 
     def ident_atom(self) -> A.Formula:
         tok = self.next()
         after = self.peek()
-        if after.kind == "MINUS":
+        if after.kind == "-":
             self.next()
             anchor = self.peek()
-            if anchor.kind == "C_TIME":
-                self.next()
-                cmp = self.any_cmp("a time constraint")
-                bound = self.real_number()
-                return A.TimeConstraint(tok.text, cmp, bound, loc=self.loc(tok))
-            if anchor.kind == "C_FRAME":
-                self.next()
-                cmp = self.any_cmp("a frame constraint")
-                bound = self.int_number("a frame constraint bound")
-                return A.FrameConstraint(tok.text, cmp, bound, loc=self.loc(tok))
-            raise self.fail("expected C_TIME or C_FRAME after '-'")
-        if after.kind == "EQ":
+            if anchor.kind not in ("C_TIME", "C_FRAME"):
+                raise self.fail("expected C_TIME or C_FRAME after '-'")
             self.next()
-            rhs = self.expect("IDENT", "an object variable").text
-            return A.IdEq(tok.text, rhs, loc=self.loc(tok))
-        if after.kind == "NE":
+            return self.constraint(tok.text, anchor, tok, flip=False)
+        if after.kind in ("==", "!="):
             self.next()
-            rhs = self.expect("IDENT", "an object variable").text
-            return A.IdNeq(tok.text, rhs, loc=self.loc(tok))
-        if after.kind == "LPAREN":
+            ctor = A.IdEq if after.kind == "==" else A.IdNeq
+            return ctor(tok.text, self.variable(), loc=self.loc(tok))
+        if after.kind == "(":
             raise _err("syntax", f"unknown function {tok.text!r}", tok.line, tok.column)
-        raise _err(
-            "syntax",
-            f"expected '-', '==' or '!=' after variable {tok.text!r}",
-            after.line, after.column,
-        )
+        raise self.fail(f"expected '-', '==' or '!=' after variable {tok.text!r}")
 
     # -- spatial terms --
 
     def spatial(self) -> A.SpatialTerm:
         lhs = self.spatial_intersect()
-        while self.accept("PIPE"):
-            lhs = A.SpatialUnion(lhs, self.spatial_intersect(), loc=_first_loc(lhs))
+        while self.accept("|"):
+            lhs = A.SpatialUnion(lhs, self.spatial_intersect(), loc=lhs.loc)
         return lhs
 
     def spatial_intersect(self) -> A.SpatialTerm:
         lhs = self.spatial_primary()
-        while self.accept("AMP"):
-            lhs = A.SpatialIntersect(lhs, self.spatial_primary(), loc=_first_loc(lhs))
+        while self.accept("&"):
+            lhs = A.SpatialIntersect(lhs, self.spatial_primary(), loc=lhs.loc)
         return lhs
 
     def spatial_primary(self) -> A.SpatialTerm:
@@ -572,27 +460,19 @@ class _Parser:
             return A.UniverseSet(loc=self.loc(tok))
         if tok.kind == "bbox":
             self.next()
-            self.expect("LPAREN", "'('")
-            var = self.expect("IDENT", "an object variable").text
-            self.expect("RPAREN", "')'")
-            return A.BBoxOf(var, loc=self.loc(tok))
-        if tok.kind == "TILDE":
+            return A.BBoxOf(self.object_arg(), loc=self.loc(tok))
+        if tok.kind == "~":
             self.next()
             with self.nested(tok):
                 inner = self.spatial_primary()
             return A.Complement(inner, loc=self.loc(tok))
-        if tok.kind == "LPAREN":
+        if tok.kind == "(":
             self.next()
             with self.nested(tok):
                 inner = self.spatial()
-            self.expect("RPAREN", "')'")
+            self.expect(")")
             return inner
-        found = tok.text or "end of input"
-        raise _err("syntax", f"expected a spatial term, found {found!r}", tok.line, tok.column)
-
-
-def _first_loc(node) -> A.Loc | None:
-    return getattr(node, "loc", None)
+        raise self.fail(f"expected a spatial term, found {tok.text or 'end of input'!r}")
 
 
 def _check_depth(phi: A.Formula) -> None:
@@ -614,18 +494,11 @@ def _check_depth(phi: A.Formula) -> None:
 
 def parse(text: str) -> A.Formula:
     """Parse one formula; raises ``SpecError`` with located diagnostics."""
-    tokens = tokenize(text)
-    parser = _Parser(tokens)
+    parser = _Parser(tokenize(text))
     if parser.peek().kind == "EOF":
-        tok = parser.peek()
-        raise _err("syntax", "empty specification", tok.line, tok.column)
+        raise parser.fail("empty specification")
     phi = parser.formula()
-    trailing = parser.peek()
-    if trailing.kind != "EOF":
-        raise _err(
-            "syntax",
-            f"unexpected trailing input starting at {trailing.text!r}",
-            trailing.line, trailing.column,
-        )
+    if parser.peek().kind != "EOF":
+        raise parser.fail(f"unexpected trailing input starting at {parser.peek().text!r}")
     _check_depth(phi)
     return phi

@@ -241,6 +241,18 @@ def test_spec_file_that_is_not_utf8_is_a_located_error(runner, tmp_path, command
     assert "Traceback" not in result.stderr
 
 
+
+@pytest.mark.parametrize("spec, message", [
+    ("prob(a) > ²", "error: 1:11: syntax: expected a number, found '²'"),
+    ("exists {a} @ prob(a) > 1e999", "error: 1:24: lexical: number out of range: '1e999'"),
+])
+def test_check_reports_a_bad_number_literal_as_a_located_error(runner, tmp_path, spec, message):
+    path = tmp_path / "bad.stql"
+    path.write_text(spec + "\n", encoding="utf-8")
+    result = invoke(runner, "check", "--spec", str(path))
+    assert result.exit_code == 1
+    assert result.stderr == message + "\n"
+
 # --- gen ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("flag", ["--width", "--height"])

@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from randgen import FormulaGen
 
 from percemon.errors import SpecError
 from percemon.evaluate import evaluate_trace
@@ -365,3 +368,45 @@ GOLDEN_DIAGNOSTICS = [
                          ids=[repr(text)[:40] for text, _ in GOLDEN_DIAGNOSTICS])
 def test_diagnostics_render_exactly(text, rendered):
     assert [d.render() for d in _error_of(text).diagnostics] == rendered
+
+
+# Number literals must be finite, and only a decimal digit starts a number:
+# a non-decimal numeric character such as ``²`` starts an identifier.
+LITERAL_DIAGNOSTICS = [
+    ("exists {a} @ prob(a) > 1e999", ["1:24: lexical: number out of range: '1e999'"]),
+    ("prob(a) > 1" + "0" * 400, ["1:11: lexical: number out of range: '1" + "0" * 400 + "'"]),
+    ("f - C_FRAME > -" + "0" * 5000, ["1:16: lexical: number out of range: '" + "0" * 5000 + "'"]),
+    ("prob(a) > ²", ["1:11: syntax: expected a number, found '²'"]),
+    ("prob(a) > 1²", ["1:12: syntax: unexpected trailing input starting at '²'"]),
+]
+
+
+@pytest.mark.parametrize("text, rendered", LITERAL_DIAGNOSTICS,
+                         ids=[repr(text)[:40] for text, _ in LITERAL_DIAGNOSTICS])
+def test_literal_diagnostics_render_exactly(text, rendered):
+    assert [d.render() for d in _error_of(text).diagnostics] == rendered
+
+
+def test_numerals_of_other_scripts():
+    assert parse("prob(a) > ٣") == A.ProbCmpConst("a", A.Cmp.GT, 3.0)
+    assert parse("f - C_FRAME > ١٢") == A.FrameConstraint("f", A.Cmp.GT, 12)
+    assert parse("½ == Ⅻ") == A.IdEq("½", "Ⅻ")
+
+
+# Inserted by the mutations below: non-decimal numerics, a decimal digit of
+# another script, a form feed, quotes, backslashes and line breaks.
+MUTATION_CHARS = "²½Ⅻ٣\x0c\"\\\n#$(){}<>=!-*/~|&@,._0123456789eE+ a"
+
+
+def test_mutated_specs_parse_or_give_located_diagnostics():
+    rng = random.Random(1313)
+    gen = FormulaGen(random.Random(1314), max_depth=4, allow_sugar=True)
+    for _ in range(2000):
+        text = format_formula(gen.formula())
+        for _ in range(rng.randint(1, 4)):
+            at = rng.randint(0, len(text))
+            text = text[:at] + rng.choice(MUTATION_CHARS) + text[at + rng.randint(0, 1):]
+        try:
+            parse(text)
+        except SpecError as exc:
+            assert all(d.line is not None and d.column is not None for d in exc.diagnostics), text
