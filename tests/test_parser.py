@@ -364,12 +364,6 @@ GOLDEN_DIAGNOSTICS = [
 ]
 
 
-@pytest.mark.parametrize("text, rendered", GOLDEN_DIAGNOSTICS,
-                         ids=[repr(text)[:40] for text, _ in GOLDEN_DIAGNOSTICS])
-def test_diagnostics_render_exactly(text, rendered):
-    assert [d.render() for d in _error_of(text).diagnostics] == rendered
-
-
 # Number literals must be finite, and only a decimal digit starts a number:
 # a non-decimal numeric character such as ``²`` starts an identifier.
 LITERAL_DIAGNOSTICS = [
@@ -381,9 +375,9 @@ LITERAL_DIAGNOSTICS = [
 ]
 
 
-@pytest.mark.parametrize("text, rendered", LITERAL_DIAGNOSTICS,
-                         ids=[repr(text)[:40] for text, _ in LITERAL_DIAGNOSTICS])
-def test_literal_diagnostics_render_exactly(text, rendered):
+@pytest.mark.parametrize("text, rendered", GOLDEN_DIAGNOSTICS + LITERAL_DIAGNOSTICS,
+                         ids=[repr(text)[:40] for text, _ in GOLDEN_DIAGNOSTICS + LITERAL_DIAGNOSTICS])
+def test_diagnostics_render_exactly(text, rendered):
     assert [d.render() for d in _error_of(text).diagnostics] == rendered
 
 
