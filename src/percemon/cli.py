@@ -171,7 +171,8 @@ def monitor(spec: str, input_path: str, max_history: int | None,
     On bad input, the verdicts of every frame accepted so far are flushed
     before the error is reported.
     """
-    _, formula = _checked_spec(spec, _parse_params(params))
+    # ``Monitor`` checks the bindings and reports them as ``check`` does.
+    _, formula = resolve_spec(spec, _parse_params(params))
     engine = Monitor(formula, MonitorConfig(max_history=max_history, max_horizon=max_horizon))
     try:
         with click.open_file(input_path, "rb") as stream:

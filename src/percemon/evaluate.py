@@ -93,6 +93,10 @@ Conventions for finite traces and partial data:
   lets a specification compare boxes across frames.
 * Ratio atoms whose right-hand base value is zero are false and log a
   warning, once per distinct message and compiled formula.
+* The binding contract is checked once, before evaluation: a variable that
+  is read but bound neither by the formula nor by the ``Env`` passed in
+  raises ``ContractViolation`` before any frame is evaluated, so no atom
+  guards its own reads.
 """
 
 from __future__ import annotations
@@ -108,7 +112,7 @@ from . import spatial
 from .errors import ContractViolation
 from .spatial import Region, Universe
 from .stql import ast as A
-from .stql.bindings import free_variables
+from .stql.bindings import FRAME, OBJECT, TIME, free_variables, unbound_reads
 from .stql.bounds import frame_guard
 from .trace import BoundingBox, DetectedObject, Frame
 
@@ -225,20 +229,13 @@ def ref_point(box: BoundingBox, ref: A.ReferencePoint) -> tuple[float, float]:
     return _coordinate(A.Axis.LAT, ref)(box), _coordinate(A.Axis.LON, ref)(box)
 
 
-def _unbound(exc: KeyError) -> ContractViolation:
-    """The error for an object variable missing from ``Env.objects``.
-
-    Atoms read captured objects with a plain ``env.objects[name]`` inside a
-    ``try`` where nothing else can raise ``KeyError``, and turn it into this.
-    """
-    name = exc.args[0]
-    return ContractViolation(f"object variable {name!r} is unbound; run check_bindings first")
-
-
-def _pin(pins: Mapping[str, float], name: str, kind: str):
-    if name not in pins:
-        raise ContractViolation(f"{kind} variable {name!r} is unbound; run check_bindings first")
-    return pins[name]
+def _require_bound(reads: list[tuple[str, str]], env: Env) -> None:
+    """Raise for the first of ``reads`` (``bindings.unbound_reads`` of the
+    evaluated node) that ``env`` does not bind in its kind."""
+    bound = {OBJECT: env.objects, TIME: env.time_pins, FRAME: env.frame_pins}
+    for name, kind in reads:
+        if name not in bound[kind]:
+            raise ContractViolation(f"{kind} variable {name!r} is unbound; run check_bindings first")
 
 
 class _Compiler:
@@ -371,82 +368,52 @@ def _id_head(test: A.IdEq | A.IdNeq, rest: Check, stop: bool) -> Check:
     The closure keeps (test, rest, stop) as ``id_head``, so that a
     quantifier over its body can run the comparison in its own fold."""
     lhs, rhs = test.lhs, test.rhs
-    # One closure per outcome that settles the chain: this runs once per
-    # quantifier assignment in ``phi1`` and ``phi2``.
-    if (type(test) is A.IdEq) == stop:
-        def check(ctx: EvalContext, env: Env) -> bool:
-            objects = env.objects
-            try:
-                if objects[lhs].object_id == objects[rhs].object_id:
-                    return stop
-            except KeyError as exc:
-                raise _unbound(exc) from None
-            return rest(ctx, env)
-    else:
-        def check(ctx: EvalContext, env: Env) -> bool:
-            objects = env.objects
-            try:
-                if objects[lhs].object_id != objects[rhs].object_id:
-                    return stop
-            except KeyError as exc:
-                raise _unbound(exc) from None
-            return rest(ctx, env)
+    settles_on_equal = (type(test) is A.IdEq) == stop
+
+    def check(ctx: EvalContext, env: Env) -> bool:
+        objects = env.objects
+        if (objects[lhs].object_id == objects[rhs].object_id) is settles_on_equal:
+            return stop
+        return rest(ctx, env)
     check.id_head = (test, rest, stop)
     return check
 
 
-def _any(parts: list[Part]) -> Part:
-    """Left to right, stopping at the first true part."""
+def _chain(parts: list[Part], stop: bool) -> Part:
+    """Left to right, stopping at the first part whose value is ``stop``: the
+    disjunction of ``parts`` with ``stop`` True, their conjunction with False."""
     if len(parts) == 1:
         return parts[0]
     if type(parts[0]) in _ID_TESTS:
-        return _id_head(parts[0], _check(_any(parts[1:])), stop=True)
+        return _id_head(parts[0], _check(_chain(parts[1:], stop)), stop)
     parts = [_check(part) for part in parts]
     if len(parts) == 2:
+        # Run once per outer assignment on ``phi1`` and ``phi2``.
         first, second = parts
-
-        def check(ctx: EvalContext, env: Env) -> bool:
-            return first(ctx, env) or second(ctx, env)
+        if stop:
+            def check(ctx: EvalContext, env: Env) -> bool:
+                return first(ctx, env) or second(ctx, env)
+        else:
+            def check(ctx: EvalContext, env: Env) -> bool:
+                return first(ctx, env) and second(ctx, env)
         return check
     parts = tuple(parts)
 
+    # Every compiled check returns a bool, so ``is`` compares values.
     def check(ctx: EvalContext, env: Env) -> bool:
         for part in parts:
-            if part(ctx, env):
-                return True
-        return False
-    return check
-
-
-def _all(parts: list[Part]) -> Part:
-    """Left to right, stopping at the first false part."""
-    if len(parts) == 1:
-        return parts[0]
-    if type(parts[0]) in _ID_TESTS:
-        return _id_head(parts[0], _check(_all(parts[1:])), stop=False)
-    parts = [_check(part) for part in parts]
-    if len(parts) == 2:
-        first, second = parts
-
-        def check(ctx: EvalContext, env: Env) -> bool:
-            return first(ctx, env) and second(ctx, env)
-        return check
-    parts = tuple(parts)
-
-    def check(ctx: EvalContext, env: Env) -> bool:
-        for part in parts:
-            if not part(ctx, env):
-                return False
-        return True
+            if part(ctx, env) is stop:
+                return stop
+        return not stop
     return check
 
 
 def _not(c: _Compiler, phi: A.Not) -> Part:
-    return _all(c.negated(phi.child))
+    return _chain(c.negated(phi.child), stop=False)
 
 
 def _or(c: _Compiler, phi: A.Or) -> Part:
-    return _any(c.disjuncts(phi))
+    return _chain(c.disjuncts(phi), stop=True)
 
 
 def _next_prev(c: _Compiler, phi: A.Next | A.Prev) -> Check:
@@ -497,20 +464,11 @@ def _summary_key(node: A.Formula, variables: tuple[str, ...]) -> Callable[[Env],
         return lambda env: closed
     if len(variables) == 1:
         var = variables[0]
-
-        def key(env: Env) -> tuple:
-            try:
-                return node_id, (env.objects[var].object_id,)
-            except KeyError as exc:
-                raise _unbound(exc) from None
-        return key
+        return lambda env: (node_id, (env.objects[var].object_id,))
 
     def key(env: Env) -> tuple:
         objects = env.objects
-        try:
-            return node_id, tuple([objects[var].object_id for var in variables])
-        except KeyError as exc:
-            raise _unbound(exc) from None
+        return node_id, tuple([objects[var].object_id for var in variables])
     return key
 
 
@@ -638,7 +596,7 @@ def _temporal(c: _Compiler, node: A.Formula, idiom: tuple | None = None) -> Chec
     variables = _summary_ids((op.lhs, *parts)) if idiom or not forward else None
     c.plan.append(variables)
     lhs = None if true_lhs else c.formula(op.lhs)
-    body = _check(_all([c.part(part) for part in parts]))
+    body = _check(_chain([c.part(part) for part in parts], stop=False))
     if variables is None:
         def check(ctx: EvalContext, env: Env) -> bool:
             i = ctx.index
@@ -745,13 +703,10 @@ def _fold(child: Check, variables: Sequence[str]) -> Callable[[EvalContext, Env,
 
     def bound(env: Env) -> tuple[dict, Env, int]:
         objects = dict(env.objects)
-        try:
-            outer_id = objects[outer].object_id
-        except KeyError as exc:
-            raise _unbound(exc) from None
-        return objects, Env(env.time_pins, env.frame_pins, objects), outer_id
-    # As in ``_id_head``, one closure per outcome that settles the chain; a
-    # settled assignment's body is ``stop``.
+        return objects, Env(env.time_pins, env.frame_pins, objects), objects[outer].object_id
+    # One closure per outcome that settles the chain, so that the loop, run
+    # n^2 times per frame on ``phi2``, tests a plain comparison; a settled
+    # assignment's body is ``stop``.
     if (type(test) is A.IdEq) == stop:
         def fold(ctx: EvalContext, env: Env, frame: Frame) -> bool:
             objects, inner, outer_id = bound(env)
@@ -780,13 +735,15 @@ def _fold(child: Check, variables: Sequence[str]) -> Callable[[EvalContext, Env,
 
 
 # --- atoms -------------------------------------------------------------------
-# Each reads its captured objects with ``env.objects[name]`` (see ``_unbound``).
+# Each reads its captured objects and pins with a plain ``env.objects[name]``
+# or ``env.time_pins[name]``: ``evaluate`` checks every read is bound before
+# the program runs (``_require_bound``).
 
 def _time_constraint(c: _Compiler, phi: A.TimeConstraint) -> Check:
     var, op, bound = phi.var, phi.cmp.function, phi.bound
 
     def check(ctx: EvalContext, env: Env) -> bool:
-        return op(_pin(env.time_pins, var, "time") - ctx.trace[ctx.index].timestamp, bound)
+        return op(env.time_pins[var] - ctx.trace[ctx.index].timestamp, bound)
     return check
 
 
@@ -794,7 +751,7 @@ def _frame_constraint(c: _Compiler, phi: A.FrameConstraint) -> Check:
     var, op, bound = phi.var, phi.cmp.function, phi.bound
 
     def check(ctx: EvalContext, env: Env) -> bool:
-        return op(_pin(env.frame_pins, var, "frame") - ctx.index, bound)
+        return op(env.frame_pins[var] - ctx.index, bound)
     return check
 
 
@@ -806,11 +763,7 @@ def _class_eq_const(c: _Compiler, phi: A.ClassEqConst) -> Check:
     var, label = phi.var, phi.label
 
     def check(ctx: EvalContext, env: Env) -> bool:
-        try:
-            object_id = env.objects[var].object_id
-        except KeyError as exc:
-            raise _unbound(exc) from None
-        current = ctx.trace[ctx.index].objects.get(object_id)
+        current = ctx.trace[ctx.index].objects.get(env.objects[var].object_id)
         return current is not None and current.class_label == label
     return check
 
@@ -820,10 +773,7 @@ def _class_eq_var(c: _Compiler, phi: A.ClassEqVar) -> Check:
 
     def check(ctx: EvalContext, env: Env) -> bool:
         objects = env.objects
-        try:
-            lhs_id, rhs_id = objects[lhs_var].object_id, objects[rhs_var].object_id
-        except KeyError as exc:
-            raise _unbound(exc) from None
+        lhs_id, rhs_id = objects[lhs_var].object_id, objects[rhs_var].object_id
         current = ctx.trace[ctx.index].objects
         lhs, rhs = current.get(lhs_id), current.get(rhs_id)
         return lhs is not None and rhs is not None and lhs.class_label == rhs.class_label
@@ -834,11 +784,7 @@ def _prob_const(c: _Compiler, phi: A.ProbCmpConst) -> Check:
     var, op, bound = phi.var, phi.cmp.function, phi.bound
 
     def check(ctx: EvalContext, env: Env) -> bool:
-        try:
-            object_id = env.objects[var].object_id
-        except KeyError as exc:
-            raise _unbound(exc) from None
-        current = ctx.trace[ctx.index].objects.get(object_id)
+        current = ctx.trace[ctx.index].objects.get(env.objects[var].object_id)
         return current is not None and op(current.confidence, bound)
     return check
 
@@ -850,10 +796,7 @@ def _prob_ratio(c: _Compiler, phi: A.ProbCmpRatio) -> Check:
 
     def check(ctx: EvalContext, env: Env) -> bool:
         objects = env.objects
-        try:
-            lhs_id, rhs_id = objects[lhs_var].object_id, objects[rhs_var].object_id
-        except KeyError as exc:
-            raise _unbound(exc) from None
+        lhs_id, rhs_id = objects[lhs_var].object_id, objects[rhs_var].object_id
         current = ctx.trace[ctx.index].objects
         lhs, rhs = current.get(lhs_id), current.get(rhs_id)
         if lhs is None or rhs is None:
@@ -903,10 +846,7 @@ def _ed(c: _Compiler, phi: A.EDCmp) -> Check:
 
     def check(ctx: EvalContext, env: Env) -> bool:
         objects = env.objects
-        try:
-            lhs_box, rhs_box = objects[lhs].bbox, objects[rhs].bbox
-        except KeyError as exc:
-            raise _unbound(exc) from None
+        lhs_box, rhs_box = objects[lhs].bbox, objects[rhs].bbox
         dx = lhs_x(lhs_box) - rhs_x(rhs_box)
         return op(math.hypot(dx, lhs_y(lhs_box) - rhs_y(rhs_box)), bound)
     return check
@@ -917,11 +857,7 @@ def _offset_const(c: _Compiler, phi: A.OffsetCmpConst) -> Check:
     op, bound = phi.cmp.function, phi.bound
 
     def check(ctx: EvalContext, env: Env) -> bool:
-        try:
-            box = env.objects[var].bbox
-        except KeyError as exc:
-            raise _unbound(exc) from None
-        return op(coordinate(box), bound)
+        return op(coordinate(env.objects[var].bbox), bound)
     return check
 
 
@@ -934,14 +870,10 @@ def _offset_ratio(c: _Compiler, phi: A.OffsetCmpRatio) -> Check:
 
     def check(ctx: EvalContext, env: Env) -> bool:
         objects = env.objects
-        try:
-            rhs_value = rhs_coordinate(objects[rhs_var].bbox)
-            if not ratio_ok(rhs_value, what):
-                return False
-            lhs_value = lhs_coordinate(objects[lhs_var].bbox)
-        except KeyError as exc:
-            raise _unbound(exc) from None
-        return op(lhs_value, ratio * rhs_value)
+        rhs_value = rhs_coordinate(objects[rhs_var].bbox)
+        if not ratio_ok(rhs_value, what):
+            return False
+        return op(lhs_coordinate(objects[lhs_var].bbox), ratio * rhs_value)
     return check
 
 
@@ -998,11 +930,7 @@ def _box_measure(variables: tuple[str, ...], area: bool) -> Measure:
     a None test, equal to what the ``Region`` operations give."""
     def measure(universe: Universe, env: Env):
         objects = env.objects
-        try:
-            boxes = [objects[var].bbox for var in variables]
-        except KeyError as exc:
-            raise _unbound(exc) from None
-        box = spatial.box_meet(boxes, universe)
+        box = spatial.box_meet([objects[var].bbox for var in variables], universe)
         if not area:
             return box is not None
         # ``area`` of the empty region is the empty sum, 0.
@@ -1022,11 +950,7 @@ def _bbox_of(c: _Compiler, term: A.BBoxOf) -> Term:
     var = term.var
 
     def region(universe: Universe, env: Env) -> Region:
-        try:
-            box = env.objects[var].bbox
-        except KeyError as exc:
-            raise _unbound(exc) from None
-        return spatial.from_box(box, universe)
+        return spatial.from_box(env.objects[var].bbox, universe)
     return region
 
 
@@ -1096,29 +1020,36 @@ def _count(n: int, noun: str, plural: str) -> str:
 
 def eval_spatial(term: A.SpatialTerm, ctx: EvalContext, env: Env) -> Region:
     """Evaluate a core spatial term within the current frame's universe."""
+    _require_bound(unbound_reads(term), env)
     compiler = _Compiler()
     return compiler.term(term)(compiler.universe(ctx), env)
 
 
-# Compiled programs by formula identity. Each entry holds its formula, so the
-# identity cannot be reused by another object while the entry exists.
+# Compiled programs by formula identity, with the variables each reads
+# unbound. Each entry holds its formula, so the identity cannot be reused by
+# another object while the entry exists.
 _PROGRAMS_MAX = 64
-_programs: dict[int, tuple[A.Formula, Check]] = {}
+_programs: dict[int, tuple[A.Formula, Check, list[tuple[str, str]]]] = {}
 
 
 def evaluate(phi: A.Formula, ctx: EvalContext, env: Env = EMPTY_ENV) -> bool:
     """Boolean quality of a desugared formula at ``ctx.index``.
 
     The formula is compiled on first use and its program kept for later
-    calls with the same formula object. Without a summary table in ``ctx``
-    the call uses one of its own, computed from the window start.
+    calls with the same formula object. A variable that ``phi`` reads but
+    neither it nor ``env`` binds raises ``ContractViolation`` before any
+    frame is evaluated; a closed formula is checked once, at compile time.
+    Without a summary table in ``ctx`` the call uses one of its own,
+    computed from the window start.
     """
     entry = _programs.get(id(phi))
     if entry is None:
         program = _Compiler().formula(phi)
         if len(_programs) >= _PROGRAMS_MAX:
             del _programs[next(iter(_programs))]
-        entry = _programs[id(phi)] = (phi, program)
+        entry = _programs[id(phi)] = (phi, program, unbound_reads(phi))
+    if entry[2]:
+        _require_bound(entry[2], env)
     if ctx.summaries is None:
         ctx = EvalContext(ctx.trace, ctx.index, ctx.stats, ctx.offset, {})
     return entry[1](ctx, env)

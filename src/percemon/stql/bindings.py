@@ -35,6 +35,8 @@ class BindDiagnostic:
     name: str
     message: str
     loc: A.Loc | None = None
+    # The kind the variable is read as, for an unbound read or a kind mismatch.
+    read_as: str | None = None
 
 
 def check_bindings(phi: A.Formula) -> list[BindDiagnostic]:
@@ -63,10 +65,20 @@ def free_variables(phi: A.Formula) -> frozenset[str]:
     return frozenset(d.name for d in out if d.kind == UNBOUND)
 
 
+def unbound_reads(node: A.Node) -> list[tuple[str, str]]:
+    """The (name, kind) pairs that ``node`` reads as a variable of that kind
+    without binding one of that kind itself, in name order: a caller that
+    binds each of them around ``node`` leaves no read below it unbound."""
+    out: list[BindDiagnostic] = []
+    _walk(node, {}, out)
+    return sorted({(d.name, d.read_as) for d in out if d.read_as is not None})
+
+
 def _use(name: str, expected: str, scope: dict[str, str], loc, out) -> None:
     actual = scope.get(name)
     if actual is None:
-        out.append(BindDiagnostic(UNBOUND, name, f"variable {name!r} is not bound here", loc))
+        out.append(BindDiagnostic(UNBOUND, name, f"variable {name!r} is not bound here", loc,
+                                  expected))
     elif actual != expected:
         out.append(
             BindDiagnostic(
@@ -74,6 +86,7 @@ def _use(name: str, expected: str, scope: dict[str, str], loc, out) -> None:
                 name,
                 f"variable {name!r} is a {actual} variable but is used as a {expected} variable",
                 loc,
+                expected,
             )
         )
 

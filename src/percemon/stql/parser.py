@@ -28,7 +28,9 @@ keywords and ``_`` are reserved. Numbers are decimal digits with an
 optional fraction and exponent (``3``, ``0.5``, ``1e-06``) and must be
 finite as a float. Strings are double-quoted on one line and escape only
 ``\\"`` and ``\\\\``. Each token's kind is its own text, except for
-``IDENT``, ``NUMBER``, ``STRING`` and ``EOF``.
+``IDENT``, ``NUMBER``, ``STRING`` and ``EOF``. A token's text is its source
+form; a number's value is its numeric value and a string's its unescaped
+body. A class label must not be empty, as ingest rejects empty labels.
 
 A specification may nest at most ``MAX_NESTING`` levels deep, counting
 operators, binders, parentheses and spatial terms. Deeper input raises a
@@ -105,8 +107,7 @@ def tokenize(text: str) -> list[Token]:
                 line_start = m.start() + lexeme.rindex("\n") + 1
         elif kind == "string":
             if m["close"]:
-                body = _ESCAPE.sub(r"\1", m["body"])
-                tokens.append(Token("STRING", body, line, column))
+                tokens.append(Token("STRING", lexeme, line, column, _ESCAPE.sub(r"\1", m["body"])))
             else:
                 problems.append(Diagnostic("lexical", "unterminated string literal", line, column))
         elif kind == "number":
@@ -161,8 +162,13 @@ class _Parser:
         """The next token, which must be of ``kind`` (described as ``what``, or quoted)."""
         tok = self.peek()
         if tok.kind != kind:
-            raise self.fail(f"expected {what or repr(kind)}, found {tok.text or 'end of input'!r}")
+            raise self.expected(what or repr(kind))
         return self.next()
+
+    def expected(self, what: str) -> SpecError:
+        """``expected <what>, found 'x'`` at the next token, shown as written."""
+        tok = self.peek()
+        return self.fail(f"expected {what}, found {'end of input' if tok.kind == 'EOF' else tok.text!r}")
 
     def variable(self, what: str = "an object variable") -> str:
         return self.expect("IDENT", what).text
@@ -297,7 +303,7 @@ class _Parser:
             return self.constraint(self.variable("a pinned variable"), tok, tok, flip=True)
         if tok.kind == "IDENT":
             return self.ident_atom()
-        raise self.fail(f"expected a formula, found {tok.text or 'end of input'!r}")
+        raise self.expected("a formula")
 
     def cmp(self, what: str, order: bool = True) -> A.Cmp:
         """A comparison operator after ``what``; with ``order``, not == or !=."""
@@ -388,8 +394,11 @@ class _Parser:
         if op.kind not in ("==", "!="):
             raise self.fail("class comparisons use == or !=")
         self.next()
-        if self.peek().kind == "STRING":
-            atom: A.Formula = A.ClassEqConst(lhs, self.next().text, loc=self.loc(tok))
+        label = self.accept("STRING")
+        if label:
+            if not label.value:
+                raise _err("syntax", "class label must not be empty", label.line, label.column)
+            atom: A.Formula = A.ClassEqConst(lhs, label.value, loc=self.loc(tok))
         else:
             self.expect("class", "a quoted class label or 'class(...)'")
             atom = A.ClassEqVar(lhs, self.object_arg(), loc=self.loc(tok))
@@ -472,7 +481,7 @@ class _Parser:
                 inner = self.spatial()
             self.expect(")")
             return inner
-        raise self.fail(f"expected a spatial term, found {tok.text or 'end of input'!r}")
+        raise self.expected("a spatial term")
 
 
 def _check_depth(phi: A.Formula) -> None:

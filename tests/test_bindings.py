@@ -9,7 +9,9 @@ from percemon.stql.bindings import (
     UNBOUND,
     check_bindings,
     free_variables,
+    unbound_reads,
 )
+from percemon.stql import ast as A
 from percemon.stql.builtins import phi1, phi2, probe
 from percemon.stql.parser import parse
 
@@ -40,6 +42,17 @@ def test_free_variables_are_those_bound_outside():
     body = parse("pin (x, f) { exists {a} @ x - C_TIME <= 1 and prob(b) > 0.5 }").child
     assert free_variables(body) == {"x", "b"}
     assert free_variables(parse("exists {a} @ prob(a) > 0.5")) == frozenset()
+
+
+def test_unbound_reads_name_each_variable_with_the_kind_it_is_read_as():
+    text = ("pin (x, f) { exists {a} @ x - C_TIME <= 1 and prob(b) > 0.5"
+            " and f - C_TIME <= 2 and prob(a) > 0 and b == a }")
+    # ``f`` is pinned as a frame but read as a time: unbound as a time.
+    assert unbound_reads(parse(text)) == [("b", "object"), ("f", "time")]
+    assert unbound_reads(parse("prev (z == a and a - C_FRAME <= 1)")) == [
+        ("a", "frame"), ("a", "object"), ("z", "object")]
+    assert unbound_reads(A.Complement(A.BBoxOf("a"))) == [("a", "object")]
+    assert unbound_reads(phi1()) == unbound_reads(phi2()) == []
 
 
 def test_well_bound_formulas_pass():

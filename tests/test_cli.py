@@ -95,6 +95,15 @@ def test_check_unbound_variable_fails_with_location(runner, tmp_path):
     assert "id1" in result.stderr
 
 
+def test_check_empty_class_label_fails_with_location(runner, tmp_path):
+    spec = tmp_path / "empty_label.pmspec"
+    spec.write_text('exists {a} @ class(a) == ""\n')
+    result = invoke(runner, "check", "--spec", str(spec))
+    assert result.exit_code == 1
+    assert result.stderr == "error: 1:26: syntax: class label must not be empty\n"
+    assert result.stdout == ""
+
+
 def test_check_missing_file(runner):
     result = invoke(runner, "check", "--spec", "no/such/file.pmspec")
     assert result.exit_code == 1
@@ -427,6 +436,16 @@ def test_monitor_unbounded_spec_requires_override(runner, tmp_path):
                      "--max-horizon", "3", input=payload)
     assert bounded.exit_code == 0
     assert len(verdict_values(bounded.stdout)) == 12
+
+
+def test_monitor_unbound_variable_fails_with_location(runner, tmp_path):
+    spec = tmp_path / "broken.pmspec"
+    spec.write_text("# comment\nexists {a} @ prob(b) > 0.5\n")
+    result = invoke(runner, "monitor", "--spec", str(spec), "--input", "-",
+                    input=gen_lines(runner))
+    assert result.exit_code == 1
+    assert result.stderr == "error: 2:14: unbound-variable: variable 'b' is not bound here\n"
+    assert result.stdout == ""
 
 
 @pytest.mark.parametrize("spec_text, flag, value", [

@@ -271,6 +271,7 @@ def test_head_id_test_with_an_unbound_outer_variable_raises(body):
         for formula in (fused, generic):
             with pytest.raises(ContractViolation, match="object variable 'w' is unbound"):
                 evaluate(formula, EvalContext(frames, 0), EMPTY_ENV)
-            # On a frame without objects there is no assignment, so no error:
-            # ``exists`` is false and ``forall`` (``not exists not``) true.
-            assert evaluate(formula, EvalContext([_frame_with()], 0)) is (type(formula) is A.Not)
+            # Bindings are checked before evaluation, so a frame without
+            # objects, where no assignment reads ``w``, raises too.
+            with pytest.raises(ContractViolation, match="object variable 'w' is unbound"):
+                evaluate(formula, EvalContext([_frame_with()], 0))

@@ -360,6 +360,32 @@ def test_unbound_variable_is_contract_violation():
         evaluate(parse("prob(ghost) > 0"), ctx(frame(0, obj(1))))
 
 
+# Each read here is never reached: bindings are checked before evaluation.
+@pytest.mark.parametrize("text, context, env, message", [
+    ("prev prob(ghost) > 0", ctx(frame(0, obj(1))), EMPTY_ENV, "object variable 'ghost'"),
+    ("exists {a} @ prob(ghost) > 0", ctx(frame(0)), EMPTY_ENV, "object variable 'ghost'"),
+    ("next (t - C_TIME <= 1)", ctx(frame(0)), EMPTY_ENV, "time variable 't'"),
+    ("exists {a} @ f - C_FRAME == 0", ctx(frame(0)), EMPTY_ENV, "frame variable 'f'"),
+    # A name bound in another kind is unbound as the kind it is read as.
+    ("exists {b} @ a - C_TIME <= 1", ctx(frame(0)), Env(objects={"a": obj(1)}),
+     "time variable 'a'"),
+    # The first offending variable in name order.
+    ("prev (z == y and x - C_FRAME > 0)", ctx(frame(0)), Env(objects={"y": obj(1)}),
+     "frame variable 'x'"),
+])
+def test_unbound_read_raises_before_any_frame_is_evaluated(text, context, env, message):
+    with pytest.raises(ContractViolation, match=f"{message} is unbound; run check_bindings first"):
+        ev(text, context, env)
+
+
+def test_eval_spatial_with_an_unbound_box_raises():
+    term = A.SpatialIntersect(A.BBoxOf("b"), A.Complement(A.BBoxOf("a")))
+    with pytest.raises(ContractViolation, match="object variable 'a' is unbound"):
+        eval_spatial(term, ctx(frame(0, obj(1))), Env(objects={"b": obj(1)}))
+    with pytest.raises(ContractViolation, match="object variable 'a' is unbound"):
+        eval_spatial(A.BBoxOf("a"), ctx(frame(0)), EMPTY_ENV)
+
+
 def test_windowed_evaluation_restricts_visibility():
     trace = [frame(i, obj(1)) for i in range(5)]
     phi = desugar(parse("prev prev true"))

@@ -340,7 +340,12 @@ GOLDEN_DIAGNOSTICS = [
     ('f - C_FRAME <= 2.5', ['1:16: syntax: a frame constraint bound must be an integer, got 2.5']),
     ('f - x > 1', ["1:5: syntax: expected C_TIME or C_FRAME after '-'"]),
     ('a == 1', ["1:6: syntax: expected an object variable, found '1'"]),
-    ('a != "b"', ["1:6: syntax: expected an object variable, found 'b'"]),
+    ('a != "b"', ['1:6: syntax: expected an object variable, found \'"b"\'']),
+    ('a != ""', ['1:6: syntax: expected an object variable, found \'""\'']),
+    ('"" and true', ['1:1: syntax: expected a formula, found \'""\'']),
+    ('nonempty("")', ['1:10: syntax: expected a spatial term, found \'""\'']),
+    ('true "b\\"c"', ['1:6: syntax: unexpected trailing input starting at \'"b\\\\"c"\'']),
+    ('exists {a} @ class(a) == ""', ['1:26: syntax: class label must not be empty']),
     ('probability(a) > 0.5', ["1:1: syntax: unknown function 'probability'"]),
     ('a > b', ["1:3: syntax: expected '-', '==' or '!=' after variable 'a'"]),
     ('a', ["1:2: syntax: expected '-', '==' or '!=' after variable 'a'"]),
