@@ -4,6 +4,7 @@ import json
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -507,6 +508,340 @@ EDGE_TEXTS = [json.dumps(v) for v in [
     -1, 0, 1, 2, 35, -0.0, 0.5, 1.0, 1.5, 15.5, 1e-300, 1e308, 10**400, -(10**400),
     math.inf, -math.inf, math.nan, "car", "", True, None, [],
 ]]
+
+
+# The outcome of every (field, edge value) pair: the error class and message,
+# or, where the record is accepted, the value the field reads back as (a box
+# corner after clipping).
+EDGE_OUTCOMES = {
+    # frame
+    ("frame", "-1"): (InvalidField, "invalid field 'frame': frame number must be non-negative"),
+    ("frame", "0"): 0,
+    ("frame", "1"): 1,
+    ("frame", "2"): 2,
+    ("frame", "35"): 35,
+    ("frame", "-0.0"): (InvalidField, "invalid field 'frame': expected a natural number, got -0.0"),
+    ("frame", "0.5"): (InvalidField, "invalid field 'frame': expected a natural number, got 0.5"),
+    ("frame", "1.0"): (InvalidField, "invalid field 'frame': expected a natural number, got 1.0"),
+    ("frame", "1.5"): (InvalidField, "invalid field 'frame': expected a natural number, got 1.5"),
+    ("frame", "15.5"): (InvalidField, "invalid field 'frame': expected a natural number, got 15.5"),
+    ("frame", "1e-300"): (InvalidField, "invalid field 'frame': expected a natural number, got 1e-300"),
+    ("frame", "1e+308"): (InvalidField, "invalid field 'frame': expected a natural number, got 1e+308"),
+    ("frame", BIG): 10**400,
+    ("frame", "-" + BIG): (InvalidField, "invalid field 'frame': frame number must be non-negative"),
+    ("frame", "Infinity"): (InvalidField, "invalid field 'frame': expected a natural number, got inf"),
+    ("frame", "-Infinity"): (InvalidField, "invalid field 'frame': expected a natural number, got -inf"),
+    ("frame", "NaN"): (InvalidField, "invalid field 'frame': expected a natural number, got nan"),
+    ("frame", '"car"'): (InvalidField, "invalid field 'frame': expected a natural number, got 'car'"),
+    ("frame", '""'): (InvalidField, "invalid field 'frame': expected a natural number, got ''"),
+    ("frame", "true"): (InvalidField, "invalid field 'frame': expected a natural number, got True"),
+    ("frame", "null"): (InvalidField, "invalid field 'frame': expected a natural number, got None"),
+    ("frame", "[]"): (InvalidField, "invalid field 'frame': expected a natural number, got []"),
+    # timestamp
+    ("timestamp", "-1"): -1.0,
+    ("timestamp", "0"): 0.0,
+    ("timestamp", "1"): 1.0,
+    ("timestamp", "2"): 2.0,
+    ("timestamp", "35"): 35.0,
+    ("timestamp", "-0.0"): -0.0,
+    ("timestamp", "0.5"): 0.5,
+    ("timestamp", "1.0"): 1.0,
+    ("timestamp", "1.5"): 1.5,
+    ("timestamp", "15.5"): 15.5,
+    ("timestamp", "1e-300"): 1e-300,
+    ("timestamp", "1e+308"): 1e+308,
+    ("timestamp", BIG): (InvalidField, "invalid field 'timestamp': must be finite"),
+    ("timestamp", "-" + BIG): (InvalidField, "invalid field 'timestamp': must be finite"),
+    ("timestamp", "Infinity"): (InvalidField, "invalid field 'timestamp': must be finite"),
+    ("timestamp", "-Infinity"): (InvalidField, "invalid field 'timestamp': must be finite"),
+    ("timestamp", "NaN"): (InvalidField, "invalid field 'timestamp': must be finite"),
+    ("timestamp", '"car"'): (InvalidField, "invalid field 'timestamp': expected a number, got 'car'"),
+    ("timestamp", '""'): (InvalidField, "invalid field 'timestamp': expected a number, got ''"),
+    ("timestamp", "true"): (InvalidField, "invalid field 'timestamp': expected a number, got True"),
+    ("timestamp", "null"): (InvalidField, "invalid field 'timestamp': expected a number, got None"),
+    ("timestamp", "[]"): (InvalidField, "invalid field 'timestamp': expected a number, got []"),
+    # width
+    ("width", "-1"): (InvalidField, "invalid field 'width': image extent must be positive"),
+    ("width", "0"): (InvalidField, "invalid field 'width': image extent must be positive"),
+    ("width", "1"): 1.0,
+    ("width", "2"): 2.0,
+    ("width", "35"): 35.0,
+    ("width", "-0.0"): (InvalidField, "invalid field 'width': image extent must be positive"),
+    ("width", "0.5"): 0.5,
+    ("width", "1.0"): 1.0,
+    ("width", "1.5"): 1.5,
+    ("width", "15.5"): 15.5,
+    ("width", "1e-300"): 1e-300,
+    ("width", "1e+308"): 1e+308,
+    ("width", BIG): (InvalidField, "invalid field 'width': must be finite"),
+    ("width", "-" + BIG): (InvalidField, "invalid field 'width': image extent must be positive"),
+    ("width", "Infinity"): (InvalidField, "invalid field 'width': must be finite"),
+    ("width", "-Infinity"): (InvalidField, "invalid field 'width': image extent must be positive"),
+    ("width", "NaN"): (InvalidField, "invalid field 'width': must be finite"),
+    ("width", '"car"'): (InvalidField, "invalid field 'width': expected a number, got 'car'"),
+    ("width", '""'): (InvalidField, "invalid field 'width': expected a number, got ''"),
+    ("width", "true"): (InvalidField, "invalid field 'width': expected a number, got True"),
+    ("width", "null"): (InvalidField, "invalid field 'width': expected a number, got None"),
+    ("width", "[]"): (InvalidField, "invalid field 'width': expected a number, got []"),
+    # height
+    ("height", "-1"): (InvalidField, "invalid field 'height': image extent must be positive"),
+    ("height", "0"): (InvalidField, "invalid field 'height': image extent must be positive"),
+    ("height", "1"): 1.0,
+    ("height", "2"): 2.0,
+    ("height", "35"): 35.0,
+    ("height", "-0.0"): (InvalidField, "invalid field 'height': image extent must be positive"),
+    ("height", "0.5"): 0.5,
+    ("height", "1.0"): 1.0,
+    ("height", "1.5"): 1.5,
+    ("height", "15.5"): 15.5,
+    ("height", "1e-300"): 1e-300,
+    ("height", "1e+308"): 1e+308,
+    ("height", BIG): (InvalidField, "invalid field 'height': must be finite"),
+    ("height", "-" + BIG): (InvalidField, "invalid field 'height': image extent must be positive"),
+    ("height", "Infinity"): (InvalidField, "invalid field 'height': must be finite"),
+    ("height", "-Infinity"): (InvalidField, "invalid field 'height': image extent must be positive"),
+    ("height", "NaN"): (InvalidField, "invalid field 'height': must be finite"),
+    ("height", '"car"'): (InvalidField, "invalid field 'height': expected a number, got 'car'"),
+    ("height", '""'): (InvalidField, "invalid field 'height': expected a number, got ''"),
+    ("height", "true"): (InvalidField, "invalid field 'height': expected a number, got True"),
+    ("height", "null"): (InvalidField, "invalid field 'height': expected a number, got None"),
+    ("height", "[]"): (InvalidField, "invalid field 'height': expected a number, got []"),
+    # id
+    ("id", "-1"): (InvalidField, "invalid field 'id': object id must be non-negative, got -1"),
+    ("id", "0"): 0,
+    ("id", "1"): (DuplicateObjectId, "duplicate object id 1"),
+    ("id", "2"): 2,
+    ("id", "35"): 35,
+    ("id", "-0.0"): (InvalidField, "invalid field 'id': expected a natural number, got -0.0"),
+    ("id", "0.5"): (InvalidField, "invalid field 'id': expected a natural number, got 0.5"),
+    ("id", "1.0"): (InvalidField, "invalid field 'id': expected a natural number, got 1.0"),
+    ("id", "1.5"): (InvalidField, "invalid field 'id': expected a natural number, got 1.5"),
+    ("id", "15.5"): (InvalidField, "invalid field 'id': expected a natural number, got 15.5"),
+    ("id", "1e-300"): (InvalidField, "invalid field 'id': expected a natural number, got 1e-300"),
+    ("id", "1e+308"): (InvalidField, "invalid field 'id': expected a natural number, got 1e+308"),
+    ("id", BIG): 10**400,
+    ("id", "-" + BIG): (InvalidField, "invalid field 'id': object id must be non-negative, got -" + BIG),
+    ("id", "Infinity"): (InvalidField, "invalid field 'id': expected a natural number, got inf"),
+    ("id", "-Infinity"): (InvalidField, "invalid field 'id': expected a natural number, got -inf"),
+    ("id", "NaN"): (InvalidField, "invalid field 'id': expected a natural number, got nan"),
+    ("id", '"car"'): (InvalidField, "invalid field 'id': expected a natural number, got 'car'"),
+    ("id", '""'): (InvalidField, "invalid field 'id': expected a natural number, got ''"),
+    ("id", "true"): (InvalidField, "invalid field 'id': expected a natural number, got True"),
+    ("id", "null"): (InvalidField, "invalid field 'id': expected a natural number, got None"),
+    ("id", "[]"): (InvalidField, "invalid field 'id': expected a natural number, got []"),
+    # class
+    ("class", "-1"): (InvalidField, "invalid field 'class': class label must be a non-empty string"),
+    ("class", "0"): (InvalidField, "invalid field 'class': class label must be a non-empty string"),
+    ("class", "1"): (InvalidField, "invalid field 'class': class label must be a non-empty string"),
+    ("class", "2"): (InvalidField, "invalid field 'class': class label must be a non-empty string"),
+    ("class", "35"): (InvalidField, "invalid field 'class': class label must be a non-empty string"),
+    ("class", "-0.0"): (InvalidField, "invalid field 'class': class label must be a non-empty string"),
+    ("class", "0.5"): (InvalidField, "invalid field 'class': class label must be a non-empty string"),
+    ("class", "1.0"): (InvalidField, "invalid field 'class': class label must be a non-empty string"),
+    ("class", "1.5"): (InvalidField, "invalid field 'class': class label must be a non-empty string"),
+    ("class", "15.5"): (InvalidField, "invalid field 'class': class label must be a non-empty string"),
+    ("class", "1e-300"): (InvalidField, "invalid field 'class': class label must be a non-empty string"),
+    ("class", "1e+308"): (InvalidField, "invalid field 'class': class label must be a non-empty string"),
+    ("class", BIG): (InvalidField, "invalid field 'class': class label must be a non-empty string"),
+    ("class", "-" + BIG): (InvalidField, "invalid field 'class': class label must be a non-empty string"),
+    ("class", "Infinity"): (InvalidField, "invalid field 'class': class label must be a non-empty string"),
+    ("class", "-Infinity"): (InvalidField, "invalid field 'class': class label must be a non-empty string"),
+    ("class", "NaN"): (InvalidField, "invalid field 'class': class label must be a non-empty string"),
+    ("class", '"car"'): "car",
+    ("class", '""'): (InvalidField, "invalid field 'class': class label must be a non-empty string"),
+    ("class", "true"): (InvalidField, "invalid field 'class': class label must be a non-empty string"),
+    ("class", "null"): (InvalidField, "invalid field 'class': class label must be a non-empty string"),
+    ("class", "[]"): (InvalidField, "invalid field 'class': class label must be a non-empty string"),
+    # prob
+    ("prob", "-1"): (ConfidenceOutOfRange, "confidence -1.0 is outside [0, 1]"),
+    ("prob", "0"): 0.0,
+    ("prob", "1"): 1.0,
+    ("prob", "2"): (ConfidenceOutOfRange, "confidence 2.0 is outside [0, 1]"),
+    ("prob", "35"): (ConfidenceOutOfRange, "confidence 35.0 is outside [0, 1]"),
+    ("prob", "-0.0"): -0.0,
+    ("prob", "0.5"): 0.5,
+    ("prob", "1.0"): 1.0,
+    ("prob", "1.5"): (ConfidenceOutOfRange, "confidence 1.5 is outside [0, 1]"),
+    ("prob", "15.5"): (ConfidenceOutOfRange, "confidence 15.5 is outside [0, 1]"),
+    ("prob", "1e-300"): 1e-300,
+    ("prob", "1e+308"): (ConfidenceOutOfRange, "confidence 1e+308 is outside [0, 1]"),
+    ("prob", BIG): (ConfidenceOutOfRange, "confidence inf is outside [0, 1]"),
+    ("prob", "-" + BIG): (ConfidenceOutOfRange, "confidence -inf is outside [0, 1]"),
+    ("prob", "Infinity"): (ConfidenceOutOfRange, "confidence inf is outside [0, 1]"),
+    ("prob", "-Infinity"): (ConfidenceOutOfRange, "confidence -inf is outside [0, 1]"),
+    ("prob", "NaN"): (ConfidenceOutOfRange, "confidence nan is outside [0, 1]"),
+    ("prob", '"car"'): (InvalidField, "invalid field 'prob': expected a number, got 'car'"),
+    ("prob", '""'): (InvalidField, "invalid field 'prob': expected a number, got ''"),
+    ("prob", "true"): (InvalidField, "invalid field 'prob': expected a number, got True"),
+    ("prob", "null"): (InvalidField, "invalid field 'prob': expected a number, got None"),
+    ("prob", "[]"): (InvalidField, "invalid field 'prob': expected a number, got []"),
+    # xmin
+    ("xmin", "-1"): 0.0,
+    ("xmin", "0"): 0.0,
+    ("xmin", "1"): 1.0,
+    ("xmin", "2"): 2.0,
+    ("xmin", "35"): (InvalidField, "invalid field 'bbox': inverted box [35.0, 20.0, 30.0, 40.0]"),
+    ("xmin", "-0.0"): -0.0,
+    ("xmin", "0.5"): 0.5,
+    ("xmin", "1.0"): 1.0,
+    ("xmin", "1.5"): 1.5,
+    ("xmin", "15.5"): 15.5,
+    ("xmin", "1e-300"): 1e-300,
+    ("xmin", "1e+308"): (InvalidField, "invalid field 'bbox': inverted box [1e+308, 20.0, 30.0, 40.0]"),
+    ("xmin", BIG): (InvalidField, "invalid field 'xmin': coordinate must be finite"),
+    ("xmin", "-" + BIG): (InvalidField, "invalid field 'xmin': coordinate must be finite"),
+    ("xmin", "Infinity"): (InvalidField, "invalid field 'xmin': coordinate must be finite"),
+    ("xmin", "-Infinity"): (InvalidField, "invalid field 'xmin': coordinate must be finite"),
+    ("xmin", "NaN"): (InvalidField, "invalid field 'xmin': coordinate must be finite"),
+    ("xmin", '"car"'): (InvalidField, "invalid field 'xmin': expected a number, got 'car'"),
+    ("xmin", '""'): (InvalidField, "invalid field 'xmin': expected a number, got ''"),
+    ("xmin", "true"): (InvalidField, "invalid field 'xmin': expected a number, got True"),
+    ("xmin", "null"): (InvalidField, "invalid field 'xmin': expected a number, got None"),
+    ("xmin", "[]"): (InvalidField, "invalid field 'xmin': expected a number, got []"),
+    # ymin
+    ("ymin", "-1"): 0.0,
+    ("ymin", "0"): 0.0,
+    ("ymin", "1"): 1.0,
+    ("ymin", "2"): 2.0,
+    ("ymin", "35"): 35.0,
+    ("ymin", "-0.0"): -0.0,
+    ("ymin", "0.5"): 0.5,
+    ("ymin", "1.0"): 1.0,
+    ("ymin", "1.5"): 1.5,
+    ("ymin", "15.5"): 15.5,
+    ("ymin", "1e-300"): 1e-300,
+    ("ymin", "1e+308"): (InvalidField, "invalid field 'bbox': inverted box [10.0, 1e+308, 30.0, 40.0]"),
+    ("ymin", BIG): (InvalidField, "invalid field 'ymin': coordinate must be finite"),
+    ("ymin", "-" + BIG): (InvalidField, "invalid field 'ymin': coordinate must be finite"),
+    ("ymin", "Infinity"): (InvalidField, "invalid field 'ymin': coordinate must be finite"),
+    ("ymin", "-Infinity"): (InvalidField, "invalid field 'ymin': coordinate must be finite"),
+    ("ymin", "NaN"): (InvalidField, "invalid field 'ymin': coordinate must be finite"),
+    ("ymin", '"car"'): (InvalidField, "invalid field 'ymin': expected a number, got 'car'"),
+    ("ymin", '""'): (InvalidField, "invalid field 'ymin': expected a number, got ''"),
+    ("ymin", "true"): (InvalidField, "invalid field 'ymin': expected a number, got True"),
+    ("ymin", "null"): (InvalidField, "invalid field 'ymin': expected a number, got None"),
+    ("ymin", "[]"): (InvalidField, "invalid field 'ymin': expected a number, got []"),
+    # xmax
+    ("xmax", "-1"): (InvalidField, "invalid field 'bbox': inverted box [10.0, 20.0, -1.0, 40.0]"),
+    ("xmax", "0"): (InvalidField, "invalid field 'bbox': inverted box [10.0, 20.0, 0.0, 40.0]"),
+    ("xmax", "1"): (InvalidField, "invalid field 'bbox': inverted box [10.0, 20.0, 1.0, 40.0]"),
+    ("xmax", "2"): (InvalidField, "invalid field 'bbox': inverted box [10.0, 20.0, 2.0, 40.0]"),
+    ("xmax", "35"): 35.0,
+    ("xmax", "-0.0"): (InvalidField, "invalid field 'bbox': inverted box [10.0, 20.0, -0.0, 40.0]"),
+    ("xmax", "0.5"): (InvalidField, "invalid field 'bbox': inverted box [10.0, 20.0, 0.5, 40.0]"),
+    ("xmax", "1.0"): (InvalidField, "invalid field 'bbox': inverted box [10.0, 20.0, 1.0, 40.0]"),
+    ("xmax", "1.5"): (InvalidField, "invalid field 'bbox': inverted box [10.0, 20.0, 1.5, 40.0]"),
+    ("xmax", "15.5"): 15.5,
+    ("xmax", "1e-300"): (InvalidField, "invalid field 'bbox': inverted box [10.0, 20.0, 1e-300, 40.0]"),
+    ("xmax", "1e+308"): 100.0,
+    ("xmax", BIG): (InvalidField, "invalid field 'xmax': coordinate must be finite"),
+    ("xmax", "-" + BIG): (InvalidField, "invalid field 'xmax': coordinate must be finite"),
+    ("xmax", "Infinity"): (InvalidField, "invalid field 'xmax': coordinate must be finite"),
+    ("xmax", "-Infinity"): (InvalidField, "invalid field 'xmax': coordinate must be finite"),
+    ("xmax", "NaN"): (InvalidField, "invalid field 'xmax': coordinate must be finite"),
+    ("xmax", '"car"'): (InvalidField, "invalid field 'xmax': expected a number, got 'car'"),
+    ("xmax", '""'): (InvalidField, "invalid field 'xmax': expected a number, got ''"),
+    ("xmax", "true"): (InvalidField, "invalid field 'xmax': expected a number, got True"),
+    ("xmax", "null"): (InvalidField, "invalid field 'xmax': expected a number, got None"),
+    ("xmax", "[]"): (InvalidField, "invalid field 'xmax': expected a number, got []"),
+    # ymax
+    ("ymax", "-1"): (InvalidField, "invalid field 'bbox': inverted box [10.0, 20.0, 30.0, -1.0]"),
+    ("ymax", "0"): (InvalidField, "invalid field 'bbox': inverted box [10.0, 20.0, 30.0, 0.0]"),
+    ("ymax", "1"): (InvalidField, "invalid field 'bbox': inverted box [10.0, 20.0, 30.0, 1.0]"),
+    ("ymax", "2"): (InvalidField, "invalid field 'bbox': inverted box [10.0, 20.0, 30.0, 2.0]"),
+    ("ymax", "35"): 35.0,
+    ("ymax", "-0.0"): (InvalidField, "invalid field 'bbox': inverted box [10.0, 20.0, 30.0, -0.0]"),
+    ("ymax", "0.5"): (InvalidField, "invalid field 'bbox': inverted box [10.0, 20.0, 30.0, 0.5]"),
+    ("ymax", "1.0"): (InvalidField, "invalid field 'bbox': inverted box [10.0, 20.0, 30.0, 1.0]"),
+    ("ymax", "1.5"): (InvalidField, "invalid field 'bbox': inverted box [10.0, 20.0, 30.0, 1.5]"),
+    ("ymax", "15.5"): (InvalidField, "invalid field 'bbox': inverted box [10.0, 20.0, 30.0, 15.5]"),
+    ("ymax", "1e-300"): (InvalidField, "invalid field 'bbox': inverted box [10.0, 20.0, 30.0, 1e-300]"),
+    ("ymax", "1e+308"): 100.0,
+    ("ymax", BIG): (InvalidField, "invalid field 'ymax': coordinate must be finite"),
+    ("ymax", "-" + BIG): (InvalidField, "invalid field 'ymax': coordinate must be finite"),
+    ("ymax", "Infinity"): (InvalidField, "invalid field 'ymax': coordinate must be finite"),
+    ("ymax", "-Infinity"): (InvalidField, "invalid field 'ymax': coordinate must be finite"),
+    ("ymax", "NaN"): (InvalidField, "invalid field 'ymax': coordinate must be finite"),
+    ("ymax", '"car"'): (InvalidField, "invalid field 'ymax': expected a number, got 'car'"),
+    ("ymax", '""'): (InvalidField, "invalid field 'ymax': expected a number, got ''"),
+    ("ymax", "true"): (InvalidField, "invalid field 'ymax': expected a number, got True"),
+    ("ymax", "null"): (InvalidField, "invalid field 'ymax': expected a number, got None"),
+    ("ymax", "[]"): (InvalidField, "invalid field 'ymax': expected a number, got []"),
+}
+
+
+def _field(frame, name):
+    """Field ``name`` of ``frame``: a frame field, or a field or bbox corner
+    of the object that is not object 1."""
+    attr = {"frame": "frame_number", "id": "object_id", "class": "class_label",
+            "prob": "confidence"}.get(name, name)
+    if name in FRAME_FIELDS:
+        return getattr(frame, attr)
+    obj = next(o for o in frame.objects.values() if o.object_id != 1)
+    return getattr(obj.bbox if name in CORNERS else obj, attr)
+
+
+def test_edge_value_outcomes_are_pinned():
+    for name in FRAME_FIELDS + OBJECT_FIELDS + CORNERS:
+        for value in EDGE_TEXTS:
+            outcome = _outcome(_record_line({name: value}))
+            if isinstance(outcome, Frame):
+                assert parse_frame(serialize_frame(outcome)) == outcome, (name, value)
+                outcome = _field(outcome, name)
+            # The repr tells 1 from 1.0 and 0.0 from -0.0.
+            assert repr(outcome) == repr(EDGE_OUTCOMES[name, value]), (name, value)
+
+
+# Records with two bad fields: the error names the first in wording order
+# (frame, timestamp, width, height, extent, then per object the box corners,
+# an inverted box, id, class, prob, a duplicate id).
+MULTI_FAULT_OUTCOMES = [
+    ({"ymin": "Infinity", "ymax": "{}"},
+     (InvalidField, "invalid field 'ymin': coordinate must be finite")),
+    ({"xmin": "1e999", "ymin": '"x"'},
+     (InvalidField, "invalid field 'xmin': coordinate must be finite")),
+    ({"xmin": '"x"', "ymin": BIG},
+     (InvalidField, "invalid field 'xmin': expected a number, got 'x'")),
+    ({"xmax": "5", "ymax": "NaN"},
+     (InvalidField, "invalid field 'ymax': coordinate must be finite")),
+    ({"width": "-1", "height": '"x"'},
+     (InvalidField, "invalid field 'height': expected a number, got 'x'")),
+    ({"width": BIG, "height": "-1"},
+     (InvalidField, "invalid field 'height': image extent must be positive")),
+    ({"timestamp": "NaN", "width": '"x"'},
+     (InvalidField, "invalid field 'timestamp': must be finite")),
+    ({"frame": "-1", "timestamp": "null"},
+     (InvalidField, "invalid field 'frame': frame number must be non-negative")),
+    ({"height": "NaN", "xmin": "NaN"},
+     (InvalidField, "invalid field 'height': must be finite")),
+    ({"xmax": "-1", "id": '"x"'},
+     (InvalidField, "invalid field 'bbox': inverted box [10.0, 20.0, -1.0, 40.0]")),
+    ({"id": '"x"', "prob": "NaN"},
+     (InvalidField, "invalid field 'id': expected a natural number, got 'x'")),
+    ({"class": '""', "prob": "2"},
+     (InvalidField, "invalid field 'class': class label must be a non-empty string")),
+    ({"id": "1", "prob": "2"}, (ConfidenceOutOfRange, "confidence 2.0 is outside [0, 1]")),
+]
+
+
+@pytest.mark.parametrize("texts, expected", MULTI_FAULT_OUTCOMES)
+def test_first_bad_field_in_wording_order_is_reported(texts, expected):
+    assert _outcome(_record_line(texts)) == expected
+
+
+def test_make_frame_reads_number_subclasses_as_plain_floats():
+    f64 = np.float64
+    box = BoundingBox(f64(-1), f64(2), f64(3.5), f64(4))
+    frame = make_frame(3, f64(0.5), f64(100), 80, [DetectedObject(7, "car", f64(0.25), box)])
+    plain = DetectedObject(7, "car", 0.25, BoundingBox(0.0, 2.0, 3.5, 4.0))
+    # A numpy float's repr names its type, so equal reprs mean plain floats.
+    assert repr(frame) == repr(Frame(3, 0.5, 100.0, 80.0, {7: plain}))
+    with pytest.raises(InvalidField) as info:
+        make_frame(3, 0.5, 100, 80, [DetectedObject(7, "car", True, box)])
+    assert str(info.value) == "invalid field 'prob': expected a number, got True"
+    with pytest.raises(InvalidField) as info:
+        make_frame(3, 0.5, 100, 80, [DetectedObject(np.int64(7), "car", 0.25, box)])
+    assert str(info.value) == f"invalid field 'id': expected a natural number, got {np.int64(7)!r}"
 
 
 def test_inline_and_field_by_field_checks_agree():
