@@ -16,16 +16,17 @@ Wire format, one record per line (unknown fields ignored; ``width`` and
                   "bbox": [10, 20, 30, 60]}]}
 
 ``_checked_frame`` is the one place where field values are checked and
-converted to float. A valid value passes it inline, with no call per field;
-only a value it turns down goes through ``_number``, ``_finite`` and
-``_natural``, which word the error. ``parse_frame`` checks only the JSON
-shape of a record and hands it the raw values; ``make_frame`` is the
-checked constructor for library callers. Frame fields are checked before
-any object, and every object before any box is clipped into the image. ``read_stream`` is where
-frames enter the program: it parses each record, checks that frame
-numbers strictly increase and timestamps never decrease, and tags any
-``IngestError`` with the input line it came from. Nothing downstream
-checks a frame again.
+converted to float, and it states each field rule once. A value of exact
+type int or float is converted inline; the helpers ``_number``,
+``_coordinate``, ``_finite`` and ``_natural`` only word a rejection, or
+accept a value whose type subclasses int or float. ``parse_frame`` checks
+only the JSON shape of a record and hands it the raw values; ``make_frame``
+is the checked constructor for library callers. Frame fields are checked
+before any object, and every object before any box is clipped into the
+image. ``read_stream`` is where frames enter the program: it parses each
+record, checks that frame numbers strictly increase and timestamps never
+decrease, and tags any ``IngestError`` with the input line it came from.
+Nothing downstream checks a frame again.
 """
 
 from __future__ import annotations
@@ -130,9 +131,9 @@ class Frame:
     objects: Mapping[int, DetectedObject] = field(default_factory=dict)
 
 
-# The error wording of ``_checked_frame``. Its accepted path does not call
-# these; they run for a value that path turned down, to raise the error
-# that names it, or to accept a subclass of int, float or str.
+# The wording of ``_checked_frame``'s rejections. The field rules are stated
+# there; these helpers run only to word a value that a rule turned down, or to
+# accept a value whose type subclasses int or float, a number as a plain float.
 
 
 def _number(name: str, value: Any) -> float:
@@ -145,61 +146,26 @@ def _number(name: str, value: Any) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _finite(name: str, value: Any, reason: str) -> float:
-    number = _number(name, value)
-    if not math.isfinite(number):
-        raise InvalidField(name, reason)
-    return number
+def _coordinate(value: Any) -> float:
+    """A number as a float, anything else as NaN, which ``_finite`` words in corner order."""
+    try:
+        return _number("", value)
+    except InvalidField:
+        return math.nan
 
 
-def _natural(name: str, value: Any) -> int:
+def _finite(name: str, value: Any) -> None:
+    if not math.isfinite(_number(name, value)):
+        raise InvalidField(name, "coordinate must be finite")
+
+
+def _natural(name: str, value: Any) -> None:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidField(name, f"expected a natural number, got {value!r}")
-    return value
 
 
 # One detection's raw fields: id, class, prob and the four bbox coordinates.
 _RawObject = tuple[Any, Any, Any, Sequence[Any]]
-
-
-def _frame_fields(frame_number: Any, timestamp: Any, width: Any, height: Any):
-    """The frame's own fields, checked one by one in wording order."""
-    if _natural("frame", frame_number) < 0:
-        raise InvalidField("frame", "frame number must be non-negative")
-    timestamp = _finite("timestamp", timestamp, "must be finite")
-    width = _number("width", width)
-    height = _number("height", height)
-    if width <= 0 or height <= 0:
-        raise InvalidField("width" if width <= 0 else "height", "image extent must be positive")
-    if not math.isfinite(width):
-        raise InvalidField("width", "must be finite")
-    if not math.isfinite(height):
-        raise InvalidField("height", "must be finite")
-    return timestamp, width, height
-
-
-def _object_fields(object_id: Any, label: Any, prob: Any, xmin: Any, ymin: Any, xmax: Any,
-                   ymax: Any, table: Mapping[int, DetectedObject]):
-    """One object's fields, checked one by one in wording order."""
-    xmin = _finite("xmin", xmin, "coordinate must be finite")
-    ymin = _finite("ymin", ymin, "coordinate must be finite")
-    xmax = _finite("xmax", xmax, "coordinate must be finite")
-    ymax = _finite("ymax", ymax, "coordinate must be finite")
-    if xmin > xmax or ymin > ymax:
-        raise InvalidField("bbox", f"inverted box [{xmin}, {ymin}, {xmax}, {ymax}]")
-    if _natural("id", object_id) < 0:
-        raise InvalidField("id", f"object id must be non-negative, got {object_id}")
-    if not isinstance(label, str) or not label:
-        raise InvalidField("class", "class label must be a non-empty string")
-    prob = _number("prob", prob)
-    if not (0.0 <= prob <= 1.0):
-        raise ConfidenceOutOfRange(prob)
-    if object_id in table:
-        raise DuplicateObjectId(object_id)
-    return prob, xmin, ymin, xmax, ymax
-
-
-_REAL = (int, float)
 
 
 def _checked_frame(
@@ -209,33 +175,32 @@ def _checked_frame(
 
     Checks the frame's own fields, then each object in turn, and only then
     clips boxes that reach outside the image (with a warning), so no
-    warning precedes an error. Objects go into the map in ascending id
-    order.
-
-    A valid value passes inline: its exact type is int or float (so a bool
-    is turned down), ``float()`` converts it (an int beyond the float range
-    overflows and is turned down too), and one chained comparison checks
-    its range. A frame or object with any value turned down is checked
-    again field by field (``_frame_fields``, ``_object_fields``), which
-    raises the error that names the first bad field, or accepts a subclass
-    of int, float or str as a plain value.
+    warning precedes an error. Each field is checked once, in wording
+    order, and the first rule that fails raises. Objects go into the map in
+    ascending id order.
     """
-    # The inline tests must accept exactly what ``_frame_fields`` and
-    # ``_object_fields`` accept for values of exact type int, float and str,
-    # converted alike. Accepting more lets a bad value through unworded;
-    # accepting less sends valid input down the slow path. A change to a
-    # field rule is made in both places.
-    inf = math.inf
+    real, inf = (int, float), math.inf
+    if type(frame_number) is not int:
+        _natural("frame", frame_number)
+    if frame_number < 0:
+        raise InvalidField("frame", "frame number must be non-negative")
     try:
-        valid = (type(frame_number) is int and frame_number >= 0 and type(timestamp) in _REAL
-                 and type(width) in _REAL and type(height) in _REAL)
-        if valid:
-            t, w, h = float(timestamp), float(width), float(height)
-            valid = -inf < t < inf and 0.0 < w < inf and 0.0 < h < inf
+        t = float(timestamp) if type(timestamp) in real else _number("timestamp", timestamp)
     except OverflowError:
-        valid = False
-    if not valid:
-        t, w, h = _frame_fields(frame_number, timestamp, width, height)
+        t = _number("timestamp", timestamp)
+    if not -inf < t < inf:
+        raise InvalidField("timestamp", "must be finite")
+    try:
+        w = float(width) if type(width) in real else _number("width", width)
+        h = float(height) if type(height) in real else _number("height", height)
+    except OverflowError:
+        w, h = _number("width", width), _number("height", height)
+    if w <= 0 or h <= 0:
+        raise InvalidField("width" if w <= 0 else "height", "image extent must be positive")
+    if not w < inf:
+        raise InvalidField("width", "must be finite")
+    if not h < inf:
+        raise InvalidField("height", "must be finite")
 
     table: dict[int, DetectedObject] = {}
     clipped = []
@@ -243,17 +208,32 @@ def _checked_frame(
     last = -1
     for object_id, label, prob, (xmin, ymin, xmax, ymax) in objects:
         try:
-            valid = (type(xmin) in _REAL and type(ymin) in _REAL and type(xmax) in _REAL
-                     and type(ymax) in _REAL and type(prob) in _REAL)
-            if valid:
-                x1, y1, x2, y2, p = float(xmin), float(ymin), float(xmax), float(ymax), float(prob)
-                valid = (-inf < x1 <= x2 < inf and -inf < y1 <= y2 < inf and 0.0 <= p <= 1.0
-                         and type(object_id) is int and object_id >= 0 and object_id not in table
-                         and type(label) is str and label != "")
+            x1 = float(xmin) if type(xmin) in real else _coordinate(xmin)
+            y1 = float(ymin) if type(ymin) in real else _coordinate(ymin)
+            x2 = float(xmax) if type(xmax) in real else _coordinate(xmax)
+            y2 = float(ymax) if type(ymax) in real else _coordinate(ymax)
         except OverflowError:
-            valid = False
-        if not valid:
-            p, x1, y1, x2, y2 = _object_fields(object_id, label, prob, xmin, ymin, xmax, ymax, table)
+            x1 = math.nan  # fails the test below before it reads an unset coordinate
+        if not (-inf < x1 <= x2 < inf and -inf < y1 <= y2 < inf):
+            _finite("xmin", xmin)
+            _finite("ymin", ymin)
+            _finite("xmax", xmax)
+            _finite("ymax", ymax)
+            raise InvalidField("bbox", f"inverted box [{x1}, {y1}, {x2}, {y2}]")
+        if type(object_id) is not int:
+            _natural("id", object_id)
+        if object_id < 0:
+            raise InvalidField("id", f"object id must be non-negative, got {object_id}")
+        if not isinstance(label, str) or not label:
+            raise InvalidField("class", "class label must be a non-empty string")
+        try:
+            p = float(prob) if type(prob) in real else _number("prob", prob)
+        except OverflowError:
+            p = _number("prob", prob)
+        if not 0.0 <= p <= 1.0:
+            raise ConfidenceOutOfRange(p)
+        if object_id in table:
+            raise DuplicateObjectId(object_id)
         box = BoundingBox(x1, y1, x2, y2)
         if x1 < 0 or y1 < 0 or x2 > w or y2 > h:
             box = box.clip(w, h)
