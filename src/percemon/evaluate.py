@@ -113,7 +113,7 @@ from .errors import ContractViolation
 from .spatial import Region, Universe
 from .stql import ast as A
 from .stql.bindings import FRAME, OBJECT, TIME, free_variables, unbound_reads
-from .stql.bounds import frame_guard
+from .stql.bounds import conjuncts, disjuncts, frame_guard
 from .trace import BoundingBox, DetectedObject, Frame
 
 log = logging.getLogger("percemon.evaluate")
@@ -271,40 +271,6 @@ class _Compiler:
             raise ContractViolation(f"evaluator needs a desugared formula, got {type(phi).__name__}")
         return build(self, phi)
 
-    def disjuncts(self, phi: A.Formula) -> list[Part]:
-        """Parts whose disjunction, in list order, is ``phi``: an ``or``
-        chain of any association, flattened."""
-        if type(phi) is A.Or:
-            return self.disjuncts(phi.lhs) + self.disjuncts(phi.rhs)
-        return [self.part(phi)]
-
-    def conjuncts(self, phi: A.Formula) -> list[Part]:
-        """Parts whose conjunction, in list order, is ``phi``."""
-        if type(phi) is A.Not:
-            return self.negated(phi.child)
-        return [self.part(phi)]
-
-    def negated(self, phi: A.Formula) -> list[Part]:
-        """Parts whose conjunction, in list order, is ``not phi``.
-
-        ``not (a or b)`` is ``not a and not b`` (De Morgan), ``not not a``
-        is ``a``, and the id comparisons are each other's complement. Other
-        atoms have none: ``prob``/``class`` are false when the id is absent
-        and a ratio atom is false on a zero denominator.
-        """
-        kind = type(phi)
-        if kind is A.Or:
-            return self.negated(phi.lhs) + self.negated(phi.rhs)
-        if kind is A.Not:
-            return self.conjuncts(phi.child)
-        if kind is A.IdEq or kind is A.IdNeq:
-            return [(A.IdNeq if kind is A.IdEq else A.IdEq)(phi.lhs, phi.rhs)]
-        child = self.formula(phi)
-
-        def check(ctx: EvalContext, env: Env) -> bool:
-            return not child(ctx, env)
-        return [check]
-
     def measure(self, term: A.SpatialTerm, area: bool) -> Measure:
         """The area of ``term`` in a universe, or whether it is nonempty.
 
@@ -409,11 +375,29 @@ def _chain(parts: list[Part], stop: bool) -> Part:
 
 
 def _not(c: _Compiler, phi: A.Not) -> Part:
-    return _chain(c.negated(phi.child), stop=False)
+    return _chain([_negated(c, part.child) if type(part) is A.Not else c.part(part)
+                   for part in conjuncts(phi)], stop=False)
+
+
+def _negated(c: _Compiler, leaf: A.Formula) -> Part:
+    """``not leaf``, for a ``leaf`` that is neither an ``or`` nor a ``not``.
+
+    The id comparisons are each other's complement. Other atoms have none:
+    ``prob``/``class`` are false when the id is absent and a ratio atom is
+    false on a zero denominator.
+    """
+    kind = type(leaf)
+    if kind is A.IdEq or kind is A.IdNeq:
+        return (A.IdNeq if kind is A.IdEq else A.IdEq)(leaf.lhs, leaf.rhs)
+    child = c.formula(leaf)
+
+    def check(ctx: EvalContext, env: Env) -> bool:
+        return not child(ctx, env)
+    return check
 
 
 def _or(c: _Compiler, phi: A.Or) -> Part:
-    return _chain(c.disjuncts(phi), stop=True)
+    return _chain([c.part(part) for part in disjuncts(phi)], stop=True)
 
 
 def _next_prev(c: _Compiler, phi: A.Next | A.Prev) -> Check:

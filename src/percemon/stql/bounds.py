@@ -26,6 +26,7 @@ constraints never contribute: timestamps are not frame-indexed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from ..errors import ContractViolation
 from . import ast as A
@@ -49,35 +50,16 @@ class FrameBounds:
         return f"history={h} horizon={z}"
 
 
-def _inc(value: int | None) -> int | None:
-    return None if value is None else value + 1
-
-
-def _dec(value: int | None) -> int | None:
-    return None if value is None else max(value - 1, 0)
-
-
-def _max(a: int | None, b: int | None) -> int | None:
-    if a is None or b is None:
-        return None
-    return max(a, b)
-
-
-def _add(a: int | None, b: int | None) -> int | None:
-    if a is None or b is None:
-        return None
-    return a + b
-
-
 def _negated(phi: A.Formula) -> A.Formula:
     return phi.child if isinstance(phi, A.Not) else A.Not(phi)
 
 
 def conjuncts(phi: A.Formula) -> list[A.Formula]:
-    """Positive conjuncts of a desugared formula.
+    """Positive conjuncts of a desugared formula, in order.
 
     Desugared conjunction is ``not (not a or not b)``; this flattens that
-    shape (and double negations) back into its parts.
+    shape (and double negations) back into its parts. A part that is a
+    ``not`` negates neither an ``or`` nor a ``not``.
     """
     if isinstance(phi, A.Not):
         inner = phi.child
@@ -85,6 +67,13 @@ def conjuncts(phi: A.Formula) -> list[A.Formula]:
             return conjuncts(_negated(inner.lhs)) + conjuncts(_negated(inner.rhs))
         if isinstance(inner, A.Not):
             return conjuncts(inner.child)
+    return [phi]
+
+
+def disjuncts(phi: A.Formula) -> list[A.Formula]:
+    """The disjuncts of an ``or`` chain of any association, in order."""
+    if isinstance(phi, A.Or):
+        return disjuncts(phi.lhs) + disjuncts(phi.rhs)
     return [phi]
 
 
@@ -133,25 +122,26 @@ def frame_guard(
     return None if reach is None else (reach, rest)
 
 
-def _guard_bound(rhs: A.Formula, pinned: frozenset[str], future: bool) -> int | None:
-    """Frames of horizon (``future``) or history a guard in ``rhs`` implies, or None."""
+def _guard_bound(rhs: A.Formula, pinned: frozenset[str], future: bool) -> float:
+    """Frames of horizon (``future``) or history a guard in ``rhs`` implies, or inf."""
     guard = frame_guard(rhs, pinned, future)
-    return None if guard is None else max(guard[0], 0)
+    return inf if guard is None else max(guard[0], 0)
 
 
-def _bounds(phi: A.Formula, pinned: frozenset[str]) -> tuple[int | None, int | None]:
+def _bounds(phi: A.Formula, pinned: frozenset[str]) -> tuple[float, float]:
+    """Frames of history and horizon, inf for unbounded."""
     if isinstance(phi, A.Not):
         return _bounds(phi.child, pinned)
     if isinstance(phi, A.Or):
         lh, lz = _bounds(phi.lhs, pinned)
         rh, rz = _bounds(phi.rhs, pinned)
-        return _max(lh, rh), _max(lz, rz)
+        return max(lh, rh), max(lz, rz)
     if isinstance(phi, A.Next):
         h, z = _bounds(phi.child, pinned)
-        return _dec(h), _inc(z)
+        return max(h - 1, 0), z + 1
     if isinstance(phi, A.Prev):
         h, z = _bounds(phi.child, pinned)
-        return _inc(h), _dec(z)
+        return h + 1, max(z - 1, 0)
     if isinstance(phi, A.Exists):
         return _bounds(phi.child, pinned)
     if isinstance(phi, A.Freeze):
@@ -161,15 +151,11 @@ def _bounds(phi: A.Formula, pinned: frozenset[str]) -> tuple[int | None, int | N
     if isinstance(phi, A.Until):
         lh, lz = _bounds(phi.lhs, pinned)
         rh, rz = _bounds(phi.rhs, pinned)
-        guard = _guard_bound(phi.rhs, pinned, future=True)
-        horizon = None if guard is None else _add(guard, _max(lz, rz))
-        return _max(lh, rh), horizon
+        return max(lh, rh), _guard_bound(phi.rhs, pinned, future=True) + max(lz, rz)
     if isinstance(phi, A.Since):
         lh, lz = _bounds(phi.lhs, pinned)
         rh, rz = _bounds(phi.rhs, pinned)
-        guard = _guard_bound(phi.rhs, pinned, future=False)
-        history = None if guard is None else _add(guard, _max(lh, rh))
-        return history, _max(lz, rz)
+        return _guard_bound(phi.rhs, pinned, future=False) + max(lh, rh), max(lz, rz)
     if isinstance(phi, A.ATOM_KINDS):
         return 0, 0
     raise ContractViolation(f"bounds analysis needs a core formula, got {type(phi).__name__}")
@@ -180,4 +166,4 @@ def compute_bounds(phi: A.Formula) -> FrameBounds:
     if not is_core(phi):
         raise ContractViolation("compute_bounds requires a desugared formula")
     history, horizon = _bounds(phi, frozenset())
-    return FrameBounds(history, horizon)
+    return FrameBounds(None if history == inf else history, None if horizon == inf else horizon)
