@@ -800,6 +800,8 @@ MULTI_FAULT_OUTCOMES = [
      (InvalidField, "invalid field 'xmin': coordinate must be finite")),
     ({"xmin": '"x"', "ymin": BIG},
      (InvalidField, "invalid field 'xmin': expected a number, got 'x'")),
+    ({"ymin": "NaN", "xmax": '"x"'},
+     (InvalidField, "invalid field 'ymin': coordinate must be finite")),
     ({"xmax": "5", "ymax": "NaN"},
      (InvalidField, "invalid field 'ymax': coordinate must be finite")),
     ({"width": "-1", "height": '"x"'},
