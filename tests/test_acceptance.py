@@ -8,10 +8,7 @@ import json
 import random
 import time
 
-from click.testing import CliRunner
-
 from percemon.bench import run_bench
-from percemon.cli import cli
 from percemon.evaluate import evaluate_trace
 from percemon.generator import (
     GenConfig,
@@ -164,7 +161,7 @@ def test_criterion_7_bounds_analysis():
           "both builtins yield history=1 horizon=0")
 
 
-def test_criterion_8_streaming_contract():
+def test_criterion_8_streaming_contract(runner, tmp_path, monkeypatch):
     """Output lags by exactly the horizon; gen | monitor equals run on verdict values."""
     spec = parse("next next (exists {a} @ (prob(a) > 0.5))")
     stream = generate_frames(GenConfig(frames=40, objects=2, drop_prob=0.1, seed=13))
@@ -178,11 +175,8 @@ def test_criterion_8_streaming_contract():
             assert [v.frame_number for v in emitted] == [stream[i - 2].frame_number]
     assert [v.frame_number for v in monitor.flush()] == [38, 39]
 
-    runner = CliRunner()
-    generated = runner.invoke(
-        cli, ["gen", "--frames", "30", "--objects", "3", "--drop-prob", "0.1", "--seed", "5"],
-        catch_exceptions=False,
-    )
+    generated = runner(["gen", "--frames", "30", "--objects", "3", "--drop-prob", "0.1",
+                        "--seed", "5"])
     assert generated.exit_code == 0
 
     def values_only(text: str) -> str:
@@ -194,14 +188,14 @@ def test_criterion_8_streaming_contract():
         return "\n".join(lines)
 
     for spec_name in ("builtin:phi1", "builtin:phi2"):
-        piped = runner.invoke(cli, ["monitor", "--spec", spec_name, "--input", "-"],
-                              input=generated.stdout, catch_exceptions=False)
+        piped = runner(["monitor", "--spec", spec_name, "--input", "-"],
+                       input=generated.stdout)
         assert piped.exit_code == 0
-        with runner.isolated_filesystem():
+        with monkeypatch.context() as patch:
+            patch.chdir(tmp_path)
             with open("trace.jsonl", "w", encoding="utf-8") as fp:
                 fp.write(generated.stdout)
-            offline = runner.invoke(cli, ["run", "--spec", spec_name, "--trace", "trace.jsonl"],
-                                    catch_exceptions=False)
+            offline = runner(["run", "--spec", spec_name, "--trace", "trace.jsonl"])
         assert offline.exit_code == 0
         assert values_only(piped.stdout) == values_only(offline.stdout)
     print("\nACCEPTANCE 8 PASS: horizon-2 monitor lags by exactly 2 records, flush completes, "

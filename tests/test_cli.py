@@ -8,11 +8,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
-from percemon.cli import _emit_verdict, cli
+from percemon.cli import _emit_verdict
 from percemon.evaluate import evaluate_trace
 from percemon.generator import GenConfig, generate_frames
 from percemon.stql.desugar import desugar
@@ -21,13 +20,8 @@ from percemon.monitor import Verdict, run_monitor
 from percemon.trace import read_stream, serialize_frame
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
-
-
 def invoke(runner, *args, **kwargs):
-    return runner.invoke(cli, list(args), catch_exceptions=False, **kwargs)
+    return runner(list(args), **kwargs)
 
 
 def verdict_values(text):
@@ -523,7 +517,7 @@ def test_bench_counts_assignments(runner):
 
 
 def test_bench_rejects_bad_counts(runner):
-    result = runner.invoke(cli, ["bench", "--spec", "builtin:phi1", "--objects", "x"])
+    result = invoke(runner, "bench", "--spec", "builtin:phi1", "--objects", "x")
     assert result.exit_code != 0
 
 

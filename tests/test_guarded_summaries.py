@@ -17,9 +17,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from percemon.cli import cli
 from percemon.evaluate import EvalContext, describe_temporal, evaluate, evaluate_trace
 from percemon.generator import GenConfig, generate_frames
 from percemon.monitor import Monitor, MonitorConfig, run_monitor
@@ -247,8 +245,7 @@ def _lines(frames):
     "exists {b} @ pin (_, f) { once (f - C_FRAME < 3 and class(b) == \"car\") }",
     "forall {b} @ holds prob(b) > 0.4",
 ])
-def test_cli_paths_match_the_offline_verdicts(tmp_path, spec):
-    runner = CliRunner()
+def test_cli_paths_match_the_offline_verdicts(runner, tmp_path, spec):
     spec_file = tmp_path / "spec.stql"
     spec_file.write_text(spec + "\n")
     formula, frames = parse(spec), _streams()[1]
@@ -256,8 +253,7 @@ def test_cli_paths_match_the_offline_verdicts(tmp_path, spec):
 
     trace = tmp_path / "trace.jsonl"
     trace.write_text("".join(_lines(frames)))
-    result = runner.invoke(cli, ["run", "--spec", str(spec_file), "--trace", str(trace)],
-                           catch_exceptions=False)
+    result = runner(["run", "--spec", str(spec_file), "--trace", str(trace)])
     assert result.exit_code == 0
     assert [json.loads(line)["verdict"] for line in result.stdout.splitlines()] == \
         evaluate_trace(core, frames)
@@ -266,8 +262,8 @@ def test_cli_paths_match_the_offline_verdicts(tmp_path, spec):
     # are flushed first, and they are those of the offline evaluator.
     broken = tmp_path / "broken.jsonl"
     broken.write_text("".join(_lines(frames[:20])) + "{not json\n" + "".join(_lines(frames[20:])))
-    result = runner.invoke(cli, ["monitor", "--spec", str(spec_file), "--input", str(broken),
-                                 "--max-history", "6"], catch_exceptions=False)
+    result = runner(["monitor", "--spec", str(spec_file), "--input", str(broken),
+                     "--max-history", "6"])
     assert result.exit_code == 1
     assert "line 21" in result.stderr
     monitor = Monitor(formula, MonitorConfig(max_history=6))
