@@ -37,6 +37,21 @@ def gen_lines(runner, *extra):
     return result.stdout
 
 
+REPO = Path(__file__).resolve().parent.parent
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+
+
+def python(*args):
+    return subprocess.run([sys.executable, *args], env=SRC_ENV, capture_output=True, text=True)
+
+
+def imported_modules(importtime_stderr):
+    """The modules named by the ``-X importtime`` lines of a run's stderr."""
+    return {line.rpartition("|")[2].strip() for line in importtime_stderr.splitlines()
+            if line.startswith("import time:")}
+
+
 # --- verdict lines -----------------------------------------------------------
 
 # Ingest admits any finite timestamp, so the verdict line must print every one
@@ -103,7 +118,7 @@ def test_check_missing_file(runner):
     assert result.exit_code == 1
 
 
-HOLDS_WINDOW_SPEC = Path(__file__).resolve().parent.parent / "perfbench" / "specs" / "holds_window.stql"
+HOLDS_WINDOW_SPEC = REPO / "perfbench" / "specs" / "holds_window.stql"
 
 
 @pytest.mark.parametrize("spec, line", [
@@ -148,14 +163,71 @@ def test_check_reports_how_each_spatial_term_runs(runner, tmp_path, spec, line):
 
 
 def test_importing_the_cli_leaves_the_bench_module_unloaded():
-    # The parser is loaded: compiled after ``click`` it would raise the
-    # start's peak memory (see the imports of ``percemon.cli``).
-    unused = {"percemon.bench", "statistics", "percemon.generator", "percemon.stql.printer"}
-    code = f"import sys, percemon.cli; print(sorted({unused!r} & set(sys.modules)))"
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
+    # Nor the spec parser: a builtin spec never needs it, and a spec file
+    # imports it on first use (``builtins.read_spec_file``).
+    unused = {"percemon.bench", "statistics", "percemon.generator", "percemon.stql.printer",
+              "click", "percemon.stql.parser"}
+    out = python("-c", f"import sys, percemon.cli; print(sorted({unused!r} & set(sys.modules)))")
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_monitor_on_a_builtin_spec_never_imports_the_parser(runner, tmp_path):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(gen_lines(runner, "--frames", "2"))
+    out = python("-X", "importtime", "-m", "percemon.cli", "monitor", "--spec", "builtin:phi1",
+                 "--input", str(trace))
+    assert out.returncode == 0, out.stderr
+    assert [frame for frame, _ in verdict_values(out.stdout)] == [0, 1]
+    modules = imported_modules(out.stderr)
+    assert "percemon.monitor" in modules
+    assert not {"percemon.stql.parser", "click"} & modules
+
+
+def test_monitor_on_a_spec_file_imports_the_parser_and_matches_run(runner, tmp_path):
+    spec = tmp_path / "spec.stql"
+    spec.write_text("prev (exists {a} @ prob(a) > 0.8) and next (forall {a} @ prob(a) > 0.5)\n")
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(gen_lines(runner, "--drop-prob", "0.3", "--conf-dip-prob", "0.3"))
+    out = python("-X", "importtime", "-m", "percemon.cli", "monitor", "--spec", str(spec),
+                 "--input", str(trace))
+    assert out.returncode == 0, out.stderr
+    assert "percemon.stql.parser" in imported_modules(out.stderr)
+    offline = invoke(runner, "run", "--spec", str(spec), "--trace", str(trace))
+    assert offline.exit_code == 0
+    assert len(verdict_values(out.stdout)) == 12
+    assert verdict_values(out.stdout) == verdict_values(offline.stdout)
+    assert len({value for _, value in verdict_values(out.stdout)}) == 2
+
+
+def test_every_command_runs_without_click(runner, tmp_path):
+    # ``click`` set to None in sys.modules makes any ``import click`` fail.
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(gen_lines(runner))
+    spec = tmp_path / "spec.stql"
+    spec.write_text("forall {a} @ prob(a) > 0.1\n")
+    code = """if True:
+        import json, sys
+        sys.modules["click"] = None
+        from percemon.cli import main
+        spec, trace = sys.argv[1:]
+        codes = [main(argv) for argv in (
+            ["gen", "--frames", "2", "--objects", "1"],
+            ["check", "--spec", spec],
+            ["run", "--spec", spec, "--trace", trace],
+            ["monitor", "--spec", spec, "--input", trace],
+        )]
+        print(json.dumps(codes), file=sys.stderr)
+    """
+    out = python("-c", code, str(spec), str(trace))
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stderr.splitlines()[-1]) == [0, 0, 0, 0]
+
+
+def test_the_package_has_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(REPO / "pyproject.toml", "rb") as fp:
+        assert tomllib.load(fp)["project"]["dependencies"] == []
 
 
 def test_every_package_export_resolves():
@@ -540,6 +612,46 @@ def test_log_level_env_mapping(monkeypatch):
 
 # --- exit-code contract --------------------------------------------------------
 
+@pytest.mark.parametrize("args, names", [
+    (["monitor", "--input", "-"], "--spec"),
+    (["bench", "--spec", "builtin:phi1", "--objects", "2", "--frames", "x"], "--frames"),
+    (["check", "--spec", "builtin:phi1", "--frobnicate"], "--frobnicate"),
+    (["frobnicate", "--spec", "builtin:phi1"], "frobnicate"),
+    ([], "COMMAND"),
+    (["check", "--spec", "builtin:phi1", "--param", "foo"], "expected name=value, got 'foo'"),
+    (["monitor", "--spec", "builtin:phi1", "--param", "x=abc"], "'abc' is not a number"),
+    (["bench", "--spec", "builtin:phi1", "--objects", "a,b"], "--objects"),
+    (["run", "--spec", "builtin:phi1", "--trace", "no/such/trace.jsonl"], "no/such/trace.jsonl"),
+    (["run", "--spec", "builtin:phi1", "--trace", str(Path(__file__).parent)], "directory"),
+], ids=["missing-spec", "frames-not-an-int", "unknown-option", "unknown-command", "no-command",
+        "param-without-value", "param-not-a-number", "objects-not-ints", "missing-trace",
+        "trace-is-a-directory"])
+def test_usage_errors_exit_1_with_one_error_line(runner, args, names):
+    result = invoke(runner, *args)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+    assert names in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_version(runner):
+    result = invoke(runner, "--version")
+    assert result.exit_code == 0
+    assert result.stdout == "percemon, version 0.1.0\n"
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", [[], ["check"], ["run"], ["monitor"], ["bench"], ["gen"]],
+                         ids=["root", "check", "run", "monitor", "bench", "gen"])
+def test_help_exits_0(runner, command, flag):
+    result = invoke(runner, *command, flag)
+    assert result.exit_code == 0
+    assert result.stdout.startswith("usage: percemon")
+    assert result.stderr == ""
+
+
 def test_internal_contract_violations_exit_2():
     from percemon.cli import _guarded
     from percemon.errors import ContractViolation
@@ -585,12 +697,10 @@ def test_closed_pipe_exits_quietly(tmp_path, command):
     trace = tmp_path / "trace.jsonl"
     frames = generate_frames(GenConfig(frames=4000, objects=3, seed=5))
     trace.write_text("".join(serialize_frame(f) + "\n" for f in frames))
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     flag = "--input" if command == "monitor" else "--trace"
     proc = subprocess.Popen(
         [sys.executable, "-m", "percemon.cli", command, "--spec", "builtin:phi1", flag, str(trace)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=SRC_ENV,
     )
     first = proc.stdout.readline()
     proc.stdout.close()
