@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -206,7 +207,7 @@ def test_every_command_runs_without_click(runner, tmp_path):
     trace.write_text(gen_lines(runner))
     spec = tmp_path / "spec.stql"
     spec.write_text("forall {a} @ prob(a) > 0.1\n")
-    code = """if True:
+    code = textwrap.dedent("""
         import json, sys
         sys.modules["click"] = None
         from percemon.cli import main
@@ -218,7 +219,7 @@ def test_every_command_runs_without_click(runner, tmp_path):
             ["monitor", "--spec", spec, "--input", trace],
         )]
         print(json.dumps(codes), file=sys.stderr)
-    """
+    """)
     out = python("-c", code, str(spec), str(trace))
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stderr.splitlines()[-1]) == [0, 0, 0, 0]
