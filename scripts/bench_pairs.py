@@ -19,7 +19,10 @@ end-to-end metric of ``BENCHMARK.json``, the parent's and the change's
 q1/median/q3, the pairs the change won and the ratio of the medians
 (``summary``). With traced runs it also holds, per workload and per-layer
 metric of ``BENCHMARK.json``, the parent's and the change's value
-(``traced_summary``). Stops with exit 1 at the first run that fails.
+(``traced_summary``). A run that fails before printing its result line,
+such as a crash, is run once more and the failed attempt is kept in
+``failed_attempts``; a run that fails twice, or prints a result that is not
+correct, stops the script with exit 1 and no record.
 """
 
 from __future__ import annotations
@@ -39,14 +42,35 @@ SIDES = ("parent", "change")
 PAIRS = 10
 
 
-def run_once(tree: Path, workload: str, seed: int, extra: list[str]) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), *extra]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        sys.stderr.write(proc.stdout + proc.stderr)
-        raise SystemExit(f"bench_pairs: {' '.join(cmd)} failed in {tree} (exit {proc.returncode})")
-    return json.loads(lines[-1])
+def result_line(stdout: str) -> dict | None:
+    """The JSON object on the last line of a run's output, or None."""
+    lines = stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except ValueError:
+        return None
+    return result if isinstance(result, dict) else None
+
+
+def run_once(tree: Path, workload: str, seed: int, extra: list[str],
+             failures: list[dict]) -> dict:
+    """The result line of one run in ``tree``. A run that fails before it
+    prints a result line is tried once more, and each failed attempt is
+    appended to ``failures``; a second failure, or a result line that is
+    not correct, stops the script."""
+    args = ["perfbench/run.py", "--workload", workload, "--seed", str(seed), *extra]
+    for _ in range(2):
+        proc = subprocess.run([sys.executable, *args], cwd=tree, capture_output=True, text=True)
+        result = result_line(proc.stdout)
+        if proc.returncode == 0 and result is not None and result.get("correct", True):
+            return result
+        stderr = proc.stderr.strip().splitlines()
+        failures.append({"tree": tree.name, "command": shlex.join(["python3", *args]),
+                         "exit_code": proc.returncode, "stderr": stderr[-1] if stderr else ""})
+        if result is not None:
+            break
+    sys.stderr.write(proc.stdout + proc.stderr)
+    raise SystemExit(f"bench_pairs: {shlex.join(args)} failed in {tree} (exit {proc.returncode})")
 
 
 def describe(tree: Path) -> str | None:
@@ -111,18 +135,19 @@ def main() -> int:
     workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
     traced_args = ["--seconds", f"{args.traced_seconds:g}", "--trace", "1"]
 
-    runs = []
+    runs, failures = [], []
     for workload in workloads:
         for pair in range(PAIRS):
             for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                result = run_once(trees[side], workload, args.seed, ["--trace", "0"])
+                result = run_once(trees[side], workload, args.seed, ["--trace", "0"], failures)
                 runs.append({"workload": workload, "pair": pair, "side": side, "result": result})
                 fps = result["metrics"]["frames_per_s"]["value"]
                 print(f"{workload} pair {pair} {side}: frames_per_s {fps:.1f}", file=sys.stderr)
     traced = {}
     if args.traced_seconds > 0:
         for workload in workloads:
-            traced[workload] = {side: run_once(trees[side], workload, args.seed, traced_args)
+            traced[workload] = {side: run_once(trees[side], workload, args.seed, traced_args,
+                                               failures)
                                 for side in SIDES}
 
     command = f"python3 perfbench/run.py --workload W --seed {args.seed}"
@@ -141,6 +166,7 @@ def main() -> int:
         "traced_summary": summarize_traced(traced, per_layer),
         "runs": runs,
         "traced": traced,
+        "failed_attempts": failures,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print(json.dumps(record["summary"], indent=1))

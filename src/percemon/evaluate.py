@@ -243,12 +243,14 @@ class _Compiler:
     warn-once messages and the universe of the last image extent. ``plan``
     lists, per ``until``/``since`` and guarded idiom in compile order, the
     variables its summary is keyed by, or None for a scan; ``box_terms``
-    lists, per spatial term of an atom, whether it takes the box path."""
+    lists, per spatial term of an atom, whether it takes the box path;
+    ``lookups``, per quantifier, whether it is an id look-up."""
 
     def __init__(self) -> None:
         self.warned: set[str] = set()
         self.plan: list[tuple[str, ...] | None] = []
         self.box_terms: list[bool] = []
+        self.lookups: list[bool] = []
         self.last_universe: Universe | None = None
 
     def universe(self, ctx: EvalContext) -> Universe:
@@ -374,9 +376,31 @@ def _chain(parts: list[Part], stop: bool) -> Part:
     return check
 
 
+def _unpinned(phi: A.Formula) -> A.Formula:
+    """``phi`` without the pins at its top that nothing below them reads."""
+    while type(phi) is A.Freeze and not {phi.time_var, phi.frame_var} & free_variables(phi.child):
+        phi = phi.child
+    return phi
+
+
+def _parts(phi: A.Formula, split: Callable[[A.Formula], list[A.Formula]]) -> list[A.Formula]:
+    """The parts ``split`` (``bounds.conjuncts`` or ``disjuncts``) finds in
+    ``phi``, split further through pins that nothing below them reads."""
+    out = []
+    for part in split(phi):
+        negated = type(part) is A.Not
+        pin = part.child if negated else part
+        bare = _unpinned(pin)
+        if bare is pin:
+            out.append(part)
+        else:
+            out += _parts(A.Not(bare) if negated else bare, split)
+    return out
+
+
 def _not(c: _Compiler, phi: A.Not) -> Part:
     return _chain([_negated(c, part.child) if type(part) is A.Not else c.part(part)
-                   for part in conjuncts(phi)], stop=False)
+                   for part in _parts(phi, conjuncts)], stop=False)
 
 
 def _negated(c: _Compiler, leaf: A.Formula) -> Part:
@@ -397,7 +421,7 @@ def _negated(c: _Compiler, leaf: A.Formula) -> Part:
 
 
 def _or(c: _Compiler, phi: A.Or) -> Part:
-    return _chain([c.part(part) for part in disjuncts(phi)], stop=True)
+    return _chain([c.part(part) for part in _parts(phi, disjuncts)], stop=True)
 
 
 def _next_prev(c: _Compiler, phi: A.Next | A.Prev) -> Check:
@@ -634,7 +658,12 @@ def _freeze(c: _Compiler, phi: A.Freeze) -> Check:
 
 def _exists(c: _Compiler, phi: A.Exists) -> Check:
     variables = phi.variables
-    fold, size = _fold(c.formula(phi.child), variables), len(variables)
+    child = c.formula(phi.child)
+    lookup = _lookup(child, variables)
+    c.lookups.append(lookup is not None)
+    if lookup is not None:
+        return lookup
+    fold, size = _fold(child, variables), len(variables)
 
     def check(ctx: EvalContext, env: Env) -> bool:
         frame = ctx.trace[ctx.index]
@@ -647,17 +676,44 @@ def _exists(c: _Compiler, phi: A.Exists) -> Check:
     return check
 
 
+def _lookup(child: Check, variables: Sequence[str]) -> Check | None:
+    """``exists {v} @ (v == w and rest)``, ``w`` bound outside, as one
+    look-up of ``w``'s id in the frame, or None for any other quantifier.
+
+    A frame's objects are keyed by id, so the one assignment the head
+    comparison does not settle to false is the object with ``w``'s id, if
+    the frame holds it; ``rest`` runs on it alone. The ``forall`` duals
+    ``forall {v} @ (v != w or p)`` and ``forall {v} @ (v == w implies p)``
+    compile to this shape. The look-up counts as one assignment.
+    """
+    test, rest, stop = getattr(child, "id_head", (None, None, None))
+    if (len(variables) != 1 or type(test) is not A.IdEq or stop
+            or (test.lhs == variables[0]) == (test.rhs == variables[0])):
+        return None
+    var = variables[0]
+    outer = test.rhs if test.lhs == var else test.lhs
+
+    def check(ctx: EvalContext, env: Env) -> bool:
+        objects = env.objects
+        obj = ctx.trace[ctx.index].objects.get(objects[outer].object_id)
+        if ctx.stats is not None:
+            ctx.stats.assignments += 1
+        if obj is None:
+            return False
+        return rest(ctx, Env(env.time_pins, env.frame_pins, {**objects, var: obj}))
+    return check
+
+
 def _fold(child: Check, variables: Sequence[str]) -> Callable[[EvalContext, Env, Frame], bool]:
     """Whether ``child`` holds under some assignment of ``frame``'s objects
     to ``variables``, bound in place in one copy of the captured objects.
 
-    Full fold over the domain, no early exit: quantifier cost scales with
-    the number of assignments, which is the behavior the bench measures,
-    and the result is independent of enumeration order. A one-variable
-    body whose chain starts with an id comparison of the variable with
-    one bound outside (``_id_head``) reads the outer id once and binds and
-    runs the rest of the chain only for the assignments the comparison
-    does not settle.
+    Every assignment is enumerated, with no early exit, and the result is
+    independent of enumeration order; ``_lookup`` takes the one shape where
+    a single assignment can decide. A one-variable body whose chain starts
+    with an id comparison of the variable with one bound outside
+    (``_id_head``) reads the outer id once and binds and runs the rest of
+    the chain only for the assignments the comparison does not settle.
     """
     if len(variables) > 1:
         def fold(ctx: EvalContext, env: Env, frame: Frame) -> bool:
@@ -690,7 +746,8 @@ def _fold(child: Check, variables: Sequence[str]) -> Callable[[EvalContext, Env,
         return objects, Env(env.time_pins, env.frame_pins, objects), objects[outer].object_id
     # One closure per outcome that settles the chain, so that the loop, run
     # n^2 times per frame on ``phi2``, tests a plain comparison; a settled
-    # assignment's body is ``stop``.
+    # assignment's body is ``stop``. ``v == w and rest`` is ``_lookup``'s,
+    # so a chain that differing ids settle is ``v != w or rest``.
     if (type(test) is A.IdEq) == stop:
         def fold(ctx: EvalContext, env: Env, frame: Frame) -> bool:
             objects, inner, outer_id = bound(env)
@@ -714,7 +771,7 @@ def _fold(child: Check, variables: Sequence[str]) -> Callable[[EvalContext, Env,
                     objects[var] = obj
                     if rest(ctx, inner):
                         result = True
-            return result or (stop and settled)
+            return result or settled
     return fold
 
 
@@ -990,6 +1047,16 @@ def describe_spatial(phi: A.Formula) -> str:
     box_terms = _compiled(phi).box_terms
     return (f"spatial: {_count(box_terms.count(True), 'box term', 'box terms')}, "
             f"{_count(box_terms.count(False), 'region term', 'region terms')}")
+
+
+def describe_quantifiers(phi: A.Formula) -> str:
+    """One line on how the object quantifiers of a desugared formula run,
+    for example ``quantifiers: 1 id lookup, 1 enumeration``: an id lookup
+    is one ``_lookup``, an enumeration a fold over every assignment. Read
+    from the compiler's plan, as ``describe_temporal`` is."""
+    lookups = _compiled(phi).lookups
+    return (f"quantifiers: {_count(lookups.count(True), 'id lookup', 'id lookups')}, "
+            f"{_count(lookups.count(False), 'enumeration', 'enumerations')}")
 
 
 def _compiled(phi: A.Formula) -> _Compiler:

@@ -71,9 +71,13 @@ def conjuncts(phi: A.Formula) -> list[A.Formula]:
 
 
 def disjuncts(phi: A.Formula) -> list[A.Formula]:
-    """The disjuncts of an ``or`` chain of any association, in order."""
+    """The disjuncts of an ``or`` chain of any association, in order,
+    flattened through double negations as ``conjuncts`` is. A part negates
+    no ``not`` and is no ``or``."""
     if isinstance(phi, A.Or):
         return disjuncts(phi.lhs) + disjuncts(phi.rhs)
+    if isinstance(phi, A.Not) and isinstance(phi.child, A.Not):
+        return disjuncts(phi.child.child)
     return [phi]
 
 

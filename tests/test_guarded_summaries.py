@@ -370,7 +370,7 @@ def test_unguarded_eventually_offline_costs_one_step_per_object_per_frame():
 
 
 @pytest.mark.parametrize("spec, steps, assignments, calls", [
-    ("builtin:phi1", 544, 1233, 336),
+    ("builtin:phi1", 544, 292, 80),
     ("builtin:phi2", 576, 1350, 368),
 ])
 def test_builtin_counts_do_not_move(spec, steps, assignments, calls):
