@@ -21,7 +21,7 @@ import time
 
 from . import __version__
 from .errors import ContractViolation, IngestError, PercemonError
-from .evaluate import EvalContext, describe_spatial, describe_temporal, evaluate
+from .evaluate import EvalContext, describe_quantifiers, describe_spatial, describe_temporal, evaluate
 from .monitor import Monitor, MonitorConfig, Verdict
 from .stql.bindings import require_bindings
 from .stql.bounds import compute_bounds
@@ -113,6 +113,7 @@ def check(spec: str, params: list[tuple[str, float]]) -> None:
     print(bounds.describe())
     print(describe_temporal(core))
     print(describe_spatial(core))
+    print(describe_quantifiers(core))
     if bounds.history is None:
         print("warning: history is unbounded; online monitoring needs --max-history",
               file=sys.stderr)

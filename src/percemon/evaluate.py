@@ -57,14 +57,23 @@ costs one node rather than four:
   ``x != y``/``x == y``. No other atom has an exact complement
   (``prob``/``class`` atoms are false when the id is absent, ratio atoms
   when the denominator is zero), so any other ``not`` stays a node;
+* a pin that nothing below it reads is its body, so both chains flatten
+  through it, as ``not pin (_, f) { a or b }`` in the body of ``phi1``'s
+  ``forall`` does;
 * an id comparison at the head of such a chain, as in ``id1 == id2 and
   ...`` or ``id1 == id2 implies ...``, is no node of its own: the chain
   node compares the two captured ids itself (``_id_head``);
 * a one-variable quantifier whose body is such a chain, comparing the
-  quantified variable with one bound outside (``phi1``, ``phi2`` and their
-  ``forall`` duals), tests that comparison inside its fold: it reads the
-  outer id once and runs the rest of the chain only for the assignments
-  the comparison does not settle. Every assignment is still enumerated.
+  quantified variable with one bound outside, runs that comparison
+  itself. ``exists {v} @ (v == w and rest)`` (``phi1``'s inner ``exists``)
+  and its ``forall`` duals ``forall {v} @ (v != w or p)`` and ``forall {v}
+  @ (v == w implies p)`` are one look-up of ``w``'s id in the frame
+  (``_lookup``): the frame's objects are keyed by id, so the object with
+  that id, if present, is the only assignment the comparison does not
+  settle to false, and ``rest`` runs on it alone. Any other such
+  quantifier (``phi2``'s ``v != w or rest``) enumerates every assignment,
+  reads the outer id once and runs the rest of the chain only for the
+  assignments the comparison does not settle.
 
 A spatial term built only from ``bbox``, ``universe`` and ``&`` is at most
 one rectangle. Such a box term compiles to one ``spatial.box_meet`` call,
@@ -73,8 +82,11 @@ product and ``nonempty`` a None test, bit for bit what the ``Region``
 operations give. Terms with ``~``, ``|`` or ``empty`` run through the
 ``Region`` algebra.
 
-Evaluation order, short-circuiting, errors and every quantifier assignment
-and temporal step are those of the unfused tree.
+Evaluation order, short-circuiting, errors and every temporal step are
+those of the unfused tree, and so is every quantifier assignment that is
+enumerated. A look-up binds one object instead of enumerating the frame; it
+counts as one assignment in ``EvalStats`` and calls no
+``quantifier_assignments``.
 
 Conventions for finite traces and partial data:
 
@@ -83,9 +95,10 @@ Conventions for finite traces and partial data:
 * An object quantifier ranges over the objects of the frame at which the
   quantifier is evaluated. Each bound variable captures the object
   snapshot (id, class, confidence, box) from that frame; tuples may repeat
-  objects. Every assignment is evaluated (an order-independent fold, no
-  early exit, each one bound in place), so quantifier cost genuinely scales
-  with the domain.
+  objects. A quantifier that enumerates evaluates every assignment (an
+  order-independent fold, no early exit, each one bound in place), so its
+  cost scales with the domain, as the ``probe`` specs measure; an id
+  look-up costs one dict probe and the body on at most one object.
 * ``class``/``prob`` atoms re-resolve the captured id in the frame where
   the atom is evaluated, so they track the object through time; if the id
   is absent there, the atom is false. Box-derived atoms (``bbox``,

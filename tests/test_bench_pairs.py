@@ -1,9 +1,11 @@
 """``scripts/bench_pairs.py`` turns the result lines of alternating
-parent/change runs into the summary a committed ``BENCH_<n>.json`` holds."""
+parent/change runs into the summary a committed ``BENCH_<n>.json`` holds,
+and retries a run that fails before printing its result line."""
 
 import importlib
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -73,3 +75,72 @@ def test_traced_summary_reproduces_each_committed_bench_record(bench_pairs, path
     benchmark = json.loads((REPO / "BENCHMARK.json").read_text())
     metrics = [m["name"] for m in benchmark["per_layer"]]
     assert bench_pairs.summarize_traced(record["traced"], metrics) == record["traced_summary"]
+
+
+# --- failed runs ---------------------------------------------------------------
+
+CRASH = SimpleNamespace(returncode=1, stdout="", stderr="Traceback (most recent call last):\n"
+                        "ZeroDivisionError: float division by zero\n")
+
+
+def _printed(result, returncode=0):
+    return SimpleNamespace(returncode=returncode, stdout="notes\n" + json.dumps(result) + "\n",
+                           stderr="")
+
+
+def _stub_runs(monkeypatch, bench_pairs, outcomes):
+    """``subprocess.run`` answering perfbench runs from ``outcomes`` in
+    order and ``git describe`` with a fixed name; returns the run commands."""
+    commands = []
+
+    def run(cmd, cwd, capture_output, text):
+        if cmd[0] == "git":
+            return SimpleNamespace(returncode=0, stdout="abc1234\n", stderr="")
+        commands.append((Path(cwd).name, cmd[1:]))
+        return outcomes.pop(0)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    return commands
+
+
+def test_a_run_that_crashes_before_its_result_is_retried_once(bench_pairs, monkeypatch):
+    commands = _stub_runs(monkeypatch, bench_pairs, [CRASH, _printed(_result(100, 0.1, 20))])
+    failures = []
+    result = bench_pairs.run_once(Path("change"), "w", 7, ["--trace", "0"], failures)
+    assert result == _result(100, 0.1, 20)
+    assert len(commands) == 2 and commands[0] == commands[1]
+    assert failures == [{"tree": "change",
+                         "command": "python3 perfbench/run.py --workload w --seed 7 --trace 0",
+                         "exit_code": 1, "stderr": "ZeroDivisionError: float division by zero"}]
+
+
+@pytest.mark.parametrize("outcomes, attempts", [
+    ([CRASH, CRASH], 2),
+    # A result line that is not correct is not retried, whatever the exit code.
+    ([_printed(_result(100, 0.1, 20, failed=3), returncode=1)], 1),
+    ([_printed(_result(100, 0.1, 20, failed=3))], 1),
+])
+def test_a_run_that_fails_twice_or_is_wrong_stops_the_script(bench_pairs, monkeypatch, capsys,
+                                                             outcomes, attempts):
+    commands = _stub_runs(monkeypatch, bench_pairs, list(outcomes))
+    failures = []
+    with pytest.raises(SystemExit, match="bench_pairs: perfbench/run.py --workload w"):
+        bench_pairs.run_once(Path("parent"), "w", 7, [], failures)
+    assert len(commands) == len(failures) == attempts
+
+
+def test_the_record_keeps_every_run_and_each_failed_attempt(bench_pairs, monkeypatch, tmp_path):
+    # 10 pairs of one workload; the third run crashes once.
+    outcomes = [_printed(_result(100 + i, 0.1, 20)) for i in range(20)]
+    outcomes.insert(2, CRASH)
+    commands = _stub_runs(monkeypatch, bench_pairs, outcomes)
+    out = tmp_path / "BENCH.json"
+    monkeypatch.setattr(bench_pairs.sys, "argv", [
+        "bench_pairs.py", "--parent", str(tmp_path / "parent"), "--change",
+        str(tmp_path / "change"), "--out", str(out), "--workloads", "w"])
+    assert bench_pairs.main() == 0
+    record = json.loads(out.read_text())
+    assert len(commands) == 21 and not outcomes
+    assert [(run["pair"], run["side"]) for run in record["runs"]][:4] == [
+        (0, "parent"), (0, "change"), (1, "change"), (1, "parent")]
+    assert record["summary"]["w"]["runs"] == {"parent": 10, "change": 10}
+    assert [(f["tree"], f["exit_code"]) for f in record["failed_attempts"]] == [("change", 1)]

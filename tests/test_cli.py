@@ -163,6 +163,29 @@ def test_check_reports_how_each_spatial_term_runs(runner, tmp_path, spec, line):
     assert lines[lines.index(line) - 1].startswith("temporal: ")
 
 
+@pytest.mark.parametrize("spec, line", [
+    ("builtin:phi1", "quantifiers: 1 id lookup, 1 enumeration"),
+    ("builtin:phi2", "quantifiers: 0 id lookups, 2 enumerations"),
+    (str(HOLDS_WINDOW_SPEC), "quantifiers: 0 id lookups, 2 enumerations"),
+    ("forall {a} @ exists {b} @ (b == a and prob(b) > 0.5)",
+     "quantifiers: 1 id lookup, 1 enumeration"),
+    # The dual head ``b != a or ...`` still enumerates.
+    ("forall {a} @ exists {b} @ (b != a or prob(b) > 0.5)",
+     "quantifiers: 0 id lookups, 2 enumerations"),
+    ("exists {a, b} @ (a == b and prob(b) > 0.5)", "quantifiers: 0 id lookups, 1 enumeration"),
+    ("true", "quantifiers: 0 id lookups, 0 enumerations"),
+])
+def test_check_reports_how_each_quantifier_runs(runner, tmp_path, spec, line):
+    if not spec.startswith("builtin:") and not spec.endswith(".stql"):
+        (tmp_path / "spec.stql").write_text(spec + "\n")
+        spec = str(tmp_path / "spec.stql")
+    result = invoke(runner, "check", "--spec", spec)
+    assert result.exit_code == 0
+    lines = result.stdout.splitlines()
+    # The quantifier line follows the spatial one.
+    assert lines[lines.index(line) - 1].startswith("spatial: ")
+
+
 def test_importing_the_cli_leaves_the_bench_module_unloaded():
     # Nor the spec parser: a builtin spec never needs it, and a spec file
     # imports it on first use (``builtins.read_spec_file``).

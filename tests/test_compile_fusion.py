@@ -2,12 +2,15 @@
 
 ``evaluate`` compiles ``or`` chains into one n-ary node, ``not (a or b)``
 into one conjunction of the negated parts, ``not not a`` into ``a`` and
-``not (x == y)`` into ``x != y``. These tests check that the fused program
-means the same as the syntax tree: the same verdicts on rewritten but
-equivalent trees, the same errors, the same evaluation order and the same
-quantifier work.
+``not (x == y)`` into ``x != y``, seeing through pins that nothing reads,
+and ``exists {v} @ (v == w and ...)`` into one look-up of ``w``'s id. These
+tests check that the fused program means the same as the syntax tree: the
+same verdicts on rewritten but equivalent trees, the same errors, the same
+evaluation order and the same quantifier work, and that a look-up agrees
+with the enumeration it replaces.
 """
 
+import itertools
 import logging
 import random
 
@@ -15,11 +18,12 @@ import pytest
 
 from percemon import spatial
 from percemon.errors import ContractViolation
-from percemon.evaluate import EMPTY_ENV, Env, EvalContext, EvalStats, evaluate, evaluate_trace
+from percemon.evaluate import (EMPTY_ENV, Env, EvalContext, EvalStats, describe_quantifiers,
+                               evaluate, evaluate_trace)
 from percemon.generator import GenConfig, generate_frames
-from percemon.monitor import Monitor
+from percemon.monitor import Monitor, run_monitor
 from percemon.stql import ast as A
-from percemon.stql.builtins import phi2
+from percemon.stql.builtins import phi1, phi2
 from percemon.stql.desugar import desugar
 from percemon.stql.parser import parse
 from percemon.trace import BoundingBox, DetectedObject, make_frame
@@ -43,10 +47,14 @@ def _regroup(parts, rng):
     return A.Or(_regroup(parts[:cut], rng), _regroup(parts[cut:], rng))
 
 
+_FRESH = itertools.count()
+
+
 def scramble(phi, rng):
     """An equivalent core formula: ``or`` chains re-associated, random
-    subformulas wrapped in ``not not``, and negated id comparisons swapped
-    for their complement (and back)."""
+    subformulas wrapped in ``not not`` or in a pin of fresh time and frame
+    variables that nothing reads, and negated id comparisons swapped for
+    their complement (and back)."""
     kind = type(phi)
     if kind is A.Or:
         out = _regroup([scramble(part, rng) for part in _disjuncts(phi)], rng)
@@ -58,21 +66,30 @@ def scramble(phi, rng):
         out = phi.map(lambda sub: scramble(sub, rng) if isinstance(sub, A.Formula) else sub)
     if rng.random() < 0.3:
         out = A.Not(A.Not(out))
+    if rng.random() < 0.2:
+        fresh = next(_FRESH)
+        out = A.Freeze(f"unread_t{fresh}", f"unread_k{fresh}", out)
     return out
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_equivalent_trees_give_the_same_verdicts(seed):
+def test_equivalent_trees_give_the_same_verdicts_and_work(seed):
     rng = random.Random(seed)
     gen = FormulaGen(rng, max_depth=5, allow_sugar=True)
-    changed = 0
+    changed = pinned = 0
     for _ in range(200):
         phi = desugar(gen.formula())
         variant = scramble(phi, rng)
         changed += variant != phi
+        pinned += any(type(sub) is A.Freeze and str(sub.time_var).startswith("unread_")
+                      for sub in A.subformulas(variant))
         for trace in (random_trace(rng, max_frames=6, max_objects=3) for _ in range(2)):
-            assert evaluate_trace(variant, trace) == evaluate_trace(phi, trace), (phi, variant)
+            stats, variant_stats = EvalStats(), EvalStats()
+            assert (evaluate_trace(variant, trace, stats=variant_stats)
+                    == evaluate_trace(phi, trace, stats=stats)), (phi, variant)
+            assert variant_stats == stats, (phi, variant)
     assert changed > 100  # most trees have something to rewrite
+    assert pinned > 50
 
 
 def _frame_with(*objects):
@@ -136,8 +153,35 @@ RATIO_NEVER = "area(bbox(c)) / area(bbox(c)) >= 0.5"                # areas 900,
      False, [100.0, 25.0, 0]),
 ])
 def test_fused_ratio_atoms_run_left_to_right_and_stop(monkeypatch, caplog, spec, value, areas):
-    # Box-only terms run through ``spatial.box_meet``: record each meet's area.
     seen = []
+    _run_ratio_atoms(monkeypatch, caplog, spec, value, "box_meet", _recording_meet(seen))
+    # Each atom is evaluated in source order until the outcome is settled.
+    assert seen == areas * 2
+
+
+# A pin that nothing reads and ``not not`` are seen through, into one chain.
+@pytest.mark.parametrize("spec, value, areas", [
+    (f"pin (_, g) {{ {RATIO_TRUE} and {RATIO_ZERO} }} and {RATIO_NEVER}", False, [100.0, 25.0, 0]),
+    (f"not pin (_, g) {{ {RATIO_ZERO} or {RATIO_TRUE} or {RATIO_NEVER} }}", False, [0, 100.0, 25.0]),
+    (f"{RATIO_ZERO} or not not ({RATIO_TRUE} or {RATIO_NEVER})", True, [0, 100.0, 25.0]),
+    (f"{RATIO_ZERO} or pin (s, g) {{ not not ({RATIO_TRUE} or {RATIO_NEVER}) }}",
+     True, [0, 100.0, 25.0]),
+    (f"not not ({RATIO_ZERO} or not pin (_, g) {{ not ({RATIO_TRUE} or {RATIO_NEVER}) }})",
+     True, [0, 100.0, 25.0]),
+    # An id look-up under a pin runs the rest of the chain on ``a`` alone.
+    (f"forall {{q}} @ pin (_, g) {{ q == a implies ({RATIO_TRUE} and {RATIO_ZERO} and "
+     f"{RATIO_NEVER}) }}", False, [100.0, 25.0, 0]),
+])
+def test_unread_pins_and_double_negations_keep_the_stop_order(monkeypatch, caplog, spec, value,
+                                                               areas):
+    seen = []
+    _run_ratio_atoms(monkeypatch, caplog, spec, value, "box_meet", _recording_meet(seen))
+    assert seen == areas * 2
+
+
+def _recording_meet(seen):
+    """``spatial.box_meet`` that appends the area of each meet to ``seen``:
+    box-only terms run through it."""
     original = spatial.box_meet
 
     def recording_meet(boxes, universe):
@@ -145,10 +189,7 @@ def test_fused_ratio_atoms_run_left_to_right_and_stop(monkeypatch, caplog, spec,
         seen.append(0 if result is None else
                     (result.xmax - result.xmin) * (result.ymax - result.ymin))
         return result
-
-    _run_ratio_atoms(monkeypatch, caplog, spec, value, "box_meet", recording_meet)
-    # Each atom is evaluated in source order until the outcome is settled.
-    assert seen == areas * 2
+    return recording_meet
 
 
 # The same order with region terms, which run through ``spatial.area``.
@@ -231,18 +272,34 @@ def _head_bodies(tests):
 
 def _fused_and_generic(body, outer):
     """The formula with ``body`` under a quantifier over ``v``, and the same
-    with ``true and`` in front of the body, for each quantifier."""
+    with ``true and`` in front of the body, for each quantifier; each with
+    the quantifier."""
     for quantifier in ("exists {v}", "forall {v}"):
         fused, generic = (f"{outer}({quantifier} @ ({b}))" for b in (body, f"true and ({body})"))
-        yield desugar(parse(fused)), desugar(parse(generic))
+        yield quantifier, desugar(parse(fused)), desugar(parse(generic))
 
 
-def _same_verdicts_and_work(fused, generic, traces):
+# ``exists {v} @ (v == w and ...)`` and its ``forall`` duals look ``w``'s id up.
+LOOKUPS = {("exists {v}", "==", "and"), ("forall {v}", "!=", "or"),
+           ("forall {v}", "==", "implies")}
+
+
+def _takes_lookup(quantifier, body):
+    words = body.split()
+    return len(words) > 3 and (quantifier, words[1], words[3]) in LOOKUPS
+
+
+def _same_verdicts_and_work(fused, generic, traces, lookup=False):
+    """Equal verdicts, and equal work unless the fused quantifier is a
+    look-up; then the outer fold's assignments plus one per look-up, which
+    is one per outer assignment."""
     for trace in traces:
         fused_stats, generic_stats = EvalStats(), EvalStats()
         assert (evaluate_trace(fused, trace, stats=fused_stats)
                 == evaluate_trace(generic, trace, stats=generic_stats)), (fused, trace)
-        assert fused_stats.assignments == generic_stats.assignments
+        outer = sum(len(frame.objects) for frame in trace)
+        expected = 2 * outer if lookup else generic_stats.assignments
+        assert fused_stats.assignments == expected
 
 
 @pytest.mark.parametrize("body", list(_head_bodies(HEAD_TESTS)))
@@ -250,8 +307,35 @@ def test_head_id_test_in_the_fold_matches_the_generic_fold(body):
     rng = random.Random(body)
     traces = [random_trace(rng, max_frames=6, max_objects=4) for _ in range(6)]
     for outer in ("forall {w} @ ", "exists {w} @ "):
-        for fused, generic in _fused_and_generic(body, outer):
-            _same_verdicts_and_work(fused, generic, traces)
+        for quantifier, fused, generic in _fused_and_generic(body, outer):
+            lookup = _takes_lookup(quantifier, body)
+            assert describe_quantifiers(fused) == (
+                f"quantifiers: {int(lookup)} id lookup{'' if lookup else 's'}, "
+                f"{2 - lookup} enumeration{'' if lookup else 's'}")
+            assert describe_quantifiers(generic) == "quantifiers: 0 id lookups, 2 enumerations"
+            _same_verdicts_and_work(fused, generic, traces, lookup)
+
+
+def _id_test_last(phi):
+    """``phi`` with each ``id1 == id2 and p`` written ``p and id1 == id2``."""
+    if type(phi) is A.And and type(phi.lhs) is A.IdEq:
+        return A.And(phi.rhs, phi.lhs)
+    return phi.map(lambda sub: _id_test_last(sub) if isinstance(sub, A.Formula) else sub)
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_phi1_lookup_matches_the_enumeration_on_a_faulty_crowd(seed):
+    frames = list(generate_frames(GenConfig(frames=300, objects=16, drop_prob=0.05,
+                                            jump_prob=0.02, seed=seed)))
+    # Frames hold ids that the frame before lacks: there the look-up misses.
+    assert any(set(frame.objects) - set(before.objects) for before, frame in zip(frames, frames[1:]))
+    fused, generic = phi1(), _id_test_last(phi1())
+    assert describe_quantifiers(desugar(fused)) == "quantifiers: 1 id lookup, 1 enumeration"
+    assert describe_quantifiers(desugar(generic)) == "quantifiers: 0 id lookups, 2 enumerations"
+    online = [v.value for v in run_monitor(fused, frames)]
+    assert online == [v.value for v in run_monitor(generic, frames)]
+    assert online == evaluate_trace(desugar(fused), frames) == evaluate_trace(desugar(generic), frames)
+    assert 0 < online.count(False) < len(frames) - 1
 
 
 @pytest.mark.parametrize("body", ["v == v and prob(v) > 0.5", "v != v or prob(v) > 0.5",
@@ -260,14 +344,14 @@ def test_comparisons_not_on_the_quantified_variable_match(body):
     # Neither takes the fused fold; both still mean what the generic one does.
     rng = random.Random(body)
     traces = [random_trace(rng, max_frames=5, max_objects=3) for _ in range(6)]
-    for fused, generic in _fused_and_generic(body, outer="forall {w} @ exists {u} @ "):
+    for _, fused, generic in _fused_and_generic(body, outer="forall {w} @ exists {u} @ "):
         _same_verdicts_and_work(fused, generic, traces)
 
 
 @pytest.mark.parametrize("body", list(_head_bodies(HEAD_TESTS[:1] + HEAD_TESTS[2:3])))
 def test_head_id_test_with_an_unbound_outer_variable_raises(body):
     frames = [_frame_with(_car(1), _car(2))]
-    for fused, generic in _fused_and_generic(body, outer=""):
+    for _, fused, generic in _fused_and_generic(body, outer=""):
         for formula in (fused, generic):
             with pytest.raises(ContractViolation, match="object variable 'w' is unbound"):
                 evaluate(formula, EvalContext(frames, 0), EMPTY_ENV)
