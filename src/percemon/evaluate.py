@@ -67,7 +67,7 @@ costs one node rather than four:
   quantified variable with one bound outside, runs that comparison
   itself. ``exists {v} @ (v == w and rest)`` (``phi1``'s inner ``exists``)
   and its ``forall`` duals ``forall {v} @ (v != w or p)`` and ``forall {v}
-  @ (v == w implies p)`` are one look-up of ``w``'s id in the frame
+  @ (v == w implies p)`` are one lookup of ``w``'s id in the frame
   (``_lookup``): the frame's objects are keyed by id, so the object with
   that id, if present, is the only assignment the comparison does not
   settle to false, and ``rest`` runs on it alone. Any other such
@@ -84,7 +84,7 @@ operations give. Terms with ``~``, ``|`` or ``empty`` run through the
 
 Evaluation order, short-circuiting, errors and every temporal step are
 those of the unfused tree, and so is every quantifier assignment that is
-enumerated. A look-up binds one object instead of enumerating the frame; it
+enumerated. A lookup binds one object instead of enumerating the frame; it
 counts as one assignment in ``EvalStats`` and calls no
 ``quantifier_assignments``.
 
@@ -98,7 +98,7 @@ Conventions for finite traces and partial data:
   objects. A quantifier that enumerates evaluates every assignment (an
   order-independent fold, no early exit, each one bound in place), so its
   cost scales with the domain, as the ``probe`` specs measure; an id
-  look-up costs one dict probe and the body on at most one object.
+  lookup costs one dict probe and the body on at most one object.
 * ``class``/``prob`` atoms re-resolve the captured id in the frame where
   the atom is evaluated, so they track the object through time; if the id
   is absent there, the atom is false. Box-derived atoms (``bbox``,
@@ -257,7 +257,7 @@ class _Compiler:
     lists, per ``until``/``since`` and guarded idiom in compile order, the
     variables its summary is keyed by, or None for a scan; ``box_terms``
     lists, per spatial term of an atom, whether it takes the box path;
-    ``lookups``, per quantifier, whether it is an id look-up."""
+    ``lookups``, per quantifier, whether it is an id lookup."""
 
     def __init__(self) -> None:
         self.warned: set[str] = set()
@@ -691,13 +691,13 @@ def _exists(c: _Compiler, phi: A.Exists) -> Check:
 
 def _lookup(child: Check, variables: Sequence[str]) -> Check | None:
     """``exists {v} @ (v == w and rest)``, ``w`` bound outside, as one
-    look-up of ``w``'s id in the frame, or None for any other quantifier.
+    lookup of ``w``'s id in the frame, or None for any other quantifier.
 
     A frame's objects are keyed by id, so the one assignment the head
     comparison does not settle to false is the object with ``w``'s id, if
     the frame holds it; ``rest`` runs on it alone. The ``forall`` duals
     ``forall {v} @ (v != w or p)`` and ``forall {v} @ (v == w implies p)``
-    compile to this shape. The look-up counts as one assignment.
+    compile to this shape. The lookup counts as one assignment.
     """
     test, rest, stop = getattr(child, "id_head", (None, None, None))
     if (len(variables) != 1 or type(test) is not A.IdEq or stop
@@ -722,8 +722,8 @@ def _fold(child: Check, variables: Sequence[str]) -> Callable[[EvalContext, Env,
     to ``variables``, bound in place in one copy of the captured objects.
 
     Every assignment is enumerated, with no early exit, and the result is
-    independent of enumeration order; ``_lookup`` takes the one shape where
-    a single assignment can decide. A one-variable body whose chain starts
+    independent of enumeration order (``_lookup`` takes ``v == w and ...``,
+    where one assignment decides). A one-variable body whose chain starts
     with an id comparison of the variable with one bound outside
     (``_id_head``) reads the outer id once and binds and runs the rest of
     the chain only for the assignments the comparison does not settle.

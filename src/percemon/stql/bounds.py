@@ -72,8 +72,8 @@ def conjuncts(phi: A.Formula) -> list[A.Formula]:
 
 def disjuncts(phi: A.Formula) -> list[A.Formula]:
     """The disjuncts of an ``or`` chain of any association, in order,
-    flattened through double negations as ``conjuncts`` is. A part negates
-    no ``not`` and is no ``or``."""
+    flattened through double negations as ``conjuncts`` is: no part is an
+    ``or`` or a ``not not``."""
     if isinstance(phi, A.Or):
         return disjuncts(phi.lhs) + disjuncts(phi.rhs)
     if isinstance(phi, A.Not) and isinstance(phi.child, A.Not):

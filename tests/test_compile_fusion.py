@@ -3,10 +3,10 @@
 ``evaluate`` compiles ``or`` chains into one n-ary node, ``not (a or b)``
 into one conjunction of the negated parts, ``not not a`` into ``a`` and
 ``not (x == y)`` into ``x != y``, seeing through pins that nothing reads,
-and ``exists {v} @ (v == w and ...)`` into one look-up of ``w``'s id. These
+and ``exists {v} @ (v == w and ...)`` into one lookup of ``w``'s id. These
 tests check that the fused program means the same as the syntax tree: the
 same verdicts on rewritten but equivalent trees, the same errors, the same
-evaluation order and the same quantifier work, and that a look-up agrees
+evaluation order and the same quantifier work, and that a lookup agrees
 with the enumeration it replaces.
 """
 
@@ -168,7 +168,7 @@ def test_fused_ratio_atoms_run_left_to_right_and_stop(monkeypatch, caplog, spec,
      True, [0, 100.0, 25.0]),
     (f"not not ({RATIO_ZERO} or not pin (_, g) {{ not ({RATIO_TRUE} or {RATIO_NEVER}) }})",
      True, [0, 100.0, 25.0]),
-    # An id look-up under a pin runs the rest of the chain on ``a`` alone.
+    # An id lookup under a pin runs the rest of the chain on ``a`` alone.
     (f"forall {{q}} @ pin (_, g) {{ q == a implies ({RATIO_TRUE} and {RATIO_ZERO} and "
      f"{RATIO_NEVER}) }}", False, [100.0, 25.0, 0]),
 ])
@@ -291,7 +291,7 @@ def _takes_lookup(quantifier, body):
 
 def _same_verdicts_and_work(fused, generic, traces, lookup=False):
     """Equal verdicts, and equal work unless the fused quantifier is a
-    look-up; then the outer fold's assignments plus one per look-up, which
+    lookup; then the outer fold's assignments plus one per lookup, which
     is one per outer assignment."""
     for trace in traces:
         fused_stats, generic_stats = EvalStats(), EvalStats()
@@ -327,7 +327,7 @@ def _id_test_last(phi):
 def test_phi1_lookup_matches_the_enumeration_on_a_faulty_crowd(seed):
     frames = list(generate_frames(GenConfig(frames=300, objects=16, drop_prob=0.05,
                                             jump_prob=0.02, seed=seed)))
-    # Frames hold ids that the frame before lacks: there the look-up misses.
+    # Frames hold ids that the frame before lacks: there the lookup misses.
     assert any(set(frame.objects) - set(before.objects) for before, frame in zip(frames, frames[1:]))
     fused, generic = phi1(), _id_test_last(phi1())
     assert describe_quantifiers(desugar(fused)) == "quantifiers: 1 id lookup, 1 enumeration"

@@ -370,6 +370,7 @@ def test_unguarded_eventually_offline_costs_one_step_per_object_per_frame():
 
 
 @pytest.mark.parametrize("spec, steps, assignments, calls", [
+    # phi1's inner exists is an id lookup, which calls no ``quantifier_assignments``.
     ("builtin:phi1", 544, 292, 80),
     ("builtin:phi2", 576, 1350, 368),
 ])
