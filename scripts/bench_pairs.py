@@ -11,15 +11,16 @@ DIR is a git checkout of the repository (each keeps its own
 
 once in each tree, at the benchmark's own run length, the parent first in
 even pairs and the change first in odd ones, so a slow stretch of a shared
-host lands on both sides. With ``--traced-seconds`` one ``--trace 1`` run
-per side and workload follows. Each run's last output line is its result.
+host lands on both sides. With ``--traced-seconds`` 3 pairs of ``--trace
+1`` runs per workload follow, alternating in the same way. Each run's last
+output line is its result.
 The record names the command that made it, each tree's ``git describe``,
 and the host; it holds every result line (``runs``, ``traced``) and, per
 end-to-end metric of ``BENCHMARK.json``, the parent's and the change's
 q1/median/q3, the pairs the change won and the ratio of the medians
 (``summary``). With traced runs it also holds, per workload and per-layer
-metric of ``BENCHMARK.json``, the parent's and the change's value
-(``traced_summary``). A run that fails before printing its result line,
+metric of ``BENCHMARK.json``, the median of the parent's and of the
+change's traced runs (``traced_summary``). A run that fails before printing its result line,
 such as a crash, is run once more and the failed attempt is kept in
 ``failed_attempts``; a run that fails twice, or prints a result that is not
 correct, stops the script with exit 1 and no record.
@@ -40,6 +41,7 @@ from pathlib import Path
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 SIDES = ("parent", "change")
 PAIRS = 10
+TRACED_PAIRS = 3
 
 
 def result_line(stdout: str) -> dict | None:
@@ -111,10 +113,15 @@ def summarize(runs: list[dict], metrics: dict[str, str]) -> dict:
 
 
 def summarize_traced(traced: dict, metrics: list[str]) -> dict:
-    """Parent and change value of each per-layer metric, per traced workload."""
+    """The parent's and the change's median of each per-layer metric over
+    their traced runs, per traced workload. A side holds a list of results;
+    records made with one traced run per side hold that result alone."""
+    def median(results: list[dict] | dict, name: str) -> float:
+        if isinstance(results, dict):
+            results = [results]
+        return round(statistics.median(r["metrics"][name]["value"] for r in results), 4)
     return {
-        workload: {name: {side: round(sides[side]["metrics"][name]["value"], 4) for side in SIDES}
-                   for name in metrics}
+        workload: {name: {side: median(sides[side], name) for side in SIDES} for name in metrics}
         for workload, sides in traced.items()
     }
 
@@ -146,9 +153,11 @@ def main() -> int:
     traced = {}
     if args.traced_seconds > 0:
         for workload in workloads:
-            traced[workload] = {side: run_once(trees[side], workload, args.seed, traced_args,
-                                               failures)
-                                for side in SIDES}
+            traced[workload] = {side: [] for side in SIDES}
+            for pair in range(TRACED_PAIRS):
+                for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+                    traced[workload][side].append(
+                        run_once(trees[side], workload, args.seed, traced_args, failures))
 
     command = f"python3 perfbench/run.py --workload W --seed {args.seed}"
     record = {
@@ -159,7 +168,8 @@ def main() -> int:
         "traced_command": f"{command} {shlex.join(traced_args)}" if traced else None,
         "host": f"{platform.machine()}, {len(os.sched_getaffinity(0))} usable CPUs, "
                 f"Python {platform.python_version()}",
-        "protocol": f"{PAIRS} pairs per workload, alternating which side runs first; "
+        "protocol": f"{PAIRS} pairs per workload, alternating which side runs first"
+                    + (f", then {TRACED_PAIRS} traced pairs the same way" if traced else "") + "; "
                     "frames_per_s and setup_s are reported at the reference host speed by "
                     "perfbench's CPU probe",
         "summary": summarize(runs, metrics),

@@ -16,6 +16,8 @@ true left operand, is the guarded idiom of ``always (C_FRAME - f <= k
 implies p)`` and ``once (f - C_FRAME < k and p)``: it is the same node with
 the guard's reach and the rest of R, with no pin left (see
 ``_guarded_idiom``). A pin that nothing below it reads compiles to its body.
+The idiom, the true left operand and R's conjuncts are read through
+``bounds.bare``, as the window analysis reads them.
 
 The node scans the frames within reach in its operator's order, unless it
 is a ``since`` or a guarded idiom whose operands allow a summary: they hold
@@ -53,13 +55,13 @@ costs one node rather than four:
 * ``not (a or b or ...)``, which is what ``and`` and the body of a
   ``forall`` desugar to, is one conjunction of the negated disjuncts,
   evaluated left to right up to the first false one;
-* ``not not a`` is ``a``, and ``not (x == y)``/``not (x != y)`` are
-  ``x != y``/``x == y``. No other atom has an exact complement
+* ``not not a`` is ``a`` (``bounds.bare``), and ``not (x == y)``/``not
+  (x != y)`` are ``x != y``/``x == y``. No other atom has an exact complement
   (``prob``/``class`` atoms are false when the id is absent, ratio atoms
   when the denominator is zero), so any other ``not`` stays a node;
-* a pin that nothing below it reads is its body, so both chains flatten
-  through it, as ``not pin (_, f) { a or b }`` in the body of ``phi1``'s
-  ``forall`` does;
+* a pin that nothing below it reads is its body (``bounds.bare``), so
+  both chains flatten through it, as ``not pin (_, f) { a or b }`` in the
+  body of ``phi1``'s ``forall`` does;
 * an id comparison at the head of such a chain, as in ``id1 == id2 and
   ...`` or ``id1 == id2 implies ...``, is no node of its own: the chain
   node compares the two captured ids itself (``_id_head``);
@@ -126,7 +128,7 @@ from .errors import ContractViolation
 from .spatial import Region, Universe
 from .stql import ast as A
 from .stql.bindings import FRAME, OBJECT, TIME, free_variables, unbound_reads
-from .stql.bounds import conjuncts, disjuncts, frame_guard
+from .stql.bounds import bare, conjuncts, disjuncts, frame_guard
 from .trace import BoundingBox, DetectedObject, Frame
 
 log = logging.getLogger("percemon.evaluate")
@@ -389,31 +391,9 @@ def _chain(parts: list[Part], stop: bool) -> Part:
     return check
 
 
-def _unpinned(phi: A.Formula) -> A.Formula:
-    """``phi`` without the pins at its top that nothing below them reads."""
-    while type(phi) is A.Freeze and not {phi.time_var, phi.frame_var} & free_variables(phi.child):
-        phi = phi.child
-    return phi
-
-
-def _parts(phi: A.Formula, split: Callable[[A.Formula], list[A.Formula]]) -> list[A.Formula]:
-    """The parts ``split`` (``bounds.conjuncts`` or ``disjuncts``) finds in
-    ``phi``, split further through pins that nothing below them reads."""
-    out = []
-    for part in split(phi):
-        negated = type(part) is A.Not
-        pin = part.child if negated else part
-        bare = _unpinned(pin)
-        if bare is pin:
-            out.append(part)
-        else:
-            out += _parts(A.Not(bare) if negated else bare, split)
-    return out
-
-
 def _not(c: _Compiler, phi: A.Not) -> Part:
     return _chain([_negated(c, part.child) if type(part) is A.Not else c.part(part)
-                   for part in _parts(phi, conjuncts)], stop=False)
+                   for part in conjuncts(phi)], stop=False)
 
 
 def _negated(c: _Compiler, leaf: A.Formula) -> Part:
@@ -434,7 +414,7 @@ def _negated(c: _Compiler, leaf: A.Formula) -> Part:
 
 
 def _or(c: _Compiler, phi: A.Or) -> Part:
-    return _chain([c.part(part) for part in _parts(phi, disjuncts)], stop=True)
+    return _chain([c.part(part) for part in disjuncts(phi)], stop=True)
 
 
 def _next_prev(c: _Compiler, phi: A.Next | A.Prev) -> Check:
@@ -574,14 +554,16 @@ def _guarded_idiom(phi: A.Freeze):
     ``true until R`` or ``true since R`` and the conjuncts of R are a
     frame-distance guard on ``f`` (``bounds.frame_guard``, which also sizes
     the window) and at least one part that reads neither ``f`` nor the
-    pinned time. It
-    is what ``always (C_FRAME - f <= k implies p)`` and ``once (f - C_FRAME
-    < k and p)`` desugar to. Returns (operator, negated, reach, parts).
+    pinned time. It is what ``always (C_FRAME - f <= k implies p)`` and
+    ``once (f - C_FRAME < k and p)`` desugar to. The pin's body and the left
+    operand are read through ``bounds.bare``, as the conjuncts of R are.
+    Returns (operator, negated, reach, parts).
     """
-    frame_var, child = phi.frame_var, phi.child
+    frame_var, child = phi.frame_var, bare(phi.child)
     negated = type(child) is A.Not
     op = child.child if negated else child
-    if frame_var is None or type(op) not in (A.Until, A.Since) or type(op.lhs) is not A.TrueConst:
+    if (frame_var is None or type(op) not in (A.Until, A.Since)
+            or type(bare(op.lhs)) is not A.TrueConst):
         return None
     if phi.time_var is not None and phi.time_var in free_variables(child):
         return None
@@ -613,7 +595,7 @@ def _temporal(c: _Compiler, node: A.Formula, idiom: tuple | None = None) -> Chec
     """
     op, negated, reach, parts = idiom or (node, False, _UNBOUNDED, (node.rhs,))
     forward = type(op) is A.Until
-    true_lhs = type(op.lhs) is A.TrueConst
+    true_lhs = type(bare(op.lhs)) is A.TrueConst
     variables = _summary_ids((op.lhs, *parts)) if idiom or not forward else None
     c.plan.append(variables)
     lhs = None if true_lhs else c.formula(op.lhs)

@@ -21,6 +21,11 @@ is bound by an enclosing pin. The usual sources of such conjuncts are
 desugared forms both expose the guard. Anything the recognizer cannot see
 is reported unbounded and needs an explicit monitor override. Time-variable
 constraints never contribute: timestamps are not frame-indexed.
+
+Conjuncts are read through the wrappers that change nothing, ``not not``
+and pins that nothing below them reads, as ``bare`` strips them; the
+evaluator's chain builders and its guarded-idiom recognizer read formulas
+through ``bare`` too, so the window and the evaluator see the same shapes.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from math import inf
 from ..errors import ContractViolation
 from . import ast as A
 from .ast import is_core
+from .bindings import free_variables
 
 
 @dataclass(frozen=True)
@@ -40,44 +46,49 @@ class FrameBounds:
     history: int | None
     horizon: int | None
 
-    @property
-    def bounded(self) -> bool:
-        return self.history is not None and self.horizon is not None
-
     def describe(self) -> str:
         h = "unbounded" if self.history is None else str(self.history)
         z = "unbounded" if self.horizon is None else str(self.horizon)
         return f"history={h} horizon={z}"
 
 
-def _negated(phi: A.Formula) -> A.Formula:
-    return phi.child if isinstance(phi, A.Not) else A.Not(phi)
+def bare(phi: A.Formula) -> A.Formula:
+    """``phi`` without the wrappers that change nothing: double negations,
+    and pins whose time and frame variables nothing below them reads.
+
+    A ``not`` that is kept gets a bare child, which is never a ``not``.
+    This is the one place that decides which wrappers change nothing.
+    """
+    kind = type(phi)
+    if kind is A.Not:
+        child = bare(phi.child)
+        if type(child) is A.Not:
+            return child.child
+        return phi if child is phi.child else A.Not(child)
+    if kind is A.Freeze and not {phi.time_var, phi.frame_var} & free_variables(phi.child):
+        return bare(phi.child)
+    return phi
 
 
 def conjuncts(phi: A.Formula) -> list[A.Formula]:
     """Positive conjuncts of a desugared formula, in order.
 
     Desugared conjunction is ``not (not a or not b)``; this flattens that
-    shape (and double negations) back into its parts. A part that is a
-    ``not`` negates neither an ``or`` nor a ``not``.
+    shape of ``bare`` parts back into its parts. A part that is a ``not``
+    negates neither an ``or`` nor a ``not``.
     """
-    if isinstance(phi, A.Not):
-        inner = phi.child
-        if isinstance(inner, A.Or):
-            return conjuncts(_negated(inner.lhs)) + conjuncts(_negated(inner.rhs))
-        if isinstance(inner, A.Not):
-            return conjuncts(inner.child)
+    phi = bare(phi)
+    if type(phi) is A.Not and type(phi.child) is A.Or:
+        return conjuncts(A.Not(phi.child.lhs)) + conjuncts(A.Not(phi.child.rhs))
     return [phi]
 
 
 def disjuncts(phi: A.Formula) -> list[A.Formula]:
-    """The disjuncts of an ``or`` chain of any association, in order,
-    flattened through double negations as ``conjuncts`` is: no part is an
-    ``or`` or a ``not not``."""
-    if isinstance(phi, A.Or):
+    """The ``bare`` disjuncts of an ``or`` chain of any association, in
+    order: no part is an ``or``."""
+    phi = bare(phi)
+    if type(phi) is A.Or:
         return disjuncts(phi.lhs) + disjuncts(phi.rhs)
-    if isinstance(phi, A.Not) and isinstance(phi.child, A.Not):
-        return disjuncts(phi.child.child)
     return [phi]
 
 

@@ -77,8 +77,6 @@ def test_sugar_rejected():
 def test_describe():
     assert FrameBounds(1, 0).describe() == "history=1 horizon=0"
     assert FrameBounds(0, None).describe() == "history=0 horizon=unbounded"
-    assert not FrameBounds(0, None).bounded
-    assert FrameBounds(2, 2).bounded
 
 
 def _shift(value, by):
