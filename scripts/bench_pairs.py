@@ -20,10 +20,10 @@ end-to-end metric of ``BENCHMARK.json``, the parent's and the change's
 q1/median/q3, the pairs the change won and the ratio of the medians
 (``summary``). With traced runs it also holds, per workload and per-layer
 metric of ``BENCHMARK.json``, the median of the parent's and of the
-change's traced runs (``traced_summary``). A run that fails before printing its result line,
-such as a crash, is run once more and the failed attempt is kept in
-``failed_attempts``; a run that fails twice, or prints a result that is not
-correct, stops the script with exit 1 and no record.
+change's traced runs (``traced_summary``). A run that fails before
+printing its result line, such as a crash, is run once more and the failed
+attempt is kept in ``failed_attempts``; a run that fails twice, or prints a
+result that is not correct, stops the script with exit 1 and no record.
 """
 
 from __future__ import annotations

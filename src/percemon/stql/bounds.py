@@ -74,8 +74,8 @@ def conjuncts(phi: A.Formula) -> list[A.Formula]:
     """Positive conjuncts of a desugared formula, in order.
 
     Desugared conjunction is ``not (not a or not b)``; this flattens that
-    shape of ``bare`` parts back into its parts. A part that is a ``not``
-    negates neither an ``or`` nor a ``not``.
+    shape back into its parts, each read through ``bare``. A part that is
+    a ``not`` negates neither an ``or`` nor a ``not``.
     """
     phi = bare(phi)
     if type(phi) is A.Not and type(phi.child) is A.Or:

@@ -53,13 +53,16 @@ def test_summary_reproduces_each_committed_bench_record(bench_pairs, path):
     assert bench_pairs.summarize(record["runs"], metrics) == record["summary"]
 
 
+def _traced(steps, us):
+    return {"correct": True, "attempted": 10, "failed": 0, "metrics": {
+        "evaluate.temporal_steps_per_frame": {"value": steps, "unit": "count/frame"},
+        "evaluate.us_p50": {"value": us, "unit": "us"},
+    }}
+
+
 def test_traced_summary_pairs_each_per_layer_metric(bench_pairs):
-    def traced(steps, us):
-        return {"correct": True, "attempted": 10, "failed": 0, "metrics": {
-            "evaluate.temporal_steps_per_frame": {"value": steps, "unit": "count/frame"},
-            "evaluate.us_p50": {"value": us, "unit": "us"},
-        }}
-    record = {"w": {"parent": traced(23.783333, 55.25851), "change": traced(5.0, 30.1)}}
+    # A record with one traced run per side holds that result alone.
+    record = {"w": {"parent": _traced(23.783333, 55.25851), "change": _traced(5.0, 30.1)}}
     metrics = ["evaluate.temporal_steps_per_frame", "evaluate.us_p50"]
     assert bench_pairs.summarize_traced(record, metrics) == {"w": {
         "evaluate.temporal_steps_per_frame": {"parent": 23.7833, "change": 5.0},
@@ -75,6 +78,16 @@ def test_traced_summary_reproduces_each_committed_bench_record(bench_pairs, path
     benchmark = json.loads((REPO / "BENCHMARK.json").read_text())
     metrics = [m["name"] for m in benchmark["per_layer"]]
     assert bench_pairs.summarize_traced(record["traced"], metrics) == record["traced_summary"]
+
+
+def test_traced_summary_takes_each_sides_median(bench_pairs):
+    record = {"w": {"parent": [_traced(5.0, 31.0), _traced(5.0, 44.4), _traced(5.0, 30.12345)],
+                    "change": [_traced(4.0, 29.0), _traced(4.0, 28.0), _traced(4.0, 35.0)]}}
+    metrics = ["evaluate.temporal_steps_per_frame", "evaluate.us_p50"]
+    assert bench_pairs.summarize_traced(record, metrics) == {"w": {
+        "evaluate.temporal_steps_per_frame": {"parent": 5.0, "change": 4.0},
+        "evaluate.us_p50": {"parent": 31.0, "change": 29.0},
+    }}
 
 
 # --- failed runs ---------------------------------------------------------------
@@ -144,3 +157,29 @@ def test_the_record_keeps_every_run_and_each_failed_attempt(bench_pairs, monkeyp
         (0, "parent"), (0, "change"), (1, "change"), (1, "parent")]
     assert record["summary"]["w"]["runs"] == {"parent": 10, "change": 10}
     assert [(f["tree"], f["exit_code"]) for f in record["failed_attempts"]] == [("change", 1)]
+
+
+def test_traced_runs_alternate_in_three_pairs_and_are_all_kept(bench_pairs, monkeypatch,
+                                                              tmp_path):
+    per_layer = [m["name"] for m in json.loads((REPO / "BENCHMARK.json").read_text())["per_layer"]]
+
+    def traced(value):
+        return {"correct": True, "attempted": 10, "failed": 0,
+                "metrics": {name: {"value": value, "unit": ""} for name in per_layer}}
+    outcomes = [_printed(_result(100 + i, 0.1, 20)) for i in range(20)]
+    outcomes += [_printed(traced(us)) for us in (30.0, 20.0, 21.0, 31.0, 32.0, 22.0)]
+    commands = _stub_runs(monkeypatch, bench_pairs, outcomes)
+    out = tmp_path / "BENCH.json"
+    monkeypatch.setattr(bench_pairs.sys, "argv", [
+        "bench_pairs.py", "--parent", str(tmp_path / "parent"), "--change",
+        str(tmp_path / "change"), "--out", str(out), "--workloads", "w", "--traced-seconds", "8"])
+    assert bench_pairs.main() == 0
+    record = json.loads(out.read_text())
+    traced = commands[20:]
+    assert [tree for tree, _ in traced] == ["parent", "change", "change", "parent", "parent",
+                                            "change"]
+    assert all(cmd[-4:] == ["--seconds", "8", "--trace", "1"] for _, cmd in traced)
+    assert {side: [run["metrics"]["evaluate.us_p50"]["value"] for run in runs]
+            for side, runs in record["traced"]["w"].items()} == {
+        "parent": [30.0, 31.0, 32.0], "change": [20.0, 21.0, 22.0]}
+    assert record["traced_summary"]["w"]["evaluate.us_p50"] == {"parent": 31.0, "change": 21.0}

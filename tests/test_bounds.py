@@ -4,7 +4,7 @@ import pytest
 
 from percemon.errors import ContractViolation
 from percemon.stql import ast as A
-from percemon.stql.bounds import FrameBounds, compute_bounds
+from percemon.stql.bounds import FrameBounds, bare, compute_bounds
 from percemon.stql.builtins import phi1, phi2, probe
 from percemon.stql.desugar import desugar
 from percemon.stql.parser import parse
@@ -44,11 +44,20 @@ CASES = [
     ("pin (_, f) { once (f - C_FRAME < 4 and true) }", (3, 0)),
     ("pin (_, f) { holds (f - C_FRAME < 6 implies true) }", (5, 0)),
     ("pin (_, f) { holds ((f - C_FRAME < 6 and prev true) implies true) }", (6, 0)),
+    # guards seen through a pin that nothing reads, and through not not
+    ("forall {b} @ pin (_, f) { always (pin (_, g) { C_FRAME - f <= 5 } implies prob(b) > 0.6) }",
+     (0, 5)),
+    ("forall {b} @ pin (_, f) { pin (_, g) { always (C_FRAME - f <= 5 implies prob(b) > 0.6) } }",
+     (0, 5)),
+    ("pin (_, f) { once (not not pin (s, _) { f - C_FRAME <= 2 } and true) }", (2, 0)),
     # guards that must not be recognized
     ("pin (_, f) { true until (f - C_FRAME <= 3 and true) }", (0, None)),
     ("pin (_, f) { true since (C_FRAME - f <= 3 and true) }", (None, 0)),
     ("pin (x, _) { always (C_TIME - x <= 3.0 implies true) }", (0, None)),
     ("pin (_, f) { always (C_FRAME - f <= 3 or true) }", (0, None)),
+    # a pin whose variable is read hides the guard
+    ("pin (_, f) { always (pin (_, g) { C_FRAME - f <= 3 and C_FRAME - g <= 0 } implies true) }",
+     (0, None)),
     ("always true", (0, None)),
     ("once true", (None, 0)),
 ]
@@ -63,6 +72,22 @@ def test_builtins_need_one_frame_of_history():
     for formula in (phi1(), phi2()):
         bounds = compute_bounds(desugar(formula))
         assert (bounds.history, bounds.horizon) == (1, 0)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("not not prob(a) > 0.5", "prob(a) > 0.5"),
+    ("not not not prob(a) > 0.5", "not prob(a) > 0.5"),
+    ("not not not not prob(a) > 0.5", "prob(a) > 0.5"),
+    ("pin (s, g) { prob(a) > 0.5 }", "prob(a) > 0.5"),
+    ("not pin (_, g) { not pin (s, _) { prob(a) > 0.5 } }", "prob(a) > 0.5"),
+    ("not pin (_, g) { not not prob(a) > 0.5 }", "not prob(a) > 0.5"),
+    # A pin whose time or frame variable is read stays, and so does its body.
+    ("pin (_, g) { C_FRAME - g <= 1 }", "pin (_, g) { C_FRAME - g <= 1 }"),
+    ("not not pin (s, g) { not not C_TIME - s < 1.0 }", "pin (s, g) { not not C_TIME - s < 1.0 }"),
+    ("not (prob(a) > 0.5 or not not true)", "not (prob(a) > 0.5 or not not true)"),
+])
+def test_bare_strips_only_the_wrappers_that_change_nothing(text, expected):
+    assert bare(desugar(parse(text))) == desugar(parse(expected))
 
 
 def test_probe_is_memoryless():

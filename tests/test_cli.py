@@ -515,6 +515,30 @@ def test_monitor_stdin_matches_run(runner, tmp_path):
     assert verdict_values(online.stdout) == verdict_values(offline.stdout)
 
 
+@pytest.mark.parametrize("spec", [
+    "forall {b} @ pin (_, f) { always (pin (_, g) { C_FRAME - f <= 5 } implies prob(b) > 0.6) }",
+    "forall {b} @ pin (_, f) { pin (_, g) { always (C_FRAME - f <= 5 implies prob(b) > 0.6) } }",
+])
+def test_guard_under_an_unread_pin_bounds_the_window(runner, tmp_path, spec):
+    spec_file = tmp_path / "spec.stql"
+    spec_file.write_text(spec + "\n")
+    checked = invoke(runner, "check", "--spec", str(spec_file))
+    assert checked.exit_code == 0
+    lines = checked.stdout.splitlines()
+    assert "history=0 horizon=5" in lines
+    assert "temporal: 0 closed summaries, 1 per-id summary over {b}, 0 scans" in lines
+    # The monitor needs no --max-horizon and gives the offline verdicts.
+    payload = gen_lines(runner, "--conf-dip-prob", "0.3")
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(payload)
+    offline = invoke(runner, "run", "--spec", str(spec_file), "--trace", str(trace))
+    online = invoke(runner, "monitor", "--spec", str(spec_file), "--input", "-", input=payload)
+    assert online.exit_code == 0
+    assert online.stderr == ""
+    assert verdict_values(online.stdout) == verdict_values(offline.stdout)
+    assert {value for _, value in verdict_values(online.stdout)} == {True, False}
+
+
 def test_monitor_unbounded_spec_requires_override(runner, tmp_path):
     spec = tmp_path / "liveness.pmspec"
     spec.write_text("true until (exists {a} @ (prob(a) > 0.5))\n")
@@ -647,9 +671,12 @@ def test_log_level_env_mapping(monkeypatch):
     (["bench", "--spec", "builtin:phi1", "--objects", "a,b"], "--objects"),
     (["run", "--spec", "builtin:phi1", "--trace", "no/such/trace.jsonl"], "no/such/trace.jsonl"),
     (["run", "--spec", "builtin:phi1", "--trace", str(Path(__file__).parent)], "directory"),
+    (["check", "--spec", "builtin:phi3"], "unknown builtin specification 'builtin:phi3'"),
+    (["monitor", "--spec", "probe:foo"], "unknown probe specification 'probe:foo'"),
+    (["gen", "--frames", "-1", "--objects", "2"], "frames and objects must be non-negative"),
 ], ids=["missing-spec", "frames-not-an-int", "unknown-option", "unknown-command", "no-command",
         "param-without-value", "param-not-a-number", "objects-not-ints", "missing-trace",
-        "trace-is-a-directory"])
+        "trace-is-a-directory", "unknown-builtin", "unknown-probe", "negative-frames"])
 def test_usage_errors_exit_1_with_one_error_line(runner, args, names):
     result = invoke(runner, *args)
     assert result.exit_code == 1
@@ -715,15 +742,17 @@ def test_deeply_nested_spec_is_a_diagnostic_not_a_crash(runner, tmp_path, comman
 
 # --- output into a closed pipe -------------------------------------------------
 
-@pytest.mark.parametrize("command", ["monitor", "run"])
+@pytest.mark.parametrize("command", ["monitor", "run", "gen"])
 def test_closed_pipe_exits_quietly(tmp_path, command):
-    # Far more verdicts than a pipe buffers, so writes hit the closed pipe.
+    # Far more lines than a pipe buffers, so writes hit the closed pipe.
     trace = tmp_path / "trace.jsonl"
     frames = generate_frames(GenConfig(frames=4000, objects=3, seed=5))
     trace.write_text("".join(serialize_frame(f) + "\n" for f in frames))
-    flag = "--input" if command == "monitor" else "--trace"
+    args = {"monitor": ["--spec", "builtin:phi1", "--input", str(trace)],
+            "run": ["--spec", "builtin:phi1", "--trace", str(trace)],
+            "gen": ["--frames", "4000", "--objects", "3", "--seed", "5"]}[command]
     proc = subprocess.Popen(
-        [sys.executable, "-m", "percemon.cli", command, "--spec", "builtin:phi1", flag, str(trace)],
+        [sys.executable, "-m", "percemon.cli", command, *args],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=SRC_ENV,
     )
     first = proc.stdout.readline()

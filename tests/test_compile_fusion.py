@@ -6,8 +6,9 @@ into one conjunction of the negated parts, ``not not a`` into ``a`` and
 and ``exists {v} @ (v == w and ...)`` into one lookup of ``w``'s id. These
 tests check that the fused program means the same as the syntax tree: the
 same verdicts on rewritten but equivalent trees, the same errors, the same
-evaluation order and the same quantifier work, and that a lookup agrees
-with the enumeration it replaces.
+evaluation order and the same quantifier work, that the window analysis
+and the compiler decide the same for them, and that a lookup agrees with
+the enumeration it replaces.
 """
 
 import itertools
@@ -19,16 +20,19 @@ import pytest
 from percemon import spatial
 from percemon.errors import ContractViolation
 from percemon.evaluate import (EMPTY_ENV, Env, EvalContext, EvalStats, describe_quantifiers,
-                               evaluate, evaluate_trace)
+                               describe_spatial, describe_temporal, evaluate, evaluate_trace)
 from percemon.generator import GenConfig, generate_frames
 from percemon.monitor import Monitor, run_monitor
 from percemon.stql import ast as A
+from percemon.stql.bounds import compute_bounds
 from percemon.stql.builtins import phi1, phi2
 from percemon.stql.desugar import desugar
 from percemon.stql.parser import parse
+from percemon.stql.printer import format_formula
 from percemon.trace import BoundingBox, DetectedObject, make_frame
 
 from randgen import FormulaGen, random_trace
+from test_guarded_summaries import _summarized
 
 _OPPOSITE_ID = {A.IdEq: A.IdNeq, A.IdNeq: A.IdEq}
 
@@ -91,6 +95,28 @@ def test_equivalent_trees_give_the_same_verdicts(seed):
             assert variant_stats == stats, (phi, variant)
     assert changed > 100  # most trees have something to rewrite
     assert pinned > 50
+
+
+def _decisions(core):
+    """What the compiler decides for ``core``: its window and how each
+    temporal operator, spatial term and quantifier runs."""
+    return (compute_bounds(core).describe(), describe_temporal(core), describe_spatial(core),
+            describe_quantifiers(core))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_equivalent_trees_compile_to_the_same_decisions(seed):
+    # The window analysis and the compiler read every shape through the same
+    # wrappers, so no rewrite moves the window, a summary, a box term or a lookup.
+    rng = random.Random(seed)
+    gen = FormulaGen(rng, max_depth=5, allow_sugar=True)
+    cores = [desugar(gen.formula()) for _ in range(100)]
+    cores += [desugar(parse(_summarized(rng))) for _ in range(100)]
+    for core in cores:
+        decisions = _decisions(core)
+        for _ in range(3):
+            variant = scramble(core, rng)
+            assert _decisions(variant) == decisions, (format_formula(core), format_formula(variant))
 
 
 def _frame_with(*objects):

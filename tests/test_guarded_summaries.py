@@ -219,6 +219,27 @@ def test_a_guard_no_frame_meets_gives_the_empty_witness_range(spec, verdict):
     _check_every_path(formula, _streams())
 
 
+# The guard, or the whole idiom, under a pin that nothing reads or under
+# ``not not``: the window analysis and the idiom recognizer both see
+# through it.
+@pytest.mark.parametrize("spec, window", [
+    ("forall {b} @ pin (_, f) { always (pin (_, g) { C_FRAME - f <= 5 } implies prob(b) > 0.6) }",
+     (0, 5)),
+    ("forall {b} @ pin (_, f) { pin (_, g) { always (C_FRAME - f <= 5 implies prob(b) > 0.6) } }",
+     (0, 5)),
+    ("exists {b} @ pin (_, f) { not not once (not not (f - C_FRAME < 3) and prob(b) > 0.7) }",
+     (2, 0)),
+])
+def test_idioms_under_unread_pins_take_a_summary(spec, window):
+    formula = parse(spec)
+    assert describe_temporal(desugar(formula)) == \
+        "temporal: 0 closed summaries, 1 per-id summary over {b}, 0 scans"
+    # No override is needed: the guard bounds the window.
+    monitor = Monitor(formula)
+    assert (monitor.history, monitor.horizon) == window
+    _check_every_path(formula, _streams())
+
+
 def test_a_query_reaching_below_an_entry_seeds_a_new_one():
     # Near the end of the trace the idiom's window is clipped: the queries at
     # 4, 3 and 2 end at frame 5, where the entry seeded by the query at 5

@@ -184,6 +184,47 @@ def test_unlocated_ingest_error_message_is_unchanged():
     assert str(info.value) == "invalid field 'bbox': inverted box [5.0, 5.0, 1.0, 1.0]"
 
 
+BBOX_MESSAGE = "invalid field 'bbox': expected [xmin, ymin, xmax, ymax]"
+NOT_AN_OBJECT = "invalid field 'objects': each object must be a JSON object"
+
+
+# Each rejection of the JSON shape of ``objects``. Within an object the bbox
+# is checked first, then id, class and prob are looked up in that order.
+@pytest.mark.parametrize("objects, error, message", [
+    ('{"id":1}', InvalidField, "invalid field 'objects': expected a list"),
+    ('"car"', InvalidField, "invalid field 'objects': expected a list"),
+    ("[1]", InvalidField, NOT_AN_OBJECT),
+    ('[{"id":1,"class":"car","prob":0.5,"bbox":[0,0,5,5]}, []]', InvalidField, NOT_AN_OBJECT),
+    ('[{"id":1,"class":"car","prob":0.5}]', MissingField, "missing required field 'bbox'"),
+    ('[{"id":1,"class":"car","prob":0.5,"bbox":[0,0,5]}]', InvalidField, BBOX_MESSAGE),
+    ('[{"id":1,"class":"car","prob":0.5,"bbox":[0,0,5,5,5]}]', InvalidField, BBOX_MESSAGE),
+    ('[{"id":1,"class":"car","prob":0.5,"bbox":{"xmin":0}}]', InvalidField, BBOX_MESSAGE),
+    ('[{"id":1,"class":"car","prob":0.5,"bbox":"0,0,5,5"}]', InvalidField, BBOX_MESSAGE),
+    ('[{"class":"car","prob":0.5,"bbox":[0,0,5,5]}]', MissingField, "missing required field 'id'"),
+    ('[{"id":1,"prob":0.5,"bbox":[0,0,5,5]}]', MissingField, "missing required field 'class'"),
+    ('[{"id":1,"class":"car","bbox":[0,0,5,5]}]', MissingField, "missing required field 'prob'"),
+    # The documented order: bbox, then id, class, prob.
+    ("[{}]", MissingField, "missing required field 'bbox'"),
+    ('[{"bbox":[0,0,5]}]', InvalidField, BBOX_MESSAGE),
+    ('[{"bbox":[0,0,5,5]}]', MissingField, "missing required field 'id'"),
+    ('[{"bbox":[0,0,5,5],"prob":0.5}]', MissingField, "missing required field 'id'"),
+    ('[{"bbox":[0,0,5,5],"id":1}]', MissingField, "missing required field 'class'"),
+    ('[{"bbox":[0,0,5,5],"id":1,"class":"car"}]', MissingField, "missing required field 'prob'"),
+])
+def test_object_shape_rejections_name_the_field_and_the_line(objects, error, message):
+    with pytest.raises(IngestError) as info:
+        parse_frame(_record(0, objects=objects))
+    assert type(info.value) is error
+    assert str(info.value) == message
+    # Through ``read_stream`` the same error names its input line.
+    frames = read_stream([_record(0), _record(1, objects=objects)])
+    assert next(frames).frame_number == 0
+    with pytest.raises(IngestError) as info:
+        next(frames)
+    assert type(info.value) is error
+    assert (info.value.line, str(info.value)) == (2, f"line 2: {message}")
+
+
 def _count_boxes(monkeypatch) -> list:
     built = []
     original = BoundingBox.__init__
