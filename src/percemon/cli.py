@@ -17,12 +17,11 @@ import functools
 import logging
 import os
 import sys
-import time
 
 from . import __version__
 from .errors import ContractViolation, IngestError, PercemonError
-from .evaluate import EvalContext, describe_quantifiers, describe_spatial, describe_temporal, evaluate
-from .monitor import Monitor, MonitorConfig, Verdict
+from .evaluate import describe_quantifiers, describe_spatial, describe_temporal
+from .monitor import Monitor, MonitorConfig, Verdict, run_monitor
 from .stql.bindings import require_bindings
 from .stql.bounds import compute_bounds
 from .stql.builtins import resolve_spec
@@ -124,20 +123,16 @@ def check(spec: str, params: list[tuple[str, float]]) -> None:
 
 @_guarded
 def run(spec: str, trace_path: str, params: list[tuple[str, float]]) -> None:
-    """Offline-evaluate a specification over a recorded trace."""
+    """Evaluate a specification over a recorded trace, each verdict seeing the whole trace."""
     _, formula = _checked_spec(spec, dict(params))
-    core = desugar(formula)
     # All or nothing: the whole trace is read and checked before any verdict.
     with open(trace_path, "rb") as fp:
         frames = list(read_stream(fp))
-    # Every verdict sees the whole trace, so the window start never moves and
-    # one table of temporal summaries serves all of them.
-    summaries: dict = {}
-    for index, frame in enumerate(frames):
-        started = time.perf_counter_ns()
-        value = evaluate(core, EvalContext(frames, index, summaries=summaries))
-        elapsed = time.perf_counter_ns() - started
-        _emit_verdict(Verdict(frame.frame_number, frame.timestamp, bool(value), elapsed))
+    # A monitor whose window is the whole trace: every verdict sees every
+    # frame, so the window start never moves and one summary table serves all.
+    whole = MonitorConfig(max_history=len(frames), max_horizon=len(frames))
+    for verdict in run_monitor(formula, frames, whole):
+        _emit_verdict(verdict)
 
 
 @_guarded

@@ -1,7 +1,8 @@
-"""Reference Boolean evaluation of core formulas over finite traces.
+"""Boolean evaluation of core formulas over finite traces.
 
-This is the offline semantics used directly by ``run`` and as the oracle
-for the online monitor. A formula is compiled once into a tree of
+This is the offline semantics: ``evaluate_trace`` gives the verdict of
+every frame of a trace, and the online monitor runs the same programs over
+its window. A formula is compiled once into a tree of
 closures, one per node or fused group of nodes (see below), each holding
 the semantic clause of its node kind; ``evaluate`` looks up the compiled
 program of the formula object and calls it.
@@ -38,14 +39,14 @@ walk back from there, about the whole trace per id offline, where the scan
 forward from the evaluated frame often stops at once. The truncated-window
 semantics are unchanged: a witness outside the window does not count.
 
-An ``EvalContext`` may carry the table of these entries together with the
-window's stream offset; the monitor keeps one for the life of a stream and
-trims it to each window (``trim_summaries``), so each verdict costs one
-step per summarized node and id tuple however long the window is. A new
-entry is seeded by the plain scan back from the frame it is first needed
-at, so a new track costs what the scan would. Without a table, each
-``evaluate`` call uses a table of its own, which is the same code run from
-scratch.
+An ``EvalContext`` carries the table of these entries together with the
+window's stream offset. One table serves one stream: ``evaluate_trace``
+shares one across its verdicts, and the monitor keeps one for the life of
+a stream and trims it as its window moves (``trim_summaries``), so each
+verdict costs one step per summarized node and id tuple however long the
+window is. A new entry is seeded by the plain scan back from the frame it
+is first needed at, so a new track costs what the scan would. A context
+built without a table gets an empty one of its own.
 
 The propositional core is fused as it is compiled, so a desugared ``and``
 costs one node rather than four:
@@ -174,8 +175,8 @@ class EvalContext:
     closed nodes have the empty tuple. The caller owns it and passes it
     again with every later window of that stream, whose start may only
     move forward, and may drop what the window no longer needs with
-    ``trim_summaries``. With None, ``evaluate`` uses a table for that call
-    alone.
+    ``trim_summaries``. With None, the context gets an empty table of its
+    own.
     """
 
     __slots__ = ("trace", "index", "stats", "offset", "summaries")
@@ -196,7 +197,7 @@ class EvalContext:
         self.index = index
         self.stats = stats
         self.offset = offset
-        self.summaries = summaries
+        self.summaries = {} if summaries is None else summaries
 
     def at(self, index: int) -> "EvalContext":
         """The same trace at another index; the caller has bound-checked it."""
@@ -1085,8 +1086,7 @@ def evaluate(phi: A.Formula, ctx: EvalContext, env: Env = EMPTY_ENV) -> bool:
     calls with the same formula object. A variable that ``phi`` reads but
     neither it nor ``env`` binds raises ``ContractViolation`` before any
     frame is evaluated; a closed formula is checked once, at compile time.
-    Without a summary table in ``ctx`` the call uses one of its own,
-    computed from the window start.
+    The temporal summaries are read from and added to ``ctx.summaries``.
     """
     entry = _programs.get(id(phi))
     if entry is None:
@@ -1096,8 +1096,6 @@ def evaluate(phi: A.Formula, ctx: EvalContext, env: Env = EMPTY_ENV) -> bool:
         entry = _programs[id(phi)] = (phi, program, unbound_reads(phi))
     if entry[2]:
         _require_bound(entry[2], env)
-    if ctx.summaries is None:
-        ctx = EvalContext(ctx.trace, ctx.index, ctx.stats, ctx.offset, {})
     return entry[1](ctx, env)
 
 
@@ -1115,16 +1113,16 @@ def evaluate_trace(
     are read). With ``history``/``horizon`` set, each index is evaluated
     over its clipped window only (mirroring what a bounded online monitor
     sees); with both None the whole trace is visible from every index.
+    Window starts never move backwards, so one summary table serves every
+    verdict, and a window that is the whole trace is ``frames`` itself.
     """
     frames = list(frames)
     n = len(frames)
+    summaries: dict = {}
     out: list[bool] = []
     for i in range(n):
-        if history is None and horizon is None:
-            ctx = EvalContext(frames, i, stats)
-        else:
-            lo = 0 if history is None else max(0, i - history)
-            hi = n - 1 if horizon is None else min(n - 1, i + horizon)
-            ctx = EvalContext(frames[lo : hi + 1], i - lo, stats)
-        out.append(evaluate(phi, ctx))
+        lo = 0 if history is None else max(0, i - history)
+        hi = n - 1 if horizon is None else min(n - 1, i + horizon)
+        window = frames if hi - lo == n - 1 else frames[lo : hi + 1]
+        out.append(evaluate(phi, EvalContext(window, i - lo, stats, lo, summaries)))
     return out

@@ -104,7 +104,7 @@ class Monitor:
         self.capacity = self.history + self.horizon + 1
         self.stats = EvalStats()
         # Per-node, per-id temporal summaries, carried from verdict to
-        # verdict and trimmed to each window (see ``evaluate``).
+        # verdict and trimmed as the window start moves (see ``evaluate``).
         self._summaries: dict = {}
         self._buffer: list[Frame] = []
         self._base = 0          # stream index of the oldest buffered frame
@@ -113,10 +113,12 @@ class Monitor:
         self._flushed = False
 
     def _evict(self, start: int) -> None:
-        """Drop the buffered frames before stream index ``start``."""
+        """Drop the buffered frames before stream index ``start`` and trim the
+        summaries to it; a window that never moves is never trimmed."""
         if start > self._base:
             del self._buffer[: start - self._base]
             self._base = start
+            trim_summaries(self._summaries, start)
 
     def _emit(self, index: int) -> Verdict:
         # The verdict window is exactly [index - history, index + horizon],
@@ -129,7 +131,6 @@ class Monitor:
         self._evict(index - self.history)
         start, window = self._base, self._buffer
         rel = index - start
-        trim_summaries(self._summaries, start)
         started = time.perf_counter_ns()
         ctx = EvalContext(window, rel, self.stats, offset=start, summaries=self._summaries)
         value = evaluate(self.formula, ctx)

@@ -41,12 +41,15 @@ from randgen import (
     rasterize,
     term_region,
 )
+from reference import reference_trace
 from test_bounds import CASES as BOUNDS_CASES
+from test_guarded_summaries import WINDOWS
 from test_printer import CORPUS as SYNTAX_CORPUS
 
 
 def test_criterion_1_online_offline_equivalence():
-    """Monitor verdicts equal the offline oracle on randomized formulas and traces."""
+    """Monitor and offline verdicts equal the definitional reference on
+    randomized formulas and traces, over the whole trace and clipped windows."""
     rng = random.Random(0xC0FFEE)
     gen = FormulaGen(rng, max_depth=4, allow_sugar=False)
     cases = 1000
@@ -55,18 +58,27 @@ def test_criterion_1_online_offline_equivalence():
         formula = gen.formula()
         trace = random_trace(rng, max_frames=20, max_objects=5)
         window = len(trace)
+        where = f"case {case} diverged for {format_formula(formula)} on {len(trace)} frames"
+        expected = reference_trace(formula, trace)
         online = [
             v.value
             for v in run_monitor(formula, trace,
                                  MonitorConfig(max_history=window, max_horizon=window))
         ]
-        offline = evaluate_trace(formula, trace)
-        assert online == offline, (
-            f"case {case} diverged for {format_formula(formula)} on {len(trace)} frames"
-        )
+        assert online == expected, where
+        assert evaluate_trace(formula, trace) == expected, where
+        for history, horizon in WINDOWS:
+            config = MonitorConfig(max_history=history, max_horizon=horizon)
+            monitor = Monitor(formula, config)
+            expected = reference_trace(formula, trace, monitor.history, monitor.horizon)
+            assert evaluate_trace(formula, trace, monitor.history, monitor.horizon) == expected, \
+                (where, history, horizon)
+            assert [v.value for v in run_monitor(formula, trace, config)] == expected, \
+                (where, history, horizon)
     elapsed = time.monotonic() - started
     assert elapsed < 60, f"equivalence sweep took {elapsed:.1f}s, budget is 60s"
-    print(f"\nACCEPTANCE 1 PASS: {cases} online/offline equivalence cases in {elapsed:.1f}s")
+    print(f"\nACCEPTANCE 1 PASS: {cases} online/offline/reference equivalence cases, "
+          f"{1 + len(WINDOWS)} windows each, in {elapsed:.1f}s")
 
 
 def test_criterion_2_quantifier_blowup_trend():

@@ -21,6 +21,9 @@ from percemon.monitor import Verdict, run_monitor
 from percemon.trace import read_stream, serialize_frame
 
 
+HOLDS_WINDOW = Path(__file__).resolve().parent.parent / "perfbench" / "specs" / "holds_window.stql"
+
+
 def invoke(runner, *args, **kwargs):
     return runner(list(args), **kwargs)
 
@@ -414,12 +417,36 @@ def test_run_matches_offline_evaluator_on_closed_past_specs(runner, tmp_path, sp
     assert [v for _, v in verdict_values(result.stdout)] == expected
 
 
-def test_run_empty_trace_produces_no_output(runner, tmp_path):
+# ``holds_window.stql`` has an unbounded history; an empty trace is a
+# whole-trace window of no frames.
+@pytest.mark.parametrize("spec", ["builtin:phi1", str(HOLDS_WINDOW)], ids=["phi1", "holds-window"])
+def test_run_empty_trace_produces_no_output(runner, tmp_path, spec):
     trace = tmp_path / "empty.jsonl"
     trace.write_text("")
-    result = invoke(runner, "run", "--spec", "builtin:phi1", "--trace", str(trace))
+    result = invoke(runner, "run", "--spec", spec, "--trace", str(trace))
+    assert (result.exit_code, result.stdout, result.stderr) == (0, "", "")
+
+
+def test_run_reports_a_spec_error_before_a_missing_trace(runner, tmp_path):
+    spec = tmp_path / "broken.pmspec"
+    spec.write_text("prob(id1) > 0.5\n")
+    result = invoke(runner, "run", "--spec", str(spec), "--trace", "no/such/trace.jsonl")
+    assert result.exit_code == 1
+    assert "id1" in result.stderr
+    assert "no/such/trace.jsonl" not in result.stderr
+    assert result.stdout == ""
+
+
+def test_run_needs_no_override_for_an_unbounded_history(runner, tmp_path):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(invoke(runner, "gen", "--frames", "60", "--objects", "3", "--seed", "7",
+                            "--drop-prob", "0.05", "--conf-dip-prob", "0.05").stdout)
+    result = invoke(runner, "run", "--spec", str(HOLDS_WINDOW), "--trace", str(trace))
     assert result.exit_code == 0
-    assert result.stdout.strip() == ""
+    frames = list(read_stream(trace.read_bytes().splitlines()))
+    expected = evaluate_trace(desugar(parse(HOLDS_WINDOW.read_text())), frames)
+    assert verdict_values(result.stdout) == [(f.frame_number, v) for f, v in zip(frames, expected)]
+    assert not all(expected) and any(expected)
 
 
 def test_run_rejects_malformed_trace(runner, tmp_path):

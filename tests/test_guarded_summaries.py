@@ -1,13 +1,14 @@
-"""Frame-guarded pin idioms and per-id summaries against the offline evaluator.
+"""Frame-guarded pin idioms and per-id summaries against the reference.
 
 ``pin (_, f) { always (C_FRAME - f <= k implies p) }`` and ``pin (_, f) {
 once (f - C_FRAME < k and p) }`` compile to one bounded-window node over
 ``p``; when ``p`` reads its object variables only through id-resolved atoms,
 that node, like any such ``since``, keeps one summary per tuple of bound ids.
-Every path must give the verdicts of the plain scans: the monitor (flush and
-an ingest error included), the shared table of ``run`` and ``evaluate``
-without a table. The scans themselves are the evaluator with the idiom
-recognizer and the summaries switched off.
+Every path must give the verdicts of the definitional reference
+(``reference.reference_trace``), which scans every operator and keeps no
+summary: ``evaluate_trace`` over the whole trace and over clipped windows,
+with one table for all verdicts, the monitor (flush and an ingest error
+included) and the command line.
 """
 
 import importlib
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from percemon.evaluate import EvalContext, describe_temporal, evaluate, evaluate_trace
+from percemon.evaluate import describe_temporal, evaluate_trace
 from percemon.generator import GenConfig, generate_frames
 from percemon.monitor import Monitor, MonitorConfig, run_monitor
 from percemon.stql.builtins import resolve_spec
@@ -27,8 +28,11 @@ from percemon.stql.parser import parse
 from percemon.stql.printer import format_formula
 from percemon.trace import BoundingBox, DetectedObject, make_frame, serialize_frame
 
+from reference import reference_trace
+
 # ``percemon.evaluate`` is re-exported as the function; this is the module.
 evaluate_mod = importlib.import_module("percemon.evaluate")
+monitor_mod = importlib.import_module("percemon.monitor")
 
 HOLDS_WINDOW = Path(__file__).resolve().parent.parent / "perfbench" / "specs" / "holds_window.stql"
 CLASSES = ("car", "pedestrian", "cyclist")
@@ -143,52 +147,23 @@ FALLBACKS = {
 ONE_SCAN = "temporal: 0 closed summaries, 0 per-id summaries, 1 scan"
 
 
-def _scans(phi, frames, history=None, horizon=None):
-    """``evaluate_trace`` with the idiom node and every summary switched off."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(evaluate_mod, "_guarded_idiom", lambda freeze: None)
-        patch.setattr(evaluate_mod, "_summary_ids", lambda parts: None)
-        patch.setattr(evaluate_mod, "_programs", {})
-        return evaluate_trace(phi, frames, history, horizon)
-
-
-def _run_shared_table(core, frames):
-    """What ``percemon run`` does: one table for every verdict over the whole trace."""
-    summaries: dict = {}
-    return [evaluate(core, EvalContext(frames, i, summaries=summaries)) for i in range(len(frames))]
-
-
-def _sliding_shared_table(core, frames, history, horizon):
-    """The windows of ``evaluate_trace`` with one table shared by all, never trimmed."""
-    summaries: dict = {}
-    out = []
-    for i in range(len(frames)):
-        lo, hi = max(0, i - history), min(len(frames) - 1, i + horizon)
-        ctx = EvalContext(frames[lo : hi + 1], i - lo, offset=lo, summaries=summaries)
-        out.append(evaluate(core, ctx))
-    return out
-
-
 def _check_every_path(formula, streams):
     core = desugar(formula)
     for frames in streams:
-        # ``evaluate_trace`` calls ``evaluate`` with no table.
-        whole = evaluate_trace(core, frames)
-        assert whole == _scans(core, frames), format_formula(formula)
-        assert _run_shared_table(core, frames) == whole
+        assert evaluate_trace(core, frames) == reference_trace(core, frames), \
+            format_formula(formula)
         for history, horizon in WINDOWS:
             config = MonitorConfig(max_history=history, max_horizon=horizon)
             monitor = Monitor(formula, config)
+            expected = reference_trace(monitor.formula, frames, monitor.history, monitor.horizon)
             offline = evaluate_trace(monitor.formula, frames, monitor.history, monitor.horizon)
-            assert offline == _scans(monitor.formula, frames, monitor.history, monitor.horizon)
+            assert offline == expected, (format_formula(formula), history, horizon)
             online = [v.value for v in run_monitor(formula, frames, config)]
-            assert online == offline, (format_formula(formula), history, horizon)
-            assert _sliding_shared_table(monitor.formula, frames, monitor.history,
-                                         monitor.horizon) == offline
+            assert online == expected, (format_formula(formula), history, horizon)
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_summarized_shapes_match_the_scans(seed):
+def test_summarized_shapes_match_the_reference(seed):
     rng = random.Random(9100 + seed)
     streams = _streams()
     for _ in range(10):
@@ -253,7 +228,7 @@ def test_a_query_reaching_below_an_entry_seeds_a_new_one():
         "(forall {b} @ pin (_, f) { always (C_FRAME - f <= 3 implies prob(b) > 0.6) }) "
         "since (exists {c} @ prob(c) < 0.5)"))
     expected = [False] * 6
-    assert _scans(core, frames) == expected
+    assert reference_trace(core, frames) == expected
     assert evaluate_trace(core, frames) == expected
 
 
@@ -292,15 +267,21 @@ def test_cli_paths_match_the_offline_verdicts(runner, tmp_path, spec):
         evaluate_trace(core, frames[:20], monitor.history, monitor.horizon)
 
 
-def test_summary_table_stays_within_the_ids_in_the_window():
-    # Every frame brings a fresh id; each id lives for three frames.
+def _fresh_ids(count, confidence):
+    """Every frame brings a fresh id; each id lives for three frames."""
     box = BoundingBox(10.0, 10.0, 50.0, 50.0)
-    frames = [
-        make_frame(i, i / 10, 800.0, 600.0,
-                   [DetectedObject(j, "car", 0.5 if j % 4 == 0 else 0.9, box)
-                    for j in range(max(0, i - 2), i + 1)])
-        for i in range(10_000)
-    ]
+    return [make_frame(i, i / 10, 800.0, 600.0,
+                       [DetectedObject(j, "car", confidence(j), box)
+                        for j in range(max(0, i - 2), i + 1)])
+            for i in range(count)]
+
+
+def _low_every_fourth(object_id):
+    return 0.5 if object_id % 4 == 0 else 0.9
+
+
+def test_summary_table_stays_within_the_ids_in_the_window():
+    frames = _fresh_ids(10_000, _low_every_fourth)
     formula = parse(HOLDS_WINDOW.read_text())
     monitor = Monitor(formula, MonitorConfig(max_history=50))
     # One closed summary (the holds) and one per-id summary (the idiom).
@@ -321,6 +302,34 @@ def test_summary_table_stays_within_the_ids_in_the_window():
     tail = frames[-300:]
     assert [v.value for v in verdicts[-240:]] == evaluate_trace(
         monitor.formula, tail, monitor.history, monitor.horizon)[-240:]
+
+
+def _trims(formula, frames, config):
+    """The monitor's verdicts and how many times it trims its summary table."""
+    calls = []
+    trim = monitor_mod.trim_summaries
+
+    def counted(summaries, start):
+        calls.append(start)
+        trim(summaries, start)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(monitor_mod, "trim_summaries", counted)
+        verdicts = run_monitor(formula, frames, config)
+    return [v.value for v in verdicts], len(calls)
+
+
+def test_a_window_that_never_moves_is_never_trimmed():
+    # The table is trimmed when the window start moves, at most once per
+    # verdict; a whole-trace window never moves, so it is never trimmed.
+    frames = _fresh_ids(1000, _low_every_fourth)
+    formula = parse(HOLDS_WINDOW.read_text())
+    whole = MonitorConfig(max_history=len(frames), max_horizon=len(frames))
+    verdicts, trims = _trims(formula, frames, whole)
+    assert trims == 0
+    assert verdicts == evaluate_trace(desugar(formula), frames)
+    verdicts, trims = _trims(formula, frames, MonitorConfig(max_history=50))
+    assert 0 < trims <= len(verdicts) == len(frames)
 
 
 # --- traced counts -------------------------------------------------------------
@@ -365,29 +374,38 @@ def test_holds_window_costs_about_one_step_per_object_per_frame():
     config = MonitorConfig(max_history=200)
     verdicts, counts = _counted(str(HOLDS_WINDOW), frames, config)
     monitor = Monitor(resolve_spec(str(HOLDS_WINDOW))[1], config)
-    assert verdicts == _scans(monitor.formula, frames, monitor.history, monitor.horizon)
+    assert verdicts == reference_trace(monitor.formula, frames, monitor.history, monitor.horizon)
     # The scan took 1296 steps here; quantifiers are untouched.
     assert counts["steps"] <= (COUNTED_STREAM.objects + 3) * len(frames)
     assert (counts["assignments"], counts["calls"]) == (584, 160)
 
 
 def test_unguarded_eventually_offline_costs_one_step_per_object_per_frame():
-    # Every frame brings a fresh id, which lives for three frames and meets
-    # the operand wherever it is seen. The scan from each frame stops there.
-    # A latest-witness entry would be seeded by walking back from the last
-    # frame of the trace to the id's last frame: about the whole trace per id
-    # in the shared table of ``run``, and per call without a table.
-    box = BoundingBox(10.0, 10.0, 50.0, 50.0)
-    frames = [make_frame(i, i / 10, 800.0, 600.0,
-                         [DetectedObject(j, "car", 0.9, box) for j in range(max(0, i - 2), i + 1)])
-              for i in range(600)]
-    core = desugar(parse("exists {b} @ eventually prob(b) > 0.5"))
-    with _counting() as shared:
-        assert _run_shared_table(core, frames) == [True] * len(frames)
-    with _counting() as alone:
-        assert evaluate_trace(core, frames) == [True] * len(frames)
-    assert shared["steps"] <= 3 * len(frames)
-    assert alone["steps"] <= 3 * len(frames)
+    # Every fresh id meets the operand wherever it is seen, so the scan from
+    # each frame stops there. A latest-witness entry would be seeded by
+    # walking back from the last frame of the trace to the id's last frame:
+    # about the whole trace per id in the shared table.
+    frames = _fresh_ids(600, lambda object_id: 0.9)
+    formula = parse("exists {b} @ eventually prob(b) > 0.5")
+    whole = MonitorConfig(max_history=len(frames), max_horizon=len(frames))
+    with _counting() as offline:
+        assert evaluate_trace(desugar(formula), frames) == [True] * len(frames)
+    with _counting() as run:
+        assert [v.value for v in run_monitor(formula, frames, whole)] == [True] * len(frames)
+    assert offline["steps"] <= 3 * len(frames)
+    assert run["steps"] <= 3 * len(frames)
+
+
+def test_a_closed_holds_offline_costs_one_step_per_frame():
+    # One summary table serves every verdict of ``evaluate_trace``: each
+    # verdict extends the closed entry by one frame. A table per verdict
+    # would seed it by a scan back over every frame where the body held.
+    frames = list(generate_frames(GenConfig(frames=600, objects=3, seed=7)))
+    core = desugar(parse("holds (exists {a} @ prob(a) > 0.05)"))
+    with _counting() as counts:
+        verdicts = evaluate_trace(core, frames)
+    assert verdicts == reference_trace(core, frames)
+    assert counts["steps"] <= 2 * len(frames)
 
 
 @pytest.mark.parametrize("spec, steps, assignments, calls", [
