@@ -2,10 +2,10 @@
 
 This is the offline semantics: ``evaluate_trace`` gives the verdict of
 every frame of a trace, and the online monitor runs the same programs over
-its window. A formula is compiled once into a tree of
-closures, one per node or fused group of nodes (see below), each holding
-the semantic clause of its node kind; ``evaluate`` looks up the compiled
-program of the formula object and calls it.
+its window. A formula is compiled once into a tree of closures, one per
+node or fused group of nodes (see below), each holding the semantic clause
+of its node kind; ``evaluate`` looks up the compiled program of the
+formula object and calls it.
 
 Every ``until`` and ``since`` compiles to one node (``_temporal``): ``lhs
 until/since R``, with the witness at most a reach of frames away,
