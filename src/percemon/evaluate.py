@@ -2,23 +2,45 @@
 
 This is the offline semantics: ``evaluate_trace`` gives the verdict of
 every frame of a trace, and the online monitor runs the same programs over
-its window. A formula is compiled once into a tree of closures, one per
-node or fused group of nodes (see below), each holding the semantic clause
-of its node kind; ``evaluate`` looks up the compiled program of the
-formula object and calls it.
+its window. A formula is compiled once into the source of one Python
+program, which ``compile`` and ``exec`` build, and ``evaluate`` looks up
+the program of the formula object and calls it.
 
-Every ``until`` and ``since`` compiles to one node (``_temporal``): ``lhs
-until/since R``, with the witness at most a reach of frames away,
-optionally negated. At frame i a witness is a frame where R holds, with
-``lhs`` at every frame from i up to and including it, within the visible
-trace and the reach. A plain ``until``/``since`` has an unbounded reach. A
-pin that only a frame-distance guard reads, over ``until``/``since`` with a
-true left operand, is the guarded idiom of ``always (C_FRAME - f <= k
-implies p)`` and ``once (f - C_FRAME < k and p)``: it is the same node with
-the guard's reach and the rest of R, with no pin left (see
-``_guarded_idiom``). A pin that nothing below it reads compiles to its body.
-The idiom, the true left operand and R's conjuncts are read through
-``bounds.bare``, as the window analysis reads them.
+The program is straight-line code. Captured objects and the pins that are
+read are Python locals; an ``or`` chain, however associated, and the
+conjunction ``not (a or b or ...)`` that ``and`` and a ``forall`` body
+desugar to are Python's own short-circuit ``or`` and ``and`` over their
+flattened parts, evaluated left to right. The parts are read through
+``bounds.bare``, as the window analysis reads them: ``not not a`` is
+``a``, a pin that nothing below it reads is its body, and ``not (x ==
+y)``/``not (x != y)`` are ``x != y``/``x == y``. No other atom has an
+exact complement (``prob``/``class`` atoms are false when the id is
+absent, ratio atoms when the denominator is zero), so any other ``not``
+stays a ``not``.
+
+Each enumerating quantifier, each scanned ``until``/``since`` and each
+operand of a summarized one is a top-level function of the program, named
+after its node kind and compile order (``exists_3``, ``since_rhs_7``) and
+passed the captured objects and pins it reads. So is an expression that
+would nest deeper than CPython's parser allows (``part_N``, ``region_N``).
+The source is registered with ``linecache`` as ``<percemon program N>``,
+so tracebacks, ``pdb`` and ``cProfile`` show the generated lines and
+functions.
+
+The program calls ``quantifier_assignments``, ``EvalContext.at`` and the
+public ``spatial`` functions where the semantics needs them, looked up at
+call time through their module or class, so that the layers can be wrapped
+from outside.
+
+Every ``until`` and ``since`` is one node: ``lhs until/since R``, with the
+witness at most a reach of frames away, optionally negated. At frame i a
+witness is a frame where R holds, with ``lhs`` at every frame from i up to
+and including it, within the visible trace and the reach. A plain
+``until``/``since`` has an unbounded reach. A pin that only a
+frame-distance guard reads, over ``until``/``since`` with a true left
+operand, is the guarded idiom of ``always (C_FRAME - f <= k implies p)``
+and ``once (f - C_FRAME < k and p)``: it is the same node with the guard's
+reach and the rest of R, with no pin left (see ``_guarded_idiom``).
 
 The node scans the frames within reach in its operator's order, unless it
 is a ``since`` or a guarded idiom whose operands allow a summary: they hold
@@ -48,35 +70,14 @@ window is. A new entry is seeded by the plain scan back from the frame it
 is first needed at, so a new track costs what the scan would. A context
 built without a table gets an empty one of its own.
 
-The propositional core is fused as it is compiled, so a desugared ``and``
-costs one node rather than four:
-
-* a chain of ``or``, however associated, is one node over its flattened
-  disjuncts, evaluated left to right up to the first true one;
-* ``not (a or b or ...)``, which is what ``and`` and the body of a
-  ``forall`` desugar to, is one conjunction of the negated disjuncts,
-  evaluated left to right up to the first false one;
-* ``not not a`` is ``a`` (``bounds.bare``), and ``not (x == y)``/``not
-  (x != y)`` are ``x != y``/``x == y``. No other atom has an exact complement
-  (``prob``/``class`` atoms are false when the id is absent, ratio atoms
-  when the denominator is zero), so any other ``not`` stays a node;
-* a pin that nothing below it reads is its body (``bounds.bare``), so
-  both chains flatten through it, as ``not pin (_, f) { a or b }`` in the
-  body of ``phi1``'s ``forall`` does;
-* an id comparison at the head of such a chain, as in ``id1 == id2 and
-  ...`` or ``id1 == id2 implies ...``, is no node of its own: the chain
-  node compares the two captured ids itself (``_id_head``);
-* a one-variable quantifier whose body is such a chain, comparing the
-  quantified variable with one bound outside, runs that comparison
-  itself. ``exists {v} @ (v == w and rest)`` (``phi1``'s inner ``exists``)
-  and its ``forall`` duals ``forall {v} @ (v != w or p)`` and ``forall {v}
-  @ (v == w implies p)`` are one lookup of ``w``'s id in the frame
-  (``_lookup``): the frame's objects are keyed by id, so the object with
-  that id, if present, is the only assignment the comparison does not
-  settle to false, and ``rest`` runs on it alone. Any other such
-  quantifier (``phi2``'s ``v != w or rest``) enumerates every assignment,
-  reads the outer id once and runs the rest of the chain only for the
-  assignments the comparison does not settle.
+A one-variable ``exists {v} @ (v == w and rest)``, ``w`` bound outside, and
+its ``forall`` duals ``forall {v} @ (v != w or p)`` and ``forall {v} @ (v
+== w implies p)`` are one lookup of ``w``'s id in the frame (``lookup_N``):
+the frame's objects are keyed by id, so the object with that id, if
+present, is the only assignment the comparison does not settle to false,
+and ``rest`` runs on it alone. It counts as one assignment in
+``EvalStats`` and calls no ``quantifier_assignments``. Any other
+quantifier enumerates every assignment.
 
 A spatial term built only from ``bbox``, ``universe`` and ``&`` is at most
 one rectangle. Such a box term compiles to one ``spatial.box_meet`` call,
@@ -84,12 +85,6 @@ which returns the clipped intersection as a box or None; its area is one
 product and ``nonempty`` a None test, bit for bit what the ``Region``
 operations give. Terms with ``~``, ``|`` or ``empty`` run through the
 ``Region`` algebra.
-
-Evaluation order, short-circuiting, errors and every temporal step are
-those of the unfused tree, and so is every quantifier assignment that is
-enumerated. A lookup binds one object instead of enumerating the frame; it
-counts as one assignment in ``EvalStats`` and calls no
-``quantifier_assignments``.
 
 Conventions for finite traces and partial data:
 
@@ -99,9 +94,9 @@ Conventions for finite traces and partial data:
   quantifier is evaluated. Each bound variable captures the object
   snapshot (id, class, confidence, box) from that frame; tuples may repeat
   objects. A quantifier that enumerates evaluates every assignment (an
-  order-independent fold, no early exit, each one bound in place), so its
-  cost scales with the domain, as the ``probe`` specs measure; an id
-  lookup costs one dict probe and the body on at most one object.
+  order-independent fold, no early exit), so its cost scales with the
+  domain, as the ``probe`` specs measure; an id lookup costs one dict probe
+  and the body on at most one object.
 * ``class``/``prob`` atoms re-resolve the captured id in the frame where
   the atom is evaluated, so they track the object through time; if the id
   is absent there, the atom is false. Box-derived atoms (``bbox``,
@@ -118,6 +113,7 @@ Conventions for finite traces and partial data:
 from __future__ import annotations
 
 import itertools
+import linecache
 import logging
 import math
 import sys
@@ -225,42 +221,150 @@ def quantifier_assignments(
     return itertools.product(frame.objects.values(), repeat=len(variables))
 
 
-def _coordinate(axis: A.Axis, ref: A.ReferencePoint) -> Callable[[BoundingBox], float]:
-    """The ``axis`` coordinate of a box's named reference point, as a function."""
-    if axis is A.Axis.LAT:
-        if ref is A.ReferencePoint.LM:
-            return lambda box: box.xmin
-        if ref is A.ReferencePoint.RM:
-            return lambda box: box.xmax
-        return lambda box: (box.xmin + box.xmax) / 2.0
-    if ref is A.ReferencePoint.TM:
-        return lambda box: box.ymin
-    if ref is A.ReferencePoint.BM:
-        return lambda box: box.ymax
-    return lambda box: (box.ymin + box.ymax) / 2.0
+def _coordinate(axis: A.Axis, ref: A.ReferencePoint) -> tuple[str, ...]:
+    """The box fields whose mean is the ``axis`` coordinate of a named
+    reference point: one edge, or both for the midpoint."""
+    low, high = ("xmin", "xmax") if axis is A.Axis.LAT else ("ymin", "ymax")
+    if ref is (A.ReferencePoint.LM if axis is A.Axis.LAT else A.ReferencePoint.TM):
+        return (low,)
+    if ref is (A.ReferencePoint.RM if axis is A.Axis.LAT else A.ReferencePoint.BM):
+        return (high,)
+    return low, high
 
 
 def ref_point(box: BoundingBox, ref: A.ReferencePoint) -> tuple[float, float]:
     """Coordinates of a named reference point of a box."""
-    return _coordinate(A.Axis.LAT, ref)(box), _coordinate(A.Axis.LON, ref)(box)
+    def coordinate(axis: A.Axis) -> float:
+        values = [getattr(box, field) for field in _coordinate(axis, ref)]
+        return values[0] if len(values) == 1 else (values[0] + values[1]) / 2.0
+    return coordinate(A.Axis.LAT), coordinate(A.Axis.LON)
+
+
+# The ``Env`` map that binds each kind of variable.
+_ENV_MAPS = {OBJECT: "objects", TIME: "time_pins", FRAME: "frame_pins"}
 
 
 def _require_bound(reads: list[tuple[str, str]], env: Env) -> None:
     """Raise for the first of ``reads`` (``bindings.unbound_reads`` of the
     evaluated node) that ``env`` does not bind in its kind."""
-    bound = {OBJECT: env.objects, TIME: env.time_pins, FRAME: env.frame_pins}
     for name, kind in reads:
-        if name not in bound[kind]:
+        if name not in getattr(env, _ENV_MAPS[kind]):
             raise ContractViolation(f"{kind} variable {name!r} is unbound; run check_bindings first")
 
 
+# CPython rejects more than 200 nested parentheses; an expression more than
+# this many formula or term levels deep is split into a function of its own.
+_MAX_DEPTH = 40
+# The reach of an unguarded ``until``/``since``: past the end of any window.
+_UNBOUNDED = sys.maxsize
+
+
+class _Function:
+    """One generated function: its name, fixed parameters, the locals it
+    reads from its caller (``captured``, passed after the fixed ones),
+    the object ids of those it reads (``hoisted``), and its root scope.
+    ``head`` lines come first; ``env`` names the locals an operand function
+    unpacks from its ``env`` argument instead of taking them as
+    parameters."""
+
+    def __init__(self, name: str, params: tuple[str, ...]):
+        self.name = name
+        self.params = params
+        self.captured: list[str] = []
+        self.hoisted: dict[str, str] = {}
+        self.head: list[str] = []
+        self.env: list[str] | None = None
+        self.trace = False
+        self.root: _Scope
+
+
+class _Scope:
+    """A frame in a generated function: the local names of its context and
+    index, and of its frame and universe, which are bound only if read.
+    A root scope reads its index from the function's ``ctx``."""
+
+    __slots__ = ("fn", "ctx", "n", "root", "reads")
+
+    def __init__(self, fn: _Function, ctx: str, n: int, root: bool):
+        self.fn, self.ctx, self.n, self.root = fn, ctx, n, root
+        self.reads: set[str] = set()
+
+    def index(self) -> str:
+        self.reads.add("index")
+        return f"i_{self.n}"
+
+    def frame(self) -> str:
+        self.index()
+        self.fn.trace = True
+        self.reads.add("frame")
+        return f"frame_{self.n}"
+
+    def universe(self) -> str:
+        self.frame()
+        self.reads.add("universe")
+        return f"universe_{self.n}"
+
+    def binds(self) -> list[tuple[str, str]]:
+        """(local, value) for each name read, in binding order."""
+        out = []
+        if self.root and "index" in self.reads:
+            out.append((f"i_{self.n}", f"{self.ctx}.index"))
+        if "frame" in self.reads:
+            out.append((f"frame_{self.n}", f"trace[i_{self.n}]"))
+        if "universe" in self.reads:
+            out.append((f"universe_{self.n}", f"_c.universe(frame_{self.n})"))
+        return out
+
+    def walrus(self) -> list[str]:
+        """The binds as operands of an ``and`` chain, each true."""
+        return [f"({name} := {value}) is not None" for name, value in self.binds()]
+
+
+def _join(parts: list[str], op: str) -> str:
+    return parts[0] if len(parts) == 1 else "(" + f" {op} ".join(parts) + ")"
+
+
+def _tuple(items: list[str]) -> str:
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+
+def _head_id_test(part: A.Formula) -> A.IdEq | A.IdNeq | None:
+    """The id comparison a bare chain part is, or None: ``not (x != y)`` is
+    ``x == y`` and ``not (x == y)`` is ``x != y``."""
+    kind = type(part)
+    if kind is A.IdEq or kind is A.IdNeq:
+        return part
+    if kind is A.Not and type(part.child) in (A.IdEq, A.IdNeq):
+        return (A.IdNeq if type(part.child) is A.IdEq else A.IdEq)(part.child.lhs, part.child.rhs)
+    return None
+
+
+def _lookup(variables: tuple[str, ...], parts: list[A.Formula] | None):
+    """The outer variable ``w`` and the rest of the chain, for ``exists {v} @
+    (v == w and rest)`` with the body's conjuncts ``parts``, or None for any
+    other quantifier (``parts`` is None for a body that is no conjunction).
+
+    A frame's objects are keyed by id, so the one assignment the head
+    comparison does not settle to false is the object with ``w``'s id, if
+    the frame holds it. The ``forall`` duals ``forall {v} @ (v != w or p)``
+    and ``forall {v} @ (v == w implies p)`` desugar to this shape.
+    """
+    if len(variables) != 1 or parts is None or len(parts) < 2:
+        return None
+    test, var = _head_id_test(parts[0]), variables[0]
+    if type(test) is not A.IdEq or (test.lhs == var) == (test.rhs == var):
+        return None
+    return (test.rhs if test.lhs == var else test.lhs), parts[1:]
+
+
 class _Compiler:
-    """Builds the closure tree of one formula and owns its per-program state:
-    warn-once messages and the universe of the last image extent. ``plan``
-    lists, per ``until``/``since`` and guarded idiom in compile order, the
-    variables its summary is keyed by, or None for a scan; ``box_terms``
-    lists, per spatial term of an atom, whether it takes the box path;
-    ``lookups``, per quantifier, whether it is an id lookup."""
+    """Emits the program of one formula and owns its per-program state:
+    warn-once messages and the universe of the last image extent, which the
+    program reads as ``_c``. ``plan`` lists, per ``until``/``since`` and
+    guarded idiom in compile order, the variables its summary is keyed by,
+    or None for a scan; ``box_terms`` lists, per spatial term of an atom,
+    whether it takes the box path; ``lookups``, per quantifier, whether it
+    is an id lookup."""
 
     def __init__(self) -> None:
         self.warned: set[str] = set()
@@ -268,46 +372,19 @@ class _Compiler:
         self.box_terms: list[bool] = []
         self.lookups: list[bool] = []
         self.last_universe: Universe | None = None
+        self.functions: list[str] = []
+        self.constants: dict[str, object] = {}
+        # The function that binds each local name a variable maps to.
+        self.owner: dict[str, _Function] = {}
+        self.count = itertools.count(1)
 
-    def universe(self, ctx: EvalContext) -> Universe:
-        """The current frame's universe. A stream keeps its image extent, so
-        one universe serves every spatial atom until the extent changes."""
-        frame = ctx.trace[ctx.index]
+    def universe(self, frame: Frame) -> Universe:
+        """The frame's universe. A stream keeps its image extent, so one
+        universe serves every spatial atom until the extent changes."""
         universe = self.last_universe
         if universe is None or universe.width != frame.width or universe.height != frame.height:
             universe = self.last_universe = Universe(frame.width, frame.height)
         return universe
-
-    def formula(self, phi: A.Formula) -> Check:
-        return _check(self.part(phi))
-
-    def part(self, phi: A.Formula) -> Part:
-        """``phi`` as a part of an ``or``/``and`` chain: a check, or an
-        ``IdEq``/``IdNeq`` node, kept as data for the chain to test inline."""
-        build = _FORMULA_BUILDERS.get(type(phi))
-        if build is None:
-            raise ContractViolation(f"evaluator needs a desugared formula, got {type(phi).__name__}")
-        return build(self, phi)
-
-    def measure(self, term: A.SpatialTerm, area: bool) -> Measure:
-        """The area of ``term`` in a universe, or whether it is nonempty.
-
-        A term of boxes, the universe and ``&`` alone takes the box path
-        (``_box_measure``); any other goes through its ``Region``."""
-        variables = _box_variables(term)
-        self.box_terms.append(variables is not None)
-        if variables is not None:
-            return _box_measure(variables, area)
-        region = self.term(term)
-        if area:
-            return lambda universe, env: spatial.area(region(universe, env))
-        return lambda universe, env: not spatial.is_empty(region(universe, env))
-
-    def term(self, term: A.SpatialTerm) -> Term:
-        build = _TERM_BUILDERS.get(type(term))
-        if build is None:
-            raise ContractViolation(f"evaluator needs a core spatial term, got {type(term).__name__}")
-        return build(self, term)
 
     def ratio_rhs_ok(self, value: float, what: str) -> bool:
         if value == 0:
@@ -322,112 +399,400 @@ class _Compiler:
             return False
         return True
 
+    # --- functions and names ---------------------------------------------------
 
-# --- propositional and temporal core ----------------------------------------
+    def source(self, emit: Callable[[_Scope, dict], str], reads: list[tuple[str, str]]) -> str:
+        """The program: ``program(ctx, env)`` returns ``emit``'s expression
+        with the variables ``reads`` lists (``bindings.unbound_reads``) taken
+        from ``env``; the functions it calls come before it."""
+        fn = self.function("program", ("ctx", "env"))
+        names: dict[tuple[str, str], str] = {}
+        for var, kind in reads:
+            fn.head.append(f"{self.bind(names, var, kind, fn)} = env.{_ENV_MAPS[kind]}[{var!r}]")
+        self.finish(fn, [f"return {emit(fn.root, names)}"])
+        return "\n\n".join(self.functions) + "\n"
 
-def _true(c: _Compiler, phi: A.TrueConst) -> Check:
-    def check(ctx: EvalContext, env: Env) -> bool:
-        return True
-    return check
+    def function(self, kind: str, params: tuple[str, ...] = ("ctx",)) -> _Function:
+        n = next(self.count)
+        fn = _Function(kind if kind == "program" else f"{kind}_{n}", params)
+        fn.root = self.scope(fn, "ctx", n, root=True)
+        return fn
 
+    def scope(self, fn: _Function, ctx: str, n: int, root: bool = False) -> _Scope:
+        self.owner[f"i_{n}"] = fn
+        return _Scope(fn, ctx, n, root)
 
-# Id comparisons reach the chain builders as their syntax nodes, so that a
-# chain can test one at its head itself.
-_ID_TESTS = (A.IdEq, A.IdNeq)
+    def finish(self, fn: _Function, body: list[str], early: list[str] = ()) -> None:
+        """Add ``fn`` to the program: its prologue binds what the body reads,
+        with ``early`` before the universe."""
+        lines = list(fn.head)
+        if fn.env:
+            lines.append(f"{', '.join(fn.env)} = env")
+        if fn.trace:
+            lines.append("trace = ctx.trace")
+        binds = [f"{name} = {value}" for name, value in fn.root.binds()]
+        universe = [binds.pop()] if "universe" in fn.root.reads else []
+        lines += binds + list(early) + universe
+        lines += [f"{hoisted} = {local}.object_id" for local, hoisted in fn.hoisted.items()]
+        params = fn.params if fn.env is not None else fn.params + tuple(fn.captured)
+        self.functions.append(f"def {fn.name}({', '.join(params)}):\n"
+                              + "".join(f"    {line}\n" for line in lines + body))
 
+    def call(self, fn: _Function, s: _Scope) -> str:
+        args = [s.ctx] + [self.use(local, s.fn) for local in fn.captured]
+        return f"{fn.name}({', '.join(args)})"
 
-def _check(part: Part) -> Check:
-    # A lone id comparison is the chain ``test or false``.
-    return _id_head(part, _false, stop=True) if type(part) in _ID_TESTS else part
+    def bind(self, names: dict, var: str, kind: str, fn: _Function) -> str:
+        """A new local for ``var`` as a ``kind`` variable bound in ``fn``."""
+        stem = var if var.isascii() and var.isidentifier() else "v"
+        local = names[var, kind] = f"{stem}_{next(self.count)}"
+        self.owner[local] = fn
+        return local
 
+    def use(self, local: str, fn: _Function) -> str:
+        """``local`` read in ``fn``: a parameter of ``fn`` unless ``fn`` binds it."""
+        if self.owner[local] is not fn and local not in fn.captured:
+            fn.captured.append(local)
+        return local
 
-def _false(ctx: EvalContext, env: Env) -> bool:
-    return False
+    def read(self, names: dict, var: str, kind: str, s: _Scope) -> str:
+        return self.use(names[var, kind], s.fn)
 
+    def object_id(self, names: dict, var: str, s: _Scope) -> str:
+        """The id of ``var``'s object; read once per call when it is captured."""
+        local = self.read(names, var, OBJECT, s)
+        if self.owner[local] is s.fn:
+            return f"{local}.object_id"
+        return s.fn.hoisted.setdefault(local, f"{local}_id")
 
-def _id_head(test: A.IdEq | A.IdNeq, rest: Check, stop: bool) -> Check:
-    """``test or rest`` (``stop`` True) or ``test and rest`` (False): the
-    ids are compared inline and ``rest`` runs only if they do not settle it.
+    def temp(self, stem: str) -> str:
+        return f"{stem}_{next(self.count)}"
 
-    The closure keeps (test, rest, stop) as ``id_head``, so that a
-    quantifier over its body can run the comparison in its own fold."""
-    lhs, rhs = test.lhs, test.rhs
-    settles_on_equal = (type(test) is A.IdEq) == stop
+    def const(self, value) -> str:
+        if type(value) in (int, float, str) and (type(value) is str or math.isfinite(value)):
+            return repr(value)
+        name = self.temp("k")
+        self.constants[name] = value
+        return name
 
-    def check(ctx: EvalContext, env: Env) -> bool:
-        objects = env.objects
-        if (objects[lhs].object_id == objects[rhs].object_id) is settles_on_equal:
-            return stop
-        return rest(ctx, env)
-    check.id_head = (test, rest, stop)
-    return check
+    # --- propositional and temporal core ------------------------------------------
 
+    def formula(self, phi: A.Formula, s: _Scope, names: dict, depth: int = 0) -> str:
+        """A Python expression for the value of ``phi`` in scope ``s``."""
+        if depth > _MAX_DEPTH:
+            fn = self.function("part")
+            self.finish(fn, [f"return {self.formula(phi, fn.root, names)}"])
+            return self.call(fn, s)
+        emit = _FORMULA_EMITTERS.get(type(phi))
+        if emit is None:
+            raise ContractViolation(f"evaluator needs a desugared formula, got {type(phi).__name__}")
+        return emit(self, phi, s, names, depth + 1)
 
-def _chain(parts: list[Part], stop: bool) -> Part:
-    """Left to right, stopping at the first part whose value is ``stop``: the
-    disjunction of ``parts`` with ``stop`` True, their conjunction with False."""
-    if len(parts) == 1:
-        return parts[0]
-    if type(parts[0]) in _ID_TESTS:
-        return _id_head(parts[0], _check(_chain(parts[1:], stop)), stop)
-    parts = [_check(part) for part in parts]
-    if len(parts) == 2:
-        # Run once per outer assignment on ``phi1`` and ``phi2``.
-        first, second = parts
-        if stop:
-            def check(ctx: EvalContext, env: Env) -> bool:
-                return first(ctx, env) or second(ctx, env)
+    def part(self, part: A.Formula, s: _Scope, names: dict, depth: int) -> str:
+        """A part of a conjunction: a ``not`` part is the negation of its child."""
+        if type(part) is not A.Not:
+            return self.formula(part, s, names, depth)
+        test = _head_id_test(part)
+        if test is not None:
+            return self.formula(test, s, names, depth)
+        return f"(not {self.formula(part.child, s, names, depth)})"
+
+    def true(self, phi: A.TrueConst, s: _Scope, names: dict, depth: int) -> str:
+        return "True"
+
+    def not_(self, phi: A.Not, s: _Scope, names: dict, depth: int) -> str:
+        return _join([self.part(part, s, names, depth) for part in conjuncts(phi)], "and")
+
+    def or_(self, phi: A.Or, s: _Scope, names: dict, depth: int) -> str:
+        return _join([self.formula(part, s, names, depth) for part in disjuncts(phi)], "or")
+
+    def step(self, phi: A.Next | A.Prev, s: _Scope, names: dict, depth: int) -> str:
+        n = next(self.count)
+        inner = self.scope(s.fn, f"c_{n}", n)
+        child = self.formula(phi.child, inner, names, depth)
+        if type(phi) is A.Next:
+            s.fn.trace = True
+            test = f"(i_{n} := {s.index()} + 1) < len(trace)"
         else:
-            def check(ctx: EvalContext, env: Env) -> bool:
-                return first(ctx, env) and second(ctx, env)
-        return check
-    parts = tuple(parts)
+            test = f"(i_{n} := {s.index()} - 1) >= 0"
+        parts = [test, f"(c_{n} := {s.ctx}.at(i_{n})) is not None", *inner.walrus()]
+        return _join(parts + ([child] if child != "True" else []), "and")
 
-    # Every compiled check returns a bool, so ``is`` compares values.
-    def check(ctx: EvalContext, env: Env) -> bool:
-        for part in parts:
-            if part(ctx, env) is stop:
-                return stop
-        return not stop
-    return check
+    def freeze(self, phi: A.Freeze, s: _Scope, names: dict, depth: int) -> str:
+        idiom = _guarded_idiom(phi)
+        if idiom is not None:
+            return self.temporal(phi, s, names, idiom)
+        used = free_variables(phi.child)
+        names = dict(names)
+        pins = []
+        if phi.frame_var is not None and phi.frame_var in used:
+            # The pinned index is the index local of this frame.
+            names[phi.frame_var, FRAME] = s.index()
+        if phi.time_var is not None and phi.time_var in used:
+            time = self.bind(names, phi.time_var, TIME, s.fn)
+            pins.append(f"({time} := {s.frame()}.timestamp) is not None")
+        return _join(pins + [self.formula(phi.child, s, names, depth)], "and")
+
+    def until_since(self, phi: A.Until | A.Since, s: _Scope, names: dict, depth: int) -> str:
+        return self.temporal(phi, s, names)
+
+    def temporal(self, node: A.Formula, s: _Scope, names: dict, idiom: tuple | None = None) -> str:
+        """``lhs until/since R``, R a conjunction of parts, with the witness at
+        most ``reach`` frames away, optionally negated.
+
+        A plain ``until``/``since`` is ``node`` itself with an unbounded reach
+        and its right operand as the only part; a guarded idiom (see
+        ``_guarded_idiom``) brings its operator, negation, reach and parts,
+        and ``node`` is its pin. At frame i the witness is a frame j in [i, i
+        + reach] for ``until``, in [i - reach, i] for ``since``, clipped to
+        the visible trace, where the parts hold together, with ``lhs`` on
+        every frame from i through j. With a summary (see ``_summary_ids``;
+        for ``until`` only with a bounded reach, i.e. a guarded idiom, whose
+        ``lhs`` is true) that is the latest witness in those frames, keyed by
+        the ids of the operands' free object variables; otherwise a function
+        scans the frames in the operator's own order.
+        """
+        op, negated, reach, parts = idiom or (node, False, _UNBOUNDED, (node.rhs,))
+        forward = type(op) is A.Until
+        kind = "until" if forward else "since"
+        lhs = None if type(bare(op.lhs)) is A.TrueConst else op.lhs
+        variables = _summary_ids((op.lhs, *parts)) if idiom or not forward else None
+        self.plan.append(variables)
+        if variables is None:
+            return self.scan(kind, lhs, parts, negated, reach, s, names)
+        objects = [self.read(names, var, OBJECT, s) for var in variables]
+        key = _tuple([str(id(node)), _tuple([self.object_id(names, var, s) for var in variables])])
+        env = "None" if not objects else objects[0] if len(objects) == 1 else _tuple(objects)
+        operands = ["None" if lhs is None else self.operand(f"{kind}_lhs", [lhs], names, objects),
+                    self.operand(f"{kind}_rhs", parts, names, objects)]
+        i, lower = s.index(), self.temp("w")
+        if forward:
+            s.fn.trace = True
+            lo, hi = i, f"min({i} + {reach!r}, len(trace) - 1)"
+        else:
+            lo, hi = "0" if reach == _UNBOUNDED else f"max({i} - {reach!r}, 0)", i
+        return (f"(_latest({s.ctx}, {env}, {key}, {', '.join(operands)}, "
+                f"({lower} := {s.ctx}.offset + {lo}), {s.ctx}.offset + {hi}) "
+                f"{'<' if negated else '>='} {lower})")
+
+    def scan(self, kind: str, lhs: A.Formula | None, parts, negated: bool, reach: int,
+             s: _Scope, names: dict) -> str:
+        fn = self.function(kind)
+        n = next(self.count)
+        here = self.scope(fn, f"c_{n}", n)
+        left = None if lhs is None else self.formula(lhs, here, names)
+        body = _join([self.formula(part, here, names) for part in parts], "and")
+        i = fn.root.index()
+        if kind == "until":
+            fn.trace = True
+            end = ("len(trace)" if reach == _UNBOUNDED
+                   else f"min({i} + {reach!r}, len(trace) - 1) + 1")
+            frames = f"range({i}, {end})"
+        else:
+            end = "-1" if reach == _UNBOUNDED else f"max({i} - {reach!r}, 0) - 1"
+            frames = f"range({i}, {end}, -1)"
+        lines = [f"for i_{n} in {frames}:", f"    c_{n} = ctx.at(i_{n})"]
+        lines += [f"    {name} = {value}" for name, value in here.binds()]
+        if left is not None:
+            lines += [f"    if not {left}:", f"        return {negated}"]
+        lines += [f"    if {body}:", f"        return {not negated}", f"return {negated}"]
+        self.finish(fn, lines)
+        return self.call(fn, s)
+
+    def operand(self, kind: str, parts, names: dict, objects: list[str]) -> str:
+        """A summary operand: a function of a context and ``env``, the
+        captured ``objects`` the summary is keyed by, for ``_latest``."""
+        fn = self.function(kind, ("ctx", "env"))
+        fn.env = objects
+        body = _join([self.formula(part, fn.root, names) for part in parts], "and")
+        self.finish(fn, [f"return {body}"])
+        return fn.name
+
+    def exists(self, phi: A.Exists, s: _Scope, names: dict, depth: int) -> str:
+        child = bare(phi.child)
+        parts = conjuncts(child) if type(child) is A.Not else None
+        lookup = _lookup(phi.variables, parts)
+        fn = self.function("lookup" if lookup else "exists")
+        frame, names = fn.root.frame(), dict(names)
+        if lookup:
+            outer, rest = lookup
+            found = self.bind(names, phi.variables[0], OBJECT, fn)
+            outer_id = self.object_id(names, outer, fn.root)
+            body = _join([self.part(part, fn.root, names, 0) for part in rest], "and")
+            self.finish(fn, [f"{found} = {frame}.objects.get({outer_id})",
+                             "if ctx.stats is not None:",
+                             "    ctx.stats.assignments += 1",
+                             f"return {found} is not None and {body}"])
+        else:
+            bound = [self.bind(names, var, OBJECT, fn) for var in phi.variables]
+            body = (_join([self.part(part, fn.root, names, 0) for part in parts], "and")
+                    if parts else self.formula(child, fn.root, names))
+            power = "" if len(bound) == 1 else f" ** {len(bound)}"
+            self.finish(fn, [
+                "result = False",
+                f"for {_tuple(bound)} in _ev.quantifier_assignments({phi.variables!r}, {frame}):",
+                f"    if {body}:",
+                "        result = True",
+                "if ctx.stats is not None:",
+                f"    ctx.stats.assignments += len(objects){power}",
+                "return result",
+            ], early=[f"objects = {frame}.objects", "if not objects:", "    return False"])
+        self.lookups.append(lookup is not None)
+        return self.call(fn, s)
+
+    # --- atoms ---------------------------------------------------------------------
+    # Each reads its captured objects and pins as plain locals: ``evaluate``
+    # checks every read is bound before the program runs (``_require_bound``).
+
+    def time_constraint(self, phi: A.TimeConstraint, s: _Scope, names: dict, depth: int) -> str:
+        pinned = self.read(names, phi.var, TIME, s)
+        return f"({pinned} - {s.frame()}.timestamp {phi.cmp.value} {self.const(phi.bound)})"
+
+    def frame_constraint(self, phi: A.FrameConstraint, s: _Scope, names: dict, depth: int) -> str:
+        pinned = self.read(names, phi.var, FRAME, s)
+        return f"({pinned} - {s.index()} {phi.cmp.value} {self.const(phi.bound)})"
+
+    def id_cmp(self, phi: A.IdEq | A.IdNeq, s: _Scope, names: dict, depth: int) -> str:
+        op = "==" if type(phi) is A.IdEq else "!="
+        return f"({self.object_id(names, phi.lhs, s)} {op} {self.object_id(names, phi.rhs, s)})"
+
+    def current(self, names: dict, var: str, s: _Scope) -> tuple[str, str]:
+        """A test that binds the object with ``var``'s id in this frame, if
+        present, and the local it is bound to."""
+        local = self.temp("x")
+        oid = self.object_id(names, var, s)
+        return f"({local} := {s.frame()}.objects.get({oid})) is not None", local
+
+    def ratio(self, lhs: str, phi, rhs: str, what: str) -> str:
+        """``lhs cmp ratio * rhs``, false on a zero ``rhs``, which is evaluated first."""
+        denominator = self.temp("r")
+        return (f"((({denominator} := {rhs}) != 0 or _c.ratio_rhs_ok({denominator}, {what!r})) "
+                f"and {lhs} {phi.cmp.value} {self.const(phi.ratio)} * {denominator})")
+
+    def class_eq_const(self, phi: A.ClassEqConst, s: _Scope, names: dict, depth: int) -> str:
+        test, obj = self.current(names, phi.var, s)
+        return f"({test} and {obj}.class_label == {self.const(phi.label)})"
+
+    def class_eq_var(self, phi: A.ClassEqVar, s: _Scope, names: dict, depth: int) -> str:
+        (lhs_test, lhs), (rhs_test, rhs) = (self.current(names, phi.lhs, s),
+                                            self.current(names, phi.rhs, s))
+        return f"({lhs_test} and {rhs_test} and {lhs}.class_label == {rhs}.class_label)"
+
+    def prob_const(self, phi: A.ProbCmpConst, s: _Scope, names: dict, depth: int) -> str:
+        test, obj = self.current(names, phi.var, s)
+        return f"({test} and {obj}.confidence {phi.cmp.value} {self.const(phi.bound)})"
+
+    def prob_ratio(self, phi: A.ProbCmpRatio, s: _Scope, names: dict, depth: int) -> str:
+        (lhs_test, lhs), (rhs_test, rhs) = (self.current(names, phi.lhs, s),
+                                            self.current(names, phi.rhs, s))
+        ratio = self.ratio(f"{lhs}.confidence", phi, f"{rhs}.confidence", f"prob({phi.rhs})")
+        return f"({lhs_test} and {rhs_test} and {ratio})"
+
+    def spatial_exists(self, phi: A.SpatialExists, s: _Scope, names: dict, depth: int) -> str:
+        return self.measure(phi.term, s, names, depth, area=False)
+
+    def area_const(self, phi: A.AreaCmpConst, s: _Scope, names: dict, depth: int) -> str:
+        area = self.measure(phi.term, s, names, depth, area=True)
+        return f"({area} {phi.cmp.value} {self.const(phi.bound)})"
+
+    def area_ratio(self, phi: A.AreaCmpRatio, s: _Scope, names: dict, depth: int) -> str:
+        lhs = self.measure(phi.lhs, s, names, depth, area=True)
+        return self.ratio(lhs, phi, self.measure(phi.rhs, s, names, depth, area=True), "area")
+
+    def offset(self, term: A.OffsetTerm, s: _Scope, names: dict) -> str:
+        return self.coordinate(f"{self.read(names, term.var, OBJECT, s)}.bbox", term.axis, term.ref)
+
+    @staticmethod
+    def coordinate(box: str, axis: A.Axis, ref: A.ReferencePoint) -> str:
+        fields = [f"{box}.{field}" for field in _coordinate(axis, ref)]
+        return fields[0] if len(fields) == 1 else f"({fields[0]} + {fields[1]}) / 2.0"
+
+    def ed(self, phi: A.EDCmp, s: _Scope, names: dict, depth: int) -> str:
+        lhs = f"{self.read(names, phi.lhs, OBJECT, s)}.bbox"
+        rhs = f"{self.read(names, phi.rhs, OBJECT, s)}.bbox"
+        dx, dy = (f"{self.coordinate(lhs, axis, phi.lhs_ref)} - "
+                  f"{self.coordinate(rhs, axis, phi.rhs_ref)}" for axis in A.Axis)
+        return f"(math.hypot({dx}, {dy}) {phi.cmp.value} {self.const(phi.bound)})"
+
+    def offset_const(self, phi: A.OffsetCmpConst, s: _Scope, names: dict, depth: int) -> str:
+        return f"({self.offset(phi.term, s, names)} {phi.cmp.value} {self.const(phi.bound)})"
+
+    def offset_ratio(self, phi: A.OffsetCmpRatio, s: _Scope, names: dict, depth: int) -> str:
+        what = f"{phi.rhs.axis.value}({phi.rhs.var})"
+        rhs = self.offset(phi.rhs, s, names)
+        return self.ratio(self.offset(phi.lhs, s, names), phi, rhs, what)
+
+    # --- spatial terms ---------------------------------------------------------------
+    # Region operations and box meets go through the public ``spatial``
+    # functions, looked up at call time, so that the layer can be wrapped from
+    # outside.
+
+    def measure(self, term: A.SpatialTerm, s: _Scope, names: dict, depth: int, area: bool) -> str:
+        """The area of ``term`` in the frame's universe, or whether it is nonempty.
+
+        A term of boxes, the universe and ``&`` alone is one
+        ``spatial.box_meet``, then a product or a None test, equal to what
+        the ``Region`` operations give; any other goes through its ``Region``."""
+        variables = _box_variables(term)
+        self.box_terms.append(variables is not None)
+        if variables is None:
+            region = self.term(term, s, names, depth)
+            return f"spatial.area({region})" if area else f"(not spatial.is_empty({region}))"
+        boxes = _tuple([f"{self.read(names, var, OBJECT, s)}.bbox" for var in variables])
+        meet = f"spatial.box_meet({boxes}, {s.universe()})"
+        if not area:
+            return f"({meet} is not None)"
+        # ``area`` of the empty region is the empty sum, 0.
+        box = self.temp("box")
+        return (f"(0 if ({box} := {meet}) is None else "
+                f"({box}.xmax - {box}.xmin) * ({box}.ymax - {box}.ymin))")
+
+    def term(self, term: A.SpatialTerm, s: _Scope, names: dict, depth: int = 0) -> str:
+        """A Python expression for the ``Region`` of ``term`` in scope ``s``."""
+        if depth > _MAX_DEPTH:
+            fn = self.function("region")
+            self.finish(fn, [f"return {self.term(term, fn.root, names)}"])
+            return self.call(fn, s)
+        kind, depth = type(term), depth + 1
+        if kind is A.EmptySet or kind is A.UniverseSet:
+            name = "empty_region" if kind is A.EmptySet else "full_region"
+            return f"spatial.{name}({s.universe()})"
+        if kind is A.BBoxOf:
+            return f"spatial.from_box({self.read(names, term.var, OBJECT, s)}.bbox, {s.universe()})"
+        if kind is A.Complement:
+            return f"spatial.complement({self.term(term.term, s, names, depth)})"
+        if kind is A.SpatialUnion or kind is A.SpatialIntersect:
+            name = "union" if kind is A.SpatialUnion else "intersect"
+            return (f"spatial.{name}({self.term(term.lhs, s, names, depth)}, "
+                    f"{self.term(term.rhs, s, names, depth)})")
+        raise ContractViolation(f"evaluator needs a core spatial term, got {kind.__name__}")
 
 
-def _not(c: _Compiler, phi: A.Not) -> Part:
-    return _chain([_negated(c, part.child) if type(part) is A.Not else c.part(part)
-                   for part in conjuncts(phi)], stop=False)
-
-
-def _negated(c: _Compiler, leaf: A.Formula) -> Part:
-    """``not leaf``, for a ``leaf`` that is neither an ``or`` nor a ``not``.
-
-    The id comparisons are each other's complement. Other atoms have none:
-    ``prob``/``class`` are false when the id is absent and a ratio atom is
-    false on a zero denominator.
-    """
-    kind = type(leaf)
-    if kind is A.IdEq or kind is A.IdNeq:
-        return (A.IdNeq if kind is A.IdEq else A.IdEq)(leaf.lhs, leaf.rhs)
-    child = c.formula(leaf)
-
-    def check(ctx: EvalContext, env: Env) -> bool:
-        return not child(ctx, env)
-    return check
-
-
-def _or(c: _Compiler, phi: A.Or) -> Part:
-    return _chain([c.part(part) for part in disjuncts(phi)], stop=True)
-
-
-def _next_prev(c: _Compiler, phi: A.Next | A.Prev) -> Check:
-    child = c.formula(phi.child)
-    step = 1 if type(phi) is A.Next else -1
-
-    def check(ctx: EvalContext, env: Env) -> bool:
-        j = ctx.index + step
-        if not 0 <= j < len(ctx.trace):
-            return False
-        return child(ctx.at(j), env)
-    return check
+_FORMULA_EMITTERS: dict[type, Callable[[_Compiler, A.Formula, _Scope, dict, int], str]] = {
+    A.TrueConst: _Compiler.true,
+    A.Not: _Compiler.not_,
+    A.Or: _Compiler.or_,
+    A.Next: _Compiler.step,
+    A.Prev: _Compiler.step,
+    A.Until: _Compiler.until_since,
+    A.Since: _Compiler.until_since,
+    A.Freeze: _Compiler.freeze,
+    A.Exists: _Compiler.exists,
+    A.TimeConstraint: _Compiler.time_constraint,
+    A.FrameConstraint: _Compiler.frame_constraint,
+    A.IdEq: _Compiler.id_cmp,
+    A.IdNeq: _Compiler.id_cmp,
+    A.ClassEqConst: _Compiler.class_eq_const,
+    A.ClassEqVar: _Compiler.class_eq_var,
+    A.ProbCmpConst: _Compiler.prob_const,
+    A.ProbCmpRatio: _Compiler.prob_ratio,
+    A.SpatialExists: _Compiler.spatial_exists,
+    A.AreaCmpConst: _Compiler.area_const,
+    A.AreaCmpRatio: _Compiler.area_ratio,
+    A.EDCmp: _Compiler.ed,
+    A.OffsetCmpConst: _Compiler.offset_const,
+    A.OffsetCmpRatio: _Compiler.offset_ratio,
+}
 
 
 _TEMPORAL = (A.Next, A.Prev, A.Until, A.Since)
@@ -458,22 +823,6 @@ def _summary_ids(parts: Sequence[A.Formula]) -> tuple[str, ...] | None:
     return tuple(sorted(free))
 
 
-def _summary_key(node: A.Formula, variables: tuple[str, ...]) -> Callable[[Env], tuple]:
-    """The table key of ``node`` under the ids the environment binds to ``variables``."""
-    node_id = id(node)
-    if not variables:
-        closed = (node_id, ())
-        return lambda env: closed
-    if len(variables) == 1:
-        var = variables[0]
-        return lambda env: (node_id, (env.objects[var].object_id,))
-
-    def key(env: Env) -> tuple:
-        objects = env.objects
-        return node_id, tuple([objects[var].object_id for var in variables])
-    return key
-
-
 class _Witnesses:
     """Summary entries of one node for one tuple of ids, at stream indices
     base, base + 1, ...
@@ -492,23 +841,26 @@ class _Witnesses:
         self.latest = [found]
 
 
-def _latest(ctx: EvalContext, env: Env, key: tuple, lhs: Check | None, rhs: Check,
+def _latest(ctx: EvalContext, env, key: tuple, lhs: Callable | None, rhs: Callable,
             lower: int, target: int) -> int:
     """The latest witness in [lower, target], or -1, from the entry under ``key``.
 
-    Stream indices; ``target`` is at most the window's end and a None
-    ``lhs`` is true. An entry that covers the query is extended to
-    ``target`` by the Havelund-Rosu recurrence, one evaluation of each
-    operand per frame. Otherwise a new one is seeded at ``target`` by the
-    scan back from it, which stops at its first decision as the plain
-    ``since`` scan does. With ``lower > target`` (a guard no frame meets)
-    the range is empty and the answer is below ``lower``.
+    Stream indices; ``target`` is at most the window's end. ``lhs`` and
+    ``rhs`` are the generated operand functions, called with a context and
+    ``env``, the captured objects the key was read from; a None ``lhs`` is
+    true. A window that starts at ``start`` extends only an entry that
+    holds a value at ``start`` or later, by the Havelund-Rosu recurrence,
+    one evaluation of each operand per frame, and only if the entry covers
+    the query. Otherwise a new one is seeded at ``target`` by the scan back
+    from it, which stops at its first decision as the plain ``since`` scan
+    does. With ``lower > target`` (a guard no frame meets) the range is
+    empty and the answer is below ``lower``.
     """
     start = ctx.offset
     summaries = ctx.summaries
     entry = summaries.get(key)
     if (entry is None or lower < entry.lower or target < entry.base
-            or entry.base + len(entry.latest) < start):
+            or entry.base + len(entry.latest) <= start):
         found = -1
         for k in range(target, lower - 1, -1):
             here = ctx.at(k - start)
@@ -532,18 +884,19 @@ def _latest(ctx: EvalContext, env: Env, key: tuple, lhs: Check | None, rhs: Chec
 def trim_summaries(summaries: dict, start: int) -> None:
     """Trim a summary table to a window that starts at stream index ``start``.
 
-    Entries that end before it are dropped: their ids have left the window,
-    or a later query seeds them afresh. The others keep the entries from
-    ``start - 1`` on, the predecessor of the first one a query can need.
+    A window that starts at ``start`` extends only an entry that holds a
+    value at ``start`` or later (``_latest``). Entries that end before it
+    are dropped: their ids have left the window, or a later query seeds
+    them afresh. The others keep their values from ``start`` on.
     """
     dead = []
     for key, entry in summaries.items():
         base, latest = entry.base, entry.latest
         if base + len(latest) <= start:
             dead.append(key)
-        elif base < start - 1:
-            del latest[: start - 1 - base]
-            entry.base = start - 1
+        elif base < start:
+            del latest[: start - base]
+            entry.base = start
     for key in dead:
         del summaries[key]
 
@@ -574,378 +927,6 @@ def _guarded_idiom(phi: A.Freeze):
     return op, negated, guard[0], guard[1]
 
 
-# The reach of an unguarded ``until``/``since``: past the end of any window.
-_UNBOUNDED = sys.maxsize
-
-
-def _temporal(c: _Compiler, node: A.Formula, idiom: tuple | None = None) -> Check:
-    """``lhs until/since R``, R a conjunction of parts, with the witness at
-    most ``reach`` frames away, optionally negated.
-
-    A plain ``until``/``since`` is ``node`` itself with an unbounded reach
-    and its right operand as the only part; a guarded idiom (see
-    ``_guarded_idiom``) brings its operator, negation, reach and parts, and
-    ``node`` is its pin. At frame i the witness is a frame j in [i, i +
-    reach] for ``until``, in [i - reach, i] for ``since``, clipped to the
-    visible trace, where the parts hold together, with ``lhs`` on every
-    frame from i through j. With a summary (see ``_summary_ids``; for
-    ``until`` only with a bounded reach, i.e. a guarded idiom, whose ``lhs``
-    is true) that is the latest witness in those frames, keyed by the ids
-    of the operands' free object variables; otherwise the frames are
-    scanned in the operator's own order.
-    """
-    op, negated, reach, parts = idiom or (node, False, _UNBOUNDED, (node.rhs,))
-    forward = type(op) is A.Until
-    true_lhs = type(bare(op.lhs)) is A.TrueConst
-    variables = _summary_ids((op.lhs, *parts)) if idiom or not forward else None
-    c.plan.append(variables)
-    lhs = None if true_lhs else c.formula(op.lhs)
-    body = _check(_chain([c.part(part) for part in parts], stop=False))
-    if variables is None:
-        def check(ctx: EvalContext, env: Env) -> bool:
-            i = ctx.index
-            if forward:
-                frames = range(i, min(i + reach, len(ctx.trace) - 1) + 1)
-            else:
-                frames = range(i, max(i - reach, 0) - 1, -1)
-            for j in frames:
-                here = ctx.at(j)
-                if lhs is not None and not lhs(here, env):
-                    return negated
-                if body(here, env):
-                    return not negated
-            return negated
-        return check
-    key = _summary_key(node, variables)
-
-    def check(ctx: EvalContext, env: Env) -> bool:
-        i, start = ctx.index, ctx.offset
-        if forward:
-            lo, hi = i, min(i + reach, len(ctx.trace) - 1)
-        else:
-            lo, hi = max(i - reach, 0), i
-        lower = start + lo
-        return (_latest(ctx, env, key(env), lhs, body, lower, start + hi) >= lower) != negated
-    return check
-
-
-def _freeze(c: _Compiler, phi: A.Freeze) -> Check:
-    idiom = _guarded_idiom(phi)
-    if idiom is not None:
-        return _temporal(c, phi, idiom)
-    child = c.formula(phi.child)
-    used = free_variables(phi.child)
-    time_var = phi.time_var if phi.time_var in used else None
-    frame_var = phi.frame_var if phi.frame_var in used else None
-    if time_var is None and frame_var is None:
-        return child
-
-    def check(ctx: EvalContext, env: Env) -> bool:
-        # Copy only the pin maps that change; the pinned values are those of
-        # the current frame.
-        time_pins, frame_pins = env.time_pins, env.frame_pins
-        if time_var is not None:
-            time_pins = {**time_pins, time_var: ctx.trace[ctx.index].timestamp}
-        if frame_var is not None:
-            frame_pins = {**frame_pins, frame_var: ctx.index}
-        return child(ctx, Env(time_pins, frame_pins, env.objects))
-    return check
-
-
-def _exists(c: _Compiler, phi: A.Exists) -> Check:
-    variables = phi.variables
-    child = c.formula(phi.child)
-    lookup = _lookup(child, variables)
-    c.lookups.append(lookup is not None)
-    if lookup is not None:
-        return lookup
-    fold, size = _fold(child, variables), len(variables)
-
-    def check(ctx: EvalContext, env: Env) -> bool:
-        frame = ctx.trace[ctx.index]
-        if not frame.objects:
-            return False
-        result = fold(ctx, env, frame)
-        if ctx.stats is not None:
-            ctx.stats.assignments += len(frame.objects) ** size
-        return result
-    return check
-
-
-def _lookup(child: Check, variables: Sequence[str]) -> Check | None:
-    """``exists {v} @ (v == w and rest)``, ``w`` bound outside, as one
-    lookup of ``w``'s id in the frame, or None for any other quantifier.
-
-    A frame's objects are keyed by id, so the one assignment the head
-    comparison does not settle to false is the object with ``w``'s id, if
-    the frame holds it; ``rest`` runs on it alone. The ``forall`` duals
-    ``forall {v} @ (v != w or p)`` and ``forall {v} @ (v == w implies p)``
-    compile to this shape. The lookup counts as one assignment.
-    """
-    test, rest, stop = getattr(child, "id_head", (None, None, None))
-    if (len(variables) != 1 or type(test) is not A.IdEq or stop
-            or (test.lhs == variables[0]) == (test.rhs == variables[0])):
-        return None
-    var = variables[0]
-    outer = test.rhs if test.lhs == var else test.lhs
-
-    def check(ctx: EvalContext, env: Env) -> bool:
-        objects = env.objects
-        obj = ctx.trace[ctx.index].objects.get(objects[outer].object_id)
-        if ctx.stats is not None:
-            ctx.stats.assignments += 1
-        if obj is None:
-            return False
-        return rest(ctx, Env(env.time_pins, env.frame_pins, {**objects, var: obj}))
-    return check
-
-
-def _fold(child: Check, variables: Sequence[str]) -> Callable[[EvalContext, Env, Frame], bool]:
-    """Whether ``child`` holds under some assignment of ``frame``'s objects
-    to ``variables``, bound in place in one copy of the captured objects.
-
-    Every assignment is enumerated, with no early exit, and the result is
-    independent of enumeration order (``_lookup`` takes ``v == w and ...``,
-    where one assignment decides). A one-variable body whose chain starts
-    with an id comparison of the variable with one bound outside
-    (``_id_head``) reads the outer id once and binds and runs the rest of
-    the chain only for the assignments the comparison does not settle.
-    """
-    if len(variables) > 1:
-        def fold(ctx: EvalContext, env: Env, frame: Frame) -> bool:
-            objects = dict(env.objects)
-            inner = Env(env.time_pins, env.frame_pins, objects)
-            result = False
-            for combo in quantifier_assignments(variables, frame):
-                objects.update(zip(variables, combo))
-                if child(ctx, inner):
-                    result = True
-            return result
-        return fold
-    var = variables[0]
-    test, rest, stop = getattr(child, "id_head", (None, None, None))
-    if test is None or (test.lhs == var) == (test.rhs == var):
-        def fold(ctx: EvalContext, env: Env, frame: Frame) -> bool:
-            objects = dict(env.objects)
-            inner = Env(env.time_pins, env.frame_pins, objects)
-            result = False
-            for (obj,) in quantifier_assignments(variables, frame):
-                objects[var] = obj
-                if child(ctx, inner):
-                    result = True
-            return result
-        return fold
-    outer = test.rhs if test.lhs == var else test.lhs
-
-    def bound(env: Env) -> tuple[dict, Env, int]:
-        objects = dict(env.objects)
-        return objects, Env(env.time_pins, env.frame_pins, objects), objects[outer].object_id
-    # One closure per outcome that settles the chain, so that the loop, run
-    # n^2 times per frame on ``phi2``, tests a plain comparison; a settled
-    # assignment's body is ``stop``. ``v == w and rest`` is ``_lookup``'s,
-    # so a chain that differing ids settle is ``v != w or rest``.
-    if (type(test) is A.IdEq) == stop:
-        def fold(ctx: EvalContext, env: Env, frame: Frame) -> bool:
-            objects, inner, outer_id = bound(env)
-            result = settled = False
-            for (obj,) in quantifier_assignments(variables, frame):
-                if obj.object_id == outer_id:
-                    settled = True
-                else:
-                    objects[var] = obj
-                    if rest(ctx, inner):
-                        result = True
-            return result or (stop and settled)
-    else:
-        def fold(ctx: EvalContext, env: Env, frame: Frame) -> bool:
-            objects, inner, outer_id = bound(env)
-            result = settled = False
-            for (obj,) in quantifier_assignments(variables, frame):
-                if obj.object_id != outer_id:
-                    settled = True
-                else:
-                    objects[var] = obj
-                    if rest(ctx, inner):
-                        result = True
-            return result or settled
-    return fold
-
-
-# --- atoms -------------------------------------------------------------------
-# Each reads its captured objects and pins with a plain ``env.objects[name]``
-# or ``env.time_pins[name]``: ``evaluate`` checks every read is bound before
-# the program runs (``_require_bound``).
-
-def _time_constraint(c: _Compiler, phi: A.TimeConstraint) -> Check:
-    var, op, bound = phi.var, phi.cmp.function, phi.bound
-
-    def check(ctx: EvalContext, env: Env) -> bool:
-        return op(env.time_pins[var] - ctx.trace[ctx.index].timestamp, bound)
-    return check
-
-
-def _frame_constraint(c: _Compiler, phi: A.FrameConstraint) -> Check:
-    var, op, bound = phi.var, phi.cmp.function, phi.bound
-
-    def check(ctx: EvalContext, env: Env) -> bool:
-        return op(env.frame_pins[var] - ctx.index, bound)
-    return check
-
-
-def _id_cmp(c: _Compiler, phi: A.IdEq | A.IdNeq) -> A.IdEq | A.IdNeq:
-    return phi
-
-
-def _class_eq_const(c: _Compiler, phi: A.ClassEqConst) -> Check:
-    var, label = phi.var, phi.label
-
-    def check(ctx: EvalContext, env: Env) -> bool:
-        current = ctx.trace[ctx.index].objects.get(env.objects[var].object_id)
-        return current is not None and current.class_label == label
-    return check
-
-
-def _class_eq_var(c: _Compiler, phi: A.ClassEqVar) -> Check:
-    lhs_var, rhs_var = phi.lhs, phi.rhs
-
-    def check(ctx: EvalContext, env: Env) -> bool:
-        objects = env.objects
-        lhs_id, rhs_id = objects[lhs_var].object_id, objects[rhs_var].object_id
-        current = ctx.trace[ctx.index].objects
-        lhs, rhs = current.get(lhs_id), current.get(rhs_id)
-        return lhs is not None and rhs is not None and lhs.class_label == rhs.class_label
-    return check
-
-
-def _prob_const(c: _Compiler, phi: A.ProbCmpConst) -> Check:
-    var, op, bound = phi.var, phi.cmp.function, phi.bound
-
-    def check(ctx: EvalContext, env: Env) -> bool:
-        current = ctx.trace[ctx.index].objects.get(env.objects[var].object_id)
-        return current is not None and op(current.confidence, bound)
-    return check
-
-
-def _prob_ratio(c: _Compiler, phi: A.ProbCmpRatio) -> Check:
-    lhs_var, rhs_var, op, ratio = phi.lhs, phi.rhs, phi.cmp.function, phi.ratio
-    what = f"prob({rhs_var})"
-    ratio_ok = c.ratio_rhs_ok
-
-    def check(ctx: EvalContext, env: Env) -> bool:
-        objects = env.objects
-        lhs_id, rhs_id = objects[lhs_var].object_id, objects[rhs_var].object_id
-        current = ctx.trace[ctx.index].objects
-        lhs, rhs = current.get(lhs_id), current.get(rhs_id)
-        if lhs is None or rhs is None:
-            return False
-        if not ratio_ok(rhs.confidence, what):
-            return False
-        return op(lhs.confidence, ratio * rhs.confidence)
-    return check
-
-
-def _spatial_exists(c: _Compiler, phi: A.SpatialExists) -> Check:
-    nonempty, universe = c.measure(phi.term, area=False), c.universe
-
-    def check(ctx: EvalContext, env: Env) -> bool:
-        return nonempty(universe(ctx), env)
-    return check
-
-
-def _area_const(c: _Compiler, phi: A.AreaCmpConst) -> Check:
-    area, op, bound = c.measure(phi.term, area=True), phi.cmp.function, phi.bound
-    universe = c.universe
-
-    def check(ctx: EvalContext, env: Env) -> bool:
-        return op(area(universe(ctx), env), bound)
-    return check
-
-
-def _area_ratio(c: _Compiler, phi: A.AreaCmpRatio) -> Check:
-    lhs, rhs = c.measure(phi.lhs, area=True), c.measure(phi.rhs, area=True)
-    op, ratio = phi.cmp.function, phi.ratio
-    ratio_ok, universe_of = c.ratio_rhs_ok, c.universe
-
-    def check(ctx: EvalContext, env: Env) -> bool:
-        universe = universe_of(ctx)
-        rhs_area = rhs(universe, env)
-        if not ratio_ok(rhs_area, "area"):
-            return False
-        return op(lhs(universe, env), ratio * rhs_area)
-    return check
-
-
-def _ed(c: _Compiler, phi: A.EDCmp) -> Check:
-    lhs, lhs_ref, rhs, rhs_ref = phi.lhs, phi.lhs_ref, phi.rhs, phi.rhs_ref
-    op, bound = phi.cmp.function, phi.bound
-    lhs_x, lhs_y = _coordinate(A.Axis.LAT, lhs_ref), _coordinate(A.Axis.LON, lhs_ref)
-    rhs_x, rhs_y = _coordinate(A.Axis.LAT, rhs_ref), _coordinate(A.Axis.LON, rhs_ref)
-
-    def check(ctx: EvalContext, env: Env) -> bool:
-        objects = env.objects
-        lhs_box, rhs_box = objects[lhs].bbox, objects[rhs].bbox
-        dx = lhs_x(lhs_box) - rhs_x(rhs_box)
-        return op(math.hypot(dx, lhs_y(lhs_box) - rhs_y(rhs_box)), bound)
-    return check
-
-
-def _offset_const(c: _Compiler, phi: A.OffsetCmpConst) -> Check:
-    var, coordinate = phi.term.var, _coordinate(phi.term.axis, phi.term.ref)
-    op, bound = phi.cmp.function, phi.bound
-
-    def check(ctx: EvalContext, env: Env) -> bool:
-        return op(coordinate(env.objects[var].bbox), bound)
-    return check
-
-
-def _offset_ratio(c: _Compiler, phi: A.OffsetCmpRatio) -> Check:
-    lhs_var, lhs_coordinate = phi.lhs.var, _coordinate(phi.lhs.axis, phi.lhs.ref)
-    rhs_var, rhs_coordinate = phi.rhs.var, _coordinate(phi.rhs.axis, phi.rhs.ref)
-    op, ratio = phi.cmp.function, phi.ratio
-    what = f"{phi.rhs.axis.value}({rhs_var})"
-    ratio_ok = c.ratio_rhs_ok
-
-    def check(ctx: EvalContext, env: Env) -> bool:
-        objects = env.objects
-        rhs_value = rhs_coordinate(objects[rhs_var].bbox)
-        if not ratio_ok(rhs_value, what):
-            return False
-        return op(lhs_coordinate(objects[lhs_var].bbox), ratio * rhs_value)
-    return check
-
-
-_FORMULA_BUILDERS: dict[type, Callable[[_Compiler, A.Formula], Part]] = {
-    A.TrueConst: _true,
-    A.Not: _not,
-    A.Or: _or,
-    A.Next: _next_prev,
-    A.Prev: _next_prev,
-    A.Until: _temporal,
-    A.Since: _temporal,
-    A.Freeze: _freeze,
-    A.Exists: _exists,
-    A.TimeConstraint: _time_constraint,
-    A.FrameConstraint: _frame_constraint,
-    A.IdEq: _id_cmp,
-    A.IdNeq: _id_cmp,
-    A.ClassEqConst: _class_eq_const,
-    A.ClassEqVar: _class_eq_var,
-    A.ProbCmpConst: _prob_const,
-    A.ProbCmpRatio: _prob_ratio,
-    A.SpatialExists: _spatial_exists,
-    A.AreaCmpConst: _area_const,
-    A.AreaCmpRatio: _area_ratio,
-    A.EDCmp: _ed,
-    A.OffsetCmpConst: _offset_const,
-    A.OffsetCmpRatio: _offset_ratio,
-}
-
-
-# --- spatial terms -----------------------------------------------------------
-# Region operations go through the public ``spatial`` functions, looked up at
-# call time, so that the layer can be wrapped from outside. Box terms call
-# ``spatial.box_meet`` the same way.
-
 def _box_variables(term: A.SpatialTerm) -> tuple[str, ...] | None:
     """The variables of the boxes ``term`` intersects, in reading order, if
     it is built from ``bbox``, ``universe`` and ``&`` alone; else None."""
@@ -959,63 +940,6 @@ def _box_variables(term: A.SpatialTerm) -> tuple[str, ...] | None:
         if lhs is not None and rhs is not None:
             return lhs + rhs
     return None
-
-
-def _box_measure(variables: tuple[str, ...], area: bool) -> Measure:
-    """The area, or nonemptiness, of the meet of the universe and the boxes
-    captured for ``variables``: one ``spatial.box_meet``, then a product or
-    a None test, equal to what the ``Region`` operations give."""
-    def measure(universe: Universe, env: Env):
-        objects = env.objects
-        box = spatial.box_meet([objects[var].bbox for var in variables], universe)
-        if not area:
-            return box is not None
-        # ``area`` of the empty region is the empty sum, 0.
-        return 0 if box is None else (box.xmax - box.xmin) * (box.ymax - box.ymin)
-    return measure
-
-
-def _constant_set(c: _Compiler, term: A.EmptySet | A.UniverseSet) -> Term:
-    name = "empty_region" if type(term) is A.EmptySet else "full_region"
-
-    def region(universe: Universe, env: Env) -> Region:
-        return getattr(spatial, name)(universe)
-    return region
-
-
-def _bbox_of(c: _Compiler, term: A.BBoxOf) -> Term:
-    var = term.var
-
-    def region(universe: Universe, env: Env) -> Region:
-        return spatial.from_box(env.objects[var].bbox, universe)
-    return region
-
-
-def _complement(c: _Compiler, term: A.Complement) -> Term:
-    inner = c.term(term.term)
-
-    def region(universe: Universe, env: Env) -> Region:
-        return spatial.complement(inner(universe, env))
-    return region
-
-
-def _union_intersect(c: _Compiler, term: A.SpatialUnion | A.SpatialIntersect) -> Term:
-    lhs, rhs = c.term(term.lhs), c.term(term.rhs)
-    name = "union" if type(term) is A.SpatialUnion else "intersect"
-
-    def region(universe: Universe, env: Env) -> Region:
-        return getattr(spatial, name)(lhs(universe, env), rhs(universe, env))
-    return region
-
-
-_TERM_BUILDERS: dict[type, Callable[[_Compiler, A.SpatialTerm], Term]] = {
-    A.EmptySet: _constant_set,
-    A.UniverseSet: _constant_set,
-    A.BBoxOf: _bbox_of,
-    A.Complement: _complement,
-    A.SpatialUnion: _union_intersect,
-    A.SpatialIntersect: _union_intersect,
-}
 
 
 def describe_temporal(phi: A.Formula) -> str:
@@ -1048,7 +972,7 @@ def describe_spatial(phi: A.Formula) -> str:
 def describe_quantifiers(phi: A.Formula) -> str:
     """One line on how the object quantifiers of a desugared formula run,
     for example ``quantifiers: 1 id lookup, 1 enumeration``: an id lookup
-    is one ``_lookup``, an enumeration a fold over every assignment. Read
+    is one ``lookup_N``, an enumeration a fold over every assignment. Read
     from the compiler's plan, as ``describe_temporal`` is."""
     lookups = _compiled(phi).lookups
     return (f"quantifiers: {_count(lookups.count(True), 'id lookup', 'id lookups')}, "
@@ -1057,7 +981,7 @@ def describe_quantifiers(phi: A.Formula) -> str:
 
 def _compiled(phi: A.Formula) -> _Compiler:
     compiler = _Compiler()
-    compiler.formula(phi)
+    compiler.source(lambda s, names: compiler.formula(phi, s, names), unbound_reads(phi))
     return compiler
 
 
@@ -1065,18 +989,46 @@ def _count(n: int, noun: str, plural: str) -> str:
     return f"{n} {noun if n == 1 else plural}"
 
 
+_PROGRAM_NUMBERS = itertools.count()
+
+
+def _build(node: A.Node, reads: list[tuple[str, str]],
+           term: bool = False) -> Callable[[EvalContext, Env], object]:
+    """Compile the program of a formula, or of a spatial term, that reads
+    ``reads`` unbound, and return its ``program(ctx, env)``. The source is
+    kept in ``linecache`` under the code's file name until ``_forget``
+    drops it."""
+    compiler = _Compiler()
+    emit = compiler.term if term else compiler.formula
+    source = compiler.source(lambda s, names: emit(node, s, names), reads)
+    filename = f"<percemon program {next(_PROGRAM_NUMBERS)}>"
+    namespace = {"_c": compiler, "_ev": sys.modules[__name__], "_latest": _latest,
+                 "spatial": spatial, "math": math, **compiler.constants}
+    exec(compile(source, filename, "exec"), namespace)
+    linecache.cache[filename] = (len(source), None, source.splitlines(keepends=True), filename)
+    return namespace["program"]
+
+
+def _forget(program: Callable) -> None:
+    linecache.cache.pop(program.__code__.co_filename, None)
+
+
 def eval_spatial(term: A.SpatialTerm, ctx: EvalContext, env: Env) -> Region:
     """Evaluate a core spatial term within the current frame's universe."""
-    _require_bound(unbound_reads(term), env)
-    compiler = _Compiler()
-    return compiler.term(term)(compiler.universe(ctx), env)
+    reads = unbound_reads(term)
+    _require_bound(reads, env)
+    program = _build(term, reads, term=True)
+    try:
+        return program(ctx, env)
+    finally:
+        _forget(program)
 
 
 # Compiled programs by formula identity, with the variables each reads
 # unbound. Each entry holds its formula, so the identity cannot be reused by
 # another object while the entry exists.
 _PROGRAMS_MAX = 64
-_programs: dict[int, tuple[A.Formula, Check, list[tuple[str, str]]]] = {}
+_programs: dict[int, tuple[A.Formula, Callable, list[tuple[str, str]]]] = {}
 
 
 def evaluate(phi: A.Formula, ctx: EvalContext, env: Env = EMPTY_ENV) -> bool:
@@ -1090,10 +1042,11 @@ def evaluate(phi: A.Formula, ctx: EvalContext, env: Env = EMPTY_ENV) -> bool:
     """
     entry = _programs.get(id(phi))
     if entry is None:
-        program = _Compiler().formula(phi)
+        reads = unbound_reads(phi)
+        program = _build(phi, reads)
         if len(_programs) >= _PROGRAMS_MAX:
-            del _programs[next(iter(_programs))]
-        entry = _programs[id(phi)] = (phi, program, unbound_reads(phi))
+            _forget(_programs.pop(next(iter(_programs)))[1])
+        entry = _programs[id(phi)] = (phi, program, reads)
     if entry[2]:
         _require_bound(entry[2], env)
     return entry[1](ctx, env)

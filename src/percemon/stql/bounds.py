@@ -24,8 +24,9 @@ constraints never contribute: timestamps are not frame-indexed.
 
 Conjuncts are read through the wrappers that change nothing, ``not not``
 and pins that nothing below them reads, as ``bare`` strips them; the
-evaluator's chain builders and its guarded-idiom recognizer read formulas
-through ``bare`` too, so the window and the evaluator see the same shapes.
+evaluator's ``or``/``and`` chains and its guarded-idiom recognizer read
+formulas through ``bare`` too, so the window and the evaluator see the same
+shapes.
 """
 
 from __future__ import annotations
@@ -57,16 +58,37 @@ def bare(phi: A.Formula) -> A.Formula:
     and pins whose time and frame variables nothing below them reads.
 
     A ``not`` that is kept gets a bare child, which is never a ``not``.
-    This is the one place that decides which wrappers change nothing.
+    This is the one place that decides which wrappers change nothing. The
+    variables read below the ``not`` and pin wrappers at the top of ``phi``
+    are collected once, so the cost is linear in the depth of the wrappers.
     """
+    wrappers, core = [], phi
+    while type(core) is A.Not or type(core) is A.Freeze:
+        wrappers.append(core)
+        core = core.child
+    unread = set()
+    if any(type(node) is A.Freeze for node in wrappers):
+        reads = free_variables(core)
+        for node in reversed(wrappers):
+            if type(node) is A.Freeze:
+                pinned = {node.time_var, node.frame_var}
+                if pinned & reads:
+                    reads = reads - pinned
+                else:
+                    unread.add(id(node))
+    return _strip(phi, unread)
+
+
+def _strip(phi: A.Formula, unread: set[int]) -> A.Formula:
+    """``bare`` of ``phi``, given the ids of its top pins that nothing reads."""
     kind = type(phi)
     if kind is A.Not:
-        child = bare(phi.child)
+        child = _strip(phi.child, unread)
         if type(child) is A.Not:
             return child.child
         return phi if child is phi.child else A.Not(child)
-    if kind is A.Freeze and not {phi.time_var, phi.frame_var} & free_variables(phi.child):
-        return bare(phi.child)
+    if kind is A.Freeze and id(phi) in unread:
+        return _strip(phi.child, unread)
     return phi
 
 

@@ -180,11 +180,18 @@ def random_trace(
     rng: random.Random,
     max_frames: int = 20,
     max_objects: int = 5,
-    width: float = 100.0,
-    height: float = 100.0,
+    width: float | None = None,
+    height: float | None = None,
 ) -> list[Frame]:
     """Frames with drop-in/drop-out objects, gaps in frame numbers, and
-    occasionally repeated timestamps."""
+    occasionally repeated timestamps.
+
+    An extent left None is drawn per trace from 40 to 160, so width and
+    height mostly differ and a width/height mix-up shows."""
+    if width is None:
+        width = float(rng.randint(40, 160))
+    if height is None:
+        height = float(rng.randint(40, 160))
     length = rng.randint(1, max_frames)
     frames = []
     timestamp = 0.0

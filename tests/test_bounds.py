@@ -3,7 +3,9 @@ import random
 import pytest
 
 from percemon.errors import ContractViolation
+from percemon.evaluate import describe_quantifiers
 from percemon.stql import ast as A
+from percemon.stql import bindings
 from percemon.stql.bounds import FrameBounds, bare, compute_bounds
 from percemon.stql.builtins import phi1, phi2, probe
 from percemon.stql.desugar import desugar
@@ -118,3 +120,38 @@ def test_prev_and_next_wrapping_monotone():
         wrapped_next = compute_bounds(A.Next(phi))
         assert wrapped_prev.history == _shift(base.history, 1)
         assert wrapped_next.horizon == _shift(base.horizon, 1)
+
+
+def _nested_unread_pins(depth):
+    """``exists {a} @ not pin (_, g0) { not pin (_, g1) { ... prob(a) > 0.5 } }``."""
+    body = "prob(a) > 0.5"
+    for level in reversed(range(depth)):
+        body = f"not pin (_, g{level}) {{ {body} }}"
+    return desugar(parse(f"exists {{a}} @ {body}"))
+
+
+def test_nested_unread_pins_cost_work_linear_in_their_depth(monkeypatch):
+    # Counted as the nodes that the walk behind ``free_variables`` and
+    # ``unbound_reads`` visits.
+    visits = [0]
+    walk = bindings._walk
+
+    def counted(node, *args):
+        visits[0] += 1
+        return walk(node, *args)
+    monkeypatch.setattr(bindings, "_walk", counted)
+
+    def work(run, phi):
+        visits[0] = 0
+        run(phi)
+        return visits[0]
+
+    shallow, deep = _nested_unread_pins(15), _nested_unread_pins(29)
+    assert bare(deep.child) == bare(shallow.child) == A.Not(A.ProbCmpConst("a", A.Cmp.GT, 0.5))
+    # ``bare`` reads the variables below the wrappers once, whatever their depth.
+    assert work(lambda phi: bare(phi.child), shallow) == work(lambda phi: bare(phi.child), deep)
+
+    def compile_and_bound(phi):
+        compute_bounds(phi)
+        describe_quantifiers(phi)
+    assert work(compile_and_bound, deep) <= 2 * work(compile_and_bound, shallow)

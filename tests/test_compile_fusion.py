@@ -1,14 +1,14 @@
-"""Differential tests for the fused propositional core of the compiler.
+"""Differential tests for the flattened propositional core of the compiler.
 
-``evaluate`` compiles ``or`` chains into one n-ary node, ``not (a or b)``
-into one conjunction of the negated parts, ``not not a`` into ``a`` and
-``not (x == y)`` into ``x != y``, seeing through pins that nothing reads,
-and ``exists {v} @ (v == w and ...)`` into one lookup of ``w``'s id. These
-tests check that the fused program means the same as the syntax tree: the
-same verdicts on rewritten but equivalent trees, the same errors, the same
-evaluation order and the same quantifier work, that the window analysis
-and the compiler decide the same for them, and that a lookup agrees with
-the enumeration it replaces.
+``evaluate`` compiles ``or`` chains into one Python ``or`` over their
+parts, ``not (a or b)`` into one ``and`` of the negated parts, ``not not
+a`` into ``a`` and ``not (x == y)`` into ``x != y``, seeing through pins
+that nothing reads, and ``exists {v} @ (v == w and ...)`` into one lookup
+of ``w``'s id. These tests check that the generated program means the
+same as the syntax tree: the same verdicts on rewritten but equivalent
+trees, the same errors, the same evaluation order and the same quantifier
+work, that the window analysis and the compiler decide the same for them,
+and that a lookup agrees with the enumeration it replaces.
 """
 
 import itertools

@@ -44,7 +44,8 @@ def test_random_sugared_formulas_match_golden_digest():
     def cases():
         for _ in range(RANDOM_FORMULAS):
             phi = desugar(gen.formula())
-            trace = random_trace(rng, max_frames=8, max_objects=4)
+            # The square extent the digest was recorded on.
+            trace = random_trace(rng, max_frames=8, max_objects=4, width=100.0, height=100.0)
             yield evaluate_trace(phi, trace)
 
     assert _digest(cases()) == RANDOM_DIGEST

@@ -10,15 +10,16 @@ import random
 
 import pytest
 
-from percemon.evaluate import evaluate_trace
+from percemon.evaluate import EvalContext, describe_temporal, evaluate_trace
 from percemon.generator import GenConfig, generate_frames
 from percemon.monitor import Monitor, MonitorConfig, run_monitor
 from percemon.stql import ast as A
 from percemon.stql.desugar import desugar
 from percemon.stql.parser import parse
-from percemon.trace import make_frame
+from percemon.trace import BoundingBox, DetectedObject, make_frame
 
 from randgen import FormulaGen
+from reference import reference_trace
 
 HISTORIES = (0, 1, 3, 10, 50)
 # The spec of the benchmark's holds-window workload.
@@ -130,3 +131,54 @@ def test_per_verdict_work_does_not_grow_with_the_window():
         return counts
 
     assert work_per_push(10) == work_per_push(100) == work_per_push(1000)
+
+
+# A gate that holds in runs with gaps of 1 to 5 frames between them.
+GATE_RUNS = [1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 1, 1, 0, 1, 0, 0, 1]
+GATED_SPECS = [
+    'exists {g} @ class(g) == "gate" implies once (exists {a} @ prob(a) > 0.6)',
+    'forall {b} @ (class(b) == "gate" implies once prob(b) > 0.6)',
+    'forall {b} @ (class(b) == "gate" implies holds (prob(b) > 0.3))',
+]
+
+
+def _gated_frames(seed):
+    rng = random.Random(seed)
+    return [make_frame(i, i / 10, 100.0, 60.0, [
+        DetectedObject(oid, "gate" if gate and oid == 1 else "car", round(rng.random(), 2),
+                       BoundingBox(oid, oid, oid + 10, oid + 10))
+        for oid in (1, 2)]) for i, gate in enumerate(GATE_RUNS)]
+
+
+def _counted_steps(monkeypatch):
+    steps = [0]
+    at = EvalContext.at
+
+    def counted(ctx, index):
+        steps[0] += 1
+        return at(ctx, index)
+    monkeypatch.setattr(EvalContext, "at", counted)
+    return steps
+
+
+@pytest.mark.parametrize("spec", GATED_SPECS)
+@pytest.mark.parametrize("history", (0, 1, 2, 3, 6))
+def test_a_summary_skipped_by_a_short_circuit_is_queried_again(monkeypatch, spec, history):
+    # The gate skips the summarized node for runs of verdicts, so the window
+    # start passes the end of its entry, which is then queried again. The
+    # monitor trims its table as the window moves and the offline evaluator
+    # never does; both extend only an entry that reaches the window start,
+    # so they agree with the reference and make the same temporal steps.
+    phi = parse(spec)
+    monitor = Monitor(phi, MonitorConfig(max_history=history))
+    assert "summar" in describe_temporal(monitor.formula)
+    steps = _counted_steps(monkeypatch)
+    for seed in range(4):
+        frames = _gated_frames(seed)
+        expected = reference_trace(monitor.formula, frames, monitor.history, monitor.horizon)
+        before = steps[0]
+        online = [v.value for v in run_monitor(phi, frames, MonitorConfig(max_history=history))]
+        online_steps, before = steps[0] - before, steps[0]
+        offline = evaluate_trace(monitor.formula, frames, monitor.history, monitor.horizon)
+        assert online == offline == expected, (spec, history, seed)
+        assert steps[0] - before == online_steps
