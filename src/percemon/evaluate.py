@@ -553,6 +553,7 @@ class _Compiler:
         scans the frames in the operator's own order.
         """
         op, negated, reach, parts = idiom or (node, False, _UNBOUNDED, (node.rhs,))
+        reach = None if reach == _UNBOUNDED else self.const(reach)
         forward = type(op) is A.Until
         kind = "until" if forward else "since"
         lhs = None if type(bare(op.lhs)) is A.TrueConst else op.lhs
@@ -568,14 +569,14 @@ class _Compiler:
         i, lower = s.index(), self.temp("w")
         if forward:
             s.fn.trace = True
-            lo, hi = i, f"min({i} + {reach!r}, len(trace) - 1)"
+            lo, hi = i, f"min({i} + {reach}, len(trace) - 1)"
         else:
-            lo, hi = "0" if reach == _UNBOUNDED else f"max({i} - {reach!r}, 0)", i
+            lo, hi = "0" if reach is None else f"max({i} - {reach}, 0)", i
         return (f"(_latest({s.ctx}, {env}, {key}, {', '.join(operands)}, "
                 f"({lower} := {s.ctx}.offset + {lo}), {s.ctx}.offset + {hi}) "
                 f"{'<' if negated else '>='} {lower})")
 
-    def scan(self, kind: str, lhs: A.Formula | None, parts, negated: bool, reach: int,
+    def scan(self, kind: str, lhs: A.Formula | None, parts, negated: bool, reach: str | None,
              s: _Scope, names: dict) -> str:
         fn = self.function(kind)
         n = next(self.count)
@@ -585,11 +586,10 @@ class _Compiler:
         i = fn.root.index()
         if kind == "until":
             fn.trace = True
-            end = ("len(trace)" if reach == _UNBOUNDED
-                   else f"min({i} + {reach!r}, len(trace) - 1) + 1")
+            end = "len(trace)" if reach is None else f"min({i} + {reach}, len(trace) - 1) + 1"
             frames = f"range({i}, {end})"
         else:
-            end = "-1" if reach == _UNBOUNDED else f"max({i} - {reach!r}, 0) - 1"
+            end = "-1" if reach is None else f"max({i} - {reach}, 0) - 1"
             frames = f"range({i}, {end}, -1)"
         lines = [f"for i_{n} in {frames}:", f"    c_{n} = ctx.at(i_{n})"]
         lines += [f"    {name} = {value}" for name, value in here.binds()]

@@ -9,14 +9,17 @@ parser allows is split into functions of its own.
 
 import cProfile
 import linecache
+import math
 import pstats
 import traceback
 
+import numpy as np
 import pytest
 
 from percemon import spatial
 from percemon.evaluate import EvalContext, evaluate, evaluate_trace
 from percemon.generator import GenConfig, generate_frames
+from percemon.stql import ast as A
 from percemon.stql.builtins import phi2
 from percemon.stql.desugar import desugar
 from percemon.stql.parser import parse
@@ -77,3 +80,30 @@ def test_deep_expressions_are_split_and_agree_with_the_reference(shape):
               for i in range(4)]
     core = desugar(parse(DEEP[shape]))
     assert evaluate_trace(core, frames) == reference_trace(core, frames)
+
+
+def _guarded_always(bound, body):
+    """``exists {a} @ pin (_, f) { always (f - C_FRAME >= bound implies body) }``,
+    built directly."""
+    guard = A.FrameConstraint("f", A.Cmp.GE, bound)
+    return A.Exists(("a",), desugar(A.Freeze(None, "f", A.Always(A.Implies(guard, body)))))
+
+
+# Constants that have no literal (numpy scalars, infinities) are passed to
+# the program as values; the frame guard's reach takes the summary path with
+# ``prob`` and the scan with a box atom.
+CONSTANTS = {
+    "numpy reach, summary": _guarded_always(np.int64(-2), parse("prob(a) > 0.5")),
+    "numpy reach, scan": _guarded_always(np.int64(-2), parse("area(bbox(a)) > 10")),
+    "infinite bound": A.Exists(("a",), A.ProbCmpConst("a", A.Cmp.LT, math.inf)),
+    "numpy ratio": A.Exists(("a",), A.ProbCmpRatio("a", A.Cmp.GE, np.float64(0.5), "a")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTANTS))
+def test_constants_without_a_literal_agree_with_the_reference(name):
+    frames = [make_frame(i, i / 10, 100.0, 60.0,
+                         [DetectedObject(1, "car", 0.9 if i % 3 else 0.1, BoundingBox(1, 1, 5, 5))])
+              for i in range(6)]
+    phi = CONSTANTS[name]
+    assert evaluate_trace(phi, frames) == reference_trace(phi, frames)
