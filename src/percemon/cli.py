@@ -20,7 +20,7 @@ import sys
 
 from . import __version__
 from .errors import ContractViolation, IngestError, PercemonError
-from .evaluate import describe_quantifiers, describe_spatial, describe_temporal
+from .evaluate import describe
 from .monitor import Monitor, MonitorConfig, Verdict, run_monitor
 from .stql.bindings import require_bindings
 from .stql.bounds import compute_bounds
@@ -80,9 +80,12 @@ def _param(pair: str) -> tuple[str, float]:
 
 def _counts(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        counts = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError("expected comma-separated integers") from None
+    if not counts:
+        raise argparse.ArgumentTypeError("expected at least one object count")
+    return counts
 
 
 def _checked_spec(spec: str, params: dict[str, float]):
@@ -110,9 +113,8 @@ def check(spec: str, params: list[tuple[str, float]]) -> None:
     print(f"formula: {format_formula(formula)}")
     print(f"desugared: {format_formula(core)}")
     print(bounds.describe())
-    print(describe_temporal(core))
-    print(describe_spatial(core))
-    print(describe_quantifiers(core))
+    for line in describe(core):
+        print(line)
     if bounds.history is None:
         print("warning: history is unbounded; online monitoring needs --max-history",
               file=sys.stderr)

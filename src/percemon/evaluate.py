@@ -10,13 +10,12 @@ The program is straight-line code. Captured objects and the pins that are
 read are Python locals; an ``or`` chain, however associated, and the
 conjunction ``not (a or b or ...)`` that ``and`` and a ``forall`` body
 desugar to are Python's own short-circuit ``or`` and ``and`` over their
-flattened parts, evaluated left to right. The parts are read through
-``bounds.bare``, as the window analysis reads them: ``not not a`` is
-``a``, a pin that nothing below it reads is its body, and ``not (x ==
-y)``/``not (x != y)`` are ``x != y``/``x == y``. No other atom has an
-exact complement (``prob``/``class`` atoms are false when the id is
-absent, ratio atoms when the denominator is zero), so any other ``not``
-stays a ``not``.
+flattened parts (``bounds.disjuncts``/``bounds.conjuncts``, as the window
+analysis reads them), evaluated left to right. The compiler reads
+``desugar``'s canonical core, which has no ``not not``, no negated id
+comparison and no pin that nothing reads. Any other core formula compiles
+too: each such wrapper runs as the operator it is, and a guarded idiom or
+id lookup that one hides runs as the plain scan or enumeration.
 
 Each enumerating quantifier, each scanned ``until``/``since`` and each
 operand of a summarized one is a top-level function of the program, named
@@ -125,7 +124,7 @@ from .errors import ContractViolation
 from .spatial import Region, Universe
 from .stql import ast as A
 from .stql.bindings import FRAME, OBJECT, TIME, free_variables, unbound_reads
-from .stql.bounds import bare, conjuncts, disjuncts, frame_guard
+from .stql.bounds import conjuncts, disjuncts, frame_guard
 from .trace import BoundingBox, DetectedObject, Frame
 
 log = logging.getLogger("percemon.evaluate")
@@ -328,30 +327,19 @@ def _tuple(items: list[str]) -> str:
     return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
 
 
-def _head_id_test(part: A.Formula) -> A.IdEq | A.IdNeq | None:
-    """The id comparison a bare chain part is, or None: ``not (x != y)`` is
-    ``x == y`` and ``not (x == y)`` is ``x != y``."""
-    kind = type(part)
-    if kind is A.IdEq or kind is A.IdNeq:
-        return part
-    if kind is A.Not and type(part.child) in (A.IdEq, A.IdNeq):
-        return (A.IdNeq if type(part.child) is A.IdEq else A.IdEq)(part.child.lhs, part.child.rhs)
-    return None
-
-
-def _lookup(variables: tuple[str, ...], parts: list[A.Formula] | None):
+def _lookup(variables: tuple[str, ...], parts: list[A.Formula]):
     """The outer variable ``w`` and the rest of the chain, for ``exists {v} @
     (v == w and rest)`` with the body's conjuncts ``parts``, or None for any
-    other quantifier (``parts`` is None for a body that is no conjunction).
+    other quantifier.
 
     A frame's objects are keyed by id, so the one assignment the head
     comparison does not settle to false is the object with ``w``'s id, if
     the frame holds it. The ``forall`` duals ``forall {v} @ (v != w or p)``
     and ``forall {v} @ (v == w implies p)`` desugar to this shape.
     """
-    if len(variables) != 1 or parts is None or len(parts) < 2:
+    if len(variables) != 1 or len(parts) < 2:
         return None
-    test, var = _head_id_test(parts[0]), variables[0]
+    test, var = parts[0], variables[0]
     if type(test) is not A.IdEq or (test.lhs == var) == (test.rhs == var):
         return None
     return (test.rhs if test.lhs == var else test.lhs), parts[1:]
@@ -488,20 +476,16 @@ class _Compiler:
             raise ContractViolation(f"evaluator needs a desugared formula, got {type(phi).__name__}")
         return emit(self, phi, s, names, depth + 1)
 
-    def part(self, part: A.Formula, s: _Scope, names: dict, depth: int) -> str:
-        """A part of a conjunction: a ``not`` part is the negation of its child."""
-        if type(part) is not A.Not:
-            return self.formula(part, s, names, depth)
-        test = _head_id_test(part)
-        if test is not None:
-            return self.formula(test, s, names, depth)
-        return f"(not {self.formula(part.child, s, names, depth)})"
+    def conjunction(self, parts: list[A.Formula], s: _Scope, names: dict, depth: int) -> str:
+        """The ``conjuncts`` of a formula: a ``not`` part is the negation of its child."""
+        return _join([f"(not {self.formula(part.child, s, names, depth)})" if type(part) is A.Not
+                      else self.formula(part, s, names, depth) for part in parts], "and")
 
     def true(self, phi: A.TrueConst, s: _Scope, names: dict, depth: int) -> str:
         return "True"
 
     def not_(self, phi: A.Not, s: _Scope, names: dict, depth: int) -> str:
-        return _join([self.part(part, s, names, depth) for part in conjuncts(phi)], "and")
+        return self.conjunction(conjuncts(phi), s, names, depth)
 
     def or_(self, phi: A.Or, s: _Scope, names: dict, depth: int) -> str:
         return _join([self.formula(part, s, names, depth) for part in disjuncts(phi)], "or")
@@ -556,7 +540,7 @@ class _Compiler:
         reach = None if reach == _UNBOUNDED else self.const(reach)
         forward = type(op) is A.Until
         kind = "until" if forward else "since"
-        lhs = None if type(bare(op.lhs)) is A.TrueConst else op.lhs
+        lhs = None if type(op.lhs) is A.TrueConst else op.lhs
         variables = _summary_ids((op.lhs, *parts)) if idiom or not forward else None
         self.plan.append(variables)
         if variables is None:
@@ -609,8 +593,7 @@ class _Compiler:
         return fn.name
 
     def exists(self, phi: A.Exists, s: _Scope, names: dict, depth: int) -> str:
-        child = bare(phi.child)
-        parts = conjuncts(child) if type(child) is A.Not else None
+        parts = conjuncts(phi.child)
         lookup = _lookup(phi.variables, parts)
         fn = self.function("lookup" if lookup else "exists")
         frame, names = fn.root.frame(), dict(names)
@@ -618,15 +601,14 @@ class _Compiler:
             outer, rest = lookup
             found = self.bind(names, phi.variables[0], OBJECT, fn)
             outer_id = self.object_id(names, outer, fn.root)
-            body = _join([self.part(part, fn.root, names, 0) for part in rest], "and")
+            body = self.conjunction(rest, fn.root, names, 0)
             self.finish(fn, [f"{found} = {frame}.objects.get({outer_id})",
                              "if ctx.stats is not None:",
                              "    ctx.stats.assignments += 1",
                              f"return {found} is not None and {body}"])
         else:
             bound = [self.bind(names, var, OBJECT, fn) for var in phi.variables]
-            body = (_join([self.part(part, fn.root, names, 0) for part in parts], "and")
-                    if parts else self.formula(child, fn.root, names))
+            body = self.conjunction(parts, fn.root, names, 0)
             power = "" if len(bound) == 1 else f" ** {len(bound)}"
             self.finish(fn, [
                 "result = False",
@@ -909,15 +891,16 @@ def _guarded_idiom(phi: A.Freeze):
     frame-distance guard on ``f`` (``bounds.frame_guard``, which also sizes
     the window) and at least one part that reads neither ``f`` nor the
     pinned time. It is what ``always (C_FRAME - f <= k implies p)`` and
-    ``once (f - C_FRAME < k and p)`` desugar to. The pin's body and the left
-    operand are read through ``bounds.bare``, as the conjuncts of R are.
-    Returns (operator, negated, reach, parts).
+    ``once (f - C_FRAME < k and p)`` desugar to. The shape is read
+    structurally, as ``desugar``'s canonical core gives it: an idiom behind
+    a ``not not`` or a pin that nothing reads runs as the plain pin and
+    scan. Returns (operator, negated, reach, parts).
     """
-    frame_var, child = phi.frame_var, bare(phi.child)
+    frame_var, child = phi.frame_var, phi.child
     negated = type(child) is A.Not
     op = child.child if negated else child
     if (frame_var is None or type(op) not in (A.Until, A.Since)
-            or type(bare(op.lhs)) is not A.TrueConst):
+            or type(op.lhs) is not A.TrueConst):
         return None
     if phi.time_var is not None and phi.time_var in free_variables(child):
         return None
@@ -942,47 +925,34 @@ def _box_variables(term: A.SpatialTerm) -> tuple[str, ...] | None:
     return None
 
 
-def describe_temporal(phi: A.Formula) -> str:
-    """One line on how each ``until``/``since`` of a desugared formula runs.
+def describe(phi: A.Formula) -> tuple[str, str, str]:
+    """Three lines on how the evaluator runs a formula in ``desugar``'s
+    canonical core, read from the plan the compiler records as it decides,
+    so they say what the evaluator does.
 
-    For example ``temporal: 1 closed summary, 1 per-id summary over {b},
-    0 scans``. It is read from the plan the compiler records as it decides,
-    so it says what the evaluator does. ``next``/``prev`` are single steps
-    and not counted.
+    The temporal line counts each ``until``/``since`` by how it runs, for
+    example ``temporal: 1 closed summary, 1 per-id summary over {b}, 0
+    scans``; ``next``/``prev`` are single steps and not counted. The
+    spatial line counts the spatial terms of atoms, for example ``spatial:
+    2 box terms, 0 region terms``: a box term is one ``spatial.box_meet``,
+    a region term the ``Region`` algebra. The quantifier line counts the
+    object quantifiers, for example ``quantifiers: 1 id lookup, 1
+    enumeration``: an id lookup is one ``lookup_N``, an enumeration a fold
+    over every assignment.
     """
-    plan = _compiled(phi).plan
-    per_id = [ids for ids in plan if ids]
-    line = (f"temporal: {_count(plan.count(()), 'closed summary', 'closed summaries')}, "
-            f"{_count(len(per_id), 'per-id summary', 'per-id summaries')}")
-    if per_id:
-        line += " over " + ", ".join("{" + ", ".join(ids) + "}" for ids in per_id)
-    return f"{line}, {_count(plan.count(None), 'scan', 'scans')}"
-
-
-def describe_spatial(phi: A.Formula) -> str:
-    """One line on how the spatial terms of a desugared formula's atoms run,
-    for example ``spatial: 2 box terms, 0 region terms``: a box term is one
-    ``spatial.box_meet``, a region term the ``Region`` algebra. Read from the
-    compiler's plan, as ``describe_temporal`` is."""
-    box_terms = _compiled(phi).box_terms
-    return (f"spatial: {_count(box_terms.count(True), 'box term', 'box terms')}, "
-            f"{_count(box_terms.count(False), 'region term', 'region terms')}")
-
-
-def describe_quantifiers(phi: A.Formula) -> str:
-    """One line on how the object quantifiers of a desugared formula run,
-    for example ``quantifiers: 1 id lookup, 1 enumeration``: an id lookup
-    is one ``lookup_N``, an enumeration a fold over every assignment. Read
-    from the compiler's plan, as ``describe_temporal`` is."""
-    lookups = _compiled(phi).lookups
-    return (f"quantifiers: {_count(lookups.count(True), 'id lookup', 'id lookups')}, "
-            f"{_count(lookups.count(False), 'enumeration', 'enumerations')}")
-
-
-def _compiled(phi: A.Formula) -> _Compiler:
     compiler = _Compiler()
     compiler.source(lambda s, names: compiler.formula(phi, s, names), unbound_reads(phi))
-    return compiler
+    plan, box_terms, lookups = compiler.plan, compiler.box_terms, compiler.lookups
+    per_id = [ids for ids in plan if ids]
+    temporal = (f"temporal: {_count(plan.count(()), 'closed summary', 'closed summaries')}, "
+                f"{_count(len(per_id), 'per-id summary', 'per-id summaries')}")
+    if per_id:
+        temporal += " over " + ", ".join("{" + ", ".join(ids) + "}" for ids in per_id)
+    return (f"{temporal}, {_count(plan.count(None), 'scan', 'scans')}",
+            f"spatial: {_count(box_terms.count(True), 'box term', 'box terms')}, "
+            f"{_count(box_terms.count(False), 'region term', 'region terms')}",
+            f"quantifiers: {_count(lookups.count(True), 'id lookup', 'id lookups')}, "
+            f"{_count(lookups.count(False), 'enumeration', 'enumerations')}")
 
 
 def _count(n: int, noun: str, plural: str) -> str:
@@ -1032,7 +1002,7 @@ _programs: dict[int, tuple[A.Formula, Callable, list[tuple[str, str]]]] = {}
 
 
 def evaluate(phi: A.Formula, ctx: EvalContext, env: Env = EMPTY_ENV) -> bool:
-    """Boolean quality of a desugared formula at ``ctx.index``.
+    """Boolean quality of a core formula, as ``desugar`` gives it, at ``ctx.index``.
 
     The formula is compiled on first use and its program kept for later
     calls with the same formula object. A variable that ``phi`` reads but

@@ -22,11 +22,12 @@ desugared forms both expose the guard. Anything the recognizer cannot see
 is reported unbounded and needs an explicit monitor override. Time-variable
 constraints never contribute: timestamps are not frame-indexed.
 
-Conjuncts are read through the wrappers that change nothing, ``not not``
-and pins that nothing below them reads, as ``bare`` strips them; the
-evaluator's ``or``/``and`` chains and its guarded-idiom recognizer read
-formulas through ``bare`` too, so the window and the evaluator see the same
-shapes.
+The analysis reads ``desugar``'s canonical core, in which no ``not not``
+and no pin that nothing below it reads hides a conjunct. ``conjuncts`` and
+``disjuncts`` are structural, and the evaluator's ``or``/``and`` chains and
+its guarded-idiom recognizer read the same parts, so the window and the
+evaluator see the same shapes. Any other core formula is analyzed too, with
+a guard it hides reported unbounded.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from math import inf
 from ..errors import ContractViolation
 from . import ast as A
 from .ast import is_core
-from .bindings import free_variables
+from .desugar import negate
 
 
 @dataclass(frozen=True)
@@ -53,62 +54,21 @@ class FrameBounds:
         return f"history={h} horizon={z}"
 
 
-def bare(phi: A.Formula) -> A.Formula:
-    """``phi`` without the wrappers that change nothing: double negations,
-    and pins whose time and frame variables nothing below them reads.
-
-    A ``not`` that is kept gets a bare child, which is never a ``not``.
-    This is the one place that decides which wrappers change nothing. The
-    variables read below the ``not`` and pin wrappers at the top of ``phi``
-    are collected once, so the cost is linear in the depth of the wrappers.
-    """
-    wrappers, core = [], phi
-    while type(core) is A.Not or type(core) is A.Freeze:
-        wrappers.append(core)
-        core = core.child
-    unread = set()
-    if any(type(node) is A.Freeze for node in wrappers):
-        reads = free_variables(core)
-        for node in reversed(wrappers):
-            if type(node) is A.Freeze:
-                pinned = {node.time_var, node.frame_var}
-                if pinned & reads:
-                    reads = reads - pinned
-                else:
-                    unread.add(id(node))
-    return _strip(phi, unread)
-
-
-def _strip(phi: A.Formula, unread: set[int]) -> A.Formula:
-    """``bare`` of ``phi``, given the ids of its top pins that nothing reads."""
-    kind = type(phi)
-    if kind is A.Not:
-        child = _strip(phi.child, unread)
-        if type(child) is A.Not:
-            return child.child
-        return phi if child is phi.child else A.Not(child)
-    if kind is A.Freeze and id(phi) in unread:
-        return _strip(phi.child, unread)
-    return phi
-
-
 def conjuncts(phi: A.Formula) -> list[A.Formula]:
-    """Positive conjuncts of a desugared formula, in order.
+    """Positive conjuncts of a canonical core formula, in order.
 
-    Desugared conjunction is ``not (not a or not b)``; this flattens that
-    shape back into its parts, each read through ``bare``. A part that is
-    a ``not`` negates neither an ``or`` nor a ``not``.
+    Conjunction desugars to ``not (not a or not b)``; this flattens that
+    shape back into its parts, each the ``negate`` of a disjunct, so a part
+    that is a ``not`` negates neither an ``or`` nor a ``not``.
     """
-    phi = bare(phi)
     if type(phi) is A.Not and type(phi.child) is A.Or:
-        return conjuncts(A.Not(phi.child.lhs)) + conjuncts(A.Not(phi.child.rhs))
+        return [negate(part) for part in disjuncts(phi.child)]
     return [phi]
 
 
 def disjuncts(phi: A.Formula) -> list[A.Formula]:
-    """The ``bare`` disjuncts of an ``or`` chain of any association, in
-    order: no part is an ``or``."""
-    phi = bare(phi)
+    """The disjuncts of an ``or`` chain of any association, in order: no
+    part is an ``or``."""
     if type(phi) is A.Or:
         return disjuncts(phi.lhs) + disjuncts(phi.rhs)
     return [phi]
@@ -199,7 +159,8 @@ def _bounds(phi: A.Formula, pinned: frozenset[str]) -> tuple[float, float]:
 
 
 def compute_bounds(phi: A.Formula) -> FrameBounds:
-    """History/horizon requirement of a desugared, binding-checked formula."""
+    """History/horizon requirement of a binding-checked core formula, as
+    ``desugar`` gives it."""
     if not is_core(phi):
         raise ContractViolation("compute_bounds requires a desugared formula")
     history, horizon = _bounds(phi, frozenset())

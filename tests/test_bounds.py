@@ -3,10 +3,10 @@ import random
 import pytest
 
 from percemon.errors import ContractViolation
-from percemon.evaluate import describe_quantifiers
+from percemon.evaluate import describe
 from percemon.stql import ast as A
 from percemon.stql import bindings
-from percemon.stql.bounds import FrameBounds, bare, compute_bounds
+from percemon.stql.bounds import FrameBounds, compute_bounds
 from percemon.stql.builtins import phi1, phi2, probe
 from percemon.stql.desugar import desugar
 from percemon.stql.parser import parse
@@ -83,13 +83,21 @@ def test_builtins_need_one_frame_of_history():
     ("pin (s, g) { prob(a) > 0.5 }", "prob(a) > 0.5"),
     ("not pin (_, g) { not pin (s, _) { prob(a) > 0.5 } }", "prob(a) > 0.5"),
     ("not pin (_, g) { not not prob(a) > 0.5 }", "not prob(a) > 0.5"),
+    ("not (a == b)", "a != b"),
+    ("not not not (a != b)", "a == b"),
+    ("pin (_, g) { not (a == b) and true }", "not (a == b or not true)"),
     # A pin whose time or frame variable is read stays, and so does its body.
     ("pin (_, g) { C_FRAME - g <= 1 }", "pin (_, g) { C_FRAME - g <= 1 }"),
-    ("not not pin (s, g) { not not C_TIME - s < 1.0 }", "pin (s, g) { not not C_TIME - s < 1.0 }"),
-    ("not (prob(a) > 0.5 or not not true)", "not (prob(a) > 0.5 or not not true)"),
+    ("not not pin (s, g) { not not C_TIME - s < 1.0 }", "pin (s, g) { C_TIME - s < 1.0 }"),
+    ("pin (s, _) { pin (_, g) { C_TIME - s < 1.0 } }", "pin (s, _) { C_TIME - s < 1.0 }"),
+    # Any other ``not`` stays.
+    ("not (prob(a) > 0.5 or not not true)", "not (prob(a) > 0.5 or true)"),
+    ("not exists {a} @ not prob(a) > 0.5", "not exists {a} @ not prob(a) > 0.5"),
 ])
-def test_bare_strips_only_the_wrappers_that_change_nothing(text, expected):
-    assert bare(desugar(parse(text))) == desugar(parse(expected))
+def test_desugar_strips_only_the_wrappers_that_change_nothing(text, expected):
+    core = parse(expected)
+    assert desugar(parse(text)) == core
+    assert desugar(core) == core
 
 
 def test_probe_is_memoryless():
@@ -122,17 +130,10 @@ def test_prev_and_next_wrapping_monotone():
         assert wrapped_next.horizon == _shift(base.horizon, 1)
 
 
-def _nested_unread_pins(depth):
-    """``exists {a} @ not pin (_, g0) { not pin (_, g1) { ... prob(a) > 0.5 } }``."""
-    body = "prob(a) > 0.5"
-    for level in reversed(range(depth)):
-        body = f"not pin (_, g{level}) {{ {body} }}"
-    return desugar(parse(f"exists {{a}} @ {body}"))
-
-
-def test_nested_unread_pins_cost_work_linear_in_their_depth(monkeypatch):
-    # Counted as the nodes that the walk behind ``free_variables`` and
-    # ``unbound_reads`` visits.
+@pytest.fixture
+def walk_visits(monkeypatch):
+    """``work(run, phi)``: the nodes that the walk behind ``free_variables``
+    and ``unbound_reads`` visits while ``run(phi)`` runs."""
     visits = [0]
     walk = bindings._walk
 
@@ -145,13 +146,44 @@ def test_nested_unread_pins_cost_work_linear_in_their_depth(monkeypatch):
         visits[0] = 0
         run(phi)
         return visits[0]
+    return work
 
+
+def _compile_and_bound(phi):
+    core = desugar(phi)
+    compute_bounds(core)
+    describe(core)
+
+
+def _nested_unread_pins(depth):
+    """``exists {a} @ not pin (_, g0) { not pin (_, g1) { ... prob(a) > 0.5 } }``."""
+    body = "prob(a) > 0.5"
+    for level in reversed(range(depth)):
+        body = f"not pin (_, g{level}) {{ {body} }}"
+    return parse(f"exists {{a}} @ {body}")
+
+
+def test_nested_unread_pins_cost_work_linear_in_their_depth(walk_visits):
     shallow, deep = _nested_unread_pins(15), _nested_unread_pins(29)
-    assert bare(deep.child) == bare(shallow.child) == A.Not(A.ProbCmpConst("a", A.Cmp.GT, 0.5))
-    # ``bare`` reads the variables below the wrappers once, whatever their depth.
-    assert work(lambda phi: bare(phi.child), shallow) == work(lambda phi: bare(phi.child), deep)
+    core = A.Exists(("a",), A.Not(A.ProbCmpConst("a", A.Cmp.GT, 0.5)))
+    assert desugar(deep) == desugar(shallow) == core
+    # ``desugar`` reads the variables of each atom once, whatever the depth
+    # of the wrappers above it.
+    assert walk_visits(desugar, shallow) == walk_visits(desugar, deep)
+    assert walk_visits(_compile_and_bound, deep) <= 2 * walk_visits(_compile_and_bound, shallow)
 
-    def compile_and_bound(phi):
-        compute_bounds(phi)
-        describe_quantifiers(phi)
-    assert work(compile_and_bound, deep) <= 2 * work(compile_and_bound, shallow)
+
+def _pinned_and_chain(depth):
+    """``exists {a} @ pin (_, g0) { prob(a) > 0.1 and pin (_, g1) { ... } }``,
+    ``depth`` pins that nothing reads, each over one ``and``."""
+    body = "prob(a) > 0.1"
+    for level in reversed(range(depth)):
+        body = f"pin (_, g{level}) {{ prob(a) > 0.1 and {body} }}"
+    return parse(f"exists {{a}} @ {body}")
+
+
+def test_an_and_chain_with_unread_pins_compiles_in_linear_work(walk_visits):
+    shallow, deep = _pinned_and_chain(20), _pinned_and_chain(40)
+    assert not any(type(sub) is A.Freeze for sub in A.subformulas(desugar(deep)))
+    assert describe(desugar(deep))[2] == "quantifiers: 0 id lookups, 1 enumeration"
+    assert walk_visits(_compile_and_bound, deep) <= 2 * walk_visits(_compile_and_bound, shallow)

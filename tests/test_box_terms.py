@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from percemon import spatial
 from percemon.errors import ContractViolation
-from percemon.evaluate import EMPTY_ENV, Env, EvalContext, describe_spatial, evaluate
+from percemon.evaluate import EMPTY_ENV, Env, EvalContext, describe, evaluate
 from percemon.spatial import Universe, area, is_empty
 from percemon.stql import ast as A
 from percemon.stql.desugar import desugar
@@ -65,7 +65,7 @@ def _assert_paths_agree(term, width, height):
     ast_term, objects = _compiled_term(term)
     ctx, env = EvalContext([make_frame(0, 0.0, width, height, [])], 0), Env(objects=objects)
     area_atom = A.AreaCmpConst(ast_term, A.Cmp.EQ, expected_area)
-    assert describe_spatial(area_atom) == (
+    assert describe(area_atom)[1] == (
         "spatial: 1 box term, 0 region terms" if _is_box_term(term)
         else "spatial: 0 box terms, 1 region term")
     assert evaluate(area_atom, ctx, env) is True, (term, expected_area)

@@ -696,14 +696,16 @@ def test_log_level_env_mapping(monkeypatch):
     (["check", "--spec", "builtin:phi1", "--param", "foo"], "expected name=value, got 'foo'"),
     (["monitor", "--spec", "builtin:phi1", "--param", "x=abc"], "'abc' is not a number"),
     (["bench", "--spec", "builtin:phi1", "--objects", "a,b"], "--objects"),
+    (["bench", "--spec", "builtin:phi1", "--objects", ",,"], "--objects"),
     (["run", "--spec", "builtin:phi1", "--trace", "no/such/trace.jsonl"], "no/such/trace.jsonl"),
     (["run", "--spec", "builtin:phi1", "--trace", str(Path(__file__).parent)], "directory"),
     (["check", "--spec", "builtin:phi3"], "unknown builtin specification 'builtin:phi3'"),
     (["monitor", "--spec", "probe:foo"], "unknown probe specification 'probe:foo'"),
     (["gen", "--frames", "-1", "--objects", "2"], "frames and objects must be non-negative"),
 ], ids=["missing-spec", "frames-not-an-int", "unknown-option", "unknown-command", "no-command",
-        "param-without-value", "param-not-a-number", "objects-not-ints", "missing-trace",
-        "trace-is-a-directory", "unknown-builtin", "unknown-probe", "negative-frames"])
+        "param-without-value", "param-not-a-number", "objects-not-ints", "no-objects",
+        "missing-trace", "trace-is-a-directory", "unknown-builtin", "unknown-probe",
+        "negative-frames"])
 def test_usage_errors_exit_1_with_one_error_line(runner, args, names):
     result = invoke(runner, *args)
     assert result.exit_code == 1

@@ -1,14 +1,13 @@
 """Differential tests for the flattened propositional core of the compiler.
 
 ``evaluate`` compiles ``or`` chains into one Python ``or`` over their
-parts, ``not (a or b)`` into one ``and`` of the negated parts, ``not not
-a`` into ``a`` and ``not (x == y)`` into ``x != y``, seeing through pins
-that nothing reads, and ``exists {v} @ (v == w and ...)`` into one lookup
-of ``w``'s id. These tests check that the generated program means the
-same as the syntax tree: the same verdicts on rewritten but equivalent
-trees, the same errors, the same evaluation order and the same quantifier
-work, that the window analysis and the compiler decide the same for them,
-and that a lookup agrees with the enumeration it replaces.
+parts, ``not (a or b)`` into one ``and`` of the negated parts, and
+``exists {v} @ (v == w and ...)`` into one lookup of ``w``'s id. These
+tests check that the generated program means the same as the syntax tree:
+the same verdicts on rewritten but equivalent trees, the same errors, the
+same evaluation order and the same quantifier work, that the window
+analysis and the compiler decide the same for their canonical cores, and
+that a lookup agrees with the enumeration it replaces.
 """
 
 import itertools
@@ -19,8 +18,8 @@ import pytest
 
 from percemon import spatial
 from percemon.errors import ContractViolation
-from percemon.evaluate import (EMPTY_ENV, Env, EvalContext, EvalStats, describe_quantifiers,
-                               describe_spatial, describe_temporal, evaluate, evaluate_trace)
+from percemon.evaluate import (EMPTY_ENV, Env, EvalContext, EvalStats, describe, evaluate,
+                               evaluate_trace)
 from percemon.generator import GenConfig, generate_frames
 from percemon.monitor import Monitor, run_monitor
 from percemon.stql import ast as A
@@ -100,14 +99,15 @@ def test_equivalent_trees_give_the_same_verdicts(seed):
 def _decisions(core):
     """What the compiler decides for ``core``: its window and how each
     temporal operator, spatial term and quantifier runs."""
-    return (compute_bounds(core).describe(), describe_temporal(core), describe_spatial(core),
-            describe_quantifiers(core))
+    return (compute_bounds(core).describe(), *describe(core))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_equivalent_trees_compile_to_the_same_decisions(seed):
-    # The window analysis and the compiler read every shape through the same
-    # wrappers, so no rewrite moves the window, a summary, a box term or a lookup.
+    # ``desugar`` undoes every rewrite that ``scramble`` makes but the
+    # re-association of ``or`` chains, which the window analysis and the
+    # compiler flatten alike, so no rewrite moves the window, a summary, a box
+    # term or a lookup.
     rng = random.Random(seed)
     gen = FormulaGen(rng, max_depth=5, allow_sugar=True)
     cores = [desugar(gen.formula()) for _ in range(100)]
@@ -116,7 +116,8 @@ def test_equivalent_trees_compile_to_the_same_decisions(seed):
         decisions = _decisions(core)
         for _ in range(3):
             variant = scramble(core, rng)
-            assert _decisions(variant) == decisions, (format_formula(core), format_formula(variant))
+            assert _decisions(desugar(variant)) == decisions, \
+                (format_formula(core), format_formula(variant))
 
 
 def _frame_with(*objects):
@@ -340,8 +341,8 @@ def test_head_id_test_in_the_fold_matches_the_generic_fold(body):
     for outer in ("forall {w} @ ", "exists {w} @ "):
         for quantifier, fused, generic in _fused_and_generic(body, outer):
             lookup = _takes_lookup(quantifier, body)
-            assert describe_quantifiers(fused) == PLANS[lookup]
-            assert describe_quantifiers(generic) == PLANS[False]
+            assert describe(fused)[2] == PLANS[lookup]
+            assert describe(generic)[2] == PLANS[False]
             _same_verdicts_and_work(fused, generic, traces, lookup)
 
 
@@ -359,8 +360,8 @@ def test_phi1_lookup_matches_the_enumeration_on_a_faulty_crowd(seed):
     # Frames hold ids that the frame before lacks: there the lookup misses.
     assert any(set(frame.objects) - set(before.objects) for before, frame in zip(frames, frames[1:]))
     fused, generic = phi1(), _id_test_last(phi1())
-    assert describe_quantifiers(desugar(fused)) == PLANS[True]
-    assert describe_quantifiers(desugar(generic)) == PLANS[False]
+    assert describe(desugar(fused))[2] == PLANS[True]
+    assert describe(desugar(generic))[2] == PLANS[False]
     online = [v.value for v in run_monitor(fused, frames)]
     assert online == [v.value for v in run_monitor(generic, frames)]
     assert online == evaluate_trace(desugar(fused), frames) == evaluate_trace(desugar(generic), frames)

@@ -1,6 +1,7 @@
 import random
 
 from percemon.evaluate import Env, EvalContext, evaluate
+from percemon.stql.bindings import free_variables
 from percemon.stql import ast as A
 from percemon.stql.ast import is_core
 from percemon.stql.desugar import desugar
@@ -8,6 +9,7 @@ from percemon.stql.parser import parse
 from percemon.trace import BoundingBox, DetectedObject, make_frame
 
 from randgen import FormulaGen
+from test_compile_fusion import scramble
 
 P = A.ProbCmpConst("a", A.Cmp.GT, 0.5)
 
@@ -71,3 +73,30 @@ def test_desugar_idempotent_and_core_only():
         core = desugar(phi)
         assert is_core(core)
         assert desugar(core) == core
+
+
+def _canonical_violations(core):
+    """The subformulas of ``core`` that a canonical core does not have: a
+    ``not`` over a ``not`` or an id comparison, and a pin whose body reads
+    neither of its variables."""
+    for sub in A.subformulas(core):
+        if type(sub) is A.Not and type(sub.child) in (A.Not, A.IdEq, A.IdNeq):
+            yield sub
+        if (type(sub) is A.Freeze
+                and free_variables(sub.child).isdisjoint((sub.time_var, sub.frame_var))):
+            yield sub
+
+
+def test_desugar_emits_the_canonical_core():
+    rng = random.Random(21)
+    gen = FormulaGen(rng, max_depth=5, allow_sugar=True)
+    scrambled = 0
+    for _ in range(150):
+        core = desugar(gen.formula())
+        variants = [scramble(core, rng) for _ in range(3)]
+        scrambled += sum(variant != core for variant in variants)
+        for formula in (core, *variants):
+            canonical = desugar(formula)
+            assert not list(_canonical_violations(canonical)), formula
+            assert desugar(canonical) == canonical
+    assert scrambled > 200  # most variants have something to undo

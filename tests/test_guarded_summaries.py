@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from percemon.evaluate import describe_temporal, evaluate_trace
+from percemon.evaluate import describe, evaluate_trace
 from percemon.generator import GenConfig, generate_frames
 from percemon.monitor import Monitor, MonitorConfig, run_monitor
 from percemon.stql.builtins import resolve_spec
@@ -170,14 +170,14 @@ def test_summarized_shapes_match_the_reference(seed):
         formula = parse(_summarized(rng))
         # A summarized shape takes a summary: no scan left at the top level.
         if format_formula(formula).startswith(("forall", "exists")):
-            assert describe_temporal(desugar(formula)).endswith(" 0 scans"), format_formula(formula)
+            assert describe(desugar(formula))[0].endswith(" 0 scans"), format_formula(formula)
         _check_every_path(formula, streams)
 
 
 @pytest.mark.parametrize("name", sorted(FALLBACKS))
 def test_fallbacks_keep_the_scan_and_its_verdicts(name):
     formula = parse(FALLBACKS[name])
-    assert describe_temporal(desugar(formula)) == ONE_SCAN
+    assert describe(desugar(formula))[0] == ONE_SCAN
     _check_every_path(formula, _streams())
 
 
@@ -189,7 +189,7 @@ def test_a_guard_no_frame_meets_gives_the_empty_witness_range(spec, verdict):
     # The reach is -1: the summary is asked for a latest witness in a range
     # that ends before it starts.
     formula = parse(spec)
-    assert describe_temporal(desugar(formula)).endswith(" 0 scans")
+    assert describe(desugar(formula))[0].endswith(" 0 scans")
     assert evaluate_trace(desugar(formula), _streams()[0]) == [verdict] * 36
     _check_every_path(formula, _streams())
 
@@ -207,7 +207,7 @@ def test_a_guard_no_frame_meets_gives_the_empty_witness_range(spec, verdict):
 ])
 def test_idioms_under_unread_pins_take_a_summary(spec, window):
     formula = parse(spec)
-    assert describe_temporal(desugar(formula)) == \
+    assert describe(desugar(formula))[0] == \
         "temporal: 0 closed summaries, 1 per-id summary over {b}, 0 scans"
     # No override is needed: the guard bounds the window.
     monitor = Monitor(formula)
@@ -285,7 +285,7 @@ def test_summary_table_stays_within_the_ids_in_the_window():
     formula = parse(HOLDS_WINDOW.read_text())
     monitor = Monitor(formula, MonitorConfig(max_history=50))
     # One closed summary (the holds) and one per-id summary (the idiom).
-    assert describe_temporal(monitor.formula) == \
+    assert describe(monitor.formula)[0] == \
         "temporal: 1 closed summary, 1 per-id summary over {b}, 0 scans"
     nodes = 2
     table = monitor._summaries

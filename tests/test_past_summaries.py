@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from percemon.evaluate import EvalContext, describe_temporal, evaluate_trace
+from percemon.evaluate import EvalContext, describe, evaluate_trace
 from percemon.generator import GenConfig, generate_frames
 from percemon.monitor import Monitor, MonitorConfig, run_monitor
 from percemon.stql import ast as A
@@ -171,7 +171,7 @@ def test_a_summary_skipped_by_a_short_circuit_is_queried_again(monkeypatch, spec
     # so they agree with the reference and make the same temporal steps.
     phi = parse(spec)
     monitor = Monitor(phi, MonitorConfig(max_history=history))
-    assert "summar" in describe_temporal(monitor.formula)
+    assert "summar" in describe(monitor.formula)[0]
     steps = _counted_steps(monkeypatch)
     for seed in range(4):
         frames = _gated_frames(seed)

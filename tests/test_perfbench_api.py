@@ -64,8 +64,8 @@ def test_traced_pass_keeps_each_workload_in_its_layer_ranges(perfbench, name):
         assert low <= metrics[metric] <= high, metric
 
 
-@pytest.mark.parametrize("name, nodes", [("phi2-crowd", 19), ("phi1-sparse", 41),
-                                         ("holds-window", 22)])
+@pytest.mark.parametrize("name, nodes", [("phi2-crowd", 16), ("phi1-sparse", 29),
+                                         ("holds-window", 18)])
 def test_traced_pass_counts_each_workloads_core_nodes(perfbench, name, nodes):
     # ``traced.core_nodes`` walks ``vars(node)``, so this also fails if syntax
     # nodes stop keeping their fields in an instance dict.

@@ -30,3 +30,12 @@ def test_quantifier_blowup_reports_n_to_the_k_assignments():
     assert [(row[0], row[1], row[-1]) for row in rows] == [
         (f"probe:exists{k}", str(n), str(n ** k)) for k in (1, 2, 3) for n in (1, 2)
     ]
+
+
+def test_quantifier_blowup_rejects_an_empty_object_list():
+    for objects in ("", ",,"):
+        result = subprocess.run([sys.executable, str(SCRIPTS / "quantifier_blowup.py"),
+                                 "--objects", objects], capture_output=True, text=True, timeout=120)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "--objects" in result.stderr
