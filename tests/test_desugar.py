@@ -1,9 +1,9 @@
 import random
 
 from percemon.evaluate import Env, EvalContext, evaluate
-from percemon.stql.bindings import free_variables
 from percemon.stql import ast as A
 from percemon.stql.ast import is_core
+from percemon.stql.bindings import free_variables
 from percemon.stql.desugar import desugar
 from percemon.stql.parser import parse
 from percemon.trace import BoundingBox, DetectedObject, make_frame
