@@ -47,7 +47,6 @@ _EXPORTS = {
     "parse_frame": ".trace",
     "quantifier_assignments": ".evaluate",
     "read_stream": ".trace",
-    "ref_point": ".evaluate",
     "resolve_spec": ".stql.builtins",
     "run_monitor": ".monitor",
     "serialize_frame": ".trace",

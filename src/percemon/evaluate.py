@@ -4,7 +4,10 @@ This is the offline semantics: ``evaluate_trace`` gives the verdict of
 every frame of a trace, and the online monitor runs the same programs over
 its window. A formula is compiled once into the source of one Python
 program, which ``compile`` and ``exec`` build, and ``evaluate`` looks up
-the program of the formula object and calls it.
+the program of the formula object and calls it. The program lives exactly
+as long as the formula object: when the formula is collected, its program
+and its ``linecache`` lines go too. One formula always compiles to the same
+source text.
 
 The program is straight-line code. Captured objects and the pins that are
 read are Python locals; an ``or`` chain, however associated, and the
@@ -51,14 +54,16 @@ bound ids alone. Per node and tuple of ids the evaluator keeps, for stream
 indices k, the latest witness j <= k (R at j, ``lhs`` on all of [j, k]) or
 -1, each derived from the one for k - 1 with one evaluation of each
 operand: the Havelund-Rosu recurrence, sliced by track id as in parametric
-trace slicing. Un-negated, the node holds when the latest witness at the
-last visible frame of its reach lies within the reach (for a guarded
-``always`` the witness is a failure of ``p``). A closed node is the case
-with no ids. An ``until`` with an unbounded reach keeps the scan: the query
-would end at the last visible frame, so each new id would be seeded by a
-walk back from there, about the whole trace per id offline, where the scan
-forward from the evaluated frame often stops at once. The truncated-window
-semantics are unchanged: a witness outside the window does not count.
+trace slicing. An entry is keyed by the node's generated ``rhs`` operand
+function and the ids, a live reference that no other program can reuse.
+Un-negated, the node holds when the latest witness at the last visible
+frame of its reach lies within the reach (for a guarded ``always`` the
+witness is a failure of ``p``). A closed node is the case with no ids. An
+``until`` with an unbounded reach keeps the scan: the query would end at
+the last visible frame, so each new id would be seeded by a walk back from
+there, about the whole trace per id offline, where the scan forward from
+the evaluated frame often stops at once. The truncated-window semantics
+are unchanged: a witness outside the window does not count.
 
 An ``EvalContext`` carries the table of these entries together with the
 window's stream offset. One table serves one stream: ``evaluate_trace``
@@ -116,16 +121,17 @@ import linecache
 import logging
 import math
 import sys
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
 from . import spatial
 from .errors import ContractViolation
-from .spatial import Region, Universe
+from .spatial import Universe
 from .stql import ast as A
 from .stql.bindings import FRAME, OBJECT, TIME, free_variables, unbound_reads
 from .stql.bounds import conjuncts, disjuncts, frame_guard
-from .trace import BoundingBox, DetectedObject, Frame
+from .trace import DetectedObject, Frame
 
 log = logging.getLogger("percemon.evaluate")
 
@@ -165,13 +171,13 @@ class EvalContext:
     """A trace (or buffered window) and the index under evaluation.
 
     ``offset`` is the stream index of ``trace[0]``. ``summaries`` holds the
-    temporal summaries of one formula over one stream, keyed by (node id,
-    tuple of the object ids bound to the node's free object variables);
-    closed nodes have the empty tuple. The caller owns it and passes it
-    again with every later window of that stream, whose start may only
-    move forward, and may drop what the window no longer needs with
-    ``trim_summaries``. With None, the context gets an empty table of its
-    own.
+    temporal summaries of one formula over one stream, keyed by (the node's
+    generated ``rhs`` operand function, tuple of the object ids bound to the
+    node's free object variables); closed nodes have the empty tuple. The
+    caller owns it and passes it again with every later window of that
+    stream, whose start may only move forward, and may drop what the window
+    no longer needs with ``trim_summaries``. With None, the context gets an
+    empty table of its own.
     """
 
     __slots__ = ("trace", "index", "stats", "offset", "summaries")
@@ -229,14 +235,6 @@ def _coordinate(axis: A.Axis, ref: A.ReferencePoint) -> tuple[str, ...]:
     if ref is (A.ReferencePoint.RM if axis is A.Axis.LAT else A.ReferencePoint.BM):
         return (high,)
     return low, high
-
-
-def ref_point(box: BoundingBox, ref: A.ReferencePoint) -> tuple[float, float]:
-    """Coordinates of a named reference point of a box."""
-    def coordinate(axis: A.Axis) -> float:
-        values = [getattr(box, field) for field in _coordinate(axis, ref)]
-        return values[0] if len(values) == 1 else (values[0] + values[1]) / 2.0
-    return coordinate(A.Axis.LAT), coordinate(A.Axis.LON)
 
 
 # The ``Env`` map that binds each kind of variable.
@@ -389,15 +387,15 @@ class _Compiler:
 
     # --- functions and names ---------------------------------------------------
 
-    def source(self, emit: Callable[[_Scope, dict], str], reads: list[tuple[str, str]]) -> str:
-        """The program: ``program(ctx, env)`` returns ``emit``'s expression
+    def source(self, phi: A.Formula, reads: list[tuple[str, str]]) -> str:
+        """The program: ``program(ctx, env)`` returns the value of ``phi``
         with the variables ``reads`` lists (``bindings.unbound_reads``) taken
         from ``env``; the functions it calls come before it."""
         fn = self.function("program", ("ctx", "env"))
         names: dict[tuple[str, str], str] = {}
         for var, kind in reads:
             fn.head.append(f"{self.bind(names, var, kind, fn)} = env.{_ENV_MAPS[kind]}[{var!r}]")
-        self.finish(fn, [f"return {emit(fn.root, names)}"])
+        self.finish(fn, [f"return {self.formula(phi, fn.root, names)}"])
         return "\n\n".join(self.functions) + "\n"
 
     def function(self, kind: str, params: tuple[str, ...] = ("ctx",)) -> _Function:
@@ -410,17 +408,14 @@ class _Compiler:
         self.owner[f"i_{n}"] = fn
         return _Scope(fn, ctx, n, root)
 
-    def finish(self, fn: _Function, body: list[str], early: list[str] = ()) -> None:
-        """Add ``fn`` to the program: its prologue binds what the body reads,
-        with ``early`` before the universe."""
+    def finish(self, fn: _Function, body: list[str]) -> None:
+        """Add ``fn`` to the program: its prologue binds what the body reads."""
         lines = list(fn.head)
         if fn.env:
             lines.append(f"{', '.join(fn.env)} = env")
         if fn.trace:
             lines.append("trace = ctx.trace")
-        binds = [f"{name} = {value}" for name, value in fn.root.binds()]
-        universe = [binds.pop()] if "universe" in fn.root.reads else []
-        lines += binds + list(early) + universe
+        lines += [f"{name} = {value}" for name, value in fn.root.binds()]
         lines += [f"{hoisted} = {local}.object_id" for local, hoisted in fn.hoisted.items()]
         params = fn.params if fn.env is not None else fn.params + tuple(fn.captured)
         self.functions.append(f"def {fn.name}({', '.join(params)}):\n"
@@ -546,7 +541,7 @@ class _Compiler:
         if variables is None:
             return self.scan(kind, lhs, parts, negated, reach, s, names)
         objects = [self.read(names, var, OBJECT, s) for var in variables]
-        key = _tuple([str(id(node)), _tuple([self.object_id(names, var, s) for var in variables])])
+        ids = _tuple([self.object_id(names, var, s) for var in variables])
         env = "None" if not objects else objects[0] if len(objects) == 1 else _tuple(objects)
         operands = ["None" if lhs is None else self.operand(f"{kind}_lhs", [lhs], names, objects),
                     self.operand(f"{kind}_rhs", parts, names, objects)]
@@ -556,7 +551,7 @@ class _Compiler:
             lo, hi = i, f"min({i} + {reach}, len(trace) - 1)"
         else:
             lo, hi = "0" if reach is None else f"max({i} - {reach}, 0)", i
-        return (f"(_latest({s.ctx}, {env}, {key}, {', '.join(operands)}, "
+        return (f"(_latest({s.ctx}, {env}, {ids}, {', '.join(operands)}, "
                 f"({lower} := {s.ctx}.offset + {lo}), {s.ctx}.offset + {hi}) "
                 f"{'<' if negated else '>='} {lower})")
 
@@ -616,9 +611,9 @@ class _Compiler:
                 f"    if {body}:",
                 "        result = True",
                 "if ctx.stats is not None:",
-                f"    ctx.stats.assignments += len(objects){power}",
+                f"    ctx.stats.assignments += len({frame}.objects){power}",
                 "return result",
-            ], early=[f"objects = {frame}.objects", "if not objects:", "    return False"])
+            ])
         self.lookups.append(lookup is not None)
         return self.call(fn, s)
 
@@ -823,23 +818,25 @@ class _Witnesses:
         self.latest = [found]
 
 
-def _latest(ctx: EvalContext, env, key: tuple, lhs: Callable | None, rhs: Callable,
+def _latest(ctx: EvalContext, env, ids: tuple, lhs: Callable | None, rhs: Callable,
             lower: int, target: int) -> int:
-    """The latest witness in [lower, target], or -1, from the entry under ``key``.
+    """The latest witness in [lower, target], or -1, from the entry under
+    (``rhs``, ``ids``).
 
     Stream indices; ``target`` is at most the window's end. ``lhs`` and
-    ``rhs`` are the generated operand functions, called with a context and
-    ``env``, the captured objects the key was read from; a None ``lhs`` is
-    true. A window that starts at ``start`` extends only an entry that
-    holds a value at ``start`` or later, by the Havelund-Rosu recurrence,
-    one evaluation of each operand per frame, and only if the entry covers
-    the query. Otherwise a new one is seeded at ``target`` by the scan back
-    from it, which stops at its first decision as the plain ``since`` scan
-    does. With ``lower > target`` (a guard no frame meets) the range is
-    empty and the answer is below ``lower``.
+    ``rhs`` are the node's generated operand functions, called with a
+    context and ``env``, the captured objects ``ids`` were read from; a None
+    ``lhs`` is true. A window that starts at ``start`` extends only an entry
+    that holds a value at ``start`` or later, by the Havelund-Rosu
+    recurrence, one evaluation of each operand per frame, and only if the
+    entry covers the query. Otherwise a new one is seeded at ``target`` by
+    the scan back from it, which stops at its first decision as the plain
+    ``since`` scan does. With ``lower > target`` (a guard no frame meets)
+    the range is empty and the answer is below ``lower``.
     """
     start = ctx.offset
     summaries = ctx.summaries
+    key = (rhs, ids)
     entry = summaries.get(key)
     if (entry is None or lower < entry.lower or target < entry.base
             or entry.base + len(entry.latest) <= start):
@@ -941,7 +938,7 @@ def describe(phi: A.Formula) -> tuple[str, str, str]:
     over every assignment.
     """
     compiler = _Compiler()
-    compiler.source(lambda s, names: compiler.formula(phi, s, names), unbound_reads(phi))
+    compiler.source(phi, unbound_reads(phi))
     plan, box_terms, lookups = compiler.plan, compiler.box_terms, compiler.lookups
     per_id = [ids for ids in plan if ids]
     temporal = (f"temporal: {_count(plan.count(()), 'closed summary', 'closed summaries')}, "
@@ -962,15 +959,12 @@ def _count(n: int, noun: str, plural: str) -> str:
 _PROGRAM_NUMBERS = itertools.count()
 
 
-def _build(node: A.Node, reads: list[tuple[str, str]],
-           term: bool = False) -> Callable[[EvalContext, Env], object]:
-    """Compile the program of a formula, or of a spatial term, that reads
-    ``reads`` unbound, and return its ``program(ctx, env)``. The source is
-    kept in ``linecache`` under the code's file name until ``_forget``
-    drops it."""
+def _build(phi: A.Formula, reads: list[tuple[str, str]]) -> Callable[[EvalContext, Env], bool]:
+    """Compile the program of a formula that reads ``reads`` unbound, and
+    return its ``program(ctx, env)``. The source is registered with
+    ``linecache`` under the code's file name."""
     compiler = _Compiler()
-    emit = compiler.term if term else compiler.formula
-    source = compiler.source(lambda s, names: emit(node, s, names), reads)
+    source = compiler.source(phi, reads)
     filename = f"<percemon program {next(_PROGRAM_NUMBERS)}>"
     namespace = {"_c": compiler, "_ev": sys.modules[__name__], "_latest": _latest,
                  "spatial": spatial, "math": math, **compiler.constants}
@@ -979,47 +973,37 @@ def _build(node: A.Node, reads: list[tuple[str, str]],
     return namespace["program"]
 
 
-def _forget(program: Callable) -> None:
-    linecache.cache.pop(program.__code__.co_filename, None)
-
-
-def eval_spatial(term: A.SpatialTerm, ctx: EvalContext, env: Env) -> Region:
-    """Evaluate a core spatial term within the current frame's universe."""
-    reads = unbound_reads(term)
-    _require_bound(reads, env)
-    program = _build(term, reads, term=True)
-    try:
-        return program(ctx, env)
-    finally:
-        _forget(program)
+def _forget(key: int, filename: str) -> None:
+    """Drop the program of a collected formula and its ``linecache`` lines."""
+    del _programs[key]
+    linecache.cache.pop(filename, None)
 
 
 # Compiled programs by formula identity, with the variables each reads
-# unbound. Each entry holds its formula, so the identity cannot be reused by
-# another object while the entry exists.
-_PROGRAMS_MAX = 64
-_programs: dict[int, tuple[A.Formula, Callable, list[tuple[str, str]]]] = {}
+# unbound. An entry lives exactly as long as its formula: a finalizer on the
+# formula drops it, before the identity can be reused.
+_programs: dict[int, tuple[Callable[[EvalContext, Env], bool], list[tuple[str, str]]]] = {}
 
 
 def evaluate(phi: A.Formula, ctx: EvalContext, env: Env = EMPTY_ENV) -> bool:
     """Boolean quality of a core formula, as ``desugar`` gives it, at ``ctx.index``.
 
-    The formula is compiled on first use and its program kept for later
-    calls with the same formula object. A variable that ``phi`` reads but
-    neither it nor ``env`` binds raises ``ContractViolation`` before any
-    frame is evaluated; a closed formula is checked once, at compile time.
-    The temporal summaries are read from and added to ``ctx.summaries``.
+    The formula is compiled on first use, and its program kept for later
+    calls with the same formula object for as long as that object lives. A
+    variable that ``phi`` reads but neither it nor ``env`` binds raises
+    ``ContractViolation`` before any frame is evaluated; a closed formula is
+    checked once, at compile time. The temporal summaries are read from and
+    added to ``ctx.summaries``.
     """
     entry = _programs.get(id(phi))
     if entry is None:
         reads = unbound_reads(phi)
         program = _build(phi, reads)
-        if len(_programs) >= _PROGRAMS_MAX:
-            _forget(_programs.pop(next(iter(_programs)))[1])
-        entry = _programs[id(phi)] = (phi, program, reads)
-    if entry[2]:
-        _require_bound(entry[2], env)
-    return entry[1](ctx, env)
+        entry = _programs[id(phi)] = (program, reads)
+        weakref.finalize(phi, _forget, id(phi), program.__code__.co_filename)
+    if entry[1]:
+        _require_bound(entry[1], env)
+    return entry[0](ctx, env)
 
 
 def evaluate_trace(

@@ -37,7 +37,6 @@ from math import inf
 
 from ..errors import ContractViolation
 from . import ast as A
-from .ast import is_core
 from .desugar import negate
 
 
@@ -160,8 +159,7 @@ def _bounds(phi: A.Formula, pinned: frozenset[str]) -> tuple[float, float]:
 
 def compute_bounds(phi: A.Formula) -> FrameBounds:
     """History/horizon requirement of a binding-checked core formula, as
-    ``desugar`` gives it."""
-    if not is_core(phi):
-        raise ContractViolation("compute_bounds requires a desugared formula")
+    ``desugar`` gives it. A sugar node raises ``ContractViolation`` naming
+    its kind."""
     history, horizon = _bounds(phi, frozenset())
     return FrameBounds(None if history == inf else history, None if horizon == inf else horizon)

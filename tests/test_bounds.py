@@ -104,9 +104,19 @@ def test_probe_is_memoryless():
     assert compute_bounds(probe(3)) == FrameBounds(0, 0)
 
 
-def test_sugar_rejected():
-    with pytest.raises(ContractViolation):
-        compute_bounds(parse("true and true"))
+@pytest.mark.parametrize("text, kind", [
+    ("true and true", "And"),
+    ("prev (true implies next true)", "Implies"),
+    ("exists {a} @ pin (_, f) { always prob(a) > 0.5 }", "Always"),
+    ("not (true until eventually true)", "Eventually"),
+    ("true since (once true)", "Once"),
+    ("next holds true", "Holds"),
+    ("true or forall {a} @ prob(a) > 0.5", "Forall"),
+])
+def test_sugar_rejected(text, kind):
+    # The walk itself names the first sugar node it meets, however deep.
+    with pytest.raises(ContractViolation, match=f"needs a core formula, got {kind}$"):
+        compute_bounds(parse(text))
 
 
 def test_describe():

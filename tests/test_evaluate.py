@@ -9,13 +9,11 @@ from percemon.evaluate import (
     Env,
     EvalContext,
     EvalStats,
-    eval_spatial,
     evaluate,
     evaluate_trace,
     quantifier_assignments,
-    ref_point,
 )
-from percemon.spatial import area, is_empty
+from percemon.spatial import Universe, area, is_empty
 from percemon.stql import ast as A
 from percemon.stql.builtins import phi1
 from percemon.stql.desugar import desugar
@@ -23,6 +21,7 @@ from percemon.stql.parser import parse
 from percemon.trace import BoundingBox, DetectedObject, make_frame
 
 from randgen import FormulaGen, random_trace
+from reference import region
 
 
 def obj(oid, label="car", prob=0.9, box=(10, 20, 30, 60)):
@@ -142,13 +141,20 @@ def test_each_compiled_formula_warns_once_on_its_own(caplog):
 
 # --- reference points, offsets, distances ------------------------------------
 
-def test_ref_point_examples():
-    box = BoundingBox(10, 20, 30, 60)
-    assert ref_point(box, A.ReferencePoint.LM) == (10, 40)
-    assert ref_point(box, A.ReferencePoint.CT) == (20, 40)
-    assert ref_point(BoundingBox(0, 0, 10, 10), A.ReferencePoint.TM) == (5, 0)
-    assert ref_point(box, A.ReferencePoint.RM) == (30, 40)
-    assert ref_point(box, A.ReferencePoint.BM) == (20, 60)
+@pytest.mark.parametrize("ref, box, point", [
+    ("lm", (10, 20, 30, 60), (10, 40)),
+    ("rm", (10, 20, 30, 60), (30, 40)),
+    ("tm", (0, 0, 10, 10), (5, 0)),
+    ("bm", (10, 20, 30, 60), (20, 60)),
+    ("ct", (10, 20, 30, 60), (20, 40)),
+])
+def test_lat_and_lon_read_each_reference_point(ref, box, point):
+    # Each coordinate is pinned from both sides through the compiled atom.
+    tracked = obj(1, box=box)
+    env, c = Env(objects={"a": tracked}), ctx(frame(0, tracked))
+    for axis, value in zip(("lat", "lon"), point):
+        assert ev(f"{axis}(a, {ref}) >= {value}", c, env) is True
+        assert ev(f"{axis}(a, {ref}) > {value}", c, env) is False
 
 
 def test_offsets_are_image_coordinates():
@@ -228,19 +234,25 @@ def test_forall_exists_duality():
 
 # --- spatial atoms ------------------------------------------------------------
 
-def test_eval_spatial_universe():
+def test_universe_area():
     c = ctx(frame(0))
-    assert area(eval_spatial(A.UniverseSet(), c, EMPTY_ENV)) == 100 * 100
+    assert area(region(A.UniverseSet(), Universe(100, 100), {})) == 100 * 100
+    assert evaluate(A.AreaCmpConst(A.UniverseSet(), A.Cmp.EQ, 100 * 100), c) is True
+    assert evaluate(A.AreaCmpConst(A.UniverseSet(), A.Cmp.LT, 100 * 100), c) is False
 
 
-def test_eval_spatial_complement_of_box():
+def test_area_of_a_box_complement():
     tracked = obj(1, box=(10, 10, 20, 20))
     env = Env(objects={"a": tracked})
-    region = eval_spatial(A.Complement(A.BBoxOf("a")), ctx(frame(0, tracked)), env)
-    assert area(region) == 9900
+    term = A.Complement(A.BBoxOf("a"))
+    assert area(region(term, Universe(100, 100), {("object", "a"): tracked})) == 9900
+    c = ctx(frame(0, tracked))
+    assert evaluate(A.AreaCmpConst(term, A.Cmp.EQ, 9900), c, env) is True
+    assert evaluate(A.AreaCmpConst(term, A.Cmp.GT, 9900), c, env) is False
+    assert evaluate(A.SpatialExists(term), c, env) is True
 
 
-def test_eval_spatial_intersection_area():
+def test_intersection_area():
     a = obj(1, box=(0, 0, 10, 10))
     b = obj(2, box=(5, 0, 15, 10))
     env = Env(objects={"u": a, "v": b})
@@ -259,11 +271,11 @@ def test_spatial_exists_matches_emptiness():
         if not f.objects:
             continue
         term = gen._spatial(tuple(["v"]))
-        first = sorted(f.objects)[0]
-        env = Env(objects={"v": f.objects[first]})
+        first = f.objects[sorted(f.objects)[0]]
+        phi = desugar(A.SpatialExists(term))
+        denoted = region(phi.term, Universe(f.width, f.height), {("object", "v"): first})
         c = EvalContext(trace, 0)
-        region = eval_spatial(desugar(A.SpatialExists(term)).term, c, env)
-        assert evaluate(desugar(A.SpatialExists(term)), c, env) == (not is_empty(region))
+        assert evaluate(phi, c, Env(objects={"v": first})) == (not is_empty(denoted))
 
 
 # --- temporal semantics -------------------------------------------------------
@@ -378,12 +390,12 @@ def test_unbound_read_raises_before_any_frame_is_evaluated(text, context, env, m
         ev(text, context, env)
 
 
-def test_eval_spatial_with_an_unbound_box_raises():
+def test_a_spatial_atom_with_an_unbound_box_raises():
     term = A.SpatialIntersect(A.BBoxOf("b"), A.Complement(A.BBoxOf("a")))
     with pytest.raises(ContractViolation, match="object variable 'a' is unbound"):
-        eval_spatial(term, ctx(frame(0, obj(1))), Env(objects={"b": obj(1)}))
+        evaluate(A.SpatialExists(term), ctx(frame(0, obj(1))), Env(objects={"b": obj(1)}))
     with pytest.raises(ContractViolation, match="object variable 'a' is unbound"):
-        eval_spatial(A.BBoxOf("a"), ctx(frame(0)), EMPTY_ENV)
+        evaluate(A.AreaCmpConst(A.BBoxOf("a"), A.Cmp.GT, 0), ctx(frame(0)), EMPTY_ENV)
 
 
 def test_windowed_evaluation_restricts_visibility():

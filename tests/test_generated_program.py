@@ -4,14 +4,18 @@
 Its functions are named after their node kind and compile order, the
 source is registered with ``linecache`` so that tracebacks show the
 generated lines, and an expression that would nest deeper than CPython's
-parser allows is split into functions of its own.
+parser allows is split into functions of its own. A program lives exactly
+as long as its formula object, and one formula compiles to one source text.
 """
 
 import cProfile
+import gc
+import importlib
 import linecache
 import math
 import pstats
 import traceback
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +23,9 @@ import pytest
 from percemon import spatial
 from percemon.evaluate import EvalContext, evaluate, evaluate_trace
 from percemon.generator import GenConfig, generate_frames
+from percemon.monitor import Monitor
 from percemon.stql import ast as A
-from percemon.stql.builtins import phi2
+from percemon.stql.builtins import phi1, phi2
 from percemon.stql.desugar import desugar
 from percemon.stql.parser import parse
 from percemon.trace import BoundingBox, DetectedObject, make_frame
@@ -28,6 +33,19 @@ from percemon.trace import BoundingBox, DetectedObject, make_frame
 from reference import reference_trace
 
 PROGRAM = "<percemon program "
+HOLDS_WINDOW = Path(__file__).resolve().parent.parent / "perfbench" / "specs" / "holds_window.stql"
+evaluate_module = importlib.import_module("percemon.evaluate")
+
+
+EMPTY = [make_frame(0, 0.0, 100.0, 100.0, [])]
+
+
+def _compiled(phi):
+    """Evaluate ``phi``, compiling it, and return its program's ``linecache`` name."""
+    before = set(linecache.cache)
+    evaluate(phi, EvalContext(EMPTY, 0))
+    (name,) = set(linecache.cache) - before
+    return name
 
 
 def test_a_traceback_shows_the_generated_functions_and_lines(monkeypatch):
@@ -56,11 +74,55 @@ def test_a_profile_attributes_time_to_each_generated_function():
     assert sorted(name.split("_")[0] for name in names) == ["exists", "exists", "program"]
 
 
+def _pin(bound):
+    return desugar(parse(f"pin (t, _) {{ t - C_TIME <= {bound} }}"))
+
+
 def test_dropped_programs_leave_the_line_cache():
-    frames = [make_frame(0, 0.0, 100.0, 100.0, [])]
+    gc.collect()
+    before = sum(name.startswith(PROGRAM) for name in linecache.cache), len(evaluate_module._programs)
     for bound in range(100):
-        evaluate(desugar(parse(f"pin (t, _) {{ t - C_TIME <= {bound} }}")), EvalContext(frames, 0))
-    assert sum(name.startswith(PROGRAM) for name in linecache.cache) <= 64
+        evaluate(_pin(bound), EvalContext(EMPTY, 0))
+    gc.collect()
+    # Each formula was dropped right after its verdict, and its program with it.
+    assert (sum(name.startswith(PROGRAM) for name in linecache.cache),
+            len(evaluate_module._programs)) == before
+
+
+def test_a_program_lives_exactly_as_long_as_its_formula():
+    formulas = [_pin(bound) for bound in range(100)]
+    names = {id(phi): _compiled(phi) for phi in formulas}
+    assert names.keys() <= evaluate_module._programs.keys()
+    assert all(name in linecache.cache for name in names.values())
+    del formulas
+    gc.collect()
+    assert not names.keys() & evaluate_module._programs.keys()
+    assert not any(name in linecache.cache for name in names.values())
+
+
+def test_65_live_monitors_build_65_programs(monkeypatch):
+    builds = []
+    build = evaluate_module._build
+    monkeypatch.setattr(evaluate_module, "_build",
+                        lambda phi, reads: builds.append(phi) or build(phi, reads))
+    frames = list(generate_frames(GenConfig(frames=10, objects=3, seed=7)))
+    monitors = [Monitor(phi1()) for _ in range(65)]
+    verdicts = [[] for _ in monitors]
+    for frame in frames:
+        for monitor, out in zip(monitors, verdicts):
+            out += monitor.push_frame(frame)
+    for monitor, out in zip(monitors, verdicts):
+        out += monitor.flush()
+    assert len(builds) == 65
+    values = [[verdict.value for verdict in out] for out in verdicts]
+    assert all(out == values[0] and len(out) == len(frames) for out in values)
+
+
+def test_one_formula_compiles_to_the_same_source():
+    text = HOLDS_WINDOW.read_text()
+    formulas = [desugar(parse(text)) for _ in range(2)]
+    first, second = (linecache.getlines(_compiled(phi)) for phi in formulas)
+    assert first and first == second
 
 
 DEEP = {

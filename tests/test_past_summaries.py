@@ -182,3 +182,21 @@ def test_a_summary_skipped_by_a_short_circuit_is_queried_again(monkeypatch, spec
         offline = evaluate_trace(monitor.formula, frames, monitor.history, monitor.horizon)
         assert online == offline == expected, (spec, history, seed)
         assert steps[0] - before == online_steps
+
+
+@pytest.mark.parametrize("spec, plan", [
+    ("once (exists {a} @ prob(a) > 0.8) and not once (exists {a} @ prob(a) < 0.2)",
+     "temporal: 2 closed summaries, 0 per-id summaries, 0 scans"),
+    ("forall {b} @ (once prob(b) > 0.8 or holds prob(b) > 0.3)",
+     "temporal: 0 closed summaries, 2 per-id summaries over {b}, {b}, 0 scans"),
+])
+def test_summaries_over_the_same_ids_keep_entries_of_their_own(spec, plan):
+    # Two summarized nodes with equal id tuples share one table, keyed
+    # apart by their own operand functions.
+    core = desugar(parse(spec))
+    assert describe(core)[0] == plan
+    for frames in _streams():
+        assert evaluate_trace(core, frames) == reference_trace(core, frames)
+        for history in (0, 3):
+            online = [v.value for v in run_monitor(core, frames, MonitorConfig(max_history=history))]
+            assert online == reference_trace(core, frames, history=history, horizon=0)
