@@ -21,9 +21,10 @@ q1/median/q3, the pairs the change won and the ratio of the medians
 (``summary``). With traced runs it also holds, per workload and per-layer
 metric of ``BENCHMARK.json``, the median of the parent's and of the
 change's traced runs (``traced_summary``). A run that fails before
-printing its result line, such as a crash, is run once more and the failed
-attempt is kept in ``failed_attempts``; a run that fails twice, or prints a
-result that is not correct, stops the script with exit 1 and no record.
+printing its result line, such as a crash, is tried up to ``ATTEMPTS`` (3)
+times, and every failed attempt is kept in ``failed_attempts``; a run that
+fails every attempt, or prints a result that is not correct, stops the
+script with exit 1 and no record.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 SIDES = ("parent", "change")
 PAIRS = 10
 TRACED_PAIRS = 3
+ATTEMPTS = 3
 
 
 def result_line(stdout: str) -> dict | None:
@@ -57,11 +59,11 @@ def result_line(stdout: str) -> dict | None:
 def run_once(tree: Path, workload: str, seed: int, extra: list[str],
              failures: list[dict]) -> dict:
     """The result line of one run in ``tree``. A run that fails before it
-    prints a result line is tried once more, and each failed attempt is
-    appended to ``failures``; a second failure, or a result line that is
-    not correct, stops the script."""
+    prints a result line is tried up to ``ATTEMPTS`` times, and each failed
+    attempt is appended to ``failures``; failing every attempt, or a result
+    line that is not correct, stops the script."""
     args = ["perfbench/run.py", "--workload", workload, "--seed", str(seed), *extra]
-    for _ in range(2):
+    for _ in range(ATTEMPTS):
         proc = subprocess.run([sys.executable, *args], cwd=tree, capture_output=True, text=True)
         result = result_line(proc.stdout)
         if proc.returncode == 0 and result is not None and result.get("correct", True):

@@ -84,11 +84,12 @@ and ``rest`` runs on it alone. It counts as one assignment in
 quantifier enumerates every assignment.
 
 A spatial term built only from ``bbox``, ``universe`` and ``&`` is at most
-one rectangle. Such a box term compiles to one ``spatial.box_meet`` call,
-which returns the clipped intersection as a box or None; its area is one
-product and ``nonempty`` a None test, bit for bit what the ``Region``
-operations give. Terms with ``~``, ``|`` or ``empty`` run through the
-``Region`` algebra.
+one rectangle. Such a box term compiles to one ``spatial.meet_area`` call,
+which returns the area of the clipped intersection, one product, or None
+when it has no area, and builds no rectangle; ``area`` reads None as 0 and
+``nonempty`` is a None test, bit for bit what the ``Region`` operations
+give. Terms with ``~``, ``|`` or ``empty`` run through the ``Region``
+algebra.
 
 Conventions for finite traces and partial data:
 
@@ -708,21 +709,21 @@ class _Compiler:
         """The area of ``term`` in the frame's universe, or whether it is nonempty.
 
         A term of boxes, the universe and ``&`` alone is one
-        ``spatial.box_meet``, then a product or a None test, equal to what
-        the ``Region`` operations give; any other goes through its ``Region``."""
+        ``spatial.meet_area``, whose None reads as 0 for an area and as empty
+        for ``nonempty``, equal to what the ``Region`` operations give; any
+        other goes through its ``Region``."""
         variables = _box_variables(term)
         self.box_terms.append(variables is not None)
         if variables is None:
             region = self.term(term, s, names, depth)
             return f"spatial.area({region})" if area else f"(not spatial.is_empty({region}))"
         boxes = _tuple([f"{self.read(names, var, OBJECT, s)}.bbox" for var in variables])
-        meet = f"spatial.box_meet({boxes}, {s.universe()})"
+        meet = f"spatial.meet_area({boxes}, {s.universe()})"
         if not area:
             return f"({meet} is not None)"
         # ``area`` of the empty region is the empty sum, 0.
-        box = self.temp("box")
-        return (f"(0 if ({box} := {meet}) is None else "
-                f"({box}.xmax - {box}.xmin) * ({box}.ymax - {box}.ymin))")
+        value = self.temp("area")
+        return f"(0 if ({value} := {meet}) is None else {value})"
 
     def term(self, term: A.SpatialTerm, s: _Scope, names: dict, depth: int = 0) -> str:
         """A Python expression for the ``Region`` of ``term`` in scope ``s``."""
@@ -931,7 +932,7 @@ def describe(phi: A.Formula) -> tuple[str, str, str]:
     example ``temporal: 1 closed summary, 1 per-id summary over {b}, 0
     scans``; ``next``/``prev`` are single steps and not counted. The
     spatial line counts the spatial terms of atoms, for example ``spatial:
-    2 box terms, 0 region terms``: a box term is one ``spatial.box_meet``,
+    2 box terms, 0 region terms``: a box term is one ``spatial.meet_area``,
     a region term the ``Region`` algebra. The quantifier line counts the
     object quantifiers, for example ``quantifiers: 1 id lookup, 1
     enumeration``: an id lookup is one ``lookup_N``, an enumeration a fold

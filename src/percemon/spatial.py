@@ -14,10 +14,10 @@ and a rectangle derived from checked boxes by mins and maxes is finite and
 ordered.
 
 A term built only from boxes, the universe and intersection is at most one
-rectangle, so the evaluator computes it with ``box_meet``: the rectangle as
-a box, or None when it has no area. Its area is one product of the same
-differences ``area`` sums, so both paths agree exactly; the ``Region``
-operations stay the reference for every other term.
+rectangle, so the evaluator computes it with ``meet_area``: the area of that
+rectangle, or None when it has no area, with no rectangle built. The area is
+one product of the same differences ``area`` sums, so both paths agree
+exactly; the ``Region`` operations stay the reference for every other term.
 """
 
 from __future__ import annotations
@@ -126,13 +126,16 @@ def from_box(box: BoundingBox, universe: Universe) -> Region:
     return Region(universe, (clipped,))
 
 
-def box_meet(boxes: Iterable[BoundingBox], universe: Universe) -> BoundingBox | None:
-    """The intersection of ``boxes`` and the universe, or None when it has no area.
+def meet_area(boxes: Iterable[BoundingBox], universe: Universe) -> float | None:
+    """The area of the intersection of ``boxes`` and the universe, or None
+    when that intersection has no area.
 
-    Equal to intersecting the universe with ``from_box`` of each box: clamping
-    into the universe commutes with max and min, and a box that clips to
-    nothing leaves a meet with no area. Edge contact is empty, as in
-    ``intersect``.
+    Equal to ``area`` of the universe intersected with ``from_box`` of each
+    box: clamping into the universe commutes with max and min, and a box that
+    clips to nothing leaves a meet with no area. Edge contact is empty, as in
+    ``intersect``. Emptiness is None, never a zero area: a meet of positive
+    width and height whose product underflows to 0.0 is nonempty, as its
+    ``Region`` is.
     """
     x1 = y1 = 0.0
     x2, y2 = universe.width, universe.height
@@ -146,7 +149,7 @@ def box_meet(boxes: Iterable[BoundingBox], universe: Universe) -> BoundingBox | 
         if box.ymax < y2:
             y2 = box.ymax
     if x1 < x2 and y1 < y2:
-        return BoundingBox(x1, y1, x2, y2)
+        return (x2 - x1) * (y2 - y1)
     return None
 
 

@@ -126,14 +126,24 @@ def test_a_run_that_crashes_before_its_result_is_retried_once(bench_pairs, monke
                          "exit_code": 1, "stderr": "ZeroDivisionError: float division by zero"}]
 
 
+def test_a_run_that_crashes_twice_keeps_both_failed_attempts(bench_pairs, monkeypatch):
+    commands = _stub_runs(monkeypatch, bench_pairs,
+                          [CRASH, CRASH, _printed(_result(100, 0.1, 20))])
+    failures = []
+    result = bench_pairs.run_once(Path("parent"), "w", 7, [], failures)
+    assert result == _result(100, 0.1, 20)
+    assert len(commands) == 3 and commands[0] == commands[1] == commands[2]
+    assert [(f["tree"], f["exit_code"]) for f in failures] == [("parent", 1), ("parent", 1)]
+
+
 @pytest.mark.parametrize("outcomes, attempts", [
-    ([CRASH, CRASH], 2),
+    ([CRASH, CRASH, CRASH], 3),
     # A result line that is not correct is not retried, whatever the exit code.
     ([_printed(_result(100, 0.1, 20, failed=3), returncode=1)], 1),
     ([_printed(_result(100, 0.1, 20, failed=3))], 1),
 ])
-def test_a_run_that_fails_twice_or_is_wrong_stops_the_script(bench_pairs, monkeypatch, capsys,
-                                                             outcomes, attempts):
+def test_a_run_that_fails_three_times_or_is_wrong_stops_the_script(bench_pairs, monkeypatch,
+                                                                   capsys, outcomes, attempts):
     commands = _stub_runs(monkeypatch, bench_pairs, list(outcomes))
     failures = []
     with pytest.raises(SystemExit, match="bench_pairs: perfbench/run.py --workload w"):

@@ -1,11 +1,12 @@
 """The box path against the ``Region`` algebra it stands in for.
 
 A spatial term built only from ``bbox``, ``universe`` and ``&`` is compiled
-to one ``spatial.box_meet`` call, its area to one product and ``nonempty`` to
-a None test. These tests check that every such area and emptiness equals,
-exactly, what ``from_box``, ``intersect``, ``area`` and ``is_empty`` give, on
-random terms, on hostile boxes and against the pixel-grid oracle, and that
-every other term still runs through the ``Region`` functions.
+to one ``spatial.meet_area`` call, which builds no rectangle: its area is the
+returned product, None read as 0, and ``nonempty`` a None test. These tests
+check that every such area and emptiness equals, exactly, what ``from_box``,
+``intersect``, ``area`` and ``is_empty`` give, on random terms, on hostile
+boxes and against the pixel-grid oracle, and that every other term still
+runs through the ``Region`` functions.
 """
 
 import random
@@ -16,9 +17,11 @@ from hypothesis import strategies as st
 
 from percemon import spatial
 from percemon.errors import ContractViolation
-from percemon.evaluate import EMPTY_ENV, Env, EvalContext, describe, evaluate
+from percemon.evaluate import EMPTY_ENV, Env, EvalContext, describe, evaluate, evaluate_trace
+from percemon.generator import GenConfig, generate_frames
 from percemon.spatial import Universe, area, is_empty
 from percemon.stql import ast as A
+from percemon.stql.builtins import phi2
 from percemon.stql.desugar import desugar
 from percemon.stql.parser import parse
 from percemon.trace import BoundingBox, DetectedObject, make_frame
@@ -118,6 +121,9 @@ HOSTILE = {
     "touching-right-edge": (100, 0, 110, 10),
     "covers-universe": (-1, -1, 101, 81),
     "fractional": (0.1, 0.2, 0.1 + 0.2 + 0.4, 1 / 3 + 10),
+    # Its area underflows to 0.0, but it has positive width and height, so
+    # its Region is nonempty: a meet signals emptiness by None, not by 0.
+    "subnormal": (0, 0, 1e-200, 1e-200),
 }
 
 
@@ -173,6 +179,17 @@ def test_box_terms_never_build_regions(monkeypatch):
                         100, 80)
 
 
+def test_box_terms_never_build_a_rectangle(monkeypatch):
+    frames = list(generate_frames(GenConfig(frames=20, objects=6, seed=7)))
+    expected = evaluate_trace(desugar(phi2()), frames)
+
+    def forbidden(*args):
+        raise AssertionError("a box term built a rectangle")
+
+    monkeypatch.setattr(spatial, "BoundingBox", forbidden)
+    assert evaluate_trace(desugar(phi2()), frames) == expected
+
+
 @pytest.mark.parametrize("term", [
     ("union", ("box", HOSTILE["inside"]), ("box", HOSTILE["edge-contact"])),
     ("comp", ("box", HOSTILE["inside"])),
@@ -183,7 +200,7 @@ def test_terms_with_complement_union_or_empty_never_meet_boxes(monkeypatch, term
     def forbidden(*args):
         raise AssertionError("a region term took the box path")
 
-    monkeypatch.setattr(spatial, "box_meet", forbidden)
+    monkeypatch.setattr(spatial, "meet_area", forbidden)
     _assert_paths_agree(term, 100, 80)
 
 

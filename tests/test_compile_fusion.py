@@ -182,7 +182,7 @@ RATIO_NEVER = "area(bbox(c)) / area(bbox(c)) >= 0.5"                # areas 900,
 ])
 def test_fused_ratio_atoms_run_left_to_right_and_stop(monkeypatch, caplog, spec, value, areas):
     seen = []
-    _run_ratio_atoms(monkeypatch, caplog, spec, value, "box_meet", _recording_meet(seen))
+    _run_ratio_atoms(monkeypatch, caplog, spec, value, "meet_area", _recording_meet(seen))
     # Each atom is evaluated in source order until the outcome is settled.
     assert seen == areas * 2
 
@@ -203,19 +203,18 @@ def test_fused_ratio_atoms_run_left_to_right_and_stop(monkeypatch, caplog, spec,
 def test_unread_pins_and_double_negations_keep_the_stop_order(monkeypatch, caplog, spec, value,
                                                                areas):
     seen = []
-    _run_ratio_atoms(monkeypatch, caplog, spec, value, "box_meet", _recording_meet(seen))
+    _run_ratio_atoms(monkeypatch, caplog, spec, value, "meet_area", _recording_meet(seen))
     assert seen == areas * 2
 
 
 def _recording_meet(seen):
-    """``spatial.box_meet`` that appends the area of each meet to ``seen``:
-    box-only terms run through it."""
-    original = spatial.box_meet
+    """``spatial.meet_area`` that appends the area of each meet to ``seen``,
+    None as 0: box-only terms run through it."""
+    original = spatial.meet_area
 
     def recording_meet(boxes, universe):
         result = original(boxes, universe)
-        seen.append(0 if result is None else
-                    (result.xmax - result.xmin) * (result.ymax - result.ymin))
+        seen.append(0 if result is None else result)
         return result
     return recording_meet
 

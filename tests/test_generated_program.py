@@ -51,7 +51,7 @@ def _compiled(phi):
 def test_a_traceback_shows_the_generated_functions_and_lines(monkeypatch):
     def broken_meet(boxes, universe):
         raise RuntimeError("box meet failed")
-    monkeypatch.setattr(spatial, "box_meet", broken_meet)
+    monkeypatch.setattr(spatial, "meet_area", broken_meet)
     frames = list(generate_frames(GenConfig(frames=2, objects=2, seed=7)))
     with pytest.raises(RuntimeError) as caught:
         evaluate(desugar(phi2()), EvalContext(frames, 1))
@@ -59,7 +59,7 @@ def test_a_traceback_shows_the_generated_functions_and_lines(monkeypatch):
                  if entry.filename.startswith(PROGRAM)]
     assert [entry.name.split("_")[0] for entry in generated] == ["program", "exists", "exists"]
     # The last generated line is the overlap atom's, read back from linecache.
-    assert "spatial.box_meet(" in generated[-1].line
+    assert "spatial.meet_area(" in generated[-1].line
     assert linecache.getline(generated[-1].filename, generated[-1].lineno).strip() == \
         generated[-1].line
 
