@@ -4,8 +4,9 @@ For each requested object count the bench generates one fault-free stream
 with a fixed seed, runs the online monitor over it and reports mean and
 p99 per-verdict evaluation time. Timing covers only the evaluation call;
 frames are materialized up front, so JSON handling never pollutes the
-numbers. With assignment counting enabled the report also carries the
-number of quantifier assignments enumerated per frame, which for the
+numbers, and the program of the specification is built before any
+stream is timed. With assignment counting enabled the report also carries
+the number of quantifier assignments enumerated per frame, which for the
 ``probe:existsK`` specifications is exactly n^k.
 """
 
@@ -48,8 +49,14 @@ def run_bench(
 ) -> list[BenchReport]:
     """One report per object count, monitoring a seeded synthetic stream."""
     reports: list[BenchReport] = []
+    name, formula = resolve_spec(spec, params)
+    # Monitors of one specification share its program, which is built at the
+    # first verdict: build it before any size is timed, and keep it.
+    warm = Monitor(formula)
+    for frame in generate_frames(GenConfig(frames=1, objects=1, seed=seed)):
+        warm.push_frame(frame)
+    warm.flush()
     for count in object_counts:
-        name, formula = resolve_spec(spec, params)
         stream = generate_frames(GenConfig(frames=frames, objects=count, seed=seed))
         monitor = Monitor(formula)
         verdicts = []

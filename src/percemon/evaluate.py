@@ -274,18 +274,37 @@ class _Function:
         self.env: list[str] | None = None
         self.trace = False
         self.root: _Scope
+        self.steps: list[_Scope] = []
 
 
 class _Scope:
     """A frame in a generated function: the local names of its context and
     index, and of its frame and universe, which are bound only if read.
-    A root scope reads its index from the function's ``ctx``."""
 
-    __slots__ = ("fn", "ctx", "n", "root", "reads")
+    A root scope reads its index from the function's ``ctx`` once per call,
+    and a scan binds its scope once per frame it visits. A step scope
+    (``parent`` set) is the frame before (``back``) or after its parent's,
+    one per parent and direction, shared by every ``prev`` or ``next`` of
+    that parent. Its index and an unbuilt context are bound with the
+    binding of its nearest root or scan scope; its context, frame and
+    universe are bound by the first step that reaches it and reads them
+    (``build``), so at most once per binding of its parent."""
 
-    def __init__(self, fn: _Function, ctx: str, n: int, root: bool):
+    __slots__ = ("fn", "ctx", "n", "root", "reads", "parent", "back", "steps", "used")
+
+    def __init__(self, fn: _Function, ctx: str, n: int, root: bool,
+                 parent: _Scope | None = None, back: bool = False):
         self.fn, self.ctx, self.n, self.root = fn, ctx, n, root
+        self.parent, self.back = parent, back
         self.reads: set[str] = set()
+        self.steps: dict[bool, _Scope] = {}
+        # Whether the frame was read since ``step`` last cleared this.
+        self.used = False
+
+    def context(self) -> str:
+        self.used = True
+        self.reads.add("ctx")
+        return self.ctx
 
     def index(self) -> str:
         self.reads.add("index")
@@ -293,7 +312,7 @@ class _Scope:
 
     def frame(self) -> str:
         self.index()
-        self.fn.trace = True
+        self.fn.trace = self.used = True
         self.reads.add("frame")
         return f"frame_{self.n}"
 
@@ -302,20 +321,41 @@ class _Scope:
         self.reads.add("universe")
         return f"universe_{self.n}"
 
+    def built(self) -> bool:
+        """Whether a step scope's context is built: some step reads its frame."""
+        return not self.reads.isdisjoint(("ctx", "frame"))
+
     def binds(self) -> list[tuple[str, str]]:
-        """(local, value) for each name read, in binding order."""
+        """(local, value) for each name the scope's binding sets, in binding
+        order: a step scope's build, or a root or scan scope's own names and
+        the index and unbuilt context of each step scope below it."""
         out = []
         if self.root and "index" in self.reads:
             out.append((f"i_{self.n}", f"{self.ctx}.index"))
+        if self.parent is not None and self.built():
+            out.append((self.ctx, f"ctx.at(i_{self.n})"))
         if "frame" in self.reads:
             out.append((f"frame_{self.n}", f"trace[i_{self.n}]"))
         if "universe" in self.reads:
             out.append((f"universe_{self.n}", f"_c.universe(frame_{self.n})"))
+        return out + (self.step_binds() if self.parent is None else [])
+
+    def step_binds(self) -> list[tuple[str, str]]:
+        out = []
+        for step in self.steps.values():
+            if "index" in step.reads or step.built():
+                out.append((f"i_{step.n}", f"i_{self.n} {'-' if step.back else '+'} 1"))
+            if step.built():
+                out.append((step.ctx, "None"))
+            out += step.step_binds()
         return out
 
-    def walrus(self) -> list[str]:
-        """The binds as operands of an ``and`` chain, each true."""
-        return [f"({name} := {value}) is not None" for name, value in self.binds()]
+    def pending(self) -> str:
+        """A step scope's build, in a body not yet finished (see ``finish``)."""
+        return f"\0{self.n}\0"
+
+    def build(self) -> str:
+        return _join([f"({name} := {value}) is not None" for name, value in self.binds()], "and")
 
 
 def _join(parts: list[str], op: str) -> str:
@@ -405,9 +445,9 @@ class _Compiler:
         fn.root = self.scope(fn, "ctx", n, root=True)
         return fn
 
-    def scope(self, fn: _Function, ctx: str, n: int, root: bool = False) -> _Scope:
+    def scope(self, fn: _Function, ctx: str, n: int, root: bool = False, **step) -> _Scope:
         self.owner[f"i_{n}"] = fn
-        return _Scope(fn, ctx, n, root)
+        return _Scope(fn, ctx, n, root, **step)
 
     def finish(self, fn: _Function, body: list[str]) -> None:
         """Add ``fn`` to the program: its prologue binds what the body reads."""
@@ -419,11 +459,15 @@ class _Compiler:
         lines += [f"{name} = {value}" for name, value in fn.root.binds()]
         lines += [f"{hoisted} = {local}.object_id" for local, hoisted in fn.hoisted.items()]
         params = fn.params if fn.env is not None else fn.params + tuple(fn.captured)
-        self.functions.append(f"def {fn.name}({', '.join(params)}):\n"
-                              + "".join(f"    {line}\n" for line in lines + body))
+        text = (f"def {fn.name}({', '.join(params)}):\n"
+                + "".join(f"    {line}\n" for line in lines + body))
+        # A step scope's build is known once every step that reaches it is compiled.
+        for step in fn.steps:
+            text = text.replace(step.pending(), step.build())
+        self.functions.append(text)
 
     def call(self, fn: _Function, s: _Scope) -> str:
-        args = [s.ctx] + [self.use(local, s.fn) for local in fn.captured]
+        args = [s.context()] + [self.use(local, s.fn) for local in fn.captured]
         return f"{fn.name}({', '.join(args)})"
 
     def bind(self, names: dict, var: str, kind: str, fn: _Function) -> str:
@@ -487,15 +531,24 @@ class _Compiler:
         return _join([self.formula(part, s, names, depth) for part in disjuncts(phi)], "or")
 
     def step(self, phi: A.Next | A.Prev, s: _Scope, names: dict, depth: int) -> str:
-        n = next(self.count)
-        inner = self.scope(s.fn, f"c_{n}", n)
+        """``prev``/``next``: the index test, then, if the child reads the
+        frame, the step scope's context, built at the first step of ``s``
+        in this direction that reaches it (see ``_Scope``)."""
+        back = type(phi) is A.Prev
+        inner = s.steps.get(back)
+        if inner is None:
+            n = next(self.count)
+            inner = s.steps[back] = self.scope(s.fn, f"c_{n}", n, parent=s, back=back)
+            s.fn.steps.append(inner)
+        inner.used = False
         child = self.formula(phi.child, inner, names, depth)
-        if type(phi) is A.Next:
-            s.fn.trace = True
-            test = f"(i_{n} := {s.index()} + 1) < len(trace)"
+        if back:
+            parts = [f"({s.index()} >= 1)"]
         else:
-            test = f"(i_{n} := {s.index()} - 1) >= 0"
-        parts = [test, f"(c_{n} := {s.ctx}.at(i_{n})) is not None", *inner.walrus()]
+            s.fn.trace = True
+            parts = [f"({s.index()} + 1 < len(trace))"]
+        if inner.used:
+            parts.append(f"({inner.ctx} is not None or {inner.pending()})")
         return _join(parts + ([child] if child != "True" else []), "and")
 
     def freeze(self, phi: A.Freeze, s: _Scope, names: dict, depth: int) -> str:
@@ -552,8 +605,9 @@ class _Compiler:
             lo, hi = i, f"min({i} + {reach}, len(trace) - 1)"
         else:
             lo, hi = "0" if reach is None else f"max({i} - {reach}, 0)", i
-        return (f"(_latest({s.ctx}, {env}, {ids}, {', '.join(operands)}, "
-                f"({lower} := {s.ctx}.offset + {lo}), {s.ctx}.offset + {hi}) "
+        ctx = s.context()
+        return (f"(_latest({ctx}, {env}, {ids}, {', '.join(operands)}, "
+                f"({lower} := {ctx}.offset + {lo}), {ctx}.offset + {hi}) "
                 f"{'<' if negated else '>='} {lower})")
 
     def scan(self, kind: str, lhs: A.Formula | None, parts, negated: bool, reach: str | None,

@@ -23,6 +23,7 @@ line the CLI prints for it.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass
 
 from .errors import ConfigError, ContractViolation
@@ -87,6 +88,31 @@ def _effective_bound(inferred: int | None, override: int | None, side: str) -> i
     return max(inferred, override)
 
 
+# The canonical core of each specification that a live monitor runs, by
+# ``_spec_key`` of the formula it was given, so that monitors of one
+# specification share one core and so one generated program. An entry goes
+# with the last monitor of its core; the key holds the input, never the
+# core, which would keep itself alive.
+_cores: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _spec_key(formula: A.Formula) -> tuple:
+    """``formula`` and the type of every constant in it, in a fixed order.
+
+    Formulas equal by ``==`` can hold constants of different types, such as
+    an int and a float frame bound, and a program runs the constants of the
+    formula it was compiled from: a float reach cannot bound a ``range``.
+    """
+    types, stack = [], [formula]
+    while stack:
+        for value in stack.pop()._values():
+            if isinstance(value, A.Node):
+                stack.append(value)
+            else:
+                types.append(type(value))
+    return formula, tuple(types)
+
+
 class Monitor:
     """Single-owner online monitor; push frames sequentially, then flush.
 
@@ -97,7 +123,12 @@ class Monitor:
     def __init__(self, formula: A.Formula, config: MonitorConfig | None = None):
         config = config or MonitorConfig()
         require_bindings(formula)
-        self.formula = desugar(formula)
+        key = _spec_key(formula)
+        core = _cores.get(key)
+        if core is None:
+            # ``desugar`` may return a node of its input; a fresh root is not.
+            core = _cores[key] = desugar(formula).map(lambda sub: sub)
+        self.formula = core
         self.inferred_bounds: FrameBounds = compute_bounds(self.formula)
         self.history = _effective_bound(self.inferred_bounds.history, config.max_history, "history")
         self.horizon = _effective_bound(self.inferred_bounds.horizon, config.max_horizon, "horizon")

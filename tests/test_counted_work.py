@@ -41,12 +41,15 @@ WORKLOADS = {
                                                   conf_dip_prob=0.01, seed=7), 200),
 }
 
-# Exact counts, recorded with the closure-tree evaluator that the generated
-# programs replaced; the verdicts' false count rides along.
+# Exact counts; the verdicts' false count rides along. Quantifier, assignment
+# and spatial counts are those of the closure-tree evaluator that the
+# generated programs replaced. A step context is built once per binding of
+# its scope, and none for ``prev true``, so the builtins' temporal steps are
+# one per verdict that reaches its ``prev``.
 PINNED = {
-    "phi2": {"quantifier_calls": 494, "assignments": 7904, "temporal_steps": 928,
+    "phi2": {"quantifier_calls": 494, "assignments": 7904, "temporal_steps": 29,
              "spatial_calls": 928, "stats_assignments": 7904, "false_verdicts": 0},
-    "phi1": {"quantifier_calls": 300, "assignments": 885, "temporal_steps": 1750,
+    "phi1": {"quantifier_calls": 300, "assignments": 885, "temporal_steps": 299,
              "spatial_calls": 0, "stats_assignments": 1753, "false_verdicts": 27},
     "holds_window": {"quantifier_calls": 520, "assignments": 2058, "temporal_steps": 1300,
                      "spatial_calls": 0, "stats_assignments": 2058, "false_verdicts": 78},

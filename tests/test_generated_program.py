@@ -6,6 +6,7 @@ source is registered with ``linecache`` so that tracebacks show the
 generated lines, and an expression that would nest deeper than CPython's
 parser allows is split into functions of its own. A program lives exactly
 as long as its formula object, and one formula compiles to one source text.
+Monitors of one specification share one formula object, and so one program.
 """
 
 import cProfile
@@ -23,7 +24,7 @@ import pytest
 from percemon import spatial
 from percemon.evaluate import EvalContext, evaluate, evaluate_trace
 from percemon.generator import GenConfig, generate_frames
-from percemon.monitor import Monitor
+from percemon.monitor import Monitor, MonitorConfig, run_monitor
 from percemon.stql import ast as A
 from percemon.stql.builtins import phi1, phi2
 from percemon.stql.desugar import desugar
@@ -35,6 +36,7 @@ from reference import reference_trace
 PROGRAM = "<percemon program "
 HOLDS_WINDOW = Path(__file__).resolve().parent.parent / "perfbench" / "specs" / "holds_window.stql"
 evaluate_module = importlib.import_module("percemon.evaluate")
+monitor_module = importlib.import_module("percemon.monitor")
 
 
 EMPTY = [make_frame(0, 0.0, 100.0, 100.0, [])]
@@ -100,11 +102,16 @@ def test_a_program_lives_exactly_as_long_as_its_formula():
     assert not any(name in linecache.cache for name in names.values())
 
 
-def test_65_live_monitors_build_65_programs(monkeypatch):
+def _counting_builds(monkeypatch):
     builds = []
     build = evaluate_module._build
     monkeypatch.setattr(evaluate_module, "_build",
                         lambda phi, reads: builds.append(phi) or build(phi, reads))
+    return builds
+
+
+def test_65_live_monitors_of_one_spec_build_one_program(monkeypatch):
+    builds = _counting_builds(monkeypatch)
     frames = list(generate_frames(GenConfig(frames=10, objects=3, seed=7)))
     monitors = [Monitor(phi1()) for _ in range(65)]
     verdicts = [[] for _ in monitors]
@@ -113,9 +120,74 @@ def test_65_live_monitors_build_65_programs(monkeypatch):
             out += monitor.push_frame(frame)
     for monitor, out in zip(monitors, verdicts):
         out += monitor.flush()
-    assert len(builds) == 65
+    assert len(builds) == 1
     values = [[verdict.value for verdict in out] for out in verdicts]
     assert all(out == values[0] and len(out) == len(frames) for out in values)
+
+
+def test_monitors_of_one_spec_share_a_program_until_the_last_is_dropped(monkeypatch):
+    builds = _counting_builds(monkeypatch)
+    frames = list(generate_frames(GenConfig(frames=6, objects=3, seed=7)))
+    gc.collect()
+    cores = len(monitor_module._cores)
+    outs = [[v.value for v in run_monitor(phi2(), frames)] for _ in range(5)]
+    assert len(builds) == 1 and all(out == outs[0] for out in outs)
+    kept = Monitor(phi2())
+    assert kept.formula is builds[0] and len(monitor_module._cores) == cores + 1
+    programs = len(evaluate_module._programs)
+    del kept, builds[:]
+    gc.collect()
+    # The last monitor took the core with it, and the core its program.
+    assert len(monitor_module._cores) == cores
+    assert len(evaluate_module._programs) == programs - 1
+
+
+def _guarded_reach(bound):
+    """``exists {a} @ pin (_, f) { always (f - C_FRAME >= bound implies
+    area(bbox(a)) > 10) }``, whose frame bound is the scan's reach."""
+    guard = A.FrameConstraint("f", A.Cmp.GE, bound)
+    return A.Exists(("a",), A.Freeze(None, "f", A.Always(A.Implies(guard, parse(
+        "area(bbox(a)) > 10")))))
+
+
+# Formulas equal by ``==`` whose constants differ in type.
+EQUAL_PAIRS = {
+    "int and numpy reach": (_guarded_reach(-2), _guarded_reach(np.int64(-2))),
+    "numpy ratio": (A.Exists(("a",), A.ProbCmpRatio("a", A.Cmp.GE, 0.5, "a")),
+                    A.Exists(("a",), A.ProbCmpRatio("a", A.Cmp.GE, np.float64(0.5), "a"))),
+    "infinite bound": (A.Exists(("a",), A.ProbCmpConst("a", A.Cmp.LT, math.inf)),
+                       A.Exists(("a",), A.ProbCmpConst("a", A.Cmp.LT, np.float64(math.inf)))),
+    "int and float time bound": (parse("pin (t, _) { next (t - C_TIME >= -1) }"),
+                                 A.Freeze("t", None, A.Next(A.TimeConstraint("t", A.Cmp.GE, -1.0)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EQUAL_PAIRS))
+def test_equal_formulas_each_agree_with_the_reference_beside_the_other(name):
+    frames = [make_frame(i, i / 10, 100.0, 60.0,
+                         [DetectedObject(1, "car", 0.9 if i % 3 else 0.1, BoundingBox(1, 1, 5, 5))])
+              for i in range(8)]
+    config = MonitorConfig(max_history=3, max_horizon=3)
+    formulas = EQUAL_PAIRS[name]
+    assert formulas[0] == formulas[1]
+    # Both monitors live at once, so that they would share a program if any.
+    monitors = [Monitor(phi, config) for phi in formulas]
+    outs = [[], []]
+    for frame in frames:
+        for monitor, out in zip(monitors, outs):
+            out += monitor.push_frame(frame)
+    for phi, monitor, out in zip(formulas, monitors, outs):
+        out += monitor.flush()
+        expected = reference_trace(desugar(phi), frames, history=3, horizon=3)
+        assert [verdict.value for verdict in out] == expected
+
+
+def test_an_int_and_a_float_frame_bound_do_not_share_a_program():
+    # A program runs its own constants, and a float reach cannot bound a
+    # ``range``, so the int spec must not run the float spec's program.
+    floated = Monitor(_guarded_reach(-2.0), MonitorConfig(max_history=3, max_horizon=3))
+    integral = Monitor(_guarded_reach(-2), MonitorConfig(max_history=3, max_horizon=3))
+    assert floated.formula == integral.formula and floated.formula is not integral.formula
 
 
 def test_one_formula_compiles_to_the_same_source():

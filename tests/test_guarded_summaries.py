@@ -410,8 +410,8 @@ def test_a_closed_holds_offline_costs_one_step_per_frame():
 
 @pytest.mark.parametrize("spec, steps, assignments, calls", [
     # phi1's inner exists is an id lookup, which calls no ``quantifier_assignments``.
-    ("builtin:phi1", 544, 292, 80),
-    ("builtin:phi2", 576, 1350, 368),
+    ("builtin:phi1", 79, 292, 80),
+    ("builtin:phi2", 79, 1350, 368),
 ])
 def test_builtin_counts_do_not_move(spec, steps, assignments, calls):
     _, counts = _counted(spec, list(generate_frames(COUNTED_STREAM)), MonitorConfig())
