@@ -18,7 +18,8 @@ The record names the command that made it, each tree's ``git describe``,
 and the host; it holds every result line (``runs``, ``traced``) and, per
 end-to-end metric of ``BENCHMARK.json``, the parent's and the change's
 q1/median/q3, the pairs the change won and the ratio of the medians
-(``summary``). With traced runs it also holds, per workload and per-layer
+(``summary``), and whether that shows a gain (``gain_shown``, see
+``gains``). With traced runs it also holds, per workload and per-layer
 metric of ``BENCHMARK.json``, the median of the parent's and of the
 change's traced runs (``traced_summary``). A run that fails before
 printing its result line, such as a crash, is tried up to ``ATTEMPTS`` (3)
@@ -114,6 +115,24 @@ def summarize(runs: list[dict], metrics: dict[str, str]) -> dict:
     return summary
 
 
+def gains(summary: dict, metrics: dict[str, str]) -> dict:
+    """Per workload and end-to-end metric, whether the summary shows a gain:
+    the change won at least nine tenths of the pairs, ties counting for
+    neither, and its median beats the parent's by more than the parent's
+    q3 - q1."""
+    shown = {}
+    for workload, entry in summary.items():
+        shown[workload] = {}
+        for name, better in metrics.items():
+            row = entry[name]
+            won, pairs = map(int, row["change_better_pairs"].split("/"))
+            q1, parent, q3 = row["parent_q1_median_q3"]
+            change = row["change_q1_median_q3"][1]
+            margin = change - parent if better == "higher" else parent - change
+            shown[workload][name] = 10 * won >= 9 * pairs and margin > q3 - q1
+    return shown
+
+
 def summarize_traced(traced: dict, metrics: list[str]) -> dict:
     """The parent's and the change's median of each per-layer metric over
     their traced runs, per traced workload. A side holds a list of results;
@@ -162,6 +181,7 @@ def main() -> int:
                         run_once(trees[side], workload, args.seed, traced_args, failures))
 
     command = f"python3 perfbench/run.py --workload W --seed {args.seed}"
+    summary = summarize(runs, metrics)
     record = {
         "made_by": shlex.join(["python3", "scripts/bench_pairs.py", *sys.argv[1:]]),
         "parent": describe(trees["parent"]),
@@ -174,7 +194,8 @@ def main() -> int:
                     + (f", then {TRACED_PAIRS} traced pairs the same way" if traced else "") + "; "
                     "frames_per_s and setup_s are reported at the reference host speed by "
                     "perfbench's CPU probe",
-        "summary": summarize(runs, metrics),
+        "summary": summary,
+        "gain_shown": gains(summary, metrics),
         "traced_summary": summarize_traced(traced, per_layer),
         "runs": runs,
         "traced": traced,

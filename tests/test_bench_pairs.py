@@ -53,6 +53,45 @@ def test_summary_reproduces_each_committed_bench_record(bench_pairs, path):
     assert bench_pairs.summarize(record["runs"], metrics) == record["summary"]
 
 
+def _pairs(parent_fps, change_fps):
+    return [{"workload": "w", "pair": pair, "side": side, "result": _result(fps, 0.1, 20)}
+            for pair, fps_pair in enumerate(zip(parent_fps, change_fps))
+            for side, fps in zip(("parent", "change"), fps_pair)]
+
+
+PARENT_FPS = [100, 102, 98, 101, 99, 103, 97, 100, 101, 99]
+
+
+@pytest.mark.parametrize("change_fps, shown", [
+    # Every pair won, by far more than the parent's spread.
+    ([fps + 10 for fps in PARENT_FPS], True),
+    # 9/10 won, but the medians differ by 2, inside the parent's q3 - q1 of 2.5.
+    ([fps + 2 for fps in PARENT_FPS[:9]] + [PARENT_FPS[9] - 1], False),
+    # 8/10 won by a wide margin: not nine tenths.
+    ([fps + 10 for fps in PARENT_FPS[:8]] + [fps - 1 for fps in PARENT_FPS[8:]], False),
+    # A loss.
+    ([fps - 10 for fps in PARENT_FPS], False),
+])
+def test_a_gain_is_shown_by_nine_tenths_of_the_pairs_beyond_the_parents_spread(
+        bench_pairs, change_fps, shown):
+    metrics = {"frames_per_s": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
+    summary = bench_pairs.summarize(_pairs(PARENT_FPS, change_fps), metrics)
+    # Equal set-up and memory on both sides: every pair a tie, no gain.
+    assert bench_pairs.gains(summary, metrics) == {"w": {
+        "frames_per_s": shown, "setup_s": False, "peak_rss_mb": False}}
+
+
+def test_a_gain_in_a_lower_is_better_metric_is_a_drop(bench_pairs):
+    runs = [{"workload": "w", "pair": pair, "side": side,
+             "result": _result(100, setup, 20)}
+            for pair in range(10) for side, setup in (("parent", 0.10 + pair / 1000),
+                                                      ("change", 0.05 + pair / 1000))]
+    metrics = {"frames_per_s": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
+    summary = bench_pairs.summarize(runs, metrics)
+    assert bench_pairs.gains(summary, metrics)["w"] == {
+        "frames_per_s": False, "setup_s": True, "peak_rss_mb": False}
+
+
 def _traced(steps, us):
     return {"correct": True, "attempted": 10, "failed": 0, "metrics": {
         "evaluate.temporal_steps_per_frame": {"value": steps, "unit": "count/frame"},
@@ -166,6 +205,9 @@ def test_the_record_keeps_every_run_and_each_failed_attempt(bench_pairs, monkeyp
     assert [(run["pair"], run["side"]) for run in record["runs"]][:4] == [
         (0, "parent"), (0, "change"), (1, "change"), (1, "parent")]
     assert record["summary"]["w"]["runs"] == {"parent": 10, "change": 10}
+    # The stub's rates rise run by run, so each side won the pairs it ran second in.
+    assert record["gain_shown"] == {"w": dict.fromkeys(
+        ("frames_per_s", "setup_s", "peak_rss_mb"), False)}
     assert [(f["tree"], f["exit_code"]) for f in record["failed_attempts"]] == [("change", 1)]
 
 
