@@ -30,9 +30,17 @@ so tracebacks, ``pdb`` and ``cProfile`` show the generated lines and
 functions.
 
 The program calls ``quantifier_assignments``, ``EvalContext.at`` and the
-public ``spatial`` functions where the semantics needs them, looked up at
-call time through their module or class, so that the layers can be wrapped
-from outside.
+public ``spatial`` functions, looked up at call time through their module
+or class, so that the layers can be wrapped from outside. Each time it is
+evaluated, an enumerating quantifier calls ``quantifier_assignments`` once
+and a box term ``spatial.meet_area`` once.
+``EvalContext.at`` builds the context of each frame a scan or a summary
+visits, and of each ``prev``/``next`` step scope: all steps of one scope in
+one direction share one context, built from the function's own ``ctx`` by
+the first step that reaches it and reads its frame. That is at most once
+per call of the function, or per frame a scan visits, however many
+quantifier assignments reach the step. A step whose operand reads nothing
+of its frame, such as ``prev true``, is its index test alone.
 
 Every ``until`` and ``since`` is one node: ``lhs until/since R``, with the
 witness at most a reach of frames away, optionally negated. At frame i a
@@ -263,7 +271,8 @@ class _Function:
     the object ids of those it reads (``hoisted``), and its root scope.
     ``head`` lines come first; ``env`` names the locals an operand function
     unpacks from its ``env`` argument instead of taking them as
-    parameters."""
+    parameters; ``steps`` lists its step scopes, whose builds ``finish``
+    writes in."""
 
     def __init__(self, name: str, params: tuple[str, ...]):
         self.name = name
@@ -282,22 +291,20 @@ class _Scope:
     index, and of its frame and universe, which are bound only if read.
 
     A root scope reads its index from the function's ``ctx`` once per call,
-    and a scan binds its scope once per frame it visits. A step scope
-    (``parent`` set) is the frame before (``back``) or after its parent's,
-    one per parent and direction, shared by every ``prev`` or ``next`` of
-    that parent. Its index and an unbuilt context are bound with the
+    and a scan binds its scope once per frame it visits. A step scope is
+    the frame before (``shift`` "-") or after ("+") its parent's, one per
+    parent and direction (``steps``), shared by every ``prev`` or ``next``
+    of that parent. Its index and an unbuilt context are bound with the
     binding of its nearest root or scan scope; its context, frame and
     universe are bound by the first step that reaches it and reads them
     (``build``), so at most once per binding of its parent."""
 
-    __slots__ = ("fn", "ctx", "n", "root", "reads", "parent", "back", "steps", "used")
+    __slots__ = ("fn", "ctx", "n", "root", "reads", "shift", "steps", "used")
 
-    def __init__(self, fn: _Function, ctx: str, n: int, root: bool,
-                 parent: _Scope | None = None, back: bool = False):
-        self.fn, self.ctx, self.n, self.root = fn, ctx, n, root
-        self.parent, self.back = parent, back
+    def __init__(self, fn: _Function, ctx: str, n: int, root: bool, shift: str | None = None):
+        self.fn, self.ctx, self.n, self.root, self.shift = fn, ctx, n, root, shift
         self.reads: set[str] = set()
-        self.steps: dict[bool, _Scope] = {}
+        self.steps: dict[str, _Scope] = {}
         # Whether the frame was read since ``step`` last cleared this.
         self.used = False
 
@@ -332,19 +339,19 @@ class _Scope:
         out = []
         if self.root and "index" in self.reads:
             out.append((f"i_{self.n}", f"{self.ctx}.index"))
-        if self.parent is not None and self.built():
+        if self.shift is not None and self.built():
             out.append((self.ctx, f"ctx.at(i_{self.n})"))
         if "frame" in self.reads:
             out.append((f"frame_{self.n}", f"trace[i_{self.n}]"))
         if "universe" in self.reads:
             out.append((f"universe_{self.n}", f"_c.universe(frame_{self.n})"))
-        return out + (self.step_binds() if self.parent is None else [])
+        return out + (self.step_binds() if self.shift is None else [])
 
     def step_binds(self) -> list[tuple[str, str]]:
         out = []
         for step in self.steps.values():
             if "index" in step.reads or step.built():
-                out.append((f"i_{step.n}", f"i_{self.n} {'-' if step.back else '+'} 1"))
+                out.append((f"i_{step.n}", f"i_{self.n} {step.shift} 1"))
             if step.built():
                 out.append((step.ctx, "None"))
             out += step.step_binds()
@@ -445,9 +452,10 @@ class _Compiler:
         fn.root = self.scope(fn, "ctx", n, root=True)
         return fn
 
-    def scope(self, fn: _Function, ctx: str, n: int, root: bool = False, **step) -> _Scope:
+    def scope(self, fn: _Function, ctx: str, n: int, root: bool = False,
+              shift: str | None = None) -> _Scope:
         self.owner[f"i_{n}"] = fn
-        return _Scope(fn, ctx, n, root, **step)
+        return _Scope(fn, ctx, n, root, shift)
 
     def finish(self, fn: _Function, body: list[str]) -> None:
         """Add ``fn`` to the program: its prologue binds what the body reads."""
@@ -534,15 +542,15 @@ class _Compiler:
         """``prev``/``next``: the index test, then, if the child reads the
         frame, the step scope's context, built at the first step of ``s``
         in this direction that reaches it (see ``_Scope``)."""
-        back = type(phi) is A.Prev
-        inner = s.steps.get(back)
+        shift = "-" if type(phi) is A.Prev else "+"
+        inner = s.steps.get(shift)
         if inner is None:
             n = next(self.count)
-            inner = s.steps[back] = self.scope(s.fn, f"c_{n}", n, parent=s, back=back)
+            inner = s.steps[shift] = self.scope(s.fn, f"c_{n}", n, shift=shift)
             s.fn.steps.append(inner)
         inner.used = False
         child = self.formula(phi.child, inner, names, depth)
-        if back:
+        if shift == "-":
             parts = [f"({s.index()} >= 1)"]
         else:
             s.fn.trace = True

@@ -142,6 +142,19 @@ def test_monitors_of_one_spec_share_a_program_until_the_last_is_dropped(monkeypa
     assert len(evaluate_module._programs) == programs - 1
 
 
+@pytest.mark.parametrize("spec", ["true", "pin (_, f) { true }"])
+def test_a_spec_whose_core_is_part_of_it_leaves_with_its_monitor(spec):
+    # ``desugar`` returns the ``true`` of these specs itself; an entry whose
+    # key held its own core would never go.
+    gc.collect()
+    cores = len(monitor_module._cores)
+    monitor = Monitor(parse(spec))
+    assert len(monitor_module._cores) == cores + 1
+    del monitor
+    gc.collect()
+    assert len(monitor_module._cores) == cores
+
+
 def _guarded_reach(bound):
     """``exists {a} @ pin (_, f) { always (f - C_FRAME >= bound implies
     area(bbox(a)) > 10) }``, whose frame bound is the scan's reach."""
