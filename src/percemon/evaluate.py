@@ -230,8 +230,6 @@ def quantifier_assignments(
     keeps in ascending id order, and tuples in lexicographic order over the
     variable positions; repetition is allowed.
     """
-    if not variables:
-        raise ContractViolation("quantifier without variables")
     return itertools.product(frame.objects.values(), repeat=len(variables))
 
 
@@ -261,8 +259,6 @@ def _require_bound(reads: list[tuple[str, str]], env: Env) -> None:
 # CPython rejects more than 200 nested parentheses; an expression more than
 # this many formula or term levels deep is split into a function of its own.
 _MAX_DEPTH = 40
-# The reach of an unguarded ``until``/``since``: past the end of any window.
-_UNBOUNDED = sys.maxsize
 
 
 class _Function:
@@ -407,7 +403,6 @@ class _Compiler:
         self.lookups: list[bool] = []
         self.last_universe: Universe | None = None
         self.functions: list[str] = []
-        self.constants: dict[str, object] = {}
         # The function that binds each local name a variable maps to.
         self.owner: dict[str, _Function] = {}
         self.count = itertools.count(1)
@@ -504,12 +499,13 @@ class _Compiler:
     def temp(self, stem: str) -> str:
         return f"{stem}_{next(self.count)}"
 
-    def const(self, value) -> str:
-        if type(value) in (int, float, str) and (type(value) is str or math.isfinite(value)):
+    @staticmethod
+    def const(value: int | float | str) -> str:
+        """A literal for a node's constant, which ``ast.Node`` made a plain
+        int, float or str; ``math`` spells the floats ``repr`` cannot."""
+        if type(value) is not float or math.isfinite(value):
             return repr(value)
-        name = self.temp("k")
-        self.constants[name] = value
-        return name
+        return "math.nan" if math.isnan(value) else "math.inf" if value > 0 else "-math.inf"
 
     # --- propositional and temporal core ------------------------------------------
 
@@ -593,8 +589,8 @@ class _Compiler:
         the ids of the operands' free object variables; otherwise a function
         scans the frames in the operator's own order.
         """
-        op, negated, reach, parts = idiom or (node, False, _UNBOUNDED, (node.rhs,))
-        reach = None if reach == _UNBOUNDED else self.const(reach)
+        op, negated, reach, parts = idiom or (node, False, None, (node.rhs,))
+        reach = None if reach is None else self.const(reach)
         forward = type(op) is A.Until
         kind = "until" if forward else "since"
         lhs = None if type(op.lhs) is A.TrueConst else op.lhs
@@ -1030,7 +1026,7 @@ def _build(phi: A.Formula, reads: list[tuple[str, str]]) -> Callable[[EvalContex
     source = compiler.source(phi, reads)
     filename = f"<percemon program {next(_PROGRAM_NUMBERS)}>"
     namespace = {"_c": compiler, "_ev": sys.modules[__name__], "_latest": _latest,
-                 "spatial": spatial, "math": math, **compiler.constants}
+                 "spatial": spatial, "math": math}
     exec(compile(source, filename, "exec"), namespace)
     linecache.cache[filename] = (len(source), None, source.splitlines(keepends=True), filename)
     return namespace["program"]

@@ -75,42 +75,27 @@ class Verdict:
 
 
 def _effective_bound(inferred: int | None, override: int | None, side: str) -> int:
-    if override is not None and override < 0:
-        raise ConfigError(f"max_{side} must not be negative, got {override}")
-    if inferred is None and override is None:
-        raise ConfigError(
-            f"specification needs an unbounded {side}; supply max_{side} to truncate the window"
-        )
-    if inferred is None:
-        return override
     if override is None:
+        if inferred is None:
+            raise ConfigError(
+                f"specification needs an unbounded {side}; supply max_{side} to truncate the window"
+            )
         return inferred
-    return max(inferred, override)
+    frames = A.integer(override)  # a number of frames, as a frame bound is
+    if frames is None:
+        raise ConfigError(f"max_{side} must be an integer number of frames, got {override!r}")
+    if frames < 0:
+        raise ConfigError(f"max_{side} must not be negative, got {override}")
+    return frames if inferred is None else max(inferred, frames)
 
 
-# The canonical core of each specification that a live monitor runs, by
-# ``_spec_key`` of the formula it was given, so that monitors of one
-# specification share one core and so one generated program. An entry goes
-# with the last monitor of its core; the key holds the input, never the
-# core, which would keep itself alive.
+# The canonical core of each specification that a live monitor runs, keyed
+# by the formula it was given, so that monitors of equal specifications share
+# one core and so one generated program. Equal formulas hold equal constants
+# of one type (``ast.Node`` normalizes them), so they compile to one source.
+# An entry goes with the last monitor of its core; the key is the input,
+# never the core, which would keep itself alive.
 _cores: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-def _spec_key(formula: A.Formula) -> tuple:
-    """``formula`` and the type of every constant in it, in a fixed order.
-
-    Formulas equal by ``==`` can hold constants of different types, such as
-    an int and a float frame bound, and a program runs the constants of the
-    formula it was compiled from: a float reach cannot bound a ``range``.
-    """
-    types, stack = [], [formula]
-    while stack:
-        for value in stack.pop()._values():
-            if isinstance(value, A.Node):
-                stack.append(value)
-            else:
-                types.append(type(value))
-    return formula, tuple(types)
 
 
 class Monitor:
@@ -123,11 +108,10 @@ class Monitor:
     def __init__(self, formula: A.Formula, config: MonitorConfig | None = None):
         config = config or MonitorConfig()
         require_bindings(formula)
-        key = _spec_key(formula)
-        core = _cores.get(key)
+        core = _cores.get(formula)
         if core is None:
             # ``desugar`` may return a node of its input; a fresh root is not.
-            core = _cores[key] = desugar(formula).map(lambda sub: sub)
+            core = _cores[formula] = desugar(formula).map(lambda sub: sub)
         self.formula = core
         self.inferred_bounds: FrameBounds = compute_bounds(self.formula)
         self.history = _effective_bound(self.inferred_bounds.history, config.max_history, "history")

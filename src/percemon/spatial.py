@@ -187,15 +187,6 @@ def complement(a: Region) -> Region:
     return Region(a.universe, tuple(pieces))
 
 
-def difference(a: Region, b: Region) -> Region:
-    """Points of ``a`` not in ``b``; handy for symmetric-difference checks."""
-    u = _same_universe(a, b)
-    rects = []
-    for piece in a.rects:
-        rects.extend(_subtract_all([piece], b.rects))
-    return Region(u, tuple(rects))
-
-
 def area(a: Region) -> float:
     """Total area in square pixels (exact sum over disjoint rectangles)."""
     return sum([(r.xmax - r.xmin) * (r.ymax - r.ymin) for r in a.rects])
@@ -204,7 +195,3 @@ def area(a: Region) -> float:
 def is_empty(a: Region) -> bool:
     """True if the point set has zero area."""
     return not a.rects
-
-
-def symmetric_difference_area(a: Region, b: Region) -> float:
-    return area(difference(a, b)) + area(difference(b, a))

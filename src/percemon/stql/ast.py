@@ -15,14 +15,22 @@ fields (locations ignored, so a parsed formula compares equal to the same
 formula built programmatically), a repr, immutability, and the structural
 walks ``children`` and ``map``. Passes that recurse over the tree go
 through those two, so this module alone says which fields hold sub-nodes.
+
+A constant has one type, stated once in ``FIELD_RULES``: by its field's
+annotation a node stores a real number (numpy included) as a plain
+``float``, an integer or a float with no fraction (a frame bound) as a
+plain ``int``, and a tuple or list of names as a non-empty tuple. Any other
+value, a bool or a bare string included, raises ``ContractViolation``.
 """
 
 from __future__ import annotations
 
-import operator
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
+
+from ..errors import ContractViolation
 
 
 @dataclass(frozen=True)
@@ -39,24 +47,10 @@ class Cmp(Enum):
     EQ = "=="
     NE = "!="
 
-    @property
-    def function(self):
-        """The two-argument operator function, e.g. ``operator.lt`` for ``<``."""
-        return _CMP_FUNCS[self]
-
     def flipped(self) -> "Cmp":
         """The comparison seen from the other side (for a - b vs b - a)."""
         return _CMP_FLIP[self]
 
-
-_CMP_FUNCS = {
-    Cmp.LT: operator.lt,
-    Cmp.LE: operator.le,
-    Cmp.GT: operator.gt,
-    Cmp.GE: operator.ge,
-    Cmp.EQ: operator.eq,
-    Cmp.NE: operator.ne,
-}
 
 _CMP_FLIP = {
     Cmp.LT: Cmp.GT,
@@ -85,6 +79,38 @@ class Axis(Enum):
     LON = "lon"  # y coordinate: offset from the top image edge
 
 
+def real(value) -> float | None:
+    """A real number other than a bool as a plain float, else None; an int
+    beyond the float range is infinite, as at ingest."""
+    if type(value) not in (int, float):
+        import numbers  # for other types only: numpy loads it, start-up does not
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def integer(value) -> int | None:
+    """An integer, or a real number with no fraction, as a plain int, else
+    None (a bool included)."""
+    if type(value) is int:
+        return value
+    number = real(value)
+    return int(value) if number is not None and number.is_integer() else None
+
+
+# By field annotation: the rule that normalizes a value (None if it refuses it), and what it takes.
+FIELD_RULES = {
+    "float": (real, "a real number"),
+    "int": (integer, "an integer"),
+    "tuple[str, ...]": (lambda names: tuple(names) if type(names) in (tuple, list)
+                        and {*map(type, names)} == {str} else None,
+                        "a non-empty tuple of variable names"),
+}
+
+
 class Node:
     """Base class of every syntax-tree node.
 
@@ -93,10 +119,14 @@ class Node:
     """
 
     _fields: tuple[str, ...] = ()
+    _rules: list = []
     loc: Optional[Loc]
 
     def __init_subclass__(cls) -> None:
-        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        annotations = cls.__dict__.get("__annotations__", {})
+        cls._fields = tuple(annotations)
+        cls._rules = [(name, *FIELD_RULES[kind]) for name, kind in annotations.items()
+                      if kind in FIELD_RULES]
 
     def __init__(self, *values, loc: Optional[Loc] = None) -> None:
         if len(values) != len(self._fields):
@@ -104,6 +134,11 @@ class Node:
                             f"{self._fields}, got {len(values)}")
         state = self.__dict__
         state.update(zip(self._fields, values))
+        for name, rule, takes in self._rules:
+            if (value := rule(state[name])) is None:
+                raise ContractViolation(f"{type(self).__name__}.{name} must be {takes}, "
+                                        f"got {state[name]!r}")
+            state[name] = value
         state["loc"] = loc
 
     def _values(self) -> tuple:

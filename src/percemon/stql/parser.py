@@ -322,9 +322,6 @@ class _Parser:
         tok = self.expect("NUMBER", "a number")
         return (-tok.value if neg else tok.value), tok
 
-    def real_number(self) -> float:
-        return float(self.number()[0])
-
     def int_number(self, what: str) -> int:
         value, tok = self.number()
         if not isinstance(value, int):
@@ -338,9 +335,9 @@ class _Parser:
         if self.accept("/"):
             rhs = term()
             cmp = self.cmp(what)
-            return ratio_kind(lhs, cmp, self.real_number(), rhs, loc=self.loc(tok))
+            return ratio_kind(lhs, cmp, self.number()[0], rhs, loc=self.loc(tok))
         cmp = self.cmp(what)
-        bound = self.real_number()
+        bound = self.number()[0]
         if self.accept("*"):
             return ratio_kind(lhs, cmp, bound, term(), loc=self.loc(tok))
         return const_kind(lhs, cmp, bound, loc=self.loc(tok))
@@ -412,14 +409,14 @@ class _Parser:
         rhs, rhs_ref = self.point()
         self.expect(")")
         cmp = self.cmp("distance")
-        bound = self.real_number()
+        bound = self.number()[0]
         return A.EDCmp(lhs, lhs_ref, rhs, rhs_ref, cmp, bound, loc=self.loc(tok))
 
     def constraint(self, var: str, anchor: Token, tok: Token, flip: bool) -> A.Formula:
         """``var - anchor ~ c`` at ``tok``; ``flip`` normalizes ``anchor - var ~ c`` to it."""
         if anchor.kind == "C_TIME":
             cmp = self.cmp("a time constraint", order=False)
-            ctor, bound = A.TimeConstraint, self.real_number()
+            ctor, bound = A.TimeConstraint, self.number()[0]
         else:
             cmp = self.cmp("a frame constraint", order=False)
             ctor, bound = A.FrameConstraint, self.int_number("a frame constraint bound")

@@ -27,10 +27,6 @@ _UNARY_WORDS = {
 }
 
 
-def _num(value) -> str:
-    return repr(value)
-
-
 def _escape(label: str) -> str:
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
@@ -103,17 +99,17 @@ def _formula(phi: A.Formula, required: int) -> str:
 
     # atoms
     if isinstance(phi, A.TimeConstraint):
-        return f"{phi.var} - C_TIME {phi.cmp.value} {_num(phi.bound)}"
+        return f"{phi.var} - C_TIME {phi.cmp.value} {phi.bound!r}"
     if isinstance(phi, A.FrameConstraint):
-        return f"{phi.var} - C_FRAME {phi.cmp.value} {_num(phi.bound)}"
+        return f"{phi.var} - C_FRAME {phi.cmp.value} {phi.bound!r}"
     if isinstance(phi, A.ClassEqConst):
         return f"class({phi.var}) == {_escape(phi.label)}"
     if isinstance(phi, A.ClassEqVar):
         return f"class({phi.lhs}) == class({phi.rhs})"
     if isinstance(phi, A.ProbCmpConst):
-        return f"prob({phi.var}) {phi.cmp.value} {_num(phi.bound)}"
+        return f"prob({phi.var}) {phi.cmp.value} {phi.bound!r}"
     if isinstance(phi, A.ProbCmpRatio):
-        return f"prob({phi.lhs}) {phi.cmp.value} {_num(phi.ratio)} * prob({phi.rhs})"
+        return f"prob({phi.lhs}) {phi.cmp.value} {phi.ratio!r} * prob({phi.rhs})"
     if isinstance(phi, A.IdEq):
         return f"{phi.lhs} == {phi.rhs}"
     if isinstance(phi, A.IdNeq):
@@ -121,20 +117,20 @@ def _formula(phi: A.Formula, required: int) -> str:
     if isinstance(phi, A.SpatialExists):
         return f"nonempty({format_spatial(phi.term)})"
     if isinstance(phi, A.AreaCmpConst):
-        return f"area({format_spatial(phi.term)}) {phi.cmp.value} {_num(phi.bound)}"
+        return f"area({format_spatial(phi.term)}) {phi.cmp.value} {phi.bound!r}"
     if isinstance(phi, A.AreaCmpRatio):
         return (
             f"area({format_spatial(phi.lhs)}) {phi.cmp.value} "
-            f"{_num(phi.ratio)} * area({format_spatial(phi.rhs)})"
+            f"{phi.ratio!r} * area({format_spatial(phi.rhs)})"
         )
     if isinstance(phi, A.EDCmp):
         return (
             f"dist({phi.lhs}, {phi.lhs_ref.value}, {phi.rhs}, {phi.rhs_ref.value}) "
-            f"{phi.cmp.value} {_num(phi.bound)}"
+            f"{phi.cmp.value} {phi.bound!r}"
         )
     if isinstance(phi, A.OffsetCmpConst):
-        return f"{_offset(phi.term)} {phi.cmp.value} {_num(phi.bound)}"
+        return f"{_offset(phi.term)} {phi.cmp.value} {phi.bound!r}"
     if isinstance(phi, A.OffsetCmpRatio):
-        return f"{_offset(phi.lhs)} {phi.cmp.value} {_num(phi.ratio)} * {_offset(phi.rhs)}"
+        return f"{_offset(phi.lhs)} {phi.cmp.value} {phi.ratio!r} * {_offset(phi.rhs)}"
 
     raise ContractViolation(f"unknown formula node {phi!r}")

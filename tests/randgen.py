@@ -14,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from percemon.spatial import Universe, area, from_box, full_region, empty_region, union, intersect, complement
+from percemon import spatial
+from percemon.spatial import Region, Universe, area, from_box, full_region, empty_region, union, intersect, complement
 from percemon.stql import ast as A
 from percemon.trace import BoundingBox, DetectedObject, Frame, make_frame
 
@@ -274,3 +275,16 @@ def rasterize(term, size: int) -> np.ndarray:
 
 def region_area(term, universe: Universe) -> float:
     return area(term_region(term, universe))
+
+
+def difference(a: Region, b: Region) -> Region:
+    """Points of ``a`` not in ``b``, for symmetric-difference checks."""
+    u = spatial._same_universe(a, b)
+    rects = []
+    for piece in a.rects:
+        rects.extend(spatial._subtract_all([piece], b.rects))
+    return Region(u, tuple(rects))
+
+
+def symmetric_difference_area(a: Region, b: Region) -> float:
+    return area(difference(a, b)) + area(difference(b, a))

@@ -33,9 +33,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from percemon import spatial
 from percemon.stql import ast as A
+
+# Each comparison as its two-argument operator function.
+CMP = {A.Cmp.LT: operator.lt, A.Cmp.LE: operator.le, A.Cmp.GT: operator.gt,
+       A.Cmp.GE: operator.ge, A.Cmp.EQ: operator.eq, A.Cmp.NE: operator.ne}
 
 
 def reference_trace(phi: A.Formula, frames, history: int | None = None,
@@ -94,9 +99,9 @@ def holds(phi: A.Formula, trace, i: int, env: dict) -> bool:
                 return True
         return False
     if kind is A.TimeConstraint:
-        return phi.cmp.function(env["time", phi.var] - frame.timestamp, phi.bound)
+        return CMP[phi.cmp](env["time", phi.var] - frame.timestamp, phi.bound)
     if kind is A.FrameConstraint:
-        return phi.cmp.function(env["frame", phi.var] - i, phi.bound)
+        return CMP[phi.cmp](env["frame", phi.var] - i, phi.bound)
     if kind in (A.IdEq, A.IdNeq):
         same = env["object", phi.lhs].object_id == env["object", phi.rhs].object_id
         return same if kind is A.IdEq else not same
@@ -108,33 +113,33 @@ def holds(phi: A.Formula, trace, i: int, env: dict) -> bool:
         return lhs is not None and rhs is not None and lhs.class_label == rhs.class_label
     if kind is A.ProbCmpConst:
         current = _current(frame, env, phi.var)
-        return current is not None and phi.cmp.function(current.confidence, phi.bound)
+        return current is not None and CMP[phi.cmp](current.confidence, phi.bound)
     if kind is A.ProbCmpRatio:
         lhs, rhs = _current(frame, env, phi.lhs), _current(frame, env, phi.rhs)
         if lhs is None or rhs is None or rhs.confidence == 0:
             return False
-        return phi.cmp.function(lhs.confidence, phi.ratio * rhs.confidence)
+        return CMP[phi.cmp](lhs.confidence, phi.ratio * rhs.confidence)
     universe = spatial.Universe(frame.width, frame.height)
     if kind is A.SpatialExists:
         return not spatial.is_empty(region(phi.term, universe, env))
     if kind is A.AreaCmpConst:
-        return phi.cmp.function(spatial.area(region(phi.term, universe, env)), phi.bound)
+        return CMP[phi.cmp](spatial.area(region(phi.term, universe, env)), phi.bound)
     if kind is A.AreaCmpRatio:
         rhs = spatial.area(region(phi.rhs, universe, env))
         if rhs == 0:
             return False
-        return phi.cmp.function(spatial.area(region(phi.lhs, universe, env)), phi.ratio * rhs)
+        return CMP[phi.cmp](spatial.area(region(phi.lhs, universe, env)), phi.ratio * rhs)
     if kind is A.EDCmp:
         lx, ly = point(env["object", phi.lhs].bbox, phi.lhs_ref)
         rx, ry = point(env["object", phi.rhs].bbox, phi.rhs_ref)
-        return phi.cmp.function(math.hypot(lx - rx, ly - ry), phi.bound)
+        return CMP[phi.cmp](math.hypot(lx - rx, ly - ry), phi.bound)
     if kind is A.OffsetCmpConst:
-        return phi.cmp.function(offset(phi.term, env), phi.bound)
+        return CMP[phi.cmp](offset(phi.term, env), phi.bound)
     if kind is A.OffsetCmpRatio:
         rhs = offset(phi.rhs, env)
         if rhs == 0:
             return False
-        return phi.cmp.function(offset(phi.lhs, env), phi.ratio * rhs)
+        return CMP[phi.cmp](offset(phi.lhs, env), phi.ratio * rhs)
     raise TypeError(f"the reference reads the desugared core, got {kind.__name__}")
 
 

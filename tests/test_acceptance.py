@@ -24,7 +24,6 @@ from percemon.spatial import (
     complement,
     intersect,
     is_empty,
-    symmetric_difference_area,
     union,
 )
 from percemon.stql.bounds import compute_bounds
@@ -39,6 +38,7 @@ from randgen import (
     random_term,
     random_trace,
     rasterize,
+    symmetric_difference_area,
     term_region,
 )
 from reference import reference_trace

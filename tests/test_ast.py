@@ -1,7 +1,14 @@
 """The syntax-tree node base: construction, value semantics and walks."""
 
+import math
+from decimal import Decimal
+from enum import Enum
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
+from percemon.errors import ContractViolation
 from percemon.stql import ast as A
 from percemon.stql.parser import parse
 
@@ -143,3 +150,60 @@ def test_map_applies_to_sub_nodes_only_and_keeps_location():
     assert copy == A.AreaCmpConst(A.UniverseSet(), A.Cmp.GT, 3.0)
     assert copy.loc == node.child.loc
     assert A.TrueConst(loc=A.Loc(2, 2)).map(lambda sub: 1 / 0).loc == A.Loc(2, 2)
+
+
+# Per field kind that ``ast.FIELD_RULES`` normalizes: the values a node
+# takes, each with what it stores, and values it refuses.
+FIELD_CASES = {
+    "float": (
+        [(0.5, 0.5), (3, 3.0), (-0.0, -0.0), (np.float64(0.5), 0.5), (np.float32(0.25), 0.25),
+         (np.int64(-2), -2.0), (Fraction(1, 4), 0.25), (math.inf, math.inf),
+         (np.float64(-math.inf), -math.inf), (math.nan, math.nan), (10 ** 400, math.inf),
+         (-10 ** 400, -math.inf)],
+        [True, np.bool_(False), "0.5", b"1", None, 1j, Decimal("0.5"), [0.5]],
+    ),
+    "int": (
+        [(-2, -2), (-2.0, -2), (0.0, 0), (np.int64(4), 4), (np.float64(3.0), 3),
+         (10 ** 30, 10 ** 30), (Fraction(6, 3), 2)],
+        [2.5, math.inf, math.nan, "2", True, False, np.bool_(True), None, (2,)],
+    ),
+    "tuple[str, ...]": (
+        [(("a",), ("a",)), (["a", "b"], ("a", "b"))],
+        ["a", "", (), [], ("a", 1), ["a", None], None, {"a"}],
+    ),
+}
+
+RULED = sorted((kind.__name__, name, annotation) for kind in _concrete_kinds()
+               for name, annotation in kind.__dict__.get("__annotations__", {}).items()
+               if annotation in A.FIELD_RULES)
+
+
+def _with(kind_name: str, field: str, value):
+    """The example node of ``kind_name`` with ``field`` set to ``value``."""
+    kind = getattr(A, kind_name)
+    node = next(n for n in _nodes(parse(EXAMPLES[kind])) if type(n) is kind)
+    return kind(*(value if name == field else getattr(node, name) for name in kind._fields))
+
+
+def test_every_field_kind_of_the_rules_is_tested_and_used():
+    assert set(FIELD_CASES) == set(A.FIELD_RULES) == {annotation for _, _, annotation in RULED}
+
+
+@pytest.mark.parametrize("kind_name, field, annotation", RULED)
+def test_a_node_stores_each_ruled_field_as_its_one_type(kind_name, field, annotation):
+    taken, refused = FIELD_CASES[annotation]
+    for given, stored in taken:
+        value = getattr(_with(kind_name, field, given), field)
+        assert (type(value), repr(value)) == (type(stored), repr(stored)), given
+    for given in refused:
+        with pytest.raises(ContractViolation, match=f"{kind_name}.{field} must be"):
+            _with(kind_name, field, given)
+
+
+def test_every_annotation_has_a_rule_or_names_a_node_an_enum_or_a_string():
+    for kind in _concrete_kinds():
+        for name, annotation in kind.__dict__.get("__annotations__", {}).items():
+            named = getattr(A, annotation, None)
+            assert (annotation in A.FIELD_RULES or annotation in ("str", "Optional[str]")
+                    or isinstance(named, type) and issubclass(named, (A.Node, Enum))), \
+                f"{kind.__name__}.{name}: {annotation}"

@@ -163,7 +163,7 @@ def _guarded_reach(bound):
         "area(bbox(a)) > 10")))))
 
 
-# Formulas equal by ``==`` whose constants differ in type.
+# Formulas equal by ``==`` whose constants were given as different types.
 EQUAL_PAIRS = {
     "int and numpy reach": (_guarded_reach(-2), _guarded_reach(np.int64(-2))),
     "numpy ratio": (A.Exists(("a",), A.ProbCmpRatio("a", A.Cmp.GE, 0.5, "a")),
@@ -195,12 +195,17 @@ def test_equal_formulas_each_agree_with_the_reference_beside_the_other(name):
         assert [verdict.value for verdict in out] == expected
 
 
-def test_an_int_and_a_float_frame_bound_do_not_share_a_program():
-    # A program runs its own constants, and a float reach cannot bound a
-    # ``range``, so the int spec must not run the float spec's program.
-    floated = Monitor(_guarded_reach(-2.0), MonitorConfig(max_history=3, max_horizon=3))
-    integral = Monitor(_guarded_reach(-2), MonitorConfig(max_history=3, max_horizon=3))
-    assert floated.formula == integral.formula and floated.formula is not integral.formula
+def test_an_int_and_an_integral_float_frame_bound_share_one_core():
+    # A node stores a frame bound as an int, so the float spec's program is
+    # the int spec's, and its reach bounds a ``range``.
+    frames = list(generate_frames(GenConfig(frames=8, objects=3, seed=7)))
+    floated = Monitor(_guarded_reach(-2.0))
+    integral = Monitor(_guarded_reach(-2))
+    assert floated.formula is integral.formula
+    expected = reference_trace(floated.formula, frames)
+    for monitor in (floated, integral):
+        out = [verdict for frame in frames for verdict in monitor.push_frame(frame)]
+        assert [verdict.value for verdict in out + monitor.flush()] == expected
 
 
 def test_one_formula_compiles_to_the_same_source():
@@ -236,21 +241,46 @@ def _guarded_always(bound, body):
     return A.Exists(("a",), desugar(A.Freeze(None, "f", A.Always(A.Implies(guard, body)))))
 
 
-# Constants that have no literal (numpy scalars, infinities) are passed to
-# the program as values; the frame guard's reach takes the summary path with
+PROB, AREA = parse("prob(a) > 0.5"), parse("area(bbox(a)) > 10")
+
+# Constants given as values that have no literal of their own (numpy
+# scalars, a float frame bound, infinities), each beside the same formula
+# with plain constants; the frame guard's reach takes the summary path with
 # ``prob`` and the scan with a box atom.
 CONSTANTS = {
-    "numpy reach, summary": _guarded_always(np.int64(-2), parse("prob(a) > 0.5")),
-    "numpy reach, scan": _guarded_always(np.int64(-2), parse("area(bbox(a)) > 10")),
-    "infinite bound": A.Exists(("a",), A.ProbCmpConst("a", A.Cmp.LT, math.inf)),
-    "numpy ratio": A.Exists(("a",), A.ProbCmpRatio("a", A.Cmp.GE, np.float64(0.5), "a")),
+    "numpy reach, summary": (_guarded_always(np.int64(-2), PROB), _guarded_always(-2, PROB)),
+    "numpy reach, scan": (_guarded_always(np.int64(-2), AREA), _guarded_always(-2, AREA)),
+    "float reach, summary": (_guarded_always(-2.0, PROB), _guarded_always(-2, PROB)),
+    "float reach, scan": (_guarded_always(np.float64(-2.0), AREA), _guarded_always(-2, AREA)),
+    "infinite bound": (A.Exists(("a",), A.ProbCmpConst("a", A.Cmp.LT, np.float64(math.inf))),
+                       A.Exists(("a",), A.ProbCmpConst("a", A.Cmp.LT, math.inf))),
+    "numpy ratio": (A.Exists(("a",), A.ProbCmpRatio("a", A.Cmp.GE, np.float64(0.5), "a")),
+                    A.Exists(("a",), A.ProbCmpRatio("a", A.Cmp.GE, 0.5, "a"))),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CONSTANTS))
 def test_constants_without_a_literal_agree_with_the_reference(name):
+    # They compile to the plain formula's source, whose literals ``repr`` or
+    # ``math`` spells, and run as the reference does.
     frames = [make_frame(i, i / 10, 100.0, 60.0,
                          [DetectedObject(1, "car", 0.9 if i % 3 else 0.1, BoundingBox(1, 1, 5, 5))])
               for i in range(6)]
-    phi = CONSTANTS[name]
+    phi, plain = CONSTANTS[name]
+    assert linecache.getlines(_compiled(phi)) == linecache.getlines(_compiled(plain))
     assert evaluate_trace(phi, frames) == reference_trace(phi, frames)
+
+
+@pytest.mark.parametrize("body", [PROB, AREA], ids=["summary", "scan"])
+def test_a_float_frame_bound_runs_as_the_reference(body):
+    frames = list(generate_frames(GenConfig(frames=8, objects=3, seed=7)))
+    phi = _guarded_always(-2.0, body)
+    assert reference_trace(phi, frames) == [True] * 8
+    assert evaluate_trace(phi, frames) == [True] * 8
+    assert [verdict.value for verdict in run_monitor(phi, frames)] == [True] * 8
+
+
+def test_a_monitor_runs_a_quantifier_built_with_a_list():
+    listed = A.Exists(["a"], A.ProbCmpConst("a", A.Cmp.GT, 0.5))
+    frames = list(generate_frames(GenConfig(frames=4, objects=3, seed=7)))
+    assert [v.value for v in run_monitor(listed, frames)] == reference_trace(listed, frames)

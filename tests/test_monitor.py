@@ -1,17 +1,21 @@
 import random
 
+import numpy as np
 import pytest
 
 from percemon.errors import ConfigError, ContractViolation, SpecError
 from percemon.evaluate import evaluate_trace
 from percemon.generator import GenConfig, generate_frames
 from percemon.monitor import Monitor, MonitorConfig, run_monitor
+from percemon.stql.bounds import compute_bounds
 from percemon.stql.builtins import phi1, phi2
 from percemon.stql.desugar import desugar
 from percemon.stql.parser import parse
+from percemon.stql.printer import format_formula
 from percemon.trace import BoundingBox, DetectedObject, make_frame
 
-from randgen import random_trace
+from randgen import FormulaGen, random_trace
+from reference import reference_trace
 
 
 def frames_of(n):
@@ -48,6 +52,48 @@ def test_override_is_a_lower_bound_on_the_window():
     assert m.history == 2
     widened = Monitor(parse("prev true"), MonitorConfig(max_history=4))
     assert widened.history == 4
+
+
+@pytest.mark.parametrize("override, reason", [
+    ("3", "must be an integer number of frames, got '3'"),
+    (2.5, "must be an integer number of frames, got 2.5"),
+    (True, "must be an integer number of frames, got True"),
+    (-1, "must not be negative, got -1"),
+    (-1.0, "must not be negative, got -1.0"),
+])
+def test_a_window_override_that_is_no_frame_count_is_a_config_error(override, reason):
+    for config in (MonitorConfig(max_history=override), MonitorConfig(max_horizon=override)):
+        with pytest.raises(ConfigError, match=reason):
+            Monitor(parse("prev true"), config)
+
+
+def test_an_integral_float_override_is_that_many_frames():
+    spec = parse("prev prev true or next true")
+    floated = Monitor(spec, MonitorConfig(max_history=3.0, max_horizon=np.int64(2)))
+    integral = Monitor(spec, MonitorConfig(max_history=3, max_horizon=2))
+    assert (floated.history, floated.horizon) == (3, 2)
+    assert type(floated.history) is type(floated.horizon) is int
+    for frame in frames_of(8):
+        emitted = [[v.frame_number for v in m.push_frame(frame)] for m in (floated, integral)]
+        assert emitted[0] == emitted[1] and floated.buffered == integral.buffered
+    assert [v.frame_number for v in floated.flush()] == [v.frame_number for v in integral.flush()]
+
+
+def test_the_inferred_window_is_sound_for_bounded_random_cores():
+    # With no override the window is the inferred one: every verdict must
+    # equal the reference's over the whole, untruncated trace.
+    rng = random.Random(2601)
+    gen = FormulaGen(rng, max_depth=4, allow_sugar=False)
+    checked = 0
+    while checked < 300:
+        core = desugar(gen.formula())
+        bounds = compute_bounds(core)
+        if None in (bounds.history, bounds.horizon) or bounds.history == bounds.horizon == 0:
+            continue
+        frames = random_trace(rng, max_frames=20, max_objects=3)
+        online = [verdict.value for verdict in run_monitor(core, frames)]
+        assert online == reference_trace(core, frames), format_formula(core)
+        checked += 1
 
 
 def test_binding_errors_surface_at_construction():

@@ -1,5 +1,7 @@
 import random
+from functools import reduce
 
+import numpy as np
 import pytest
 
 from percemon.stql import ast as A
@@ -70,6 +72,29 @@ def test_format_examples():
     assert format_formula(A.Exists(("id1",), A.TrueConst())) == "exists {id1} @ (true)"
     assert format_formula(A.Freeze(None, "f", A.TrueConst())) == "pin (_, f) { true }"
     assert format_formula(A.ProbCmpConst("a", A.Cmp.GT, 0.8)) == "prob(a) > 0.8"
+
+
+def test_numpy_constants_print_as_literals_that_parse_back():
+    # A node stores plain numbers, so no numpy repr reaches the text.
+    ct, lm = A.ReferencePoint.CT, A.ReferencePoint.LM
+    a, b = A.BBoxOf("a"), A.BBoxOf("b")
+    lat, lon = A.OffsetTerm(A.Axis.LAT, "a", ct), A.OffsetTerm(A.Axis.LON, "b", lm)
+    atoms = [
+        A.TimeConstraint("t", A.Cmp.LE, np.float64(0.5)),
+        A.FrameConstraint("f", A.Cmp.GE, np.int64(-2)),
+        A.FrameConstraint("f", A.Cmp.LE, np.float64(3.0)),
+        A.ProbCmpConst("a", A.Cmp.GT, np.float64(0.5)),
+        A.ProbCmpRatio("a", A.Cmp.GE, np.float32(0.25), "b"),
+        A.AreaCmpConst(a, A.Cmp.GT, np.int64(10)),
+        A.AreaCmpRatio(A.SpatialIntersect(a, b), A.Cmp.GE, np.float64(0.3), a),
+        A.EDCmp("a", ct, "b", lm, A.Cmp.LT, np.float64(40.0)),
+        A.OffsetCmpConst(lat, A.Cmp.LT, np.int64(795)),
+        A.OffsetCmpRatio(lat, A.Cmp.GE, np.float64(2), lon),
+    ]
+    phi = A.Freeze("t", "f", A.Exists(["a", "b"], reduce(A.And, atoms)))
+    text = format_formula(phi)
+    assert "np." not in text
+    assert parse(text) == phi
 
 
 def test_quantifier_operand_is_parenthesized():

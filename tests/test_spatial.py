@@ -10,18 +10,16 @@ from percemon.spatial import (
     Universe,
     area,
     complement,
-    difference,
     empty_region,
     from_box,
     full_region,
     intersect,
     is_empty,
-    symmetric_difference_area,
     union,
 )
 from percemon.trace import BoundingBox
 
-from randgen import random_box, random_term, rasterize, term_region
+from randgen import difference, random_box, random_term, rasterize, symmetric_difference_area, term_region
 
 U = Universe(100.0, 100.0)
 
