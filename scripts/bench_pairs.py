@@ -15,8 +15,9 @@ host lands on both sides. With ``--traced-seconds`` 3 pairs of ``--trace
 1`` runs per workload follow, alternating in the same way. Each run's last
 output line is its result.
 The record names the command that made it, each tree's ``git describe``,
-and the host; it holds every result line (``runs``, ``traced``) and, per
-end-to-end metric of ``BENCHMARK.json``, the parent's and the change's
+and the host with the interpreter settings of ``HOST_ENV``; it holds every
+result line (``runs``, ``traced``) and, per end-to-end metric of
+``BENCHMARK.json``, the parent's and the change's
 q1/median/q3, the pairs the change won and the ratio of the medians
 (``summary``), and whether that shows a gain (``gain_shown``, see
 ``gains``). With traced runs it also holds, per workload and per-layer
@@ -45,6 +46,10 @@ SIDES = ("parent", "change")
 PAIRS = 10
 TRACED_PAIRS = 3
 ATTEMPTS = 3
+# Settings the runs inherit that change what they cost: the first makes every
+# write to stdout a syscall of its own, the second makes every start compile
+# the sources.
+HOST_ENV = ("PYTHONUNBUFFERED", "PYTHONDONTWRITEBYTECODE")
 
 
 def result_line(stdout: str) -> dict | None:
@@ -82,6 +87,14 @@ def describe(tree: Path) -> str | None:
     proc = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=tree,
                           capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def host() -> str:
+    """The machine, its usable CPUs, the Python version and each of ``HOST_ENV``."""
+    settings = [f"{name}={os.environ[name]}" if name in os.environ else f"{name} unset"
+                for name in HOST_ENV]
+    return ", ".join([platform.machine(), f"{len(os.sched_getaffinity(0))} usable CPUs",
+                      f"Python {platform.python_version()}", *settings])
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -188,8 +201,7 @@ def main() -> int:
         "change": describe(trees["change"]),
         "command": f"{command} --trace 0",
         "traced_command": f"{command} {shlex.join(traced_args)}" if traced else None,
-        "host": f"{platform.machine()}, {len(os.sched_getaffinity(0))} usable CPUs, "
-                f"Python {platform.python_version()}",
+        "host": host(),
         "protocol": f"{PAIRS} pairs per workload, alternating which side runs first"
                     + (f", then {TRACED_PAIRS} traced pairs the same way" if traced else "") + "; "
                     "frames_per_s and setup_s are reported at the reference host speed by "

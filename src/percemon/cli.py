@@ -3,7 +3,11 @@
 Verdicts stream as compact JSONL records
 ``{"frame":n,"timestamp":t,"verdict":b,"eval_time_ns":k}``; frames
 use the trace module's wire format and are read with ``read_stream``, so
-an ingest error names its input line. Exit codes: 0 on success, 1 on usage,
+an ingest error names its input line. ``monitor`` reads its input one
+buffer-sized chunk at a time and writes the verdicts of a chunk in one
+write before it reads the next, the only point where it can wait; the
+stream's first verdict goes out as soon as it exists. ``run`` writes all
+its verdicts in one write. Exit codes: 0 on success, 1 on usage,
 input or specification errors, 2 on internal contract violations. Set
 ``PERCEMON_LOG`` to error, warn, info or debug to control diagnostics on
 stderr.
@@ -14,9 +18,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import logging
 import os
 import sys
+from typing import IO, Callable, Iterator
 
 from . import __version__
 from .errors import ContractViolation, IngestError, PercemonError
@@ -94,10 +100,46 @@ def _checked_spec(spec: str, params: dict[str, float]):
     return name, formula
 
 
-def _emit_verdict(verdict: Verdict) -> None:
-    # One buffered write per verdict; the commands flush where output must
-    # be seen, inside ``_guarded`` so that a closed pipe exits quietly.
-    sys.stdout.write(verdict.to_json_line())
+def _write_verdicts(verdicts: list[Verdict]) -> None:
+    """Write the verdicts' lines in one write and flush them."""
+    if not verdicts:
+        return
+    text = "".join([verdict.to_json_line() for verdict in verdicts])
+    out = sys.stdout
+    binary = getattr(out, "buffer", None)
+    if binary is None:  # an in-memory text stream
+        out.write(text)
+        return
+    # Through the binary layer, which reports a short write: an unbuffered
+    # one (``python -u``) can write part of a large block to a pipe whose
+    # reader has gone, and the text layer would drop the rest unreported.
+    out.flush()
+    data = memoryview(text.encode())
+    while data:
+        data = data[binary.write(data):]
+    binary.flush()
+
+
+def _lines(stream: IO[bytes], before_read: Callable[[], None]) -> Iterator[bytes]:
+    """The lines of a byte stream, read one buffer-sized chunk at a time.
+
+    Splits on ``b"\n"`` only, as binary line iteration does, so a CRLF line
+    keeps its ``\r`` and a blank line is still a line; the newline itself is
+    dropped, and a last line with none is yielded at end of stream.
+    ``before_read`` runs before each read, the only point where the
+    caller may wait for input.
+    """
+    partial = b""
+    while True:
+        before_read()
+        chunk = stream.read1(io.DEFAULT_BUFFER_SIZE)
+        if not chunk:
+            break
+        lines = (partial + chunk).split(b"\n")
+        partial = lines.pop()
+        yield from lines
+    if partial:
+        yield partial
 
 
 @_guarded
@@ -133,8 +175,7 @@ def run(spec: str, trace_path: str, params: list[tuple[str, float]]) -> None:
     # A monitor whose window is the whole trace: every verdict sees every
     # frame, so the window start never moves and one summary table serves all.
     whole = MonitorConfig(max_history=len(frames), max_horizon=len(frames))
-    for verdict in run_monitor(formula, frames, whole):
-        _emit_verdict(verdict)
+    _write_verdicts(run_monitor(formula, frames, whole))
 
 
 @_guarded
@@ -142,27 +183,41 @@ def monitor(spec: str, input_path: str, max_history: int | None,
             max_horizon: int | None, params: list[tuple[str, float]]) -> None:
     """Monitor a frame stream online, emitting verdicts as they settle.
 
-    On bad input, the verdicts of every frame accepted so far are flushed
+    Verdicts are written before each read of the input, so those of one
+    chunk go out in one write and none waits while the monitor waits for
+    input; the stream's first verdict is written as soon as it exists. On
+    bad input, the verdicts of every frame accepted so far are flushed
     before the error is reported.
     """
     # ``Monitor`` checks the bindings and reports them as ``check`` does.
     _, formula = resolve_spec(spec, dict(params))
     engine = Monitor(formula, MonitorConfig(max_history=max_history, max_horizon=max_horizon))
+    pending: list[Verdict] = []
+
+    def write_pending() -> None:
+        _write_verdicts(pending)
+        pending.clear()
+
     try:
         source = (contextlib.nullcontext(sys.stdin.buffer) if input_path == "-"
                   else open(input_path, "rb"))
         with source as stream:
-            for frame in read_stream(stream):
-                for verdict in engine.push_frame(frame):
-                    _emit_verdict(verdict)
-                sys.stdout.flush()
+            frames = read_stream(_lines(stream, write_pending))
+            for frame in frames:
+                pending += engine.push_frame(frame)
+                if pending:
+                    # The first verdict ends start-up for a consumer.
+                    write_pending()
+                    break
+            for frame in frames:
+                pending += engine.push_frame(frame)
     except IngestError:
-        for verdict in engine.flush():
-            _emit_verdict(verdict)
-        sys.stdout.flush()
+        pending += engine.flush()
         raise
-    for verdict in engine.flush():
-        _emit_verdict(verdict)
+    else:
+        pending += engine.flush()
+    finally:
+        write_pending()
 
 
 @_guarded

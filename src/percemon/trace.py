@@ -291,6 +291,10 @@ def _raw_objects(raw_objects: list) -> Iterator[_RawObject]:
         yield values
 
 
+# ``json.loads`` without its whitespace scans, for a record that is one bare value.
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def parse_frame(json_text: str) -> Frame:
     """Parse one JSONL record into a validated frame.
 
@@ -300,9 +304,16 @@ def parse_frame(json_text: str) -> Frame:
     height, objects (and bbox, id, class, prob within an object).
     """
     try:
-        record = json.loads(json_text)
-    except json.JSONDecodeError as exc:
-        raise MalformedJson(f"not valid JSON: {exc}") from exc
+        record, end = _raw_decode(json_text)
+    except (ValueError, TypeError):
+        end = -1
+    if end != len(json_text):
+        # Whitespace around the value, a BOM, trailing data or no JSON value:
+        # ``json.loads`` accepts the text or words the error.
+        try:
+            record = json.loads(json_text)
+        except json.JSONDecodeError as exc:
+            raise MalformedJson(f"not valid JSON: {exc}") from exc
     if not isinstance(record, dict):
         raise MalformedJson("frame record must be a JSON object")
     try:

@@ -4,6 +4,7 @@ and retries a run that fails before printing its result line."""
 
 import importlib
 import json
+import platform
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -127,6 +128,15 @@ def test_traced_summary_takes_each_sides_median(bench_pairs):
         "evaluate.temporal_steps_per_frame": {"parent": 5.0, "change": 4.0},
         "evaluate.us_p50": {"parent": 31.0, "change": 29.0},
     }}
+
+
+def test_the_host_names_the_settings_that_change_what_a_run_costs(bench_pairs, monkeypatch):
+    monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    assert bench_pairs.host().endswith(
+        ", Python " + platform.python_version() + ", PYTHONUNBUFFERED=1, PYTHONDONTWRITEBYTECODE unset")
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "x")
+    assert bench_pairs.host().endswith(", PYTHONUNBUFFERED=1, PYTHONDONTWRITEBYTECODE=x")
 
 
 # --- failed runs ---------------------------------------------------------------

@@ -3,16 +3,18 @@ import importlib
 import io
 import json
 import os
+import re
+import select
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from percemon.cli import _emit_verdict
 from percemon.evaluate import evaluate_trace
 from percemon.generator import GenConfig, generate_frames
 from percemon.stql.desugar import desugar
@@ -70,10 +72,7 @@ timestamps = st.one_of(
 @given(st.integers(0, 10 ** 30), timestamps, st.booleans(), st.integers(0, 2 ** 64))
 def test_verdict_line_is_the_compact_json_of_the_verdict(frame_number, timestamp, value, eval_ns):
     verdict = Verdict(frame_number, timestamp, value, eval_ns)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        _emit_verdict(verdict)
-    assert out.getvalue() == json.dumps(verdict.to_json_obj(), separators=(",", ":")) + "\n"
+    assert verdict.to_json_line() == json.dumps(verdict.to_json_obj(), separators=(",", ":")) + "\n"
 
 
 # --- check -------------------------------------------------------------------
@@ -791,3 +790,169 @@ def test_closed_pipe_exits_quietly(tmp_path, command):
     assert proc.wait(timeout=60) == 128 + 13
     assert json.loads(first)["frame"] == 0
     assert stderr == ""  # no "Exception ignored ... BrokenPipeError" at shutdown
+
+
+# --- streaming ---------------------------------------------------------------
+
+def masked(text):
+    """Verdict lines with their measured ``eval_time_ns``, which differs run to run, zeroed."""
+    return re.sub(r'"eval_time_ns":\d+', '"eval_time_ns":0', text)
+
+
+def stream_lines(frames, seed=11):
+    config = GenConfig(frames=frames, objects=3, seed=seed, jump_prob=0.05, drop_prob=0.05)
+    return [serialize_frame(frame) for frame in generate_frames(config)]
+
+
+def cli(*args, stderr=subprocess.PIPE):
+    return subprocess.run([sys.executable, "-m", "percemon.cli", *args], env=SRC_ENV,
+                          stdout=subprocess.PIPE, stderr=stderr, text=True)
+
+
+def test_monitor_answers_each_frame_before_the_next_arrives():
+    # builtin:phi1 has horizon 0, so each frame settles its own verdict.
+    lines = [line.encode() + b"\n" for line in stream_lines(6)]
+    proc = subprocess.Popen([sys.executable, "-m", "percemon.cli", "monitor", "--spec",
+                             "builtin:phi1", "--input", "-"], env=SRC_ENV,
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    received = b""
+    try:
+        for n, line in enumerate(lines):
+            # A frame arrives in two pieces; the monitor waits for the rest.
+            proc.stdin.write(line[:len(line) // 2])
+            proc.stdin.flush()
+            time.sleep(0.05)
+            proc.stdin.write(line[len(line) // 2:])
+            proc.stdin.flush()
+            deadline = time.monotonic() + 30
+            while received.count(b"\n") <= n:
+                left = deadline - time.monotonic()
+                ready = left > 0 and select.select([proc.stdout], [], [], left)[0]
+                assert ready, f"no verdict for frame {n} within 30 s"
+                chunk = os.read(proc.stdout.fileno(), 1 << 16)
+                assert chunk, proc.stderr.read().decode()
+                received += chunk
+            assert received.count(b"\n") == n + 1
+        proc.stdin.close()
+        assert proc.wait(timeout=30) == 0
+        assert proc.stderr.read() == b""
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+    assert [json.loads(line)["frame"] for line in received.splitlines()] == list(range(6))
+
+
+def crlf_at_the_first_boundary(lines):
+    # Trailing spaces after the first record put the ``\r`` of a later CRLF
+    # at the last byte of the first 8 KiB read and its ``\n`` at the first
+    # byte of the second.
+    text = "\r\n".join(lines) + "\r\n"
+    last_cr = text.rindex("\r", 0, io.DEFAULT_BUFFER_SIZE)
+    pad = " " * (io.DEFAULT_BUFFER_SIZE - 1 - last_cr)
+    text = lines[0] + pad + text[len(lines[0]):]
+    assert text[io.DEFAULT_BUFFER_SIZE - 1:io.DEFAULT_BUFFER_SIZE + 1] == "\r\n"
+    return text
+
+
+STREAM_LAYOUTS = {
+    "lf": lambda lines: "\n".join(lines) + "\n",
+    "crlf": lambda lines: "\r\n".join(lines) + "\r\n",
+    "blank lines": lambda lines: "".join(
+        line + "\n" + ("\n \n\r\n" if n % 7 == 3 else "") for n, line in enumerate(lines)),
+    "no final newline": lambda lines: "\n".join(lines),
+    "crlf split by a read": crlf_at_the_first_boundary,
+}
+
+
+@pytest.mark.parametrize("spec", ["builtin:phi1", "next next (exists {a} @ prob(a) > 0.9)"])
+@pytest.mark.parametrize("layout", STREAM_LAYOUTS)
+def test_monitor_replay_prints_what_run_prints(tmp_path, layout, spec):
+    if not spec.startswith("builtin:"):
+        (tmp_path / "spec.stql").write_text(spec + "\n")
+        spec = str(tmp_path / "spec.stql")
+    data = STREAM_LAYOUTS[layout](stream_lines(100)).encode()
+    # Records straddle the 8 KiB reads of the monitor.
+    size = io.DEFAULT_BUFFER_SIZE
+    assert len(data) > 3 * size
+    assert any(data[k - 1:k] != b"\n" for k in range(size, len(data), size))
+    trace = tmp_path / "trace.jsonl"
+    trace.write_bytes(data)
+    ran = cli("run", "--spec", spec, "--trace", str(trace))
+    monitored = cli("monitor", "--spec", spec, "--input", str(trace))
+    assert (ran.returncode, ran.stderr) == (monitored.returncode, monitored.stderr) == (0, "")
+    assert masked(monitored.stdout) == masked(ran.stdout)
+    assert len(monitored.stdout.splitlines()) == 100
+
+
+def test_an_ingest_error_mid_chunk_follows_the_verdicts_of_its_accepted_frames(tmp_path):
+    (tmp_path / "spec.stql").write_text("next next (exists {a} @ prob(a) > 0.9)\n")
+    spec = str(tmp_path / "spec.stql")
+    lines = [line + "\n" for line in stream_lines(60)]
+    lines[40] = re.sub(r'"bbox":\[[^\]]*\]', '"bbox":[5,5,1,1]', lines[40], count=1)
+    starts = [sum(map(len, lines[:n])) for n in range(len(lines))]
+    size = io.DEFAULT_BUFFER_SIZE
+    # Line 41 starts in the same read as line 40, whose frame is accepted.
+    assert starts[40] // size == starts[39] // size >= 1
+    (tmp_path / "good.jsonl").write_text("".join(lines[:40]))
+    (tmp_path / "trace.jsonl").write_text("".join(lines))
+    ran = cli("run", "--spec", spec, "--trace", str(tmp_path / "good.jsonl"))
+    # stderr joins stdout, so the order of the two is kept.
+    monitored = cli("monitor", "--spec", spec, "--input", str(tmp_path / "trace.jsonl"),
+                    stderr=subprocess.STDOUT)
+    assert monitored.returncode == 1
+    *verdicts, error = monitored.stdout.splitlines(keepends=True)
+    assert masked("".join(verdicts)) == masked(ran.stdout)
+    assert len(verdicts) == 40
+    assert error.startswith("error: line 41: invalid field 'bbox': inverted box")
+
+
+class RecordedWrites(io.RawIOBase):
+    """A binary stdout that keeps each write and accepts at most ``limit`` bytes of it."""
+
+    def __init__(self, limit=None):
+        self.writes = []
+        self.limit = limit
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        data = bytes(data[:self.limit])
+        self.writes.append(data)
+        return len(data)
+
+
+def monitored_writes(monkeypatch, trace, limit=None):
+    raw = RecordedWrites(limit)
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, write_through=True))
+    from percemon.cli import main
+
+    assert main(["monitor", "--spec", "builtin:phi1", "--input", str(trace)]) == 0
+    return raw.writes
+
+
+def test_monitor_writes_verdict_0_alone_then_once_per_read(monkeypatch, tmp_path):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("".join(line + "\n" for line in stream_lines(100)))
+    writes = monitored_writes(monkeypatch, trace)
+    assert json.loads(writes[0])["frame"] == 0 and writes[0].count(b"\n") == 1
+    # Then, before each read after the first, the verdicts of the chunk
+    # before it; builtin:phi1 has horizon 0, so none wait for the flush.
+    reads = -(-trace.stat().st_size // io.DEFAULT_BUFFER_SIZE)
+    assert len(writes) == 1 + reads
+    frames = [json.loads(line)["frame"] for line in b"".join(writes).splitlines()]
+    assert frames == list(range(100))
+
+
+def test_a_short_write_is_completed_not_dropped(monkeypatch, tmp_path):
+    # An unbuffered stdout (python -u) can take part of a block; the rest
+    # is written, not dropped by the text layer.
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("".join(line + "\n" for line in stream_lines(100)))
+    writes = monitored_writes(monkeypatch, trace, limit=100)
+    assert max(map(len, writes)) == 100
+    frames = [json.loads(line)["frame"] for line in b"".join(writes).splitlines()]
+    assert frames == list(range(100))

@@ -62,6 +62,28 @@ def test_parse_malformed_json():
         parse_frame("[1, 2, 3]")
 
 
+RECORD = '{"frame":0,"timestamp":0.0,"width":100,"height":100,"objects":[]}'
+
+
+@pytest.mark.parametrize("text", [
+    "", " ", "{not json", '{"frame":0', RECORD + "x", RECORD + " {}", RECORD + RECORD,
+    "\ufeff" + RECORD, "\x0b" + RECORD, RECORD + "\u00a0", "[1, 2] ]", "nan", "'a'",
+])
+def test_malformed_json_is_worded_as_json_loads_words_it(text):
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(text)
+    with pytest.raises(MalformedJson) as got:
+        parse_frame(text)
+    assert str(got.value) == f"not valid JSON: {expected.value}"
+
+
+@pytest.mark.parametrize("text", [
+    RECORD, " " + RECORD, RECORD + "\r\n", "\t\n" + RECORD + " \t ",
+])
+def test_json_whitespace_around_a_record_is_accepted(text):
+    assert parse_frame(text) == parse_frame(RECORD) == Frame(0, 0.0, 100.0, 100.0, {})
+
+
 def test_parse_missing_fields():
     with pytest.raises(MissingField):
         parse_frame('{"timestamp":0.0,"width":100,"height":100,"objects":[]}')
