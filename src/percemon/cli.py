@@ -121,7 +121,7 @@ def _write_verdicts(verdicts: list[Verdict]) -> None:
 
 
 def _lines(stream: IO[bytes], before_read: Callable[[], None]) -> Iterator[bytes]:
-    """The lines of a byte stream, read one buffer-sized chunk at a time.
+    r"""The lines of a byte stream, read one buffer-sized chunk at a time.
 
     Splits on ``b"\n"`` only, as binary line iteration does, so a CRLF line
     keeps its ``\r`` and a blank line is still a line; the newline itself is

@@ -1,12 +1,17 @@
 """Render formulas back into the surface syntax.
 
 ``parse(format_formula(phi))`` reconstructs an equal tree for every
-formula, with parentheses inserted only where precedence demands.
+formula whose constants are finite, with parentheses inserted only where
+precedence demands. An infinite or NaN constant, which only a formula built
+in code can hold, has no surface syntax: printing it is a
+``ContractViolation``.
 Quantifier bodies are always parenthesized because their scope otherwise
 extends maximally to the right.
 """
 
 from __future__ import annotations
+
+import math
 
 from ..errors import ContractViolation
 from . import ast as A
@@ -55,6 +60,13 @@ def _spatial(term: A.SpatialTerm, required: int) -> str:
     raise ContractViolation(f"unknown spatial term {term!r}")
 
 
+def _num(phi: A.Formula, value: float) -> str:
+    # The lexer reads only finite numbers, so ``inf`` or ``nan`` would not parse.
+    if not math.isfinite(value):
+        raise ContractViolation(f"{type(phi).__name__} constant {value!r} has no surface syntax")
+    return repr(value)
+
+
 def _offset(term: A.OffsetTerm) -> str:
     return f"{term.axis.value}({term.var}, {term.ref.value})"
 
@@ -99,7 +111,7 @@ def _formula(phi: A.Formula, required: int) -> str:
 
     # atoms
     if isinstance(phi, A.TimeConstraint):
-        return f"{phi.var} - C_TIME {phi.cmp.value} {phi.bound!r}"
+        return f"{phi.var} - C_TIME {phi.cmp.value} {_num(phi, phi.bound)}"
     if isinstance(phi, A.FrameConstraint):
         return f"{phi.var} - C_FRAME {phi.cmp.value} {phi.bound!r}"
     if isinstance(phi, A.ClassEqConst):
@@ -107,9 +119,9 @@ def _formula(phi: A.Formula, required: int) -> str:
     if isinstance(phi, A.ClassEqVar):
         return f"class({phi.lhs}) == class({phi.rhs})"
     if isinstance(phi, A.ProbCmpConst):
-        return f"prob({phi.var}) {phi.cmp.value} {phi.bound!r}"
+        return f"prob({phi.var}) {phi.cmp.value} {_num(phi, phi.bound)}"
     if isinstance(phi, A.ProbCmpRatio):
-        return f"prob({phi.lhs}) {phi.cmp.value} {phi.ratio!r} * prob({phi.rhs})"
+        return f"prob({phi.lhs}) {phi.cmp.value} {_num(phi, phi.ratio)} * prob({phi.rhs})"
     if isinstance(phi, A.IdEq):
         return f"{phi.lhs} == {phi.rhs}"
     if isinstance(phi, A.IdNeq):
@@ -117,20 +129,20 @@ def _formula(phi: A.Formula, required: int) -> str:
     if isinstance(phi, A.SpatialExists):
         return f"nonempty({format_spatial(phi.term)})"
     if isinstance(phi, A.AreaCmpConst):
-        return f"area({format_spatial(phi.term)}) {phi.cmp.value} {phi.bound!r}"
+        return f"area({format_spatial(phi.term)}) {phi.cmp.value} {_num(phi, phi.bound)}"
     if isinstance(phi, A.AreaCmpRatio):
         return (
             f"area({format_spatial(phi.lhs)}) {phi.cmp.value} "
-            f"{phi.ratio!r} * area({format_spatial(phi.rhs)})"
+            f"{_num(phi, phi.ratio)} * area({format_spatial(phi.rhs)})"
         )
     if isinstance(phi, A.EDCmp):
         return (
             f"dist({phi.lhs}, {phi.lhs_ref.value}, {phi.rhs}, {phi.rhs_ref.value}) "
-            f"{phi.cmp.value} {phi.bound!r}"
+            f"{phi.cmp.value} {_num(phi, phi.bound)}"
         )
     if isinstance(phi, A.OffsetCmpConst):
-        return f"{_offset(phi.term)} {phi.cmp.value} {phi.bound!r}"
+        return f"{_offset(phi.term)} {phi.cmp.value} {_num(phi, phi.bound)}"
     if isinstance(phi, A.OffsetCmpRatio):
-        return f"{_offset(phi.lhs)} {phi.cmp.value} {phi.ratio!r} * {_offset(phi.rhs)}"
+        return f"{_offset(phi.lhs)} {phi.cmp.value} {_num(phi, phi.ratio)} * {_offset(phi.rhs)}"
 
     raise ContractViolation(f"unknown formula node {phi!r}")

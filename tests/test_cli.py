@@ -1,4 +1,3 @@
-import contextlib
 import importlib
 import io
 import json
@@ -15,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from percemon.cli import main
 from percemon.evaluate import evaluate_trace
 from percemon.generator import GenConfig, generate_frames
 from percemon.stql.desugar import desugar
@@ -928,8 +928,6 @@ class RecordedWrites(io.RawIOBase):
 def monitored_writes(monkeypatch, trace, limit=None):
     raw = RecordedWrites(limit)
     monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, write_through=True))
-    from percemon.cli import main
-
     assert main(["monitor", "--spec", "builtin:phi1", "--input", str(trace)]) == 0
     return raw.writes
 

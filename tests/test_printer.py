@@ -1,9 +1,11 @@
+import math
 import random
 from functools import reduce
 
 import numpy as np
 import pytest
 
+from percemon.errors import ContractViolation
 from percemon.stql import ast as A
 from percemon.stql.builtins import phi1, phi2
 from percemon.stql.parser import parse
@@ -117,3 +119,22 @@ def test_random_ast_round_trip_sugar():
     for _ in range(200):
         phi = gen.formula()
         assert parse(format_formula(phi)) == phi
+
+
+NON_FINITE_ATOMS = {
+    "prob": lambda value: A.ProbCmpConst("a", A.Cmp.LT, value),
+    "area": lambda value: A.AreaCmpConst(A.BBoxOf("a"), A.Cmp.GE, value),
+    "time": lambda value: A.TimeConstraint("x", A.Cmp.LE, value),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=repr)
+@pytest.mark.parametrize("atom", sorted(NON_FINITE_ATOMS))
+def test_a_non_finite_constant_has_no_surface_syntax(atom, value):
+    # The lexer reads only finite numbers, so printing ``inf`` or ``nan``
+    # would make text that ``parse`` refuses.
+    node = NON_FINITE_ATOMS[atom](value)
+    formula = A.Exists(("a",), A.Freeze("x", None, node))
+    with pytest.raises(ContractViolation) as excinfo:
+        format_formula(formula)
+    assert str(excinfo.value) == f"{type(node).__name__} constant {value!r} has no surface syntax"
