@@ -5,7 +5,10 @@ Usage:
         [--workloads W1,W2] [--seed 7] [--traced-seconds 8]
 
 DIR is a git checkout of the repository (each keeps its own
-``.perfbench-work``). For every workload, pair i of the protocol's 10 runs
+``.perfbench-work``). The two resolved paths must be of equal length: the
+monitor's peak RSS moves by a 256 KiB allocator arena with the length of
+the path it runs from alone, so the script refuses any other pair before
+it runs anything. For every workload, pair i of the protocol's 10 runs
 
     python3 perfbench/run.py --workload W --seed S --trace 0
 
@@ -170,6 +173,10 @@ def main() -> int:
     parser.add_argument("--traced-seconds", type=float, default=0.0)
     args = parser.parse_args()
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if len(str(trees["parent"])) != len(str(trees["change"])):
+        raise SystemExit(f"bench_pairs: --parent {trees['parent']} and --change "
+                         f"{trees['change']} differ in path length, which moves peak_rss_mb; "
+                         "use checkouts whose paths are of equal length")
     benchmark = json.loads(BENCHMARK.read_text())
     metrics = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     per_layer = [m["name"] for m in benchmark["per_layer"]]

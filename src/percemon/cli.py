@@ -94,6 +94,16 @@ def _counts(text: str) -> list[int]:
     return counts
 
 
+def _positive(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
 def _checked_spec(spec: str, params: dict[str, float]):
     name, formula = resolve_spec(spec, params)
     require_bindings(formula)
@@ -289,7 +299,8 @@ def _parser() -> argparse.ArgumentParser:
     sub = command(bench, "Specification file, builtin or probe name.")
     sub.add_argument("--objects", required=True, type=_counts,
                      help="Comma-separated object counts, e.g. 2,5,10.")
-    sub.add_argument("--frames", type=int, default=300, help="(default: %(default)s)")
+    # A run of no frames would report timings of nothing.
+    sub.add_argument("--frames", type=_positive, default=300, help="(default: %(default)s)")
     sub.add_argument("--seed", type=int, default=0, help="(default: %(default)s)")
     sub.add_argument("--count-assignments", action="store_true",
                      help="Also report quantifier assignments per frame.")

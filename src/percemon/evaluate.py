@@ -75,10 +75,11 @@ are unchanged: a witness outside the window does not count.
 
 An ``EvalContext`` carries the table of these entries together with the
 window's stream offset. One table serves one stream: ``evaluate_trace``
-shares one across its verdicts, and the monitor keeps one for the life of
-a stream and trims it as its window moves (``trim_summaries``), so each
-verdict costs one step per summarized node and id tuple however long the
-window is. A new entry is seeded by the plain scan back from the frame it
+shares one across its verdicts, and the monitor keeps one context for the
+life of a stream, over its buffer and with the table, moves it to each
+verdict's index and offset, and trims the table only when its window start
+moves (``trim_summaries``), so each verdict costs one step per summarized
+node and id tuple however long the window is. A new entry is seeded by the plain scan back from the frame it
 is first needed at, so a new track costs what the scan would. A context
 built without a table gets an empty one of its own.
 

@@ -15,9 +15,15 @@ A specification whose requirement is unbounded needs an explicit override.
 The monitor takes frames in the order the caller pushes them and does not
 check it; ``trace.read_stream`` checks frame order where frames are read.
 The buffer is the window of the verdict under evaluation, which reads it
-in place without a copy. A ``Verdict`` is a plain value built like the
-trace records (``trace.plain_value``); ``Verdict.to_json_line`` is the
-line the CLI prints for it.
+in place without a copy. Each push settles at most one verdict, that of
+the frame ``horizon`` frames back. The window's upkeep, dropping the
+frames before its start and trimming the temporal summaries, runs only
+when the window start moves. A monitor keeps one evaluation context per
+stream, over its buffer and with its stats and summaries; the context is
+built at the first verdict and each verdict sets only its index and stream
+offset, so ``eval_time_ns`` times the program call alone. A ``Verdict``
+is a plain value built like the trace records (``trace.plain_value``);
+``Verdict.to_json_line`` is the line the CLI prints for it.
 """
 
 from __future__ import annotations
@@ -126,6 +132,10 @@ class Monitor:
         self._pushed = 0        # total frames pushed
         self._next = 0          # next verdict index to emit
         self._flushed = False
+        # The stream's one evaluation context, over the buffer itself, built
+        # at the first verdict (the constructor checks its index); each
+        # verdict moves it to its own index and offset.
+        self._ctx: EvalContext | None = None
 
     def _evict(self, start: int) -> None:
         """Drop the buffered frames before stream index ``start`` and trim the
@@ -137,38 +147,44 @@ class Monitor:
 
     def _emit(self, index: int) -> Verdict:
         # The verdict window is exactly [index - history, index + horizon],
-        # clamped to the stream, and the buffer already ends where it does.
-        # During pushes eviction already keeps the buffer's start there;
-        # during flush the buffer still holds older frames, so evict them.
+        # clamped to the stream: the buffer already starts and ends there.
         # Verdicts are emitted in index order and the base only grows, so
         # window starts never move backwards, flush included: that is what
         # lets the summaries reuse entries computed for earlier windows.
-        self._evict(index - self.history)
-        start, window = self._base, self._buffer
-        rel = index - start
+        rel = index - self._base
+        ctx = self._ctx
+        if ctx is None:
+            ctx = self._ctx = EvalContext(self._buffer, rel, self.stats, self._base,
+                                          self._summaries)
+        else:
+            ctx.index = rel
+            ctx.offset = self._base
         started = time.perf_counter_ns()
-        ctx = EvalContext(window, rel, self.stats, offset=start, summaries=self._summaries)
         value = evaluate(self.formula, ctx)
         elapsed = time.perf_counter_ns() - started
-        frame = window[rel]
+        frame = self._buffer[rel]
         return Verdict(frame.frame_number, frame.timestamp, bool(value), elapsed)
 
     def push_frame(self, frame: Frame) -> list[Verdict]:
-        """Append one frame; return the verdicts it makes decidable."""
+        """Append one frame; return the verdict it makes decidable, if any.
+
+        Each push settles at most one verdict, that of the frame ``horizon``
+        frames back; the window start then moves one frame on, once it is
+        ``history`` frames past the stream start.
+        """
         if self._flushed:
             raise ContractViolation("monitor already flushed")
-        self._buffer.append(frame)
+        buffer = self._buffer
+        buffer.append(frame)
         self._pushed += 1
-        newest = self._pushed - 1
-
         out: list[Verdict] = []
-        while self._next + self.horizon <= newest:
+        if self._pushed > self.horizon:
             out.append(self._emit(self._next))
             self._next += 1
             self._evict(self._next - self.history)
-        if len(self._buffer) > self.capacity:
+        if len(buffer) > self.capacity:
             raise ContractViolation(
-                f"window holds {len(self._buffer)} frames, capacity is {self.capacity}"
+                f"window holds {len(buffer)} frames, capacity is {self.capacity}"
             )
         return out
 
@@ -176,7 +192,11 @@ class Monitor:
         """Emit the verdicts still pending at end of stream."""
         if self._flushed:
             return []
-        out = [self._emit(index) for index in range(self._next, self._pushed)]
+        out = []
+        for index in range(self._next, self._pushed):
+            # Pushes no longer move the window: move it here.
+            self._evict(index - self.history)
+            out.append(self._emit(index))
         self._next = self._pushed
         self._flushed = True
         return out

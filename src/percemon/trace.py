@@ -20,10 +20,13 @@ converted to float, and it states each field rule once. A value of exact
 type int or float is converted inline; the helpers ``_number``,
 ``_coordinate``, ``_finite`` and ``_natural`` only word a rejection, or
 accept a value whose type subclasses int or float. ``parse_frame`` checks
-only the JSON shape of a record and hands it the raw values; ``make_frame``
-is the checked constructor for library callers. Frame fields are checked
-before any object, and every object before any box is clipped into the
-image. ``read_stream`` is where frames enter the program: it parses each
+the JSON shape of the frame record and hands its raw values, the list of
+object records included, to ``_checked_frame``, which checks each object
+record's JSON shape and then its values in one pass. ``make_frame``, the
+checked constructor for library callers, hands its detections over as
+object records of the same wire shape, so one validator reads one record
+shape. Frame fields are checked before any object, and every object
+before any box is clipped into the image. ``read_stream`` is where frames enter the program: it parses each
 record, checks that frame numbers strictly increase and timestamps never
 decrease, and tags any ``IngestError`` with the input line it came from.
 Nothing downstream checks a frame again.
@@ -35,7 +38,7 @@ import json
 import logging
 import math
 from dataclasses import MISSING, dataclass, field, fields
-from typing import IO, Any, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Any, Iterable, Iterator, Mapping
 
 from .errors import (
     ConfidenceOutOfRange,
@@ -164,18 +167,17 @@ def _natural(name: str, value: Any) -> None:
         raise InvalidField(name, f"expected a natural number, got {value!r}")
 
 
-# One detection's raw fields: id, class, prob and the four bbox coordinates.
-_RawObject = tuple[Any, Any, Any, Sequence[Any]]
-
-
 def _checked_frame(
-    frame_number: Any, timestamp: Any, width: Any, height: Any, objects: Iterable[_RawObject]
+    frame_number: Any, timestamp: Any, width: Any, height: Any, objects: Iterable[Any]
 ) -> Frame:
     """The one validator of frame field values, for parsed and built frames.
 
-    Checks the frame's own fields, then each object in turn, and only then
-    clips boxes that reach outside the image (with a warning), so no
-    warning precedes an error. Each field is checked once, in wording
+    ``objects`` are object records in the wire shape, ``{"id", "class",
+    "prob", "bbox": [xmin, ymin, xmax, ymax]}``. Checks the frame's own
+    fields, then each record in turn, its JSON shape (an object, then bbox,
+    a list of 4, then id, class, prob present) and then its values, and
+    only then clips boxes that reach outside the image (with a warning), so
+    no warning precedes an error. Each field is checked once, in wording
     order, and the first rule that fails raises. Objects go into the map in
     ascending id order.
     """
@@ -206,7 +208,20 @@ def _checked_frame(
     clipped = []
     ascending = True
     last = -1
-    for object_id, label, prob, (xmin, ymin, xmax, ymax) in objects:
+    for raw in objects:
+        if not isinstance(raw, dict):
+            raise InvalidField("objects", "each object must be a JSON object")
+        try:
+            bbox = raw["bbox"]
+        except KeyError:
+            raise MissingField("bbox") from None
+        if not isinstance(bbox, list) or len(bbox) != 4:
+            raise InvalidField("bbox", "expected [xmin, ymin, xmax, ymax]")
+        try:
+            object_id, label, prob = raw["id"], raw["class"], raw["prob"]
+        except KeyError as exc:
+            raise MissingField(exc.args[0]) from None
+        xmin, ymin, xmax, ymax = bbox
         try:
             x1 = float(xmin) if type(xmin) in real else _coordinate(xmin)
             y1 = float(ymin) if type(ymin) in real else _coordinate(ymin)
@@ -261,34 +276,17 @@ def make_frame(
 ) -> Frame:
     """Build a checked frame from a list of detections, clipping boxes into the universe.
 
-    The detections' fields are checked as ingest checks them, with the same
-    errors. Out-of-universe boxes are clipped and reported with a warning,
-    matching how real detectors slightly overshoot the image. Duplicate ids
-    are an error.
+    The detections are handed to the validator as the object records
+    ``parse_frame`` reads, so their fields are checked as ingest checks
+    them, with the same errors. Out-of-universe boxes are clipped and
+    reported with a warning, matching how real detectors slightly overshoot
+    the image. Duplicate ids are an error.
     """
     return _checked_frame(frame_number, timestamp, width, height, (
-        (obj.object_id, obj.class_label, obj.confidence,
-         (obj.bbox.xmin, obj.bbox.ymin, obj.bbox.xmax, obj.bbox.ymax))
+        {"id": obj.object_id, "class": obj.class_label, "prob": obj.confidence,
+         "bbox": [obj.bbox.xmin, obj.bbox.ymin, obj.bbox.xmax, obj.bbox.ymax]}
         for obj in objects
     ))
-
-
-def _raw_objects(raw_objects: list) -> Iterator[_RawObject]:
-    """The raw fields of each object record, after its JSON shape is checked."""
-    for raw in raw_objects:
-        if not isinstance(raw, dict):
-            raise InvalidField("objects", "each object must be a JSON object")
-        try:
-            bbox = raw["bbox"]
-        except KeyError:
-            raise MissingField("bbox") from None
-        if not isinstance(bbox, list) or len(bbox) != 4:
-            raise InvalidField("bbox", "expected [xmin, ymin, xmax, ymax]")
-        try:
-            values = raw["id"], raw["class"], raw["prob"], bbox
-        except KeyError as exc:
-            raise MissingField(exc.args[0]) from None
-        yield values
 
 
 # ``json.loads`` without its whitespace scans, for a record that is one bare value.
@@ -325,7 +323,7 @@ def parse_frame(json_text: str) -> Frame:
         raise MissingField(exc.args[0]) from None
     if not isinstance(raw_objects, list):
         raise InvalidField("objects", "expected a list")
-    return _checked_frame(frame_number, timestamp, width, height, _raw_objects(raw_objects))
+    return _checked_frame(frame_number, timestamp, width, height, raw_objects)
 
 
 def _plain_number(value: float):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from percemon.bench import BenchReport, _p99, render_json, render_tsv, run_bench
 
 
@@ -56,3 +58,18 @@ def test_json_rendering_round_trips():
         "mean_eval_time_ns": 111, "p99_eval_time_ns": 222, "seed": 9,
         "assignments_per_frame": 9,
     }]
+
+
+@pytest.mark.parametrize("frames, shown", [("0", "0"), ("-3", "-3"), ("x", "'x'")])
+def test_bench_of_no_frames_is_a_usage_error(runner, frames, shown):
+    # A run of no frames timed nothing, so it has no timings to report.
+    result = runner(["bench", "--spec", "builtin:phi1", "--objects", "2", "--frames", frames])
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr == f"error: argument --frames: expected a positive integer, got {shown}\n"
+
+
+def test_bench_of_one_frame_reports_its_timing(runner):
+    result = runner(["bench", "--spec", "builtin:phi1", "--objects", "2", "--frames", "1"])
+    assert result.exit_code == 0
+    header, row = result.stdout.splitlines()
+    assert dict(zip(header.split("\t"), row.split("\t")))["frames"] == "1"

@@ -245,3 +245,31 @@ def test_traced_runs_alternate_in_three_pairs_and_are_all_kept(bench_pairs, monk
             for side, runs in record["traced"]["w"].items()} == {
         "parent": [30.0, 31.0, 32.0], "change": [20.0, 21.0, 22.0]}
     assert record["traced_summary"]["w"]["evaluate.us_p50"] == {"parent": 31.0, "change": 21.0}
+
+
+@pytest.mark.parametrize("parent, change", [("parent", "chg"), ("p", "change")])
+def test_checkouts_whose_paths_differ_in_length_are_refused_before_any_run(
+        bench_pairs, monkeypatch, tmp_path, parent, change):
+    commands = _stub_runs(monkeypatch, bench_pairs, [])
+    out = tmp_path / "BENCH.json"
+    monkeypatch.setattr(bench_pairs.sys, "argv", [
+        "bench_pairs.py", "--parent", str(tmp_path / parent), "--change",
+        str(tmp_path / change), "--out", str(out), "--workloads", "w"])
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.main()
+    message = str(info.value.code)
+    assert message.startswith(f"bench_pairs: --parent {tmp_path / parent} and --change "
+                              f"{tmp_path / change} differ in path length")
+    assert commands == [] and not out.exists()
+
+
+def test_checkout_paths_are_compared_once_resolved(bench_pairs, monkeypatch, tmp_path):
+    # "./parent" and "change" name paths of one length once resolved.
+    outcomes = [_printed(_result(100, 0.1, 20)) for _ in range(20)]
+    commands = _stub_runs(monkeypatch, bench_pairs, outcomes)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(bench_pairs.sys, "argv", [
+        "bench_pairs.py", "--parent", "./parent", "--change", "change",
+        "--out", str(tmp_path / "BENCH.json"), "--workloads", "w"])
+    assert bench_pairs.main() == 0
+    assert len(commands) == 20

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from percemon.errors import ConfigError, ContractViolation, SpecError
-from percemon.evaluate import evaluate_trace
+from percemon.evaluate import EvalContext, evaluate, evaluate_trace
 from percemon.generator import GenConfig, generate_frames
 from percemon.monitor import Monitor, MonitorConfig, run_monitor
 from percemon.stql.bounds import compute_bounds
@@ -94,6 +94,75 @@ def test_the_inferred_window_is_sound_for_bounded_random_cores():
         online = [verdict.value for verdict in run_monitor(core, frames)]
         assert online == reference_trace(core, frames), format_formula(core)
         checked += 1
+
+
+def test_the_inferred_window_is_sound_for_a_thousand_random_cores():
+    # Every bounded core of 1000 depth-4 draws, a zero-width window
+    # included: the window with no override must see all a verdict reads.
+    checked = 0
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        gen = FormulaGen(rng, max_depth=4, allow_sugar=False)
+        for _ in range(500):
+            core = desugar(gen.formula())
+            frames = random_trace(rng, max_frames=20, max_objects=4)
+            bounds = compute_bounds(core)
+            if None in (bounds.history, bounds.horizon):
+                continue
+            online = [verdict.value for verdict in run_monitor(core, frames)]
+            assert online == reference_trace(core, frames), format_formula(core)
+            checked += 1
+    assert checked >= 500
+
+
+# Summaries (the holds and the guarded idiom), a scan of ``prev`` and a
+# lookup of a bound id, so the context carries a summary table and steps.
+SHARED_SPEC = ("(holds (exists {a} @ prob(a) > 0.5))"
+               " and (forall {b} @ pin (_, f) { always (C_FRAME - f <= 3 implies prob(b) > 0.6) })"
+               " and (forall {c} @ (prev exists {d} @ (c == d)) or prob(c) > 0.2)")
+
+
+def test_monitors_of_one_spec_keep_their_contexts_apart(monkeypatch):
+    # Two monitors of one spec, pushed in turn, share one program but each
+    # evaluates in its own context over its own window; one is flushed
+    # halfway, and contexts built outside them are evaluated in between.
+    frames = list(generate_frames(GenConfig(frames=200, objects=4, seed=11, drop_prob=0.2,
+                                            conf_dip_prob=0.2)))
+    formula = parse(SHARED_SPEC)
+    narrow = Monitor(formula, MonitorConfig(max_history=4))
+    wide = Monitor(formula, MonitorConfig(max_history=9, max_horizon=2))
+    assert narrow.formula is wide.formula
+    core = narrow.formula
+    whole = reference_trace(core, frames)
+
+    built = []
+    init = EvalContext.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(EvalContext, "__init__", counted)
+    outside = 0
+    verdicts = {narrow: [], wide: []}
+    for i, frame in enumerate(frames):
+        if i == 100:
+            verdicts[narrow] += narrow.flush()
+        for monitor in (narrow, wide):
+            if i < 100 or monitor is wide:
+                verdicts[monitor] += monitor.push_frame(frame)
+            else:
+                with pytest.raises(ContractViolation, match="already flushed"):
+                    monitor.push_frame(frame)
+            assert evaluate(core, EvalContext(frames, i)) == whole[i]
+            outside += 1
+    verdicts[wide] += wide.flush()
+    assert len(built) - outside <= 2
+
+    for monitor, seen in ((narrow, frames[:100]), (wide, frames)):
+        values = [verdict.value for verdict in verdicts[monitor]]
+        assert values == reference_trace(core, seen, monitor.history, monitor.horizon)
+        assert [v.frame_number for v in verdicts[monitor]] == [f.frame_number for f in seen]
 
 
 def test_binding_errors_surface_at_construction():

@@ -951,3 +951,58 @@ def test_records_are_immutable_values_like_a_frozen_dataclass(cls, values, other
 def test_frame_objects_default_to_a_fresh_empty_map():
     first, second = Frame(0, 0.0, 1.0, 1.0), Frame(0, 0.0, 1.0, 1.0)
     assert first.objects == {} and first.objects is not second.objects
+
+
+# A valid 2-object record, and each value that replaces one of its fields in turn.
+SHARED_RECORD = {
+    "frame": 3, "timestamp": 0.5, "width": 100, "height": 80,
+    "objects": [
+        {"id": 1, "class": "car", "prob": 0.9, "bbox": [10, 20, 30, 40]},
+        {"id": 4, "class": "pedestrian", "prob": 0.6, "bbox": [5, 5, 50, 60]},
+    ],
+}
+REPLACEMENTS = [True, False, None, "7", -1, math.nan, math.inf, -math.inf, 1.5, "", 10**400,
+                [1], {}]
+
+
+def _replaced(path, value):
+    """``SHARED_RECORD`` with the field at ``path`` (keys and indices) set to ``value``."""
+    record = json.loads(json.dumps(SHARED_RECORD))
+    *parents, last = path
+    owner = record
+    for key in parents:
+        owner = owner[key]
+    owner[last] = value
+    return record
+
+
+def _built(record):
+    """``make_frame`` over the record's values, as a library caller passes them."""
+    objects = [DetectedObject(raw["id"], raw["class"], raw["prob"], BoundingBox(*raw["bbox"]))
+               for raw in record["objects"]]
+    return make_frame(record["frame"], record["timestamp"], record["width"], record["height"],
+                      objects)
+
+
+def _either(build, arg):
+    try:
+        return repr(build(arg))
+    except IngestError as exc:
+        return type(exc), str(exc)
+
+
+def test_parse_frame_and_make_frame_share_one_validator():
+    # Every field of the record, set to each value: the built frame and the
+    # parsed record give the same frame or the same error, word for word.
+    paths = [(name,) for name in ("frame", "timestamp", "width", "height")]
+    paths += [("objects", i, name) for i in (0, 1) for name in ("id", "class", "prob")]
+    paths += [("objects", i, "bbox", corner) for i in (0, 1) for corner in range(4)]
+    outcomes = []
+    for path in paths:
+        for value in REPLACEMENTS:
+            record = _replaced(path, value)
+            parsed = _either(parse_frame, json.dumps(record))
+            assert _either(_built, record) == parsed, (path, value)
+            outcomes.append(parsed)
+    # 18 fields times 13 values, of which all but 17 are rejected.
+    assert (len(outcomes), sum(isinstance(o, tuple) for o in outcomes)) == (234, 217)
