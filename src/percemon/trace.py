@@ -26,10 +26,11 @@ record's JSON shape and then its values in one pass. ``make_frame``, the
 checked constructor for library callers, hands its detections over as
 object records of the same wire shape, so one validator reads one record
 shape. Frame fields are checked before any object, and every object
-before any box is clipped into the image. ``read_stream`` is where frames enter the program: it parses each
-record, checks that frame numbers strictly increase and timestamps never
-decrease, and tags any ``IngestError`` with the input line it came from.
-Nothing downstream checks a frame again.
+before any box is clipped into the image. ``read_stream`` is where frames
+enter the program: it parses each record, checks that frame numbers
+strictly increase and timestamps never decrease, and tags any
+``IngestError`` with the input line it came from. Nothing downstream
+checks a frame again.
 """
 
 from __future__ import annotations
