@@ -17,6 +17,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from .errors import ConfigError
 from .generator import GenConfig, generate_frames
 from .monitor import Monitor
 from .stql.builtins import resolve_spec
@@ -47,7 +48,10 @@ def run_bench(
     params: Mapping[str, float] | None = None,
     count_assignments: bool = False,
 ) -> list[BenchReport]:
-    """One report per object count, monitoring a seeded synthetic stream."""
+    """One report per object count, monitoring a seeded synthetic stream
+    of ``frames`` frames, at least one: a run of none times nothing."""
+    if frames < 1:
+        raise ConfigError(f"frames must be at least 1, got {frames}")
     reports: list[BenchReport] = []
     name, formula = resolve_spec(spec, params)
     # Monitors of one specification share its program, which is built at the
@@ -65,15 +69,15 @@ def run_bench(
         verdicts.extend(monitor.flush())
         timings = [v.eval_time_ns for v in verdicts]
         per_frame = None
-        if count_assignments and verdicts:
+        if count_assignments:
             per_frame = round(monitor.stats.assignments / len(verdicts))
         reports.append(
             BenchReport(
                 spec_name=name,
                 object_count=count,
                 frames=frames,
-                mean_eval_time_ns=int(statistics.fmean(timings)) if timings else 0,
-                p99_eval_time_ns=_p99(timings) if timings else 0,
+                mean_eval_time_ns=int(statistics.fmean(timings)),
+                p99_eval_time_ns=_p99(timings),
                 seed=seed,
                 assignments_per_frame=per_frame,
             )

@@ -37,10 +37,12 @@ and a box term ``spatial.meet_area`` once.
 ``EvalContext.at`` builds the context of each frame a scan or a summary
 visits, and of each ``prev``/``next`` step scope: all steps of one scope in
 one direction share one context, built from the function's own ``ctx`` by
-the first step that reaches it and reads its frame. That is at most once
+the first step that reaches it and reads the scope. That is at most once
 per call of the function, or per frame a scan visits, however many
-quantifier assignments reach the step. A step whose operand reads nothing
-of its frame, such as ``prev true``, is its index test alone.
+quantifier assignments reach the step. A scope binds only its index, its
+context and, outside a step, its frame; a step scope reads its frame as
+``trace[i]``. A step whose operand reads nothing of its frame, such as
+``prev true``, is its index test alone.
 
 Every ``until`` and ``since`` is one node: ``lhs until/since R``, with the
 witness at most a reach of frames away, optionally negated. At frame i a
@@ -98,7 +100,8 @@ which returns the area of the clipped intersection, one product, or None
 when it has no area, and builds no rectangle; ``area`` reads None as 0 and
 ``nonempty`` is a None test, bit for bit what the ``Region`` operations
 give. Terms with ``~``, ``|`` or ``empty`` run through the ``Region``
-algebra.
+algebra. Both read the universe, the frame's image, from the frame the
+scope already holds.
 
 Conventions for finite traces and partial data:
 
@@ -137,7 +140,6 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from . import spatial
 from .errors import ContractViolation
-from .spatial import Universe
 from .stql import ast as A
 from .stql.bindings import FRAME, OBJECT, TIME, free_variables, unbound_reads
 from .stql.bounds import conjuncts, disjuncts, frame_guard
@@ -268,8 +270,7 @@ class _Function:
     the object ids of those it reads (``hoisted``), and its root scope.
     ``head`` lines come first; ``env`` names the locals an operand function
     unpacks from its ``env`` argument instead of taking them as
-    parameters; ``steps`` lists its step scopes, whose builds ``finish``
-    writes in."""
+    parameters."""
 
     def __init__(self, name: str, params: tuple[str, ...]):
         self.name = name
@@ -280,21 +281,20 @@ class _Function:
         self.env: list[str] | None = None
         self.trace = False
         self.root: _Scope
-        self.steps: list[_Scope] = []
 
 
 class _Scope:
-    """A frame in a generated function: the local names of its context and
-    index, and of its frame and universe, which are bound only if read.
+    """A frame in a generated function: the local names of its index and
+    context; a root or scan scope also binds its frame, if read.
 
     A root scope reads its index from the function's ``ctx`` once per call,
     and a scan binds its scope once per frame it visits. A step scope is
     the frame before (``shift`` "-") or after ("+") its parent's, one per
     parent and direction (``steps``), shared by every ``prev`` or ``next``
     of that parent. Its index and an unbuilt context are bound with the
-    binding of its nearest root or scan scope; its context, frame and
-    universe are bound by the first step that reaches it and reads them
-    (``build``), so at most once per binding of its parent."""
+    binding of its nearest root or scan scope; its context is built by the
+    first step that reaches it and reads the scope, so at most once per
+    binding of its parent, and its frame is read as ``trace[i_N]``."""
 
     __slots__ = ("fn", "ctx", "n", "root", "reads", "shift", "steps", "used")
 
@@ -302,7 +302,7 @@ class _Scope:
         self.fn, self.ctx, self.n, self.root, self.shift = fn, ctx, n, root, shift
         self.reads: set[str] = set()
         self.steps: dict[str, _Scope] = {}
-        # Whether the frame was read since ``step`` last cleared this.
+        # Whether the scope was read since ``step`` last cleared this.
         self.used = False
 
     def context(self) -> str:
@@ -315,51 +315,31 @@ class _Scope:
         return f"i_{self.n}"
 
     def frame(self) -> str:
-        self.index()
+        index = self.index()
         self.fn.trace = self.used = True
         self.reads.add("frame")
-        return f"frame_{self.n}"
-
-    def universe(self) -> str:
-        self.frame()
-        self.reads.add("universe")
-        return f"universe_{self.n}"
-
-    def built(self) -> bool:
-        """Whether a step scope's context is built: some step reads its frame."""
-        return not self.reads.isdisjoint(("ctx", "frame"))
+        return f"frame_{self.n}" if self.shift is None else f"trace[{index}]"
 
     def binds(self) -> list[tuple[str, str]]:
-        """(local, value) for each name the scope's binding sets, in binding
-        order: a step scope's build, or a root or scan scope's own names and
-        the index and unbuilt context of each step scope below it."""
+        """(local, value) for each name a root or scan scope's binding sets,
+        in binding order: its own names, then the index and unbuilt context
+        of each step scope below it."""
         out = []
         if self.root and "index" in self.reads:
             out.append((f"i_{self.n}", f"{self.ctx}.index"))
-        if self.shift is not None and self.built():
-            out.append((self.ctx, f"ctx.at(i_{self.n})"))
         if "frame" in self.reads:
             out.append((f"frame_{self.n}", f"trace[i_{self.n}]"))
-        if "universe" in self.reads:
-            out.append((f"universe_{self.n}", f"_c.universe(frame_{self.n})"))
-        return out + (self.step_binds() if self.shift is None else [])
+        return out + self.step_binds()
 
     def step_binds(self) -> list[tuple[str, str]]:
         out = []
         for step in self.steps.values():
-            if "index" in step.reads or step.built():
+            if "index" in step.reads:
                 out.append((f"i_{step.n}", f"i_{self.n} {step.shift} 1"))
-            if step.built():
+            if "ctx" in step.reads:
                 out.append((step.ctx, "None"))
             out += step.step_binds()
         return out
-
-    def pending(self) -> str:
-        """A step scope's build, in a body not yet finished (see ``finish``)."""
-        return f"\0{self.n}\0"
-
-    def build(self) -> str:
-        return _join([f"({name} := {value}) is not None" for name, value in self.binds()], "and")
 
 
 def _join(parts: list[str], op: str) -> str:
@@ -389,9 +369,8 @@ def _lookup(variables: tuple[str, ...], parts: list[A.Formula]):
 
 
 class _Compiler:
-    """Emits the program of one formula and owns its per-program state:
-    warn-once messages and the universe of the last image extent, which the
-    program reads as ``_c``. ``plan`` lists, per ``until``/``since`` and
+    """Emits the program of one formula and owns its per-program state, the
+    warn-once messages, which the program reads as ``_c``. ``plan`` lists, per ``until``/``since`` and
     guarded idiom in compile order, the variables its summary is keyed by,
     or None for a scan; ``box_terms`` lists, per spatial term of an atom,
     whether it takes the box path; ``lookups``, per quantifier, whether it
@@ -402,19 +381,10 @@ class _Compiler:
         self.plan: list[tuple[str, ...] | None] = []
         self.box_terms: list[bool] = []
         self.lookups: list[bool] = []
-        self.last_universe: Universe | None = None
         self.functions: list[str] = []
         # The function that binds each local name a variable maps to.
         self.owner: dict[str, _Function] = {}
         self.count = itertools.count(1)
-
-    def universe(self, frame: Frame) -> Universe:
-        """The frame's universe. A stream keeps its image extent, so one
-        universe serves every spatial atom until the extent changes."""
-        universe = self.last_universe
-        if universe is None or universe.width != frame.width or universe.height != frame.height:
-            universe = self.last_universe = Universe(frame.width, frame.height)
-        return universe
 
     def ratio_rhs_ok(self, value: float, what: str) -> bool:
         if value == 0:
@@ -465,9 +435,6 @@ class _Compiler:
         params = fn.params if fn.env is not None else fn.params + tuple(fn.captured)
         text = (f"def {fn.name}({', '.join(params)}):\n"
                 + "".join(f"    {line}\n" for line in lines + body))
-        # A step scope's build is known once every step that reaches it is compiled.
-        for step in fn.steps:
-            text = text.replace(step.pending(), step.build())
         self.functions.append(text)
 
     def call(self, fn: _Function, s: _Scope) -> str:
@@ -537,14 +504,13 @@ class _Compiler:
 
     def step(self, phi: A.Next | A.Prev, s: _Scope, names: dict, depth: int) -> str:
         """``prev``/``next``: the index test, then, if the child reads the
-        frame, the step scope's context, built at the first step of ``s``
-        in this direction that reaches it (see ``_Scope``)."""
+        step scope, its context, built by the first step of ``s`` in this
+        direction that reaches it (see ``_Scope``)."""
         shift = "-" if type(phi) is A.Prev else "+"
         inner = s.steps.get(shift)
         if inner is None:
             n = next(self.count)
             inner = s.steps[shift] = self.scope(s.fn, f"c_{n}", n, shift=shift)
-            s.fn.steps.append(inner)
         inner.used = False
         child = self.formula(phi.child, inner, names, depth)
         if shift == "-":
@@ -553,7 +519,8 @@ class _Compiler:
             s.fn.trace = True
             parts = [f"({s.index()} + 1 < len(trace))"]
         if inner.used:
-            parts.append(f"({inner.ctx} is not None or {inner.pending()})")
+            c = inner.context()
+            parts.append(f"({c} is not None or ({c} := ctx.at({inner.index()})) is not None)")
         return _join(parts + ([child] if child != "True" else []), "and")
 
     def freeze(self, phi: A.Freeze, s: _Scope, names: dict, depth: int) -> str:
@@ -765,7 +732,7 @@ class _Compiler:
     # outside.
 
     def measure(self, term: A.SpatialTerm, s: _Scope, names: dict, depth: int, area: bool) -> str:
-        """The area of ``term`` in the frame's universe, or whether it is nonempty.
+        """The area of ``term`` in the frame's image, or whether it is nonempty.
 
         A term of boxes, the universe and ``&`` alone is one
         ``spatial.meet_area``, whose None reads as 0 for an area and as empty
@@ -777,7 +744,7 @@ class _Compiler:
             region = self.term(term, s, names, depth)
             return f"spatial.area({region})" if area else f"(not spatial.is_empty({region}))"
         boxes = _tuple([f"{self.read(names, var, OBJECT, s)}.bbox" for var in variables])
-        meet = f"spatial.meet_area({boxes}, {s.universe()})"
+        meet = f"spatial.meet_area({boxes}, {s.frame()})"
         if not area:
             return f"({meet} is not None)"
         # ``area`` of the empty region is the empty sum, 0.
@@ -793,9 +760,9 @@ class _Compiler:
         kind, depth = type(term), depth + 1
         if kind is A.EmptySet or kind is A.UniverseSet:
             name = "empty_region" if kind is A.EmptySet else "full_region"
-            return f"spatial.{name}({s.universe()})"
+            return f"spatial.{name}({s.frame()})"
         if kind is A.BBoxOf:
-            return f"spatial.from_box({self.read(names, term.var, OBJECT, s)}.bbox, {s.universe()})"
+            return f"spatial.from_box({self.read(names, term.var, OBJECT, s)}.bbox, {s.frame()})"
         if kind is A.Complement:
             return f"spatial.complement({self.term(term.term, s, names, depth)})"
         if kind is A.SpatialUnion or kind is A.SpatialIntersect:

@@ -1,7 +1,8 @@
 """Exact region algebra over finite unions of axis-aligned rectangles.
 
-Regions live inside a bounded universe (the image rectangle). Every
-operation keeps the representation as pairwise interior-disjoint,
+A region's universe is its frame's image, [0, width] x [0, height]: the
+operations read the extent from the frame the evaluator already holds.
+Every operation keeps the representation as pairwise interior-disjoint,
 non-degenerate rectangles, so area is a plain sum and emptiness means "no
 rectangles". Regions are compared by area (Lebesgue measure): shared edges
 and zero-width slivers count as empty. Coordinates are ordinary IEEE
@@ -25,27 +26,12 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import ContractViolation
-from .trace import BoundingBox, plain_value
-
-
-@plain_value
-class Universe:
-    """The bounded rectangle within which all regions are interpreted.
-
-    A plain value: the evaluator builds one from each frame's extent,
-    which ingest has already checked to be positive and finite.
-    """
-
-    width: float
-    height: float
-
-    @property
-    def box(self) -> BoundingBox:
-        return BoundingBox(0.0, 0.0, self.width, self.height)
+from .trace import BoundingBox, Frame
 
 
 class Region:
-    """A finite union of interior-disjoint rectangles inside a universe.
+    """A finite union of interior-disjoint rectangles inside the image of
+    ``universe``, a frame of which only ``width`` and ``height`` are read.
 
     Construct regions through the module functions; they maintain the
     disjointness invariant. Two regions with different rectangle
@@ -56,7 +42,7 @@ class Region:
 
     __slots__ = ("universe", "rects")
 
-    def __init__(self, universe: Universe, rects: tuple[BoundingBox, ...] = ()):
+    def __init__(self, universe: Frame, rects: tuple[BoundingBox, ...] = ()):
         self.universe = universe
         self.rects = rects
 
@@ -93,52 +79,50 @@ def _subtract_all(pieces: list[BoundingBox], cutters: tuple[BoundingBox, ...]) -
     return pieces
 
 
-def _same_universe(a: Region, b: Region) -> Universe:
-    if a.universe is b.universe:
-        return a.universe
-    if a.universe != b.universe:
-        raise ContractViolation(
-            f"regions belong to different universes: {a.universe} vs {b.universe}"
-        )
-    return a.universe
+def _same_universe(a: Region, b: Region) -> Frame:
+    u, v = a.universe, b.universe
+    if u is not v and (u.width != v.width or u.height != v.height):
+        raise ContractViolation(f"regions belong to different universes: "
+                                f"{u.width:g}x{u.height:g} vs {v.width:g}x{v.height:g}")
+    return u
 
 
-def empty_region(universe: Universe) -> Region:
-    return Region(universe, ())
+def empty_region(frame: Frame) -> Region:
+    return Region(frame, ())
 
 
-def full_region(universe: Universe) -> Region:
-    return Region(universe, (universe.box,))
+def full_region(frame: Frame) -> Region:
+    return Region(frame, (BoundingBox(0.0, 0.0, frame.width, frame.height),))
 
 
-def from_box(box: BoundingBox, universe: Universe) -> Region:
-    """The region of a single box, clipped into the universe.
+def from_box(box: BoundingBox, frame: Frame) -> Region:
+    """The region of a single box, clipped into the frame's image.
 
     A box that is degenerate after clipping yields the empty region.
     """
-    width, height = universe.width, universe.height
+    width, height = frame.width, frame.height
     if 0.0 <= box.xmin < box.xmax <= width and 0.0 <= box.ymin < box.ymax <= height:
         # Inside and non-degenerate: the clip is the box itself.
-        return Region(universe, (box,))
+        return Region(frame, (box,))
     clipped = box.clip(width, height)
     if not (clipped.xmax > clipped.xmin and clipped.ymax > clipped.ymin):
-        return empty_region(universe)
-    return Region(universe, (clipped,))
+        return empty_region(frame)
+    return Region(frame, (clipped,))
 
 
-def meet_area(boxes: Iterable[BoundingBox], universe: Universe) -> float | None:
-    """The area of the intersection of ``boxes`` and the universe, or None
-    when that intersection has no area.
+def meet_area(boxes: Iterable[BoundingBox], frame: Frame) -> float | None:
+    """The area of the intersection of ``boxes`` and the frame's image, or
+    None when that intersection has no area.
 
     Equal to ``area`` of the universe intersected with ``from_box`` of each
-    box: clamping into the universe commutes with max and min, and a box that
+    box: clamping into the image commutes with max and min, and a box that
     clips to nothing leaves a meet with no area. Edge contact is empty, as in
     ``intersect``. Emptiness is None, never a zero area: a meet of positive
     width and height whose product underflows to 0.0 is nonempty, as its
     ``Region`` is.
     """
     x1 = y1 = 0.0
-    x2, y2 = universe.width, universe.height
+    x2, y2 = frame.width, frame.height
     for box in boxes:
         if box.xmin > x1:
             x1 = box.xmin
@@ -183,8 +167,9 @@ def intersect(a: Region, b: Region) -> Region:
 
 def complement(a: Region) -> Region:
     """The universe minus the region, as a point set."""
-    pieces = _subtract_all([a.universe.box], a.rects)
-    return Region(a.universe, tuple(pieces))
+    u = a.universe
+    pieces = _subtract_all([BoundingBox(0.0, 0.0, u.width, u.height)], a.rects)
+    return Region(u, tuple(pieces))
 
 
 def area(a: Region) -> float:

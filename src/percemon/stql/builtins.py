@@ -131,13 +131,19 @@ def read_spec_file(path: str) -> A.Formula:
 def resolve_spec(
     name: str, params: Mapping[str, float] | None = None
 ) -> tuple[str, A.Formula]:
-    """Resolve a spec argument: builtin name, probe name, or file path."""
+    """Resolve a spec argument: builtin name, probe name, or file path.
+
+    Only the builtins read ``params``; a non-empty map with any other spec
+    is an error, not a value that nothing reads."""
     if name == "builtin:phi1":
         return name, phi1(params)
     if name == "builtin:phi2":
         return name, phi2(params)
     if name.startswith("builtin:"):
         raise ConfigError(f"unknown builtin specification {name!r}")
+    if params:
+        raise ConfigError(f"{name}: only builtin specifications read parameters, "
+                          f"got {', '.join(sorted(params))}")
     if name.startswith("probe:"):
         tail = name[len("probe:"):]
         if not tail.startswith("exists") or not tail[len("exists"):].isdigit():

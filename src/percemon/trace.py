@@ -5,8 +5,8 @@ tracker snapshot: a frame number, a timestamp in seconds, the image extent
 in pixels, and the detected objects keyed by their tracker id, in
 ascending id order. All types are immutable plain values: their
 constructors check nothing. ``plain_value`` makes them (and
-``spatial.Universe`` and ``monitor.Verdict``) frozen slotted dataclasses
-whose ``__init__`` stores each field through its slot descriptor.
+``monitor.Verdict``) frozen slotted dataclasses whose ``__init__``
+stores each field through its slot descriptor.
 
 Wire format, one record per line (unknown fields ignored; ``width`` and
 ``height`` are required):

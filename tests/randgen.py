@@ -15,14 +15,23 @@ from typing import Sequence
 import numpy as np
 
 from percemon import spatial
-from percemon.spatial import Region, Universe, area, from_box, full_region, empty_region, union, intersect, complement
+from percemon.spatial import Region, area, from_box, full_region, empty_region, union, intersect, complement
 from percemon.stql import ast as A
-from percemon.trace import BoundingBox, DetectedObject, Frame, make_frame
+from percemon.trace import BoundingBox, DetectedObject, Frame, make_frame, plain_value
 
 CLASSES = ("car", "pedestrian", "cyclist")
 ORDER_CMPS = (A.Cmp.LT, A.Cmp.LE, A.Cmp.GT, A.Cmp.GE)
 ALL_CMPS = tuple(A.Cmp)
 REFS = tuple(A.ReferencePoint)
+
+
+@plain_value
+class Universe:
+    """An image extent for region tests. The region functions read only a
+    frame's ``width`` and ``height``, so this stands in for a frame."""
+
+    width: float
+    height: float
 
 
 class FormulaGen:

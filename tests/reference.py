@@ -119,16 +119,16 @@ def holds(phi: A.Formula, trace, i: int, env: dict) -> bool:
         if lhs is None or rhs is None or rhs.confidence == 0:
             return False
         return CMP[phi.cmp](lhs.confidence, phi.ratio * rhs.confidence)
-    universe = spatial.Universe(frame.width, frame.height)
+    # A region's universe is the image of the frame it is evaluated at.
     if kind is A.SpatialExists:
-        return not spatial.is_empty(region(phi.term, universe, env))
+        return not spatial.is_empty(region(phi.term, frame, env))
     if kind is A.AreaCmpConst:
-        return CMP[phi.cmp](spatial.area(region(phi.term, universe, env)), phi.bound)
+        return CMP[phi.cmp](spatial.area(region(phi.term, frame, env)), phi.bound)
     if kind is A.AreaCmpRatio:
-        rhs = spatial.area(region(phi.rhs, universe, env))
+        rhs = spatial.area(region(phi.rhs, frame, env))
         if rhs == 0:
             return False
-        return CMP[phi.cmp](spatial.area(region(phi.lhs, universe, env)), phi.ratio * rhs)
+        return CMP[phi.cmp](spatial.area(region(phi.lhs, frame, env)), phi.ratio * rhs)
     if kind is A.EDCmp:
         lx, ly = point(env["object", phi.lhs].bbox, phi.lhs_ref)
         rx, ry = point(env["object", phi.rhs].bbox, phi.rhs_ref)
@@ -149,7 +149,8 @@ def _current(frame, env: dict, var: str):
 
 
 def region(term: A.SpatialTerm, universe, env: dict) -> spatial.Region:
-    """The region a spatial term denotes in ``universe``."""
+    """The region a spatial term denotes in ``universe``, a frame or any
+    value with its ``width`` and ``height``."""
     kind = type(term)
     if kind is A.EmptySet:
         return spatial.empty_region(universe)

@@ -19,7 +19,6 @@ from percemon.generator import (
 )
 from percemon.monitor import Monitor, MonitorConfig, run_monitor
 from percemon.spatial import (
-    Universe,
     area,
     complement,
     intersect,
@@ -34,6 +33,7 @@ from percemon.stql.printer import format_formula
 
 from randgen import (
     FormulaGen,
+    Universe,
     random_box,
     random_term,
     random_trace,

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from percemon.bench import BenchReport, _p99, render_json, render_tsv, run_bench
+from percemon.errors import ConfigError
 
 
 def test_p99_nearest_rank():
@@ -28,6 +29,12 @@ def test_reports_cover_requested_counts():
         assert report.mean_eval_time_ns > 0
         assert report.p99_eval_time_ns > 0
         assert report.assignments_per_frame is None
+
+
+@pytest.mark.parametrize("frames", [0, -3])
+def test_a_run_of_no_frames_is_refused(frames):
+    with pytest.raises(ConfigError, match=f"frames must be at least 1, got {frames}"):
+        run_bench("builtin:phi1", [2], frames=frames)
 
 
 def test_tsv_rendering():

@@ -19,14 +19,14 @@ from percemon import spatial
 from percemon.errors import ContractViolation
 from percemon.evaluate import EMPTY_ENV, Env, EvalContext, describe, evaluate, evaluate_trace
 from percemon.generator import GenConfig, generate_frames
-from percemon.spatial import Universe, area, is_empty
+from percemon.spatial import area, is_empty
 from percemon.stql import ast as A
 from percemon.stql.builtins import phi2
 from percemon.stql.desugar import desugar
 from percemon.stql.parser import parse
 from percemon.trace import BoundingBox, DetectedObject, make_frame
 
-from randgen import random_box, random_term, rasterize, term_region
+from randgen import Universe, random_box, random_term, rasterize, term_region
 
 
 def _compiled_term(term):

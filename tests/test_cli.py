@@ -281,6 +281,23 @@ def test_check_unknown_param_fails(runner):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("command", ["check", "run", "monitor", "bench"])
+@pytest.mark.parametrize("spec, param, name", [
+    (str(HOLDS_WINDOW), "bogus=1", "bogus"),
+    # Out of range for the builtins, and read by nothing here.
+    ("probe:exists2", "overlap=2", "overlap"),
+], ids=["file", "probe"])
+def test_param_on_a_spec_that_reads_none_fails(runner, tmp_path, command, spec, param, name):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(gen_lines(runner))
+    extra = {"check": (), "run": ("--trace", str(trace)), "monitor": ("--input", str(trace)),
+             "bench": ("--objects", "1", "--frames", "2")}[command]
+    result = invoke(runner, command, "--spec", spec, "--param", param, *extra)
+    assert result.exit_code == 1
+    assert result.stderr == f"error: {spec}: only builtin specifications read parameters, got {name}\n"
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize("command", ["check", "monitor"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
 def test_non_finite_param_fails(runner, command, value):

@@ -13,14 +13,14 @@ from percemon.evaluate import (
     evaluate_trace,
     quantifier_assignments,
 )
-from percemon.spatial import Universe, area, is_empty
+from percemon.spatial import area, is_empty
 from percemon.stql import ast as A
 from percemon.stql.builtins import phi1
 from percemon.stql.desugar import desugar
 from percemon.stql.parser import parse
 from percemon.trace import BoundingBox, DetectedObject, make_frame
 
-from randgen import FormulaGen, random_trace
+from randgen import FormulaGen, Universe, random_trace
 from reference import region
 
 
@@ -405,43 +405,3 @@ def test_windowed_evaluation_restricts_visibility():
     windowed = evaluate_trace(phi, trace, history=1, horizon=0)
     assert full == [False, False, True, True, True]
     assert windowed == [False] * 5  # one frame of history hides the second prev
-
-
-# --- one universe per image extent -----------------------------------------------
-
-def _counting_universes(monkeypatch):
-    from percemon.spatial import Universe
-
-    built = []
-    init = Universe.__init__
-
-    def counting(self, width, height):
-        built.append((width, height))
-        init(self, width, height)
-    monkeypatch.setattr(Universe, "__init__", counting)
-    return built
-
-
-def test_spatial_atoms_share_one_universe_per_extent(monkeypatch):
-    from percemon.generator import GenConfig, generate_frames
-    from percemon.monitor import run_monitor
-    from percemon.stql.builtins import phi2
-
-    frames = generate_frames(GenConfig(frames=40, objects=16, seed=7))
-    built = _counting_universes(monkeypatch)
-    run_monitor(phi2(), frames)
-    assert built == [(800.0, 600.0)]
-
-
-def test_a_changing_extent_rebuilds_the_universe(monkeypatch):
-    from percemon.monitor import run_monitor
-
-    # The complement of a 40x40 box covers more than 20000 only in the larger image.
-    frames = [make_frame(i, i / 10, size, size, [obj(1, box=(0, 0, 40, 40))])
-              for i, size in enumerate((100.0, 100.0, 200.0, 200.0, 100.0, 200.0))]
-    spec = parse("exists {a} @ area(~bbox(a)) >= 20000")
-    built = _counting_universes(monkeypatch)
-    verdicts = [v.value for v in run_monitor(spec, frames)]
-    assert built == [(100.0, 100.0), (200.0, 200.0), (100.0, 100.0), (200.0, 200.0)]
-    assert verdicts == [False, False, True, True, False, True]
-    assert verdicts == evaluate_trace(desugar(spec), frames)

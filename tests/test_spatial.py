@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from percemon.errors import ContractViolation
 from percemon.spatial import (
     Region,
-    Universe,
     area,
     complement,
     empty_region,
@@ -17,9 +16,9 @@ from percemon.spatial import (
     is_empty,
     union,
 )
-from percemon.trace import BoundingBox
+from percemon.trace import BoundingBox, DetectedObject, make_frame
 
-from randgen import difference, random_box, random_term, rasterize, symmetric_difference_area, term_region
+from randgen import Universe, difference, random_box, random_term, rasterize, symmetric_difference_area, term_region
 
 U = Universe(100.0, 100.0)
 
@@ -97,6 +96,22 @@ def test_mixed_universes_rejected():
     other = full_region(Universe(50.0, 50.0))
     with pytest.raises(ContractViolation):
         union(box(0, 0, 10, 10), other)
+
+
+def test_regions_of_frames_with_one_extent_combine():
+    # A region's universe is its frame's image: two frames of one extent,
+    # whatever else they hold, give regions that combine.
+    first = make_frame(0, 0.0, 100.0, 80.0, [])
+    second = make_frame(1, 0.1, 100.0, 80.0,
+                        [DetectedObject(3, "car", 0.5, BoundingBox(0, 0, 5, 5))])
+    a, b = from_box(BoundingBox(0, 0, 10, 10), first), from_box(BoundingBox(5, 0, 15, 10), second)
+    assert area(union(a, b)) == 150
+    assert area(intersect(a, b)) == 50
+    assert area(union(a, full_region(second))) == 8000
+    wider = make_frame(2, 0.2, 120.0, 80.0, [])
+    for op in (union, intersect):
+        with pytest.raises(ContractViolation, match="different universes: 100x80 vs 120x80"):
+            op(a, from_box(BoundingBox(0, 0, 10, 10), wider))
 
 
 def _disjointness_holds(region: Region) -> bool:

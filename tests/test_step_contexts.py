@@ -2,12 +2,14 @@
 
 A generated function gives all ``prev`` of one scope one step scope, and
 all ``next`` another. Its context is built by the first step that reaches
-it and reads its frame, once per binding of the parent scope (a function
+it and reads the scope, once per binding of the parent scope (a function
 call, or a frame a scan visits), and a step whose child reads nothing of
-its frame (``prev true``) is its index test alone. These shapes are checked
-against the definitional reference, offline and online with a window, and
-the contexts built are counted by wrapping ``EvalContext.at`` as the
-benchmark's tracer does.
+its frame (``prev true``) is its index test alone. A step reads its own
+frame by index, its image extent included, which streams whose extent
+changes from frame to frame check. These shapes are checked against the
+definitional reference, offline and online with a window, and the contexts
+built are counted by wrapping ``EvalContext.at`` as the benchmark's tracer
+does.
 """
 
 import random
@@ -132,3 +134,79 @@ def test_prev_true_builds_no_context(monkeypatch):
     assert calls == [(0, 1)] * len(SIX_OBJECTS) + [(0, 0)]
     core = desugar(parse(spec))
     assert [v.value for v in verdicts] == reference_trace(core, SIX_OBJECTS, 1, 0)
+
+
+# --- frame reads under steps, over a stream whose image extent changes ----------
+# A step reads the extent of its own frame, not of its parent's: with every
+# frame of one extent, a step that read its parent's would go unseen.
+
+EXTENT_SPECS = {
+    "region and box terms": "exists {a} @ (prev area(~bbox(a)) > 3000 "
+                            "and next nonempty(bbox(a) & universe))",
+    # More than 6500 outside the box only in a 120-wide image.
+    "region term under prev": "exists {a} @ prev area(~bbox(a)) > 6500",
+    # A box right of x = 100 meets only a 120-wide image.
+    "box term under next": "forall {a} @ next nonempty(bbox(a) & universe)",
+    "universe and empty under steps": "prev area(universe) > 6500 or next area(~empty) < 6500",
+}
+
+
+def _extent_frames(seed: int, n: int = 10) -> list:
+    """``n`` frames 60 high and 100 or 120 wide, of up to three objects,
+    each box near the left or the right edge of its image."""
+    rng = random.Random(seed)
+    frames = []
+    for i in range(n):
+        width = rng.choice((100.0, 120.0))
+        objects = []
+        for oid in (1, 2, 3):
+            if rng.random() < 0.8:
+                x = rng.randint(0, 40) if rng.random() < 0.5 else int(width) - rng.randint(10, 14)
+                y = rng.randint(0, 50)
+                objects.append(DetectedObject(oid, "car", 0.5, BoundingBox(x, y, x + 8, y + 6)))
+        frames.append(make_frame(i, i / 10, width, 60.0, objects))
+    return frames
+
+
+EXTENT_STREAMS = [_extent_frames(seed) for seed in range(6)]
+
+
+def test_every_extent_stream_changes_extent():
+    assert all(len({f.width for f in frames}) == 2 for frames in EXTENT_STREAMS)
+    # Some box lies where only a 120-wide image holds it.
+    assert any(o.bbox.xmin > 100 for f in EXTENT_STREAMS[0] for o in f.objects.values())
+
+
+@pytest.mark.parametrize("name", sorted(EXTENT_SPECS))
+def test_frame_reads_under_steps_follow_the_extent_offline(name):
+    core = desugar(parse(EXTENT_SPECS[name]))
+    for frames in EXTENT_STREAMS:
+        assert evaluate_trace(core, frames) == reference_trace(core, frames)
+        for history, horizon in ((0, 0), (1, 1), (2, 3)):
+            assert (evaluate_trace(core, frames, history, horizon)
+                    == reference_trace(core, frames, history, horizon)), (history, horizon)
+
+
+@pytest.mark.parametrize("name", sorted(EXTENT_SPECS))
+def test_frame_reads_under_steps_follow_the_extent_online(monkeypatch, name):
+    for frames in EXTENT_STREAMS:
+        verdicts, calls = _built(monkeypatch, EXTENT_SPECS[name], frames)
+        monitor = Monitor(parse(EXTENT_SPECS[name]))
+        expected = reference_trace(monitor.formula, frames, monitor.history, monitor.horizon)
+        assert [v.value for v in verdicts] == expected
+        # At most one context per direction per verdict.
+        assert all(built <= 2 * emitted for built, emitted in calls)
+        monkeypatch.undo()
+
+
+def test_a_step_that_reads_its_frame_builds_its_context_once_per_verdict(monkeypatch):
+    for frames in EXTENT_STREAMS:
+        occupied = [bool(f.objects) for f in frames]
+        # ``prev``: reached at every frame after the first that holds an object.
+        _, calls = _built(monkeypatch, EXTENT_SPECS["region term under prev"], frames)
+        assert sum(built for built, _ in calls) == sum(occupied[1:])
+        monkeypatch.undo()
+        # ``next``: at every frame but the last that holds an object.
+        _, calls = _built(monkeypatch, EXTENT_SPECS["box term under next"], frames)
+        assert sum(built for built, _ in calls) == sum(occupied[:-1])
+        monkeypatch.undo()

@@ -19,7 +19,6 @@ from percemon.errors import (
     NonMonotonicTimestamp,
 )
 from percemon.monitor import Verdict
-from percemon.spatial import Universe
 from percemon.trace import (
     BoundingBox,
     DetectedObject,
@@ -29,6 +28,8 @@ from percemon.trace import (
     read_stream,
     serialize_frame,
 )
+
+from randgen import Universe
 
 
 def test_parse_empty_frame():
